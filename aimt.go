@@ -202,11 +202,6 @@ func SweepError(outs []SweepOutcome) error { return sweep.FirstError(outs) }
 // weight prefetching.
 func NewFIFO() Scheduler { return sched.NewFIFO() }
 
-// NewSerialFIFO returns the fully serialized FIFO variant (no
-// prefetch overlap at all); its makespan is the analytic serialized
-// bound the differential tests check against.
-func NewSerialFIFO() Scheduler { return sched.NewSerialFIFO() }
-
 // NewRR returns the round-robin baseline.
 func NewRR() Scheduler { return sched.NewRR() }
 
@@ -217,14 +212,6 @@ func NewGreedy() Scheduler { return sched.NewGreedy() }
 // double-buffered) prefetching, the Fig 16 variant.
 func NewGreedyPrefetch() Scheduler { return sched.NewGreedyPrefetch() }
 
-// NewSJF returns the shortest-job-first baseline.
-func NewSJF() Scheduler { return sched.NewSJF() }
-
-// NewComputeFirst returns the Fig 9a static order: compute-intensive
-// networks first, capacity-bounded prefetching. memHeavy flags the
-// memory-intensive network instances.
-func NewComputeFirst(memHeavy []bool) Scheduler { return sched.NewComputeFirst(memHeavy) }
-
 // NewPREMA returns the simplified PREMA reimplementation (Choi & Rhu,
 // HPCA 2020) — token-based preemptive time-multiplexing at layer
 // granularity, the related work the paper contrasts AI-MT with in
@@ -233,12 +220,6 @@ func NewPREMA(priority []float64) Scheduler { return sched.NewPREMA(priority) }
 
 // Mechanisms selects active AI-MT mechanisms; see core.Mechanisms.
 type Mechanisms = core.Mechanisms
-
-// PrefetchOnly enables only MB prefetching (Fig 14 first bar).
-func PrefetchOnly() Mechanisms { return core.Prefetch() }
-
-// PrefetchMerge enables MB prefetching and CB merging.
-func PrefetchMerge() Mechanisms { return core.PrefetchMerge() }
 
 // AllMechanisms enables prefetching, merging and early MB eviction
 // with CB split — the full AI-MT design.
@@ -256,21 +237,26 @@ func BuildMix(cfg Config, spec MixSpec, batch int) (*Mix, error) {
 	return workload.Build(cfg, spec, workload.BuildOptions{Batch: batch})
 }
 
-// NewEDF returns the earliest-deadline-first serving scheduler:
-// deadline-ordered block issue on both engines layered on
-// capacity-bounded MB prefetching. deadlines[i] is network instance
-// i's absolute deadline in cycles (nil/short = none).
-func NewEDF(deadlines []Cycles) Scheduler { return sched.NewEDF(deadlines) }
+// SchedulerEntry names one registered scheduler and builds fresh
+// instances per run; see sched.Entry.
+type SchedulerEntry = sched.Entry
 
-// NewLookahead wraps a scheduler with speculative lookahead: at each
-// contested memory-block decision (a capacity-critical and a
-// compute-heavy candidate both issuable) it snapshots the engine,
-// simulates both choices horizon cycles ahead under the inner policy,
-// and commits whichever kept the machine busier; everywhere else it
-// is exactly the inner scheduler. horizon <= 0 picks the default.
-func NewLookahead(inner Scheduler, horizon Cycles) *sched.Lookahead {
-	return sched.NewLookahead(inner, horizon)
-}
+// SchedulerInput holds the per-run facts a scheduler factory reads
+// (deadlines, class priorities, memory-intensive flags); see
+// sched.Input.
+type SchedulerInput = sched.Input
+
+// Schedulers returns every registered scheduler — the paper's
+// baselines, PREMA, the AI-MT ablation and the serving extensions — in
+// comparison order.
+func Schedulers() []SchedulerEntry { return sched.Registry() }
+
+// SchedulerNames lists the registered scheduler names.
+func SchedulerNames() []string { return sched.Names() }
+
+// SchedulerByName resolves a registered scheduler from its name or an
+// alias, ignoring case.
+func SchedulerByName(name string) (SchedulerEntry, error) { return sched.ByName(name) }
 
 // Serving subsystem (extension): open-loop streams, SLA tracking and
 // load sweeps; see the internal/serve package.
@@ -348,6 +334,17 @@ func NewServeStream(cfg Config, classes []ServeClass, opts ServeStreamOptions) (
 // PREMA, AI-MT and EDF.
 func ServeStandardSchedulers() []SchedulerSpec { return serve.StandardSchedulers() }
 
+// ServeSpec adapts a registered scheduler to a serving spec whose
+// factory reads the stream's deadlines and class priorities.
+func ServeSpec(e SchedulerEntry) SchedulerSpec { return serve.Spec(e) }
+
+// ServeGaps converts offered loads (in single-chip capacities) into the
+// mean inter-arrival gaps that offer them for a stream of these
+// classes; see serve.Gaps.
+func ServeGaps(cfg Config, classes []ServeClass, loads ...float64) ([]Cycles, error) {
+	return serve.Gaps(cfg, classes, loads...)
+}
+
 // ServeRun simulates one stream under one scheduler and reports SLA
 // attainment and tail latency.
 func ServeRun(cfg Config, s *ServeStream, sch Scheduler, opts RunOptions) (*ServeReport, error) {
@@ -360,19 +357,6 @@ func ServeRun(cfg Config, s *ServeStream, sch Scheduler, opts RunOptions) (*Serv
 func ServeLoadCurve(cfg Config, classes []ServeClass, schedulers []SchedulerSpec, opts ServeCurveOptions) ([]ServeCurvePoint, error) {
 	return serve.LoadCurve(cfg, classes, schedulers, opts)
 }
-
-// ServePreemptiveAIMT returns the full AI-MT stack with the stream's
-// class priorities driving cross-request preemption: higher-priority
-// requests may halt a lower class's executing compute block via the
-// CB-split path. With uniform priorities it is bit-identical to the
-// plain AI-MT spec.
-func ServePreemptiveAIMT() SchedulerSpec { return serve.PreemptiveAIMT() }
-
-// ServeLookaheadAIMT returns the speculative lookahead scheduler over
-// the full AI-MT stack as a serving spec; horizon <= 0 uses the
-// default. Opt-in (it is not in ServeStandardSchedulers) because each
-// contested decision simulates both branches a horizon ahead.
-func ServeLookaheadAIMT(horizon Cycles) SchedulerSpec { return serve.LookaheadAIMT(horizon) }
 
 // BuildServeReportShed folds a simulation result into a report where
 // admission control shed some requests; see serve.BuildReportShed.
@@ -427,11 +411,16 @@ type ClusterCurvePoint = cluster.CurvePoint
 // serve path is bit-identical to the uncontrolled cluster.
 type ClusterControl = cluster.Control
 
-// ClusterPolicies returns every built-in routing policy: round-robin,
-// least-work, class-affinity and deadline.
+// ClusterPolicies returns the routing policies compared by default:
+// round-robin, least-work, class-affinity and deadline.
 func ClusterPolicies() []ClusterPolicySpec { return cluster.Policies() }
 
-// ClusterPolicyByName resolves a routing policy spec from its name.
+// ClusterPolicyNames lists every routing policy name, the opt-in
+// predictive policy included.
+func ClusterPolicyNames() []string { return cluster.Names() }
+
+// ClusterPolicyByName resolves any routing policy spec from its name,
+// ignoring case.
 func ClusterPolicyByName(name string) (ClusterPolicySpec, error) { return cluster.ByName(name) }
 
 // ClusterDispatch routes every request of a stream to a chip under the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aimt/internal/analysis"
+	"aimt/internal/core"
 	"aimt/internal/metrics"
 	"aimt/internal/nn"
 	"aimt/internal/power"
@@ -258,7 +259,7 @@ func BenchmarkAblationAVLAccounting(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var res *Result
 			for i := 0; i < b.N; i++ {
-				s := NewAIMT(cfg, PrefetchMerge()).SetExactAVL(tc.exact)
+				s := NewAIMT(cfg, core.PrefetchMerge()).SetExactAVL(tc.exact)
 				var err error
 				res, err = Run(cfg, mix.Nets, s, RunOptions{})
 				if err != nil {
@@ -286,7 +287,7 @@ func BenchmarkAblationMergeThreshold(b *testing.B) {
 		b.Run(fmt.Sprintf("threshold=%dxFCMB", mult), func(b *testing.B) {
 			var res *Result
 			for i := 0; i < b.N; i++ {
-				s := NewAIMT(cfg, PrefetchMerge()).SetMergeThreshold(mult * fcMB)
+				s := NewAIMT(cfg, core.PrefetchMerge()).SetMergeThreshold(mult * fcMB)
 				var err error
 				res, err = Run(cfg, mix.Nets, s, RunOptions{})
 				if err != nil {

@@ -6,8 +6,8 @@ import (
 )
 
 // TestClusterN1BitIdentical is the cluster model's correctness anchor:
-// a one-chip cluster, under every routing policy and every standard
-// serving scheduler, must produce exactly the schedule of the existing
+// a one-chip cluster, under every routing policy and every registered
+// scheduler, must produce exactly the schedule of the existing
 // single-engine serve path — the same raw simulation result (makespan,
 // per-request finish cycles, block counts, busy totals) and the same
 // report, bit for bit. Any divergence means the dispatcher perturbed
@@ -24,7 +24,7 @@ func TestClusterN1BitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range ServeStandardSchedulers() {
+		for _, spec := range registrySpecs() {
 			// The single-engine reference: the exact call serve.Serve
 			// makes.
 			ref, err := Run(cfg, stream.Nets, spec.New(cfg, stream), RunOptions{Arrivals: stream.Arrivals})

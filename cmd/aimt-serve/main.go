@@ -11,7 +11,7 @@
 //	aimt-serve -requests 100000        # longer stream
 //	aimt-serve -loads 0.3,0.9,1.2      # explicit offered loads
 //	aimt-serve -process bursty         # bursty arrivals
-//	aimt-serve -sched FIFO,EDF         # subset of schedulers
+//	aimt-serve -sched EDF,FIFO         # these schedulers, in this order
 //	aimt-serve -sched lookahead        # opt-in speculative lookahead
 //	aimt-serve -cpuprofile cpu.pprof   # profile the sweep (pprof)
 //
@@ -20,7 +20,8 @@
 // independent chip engines, and offered loads are per chip:
 //
 //	aimt-serve -chips 4 -route least-work   # 4-chip cluster, one policy
-//	aimt-serve -chips 8                     # compare all routing policies
+//	aimt-serve -chips 8                     # compare the default policies
+//	aimt-serve -chips 4 -route predictive   # opt-in forward-simulated routing
 //	aimt-serve -chips 4 -perchip            # include per-chip breakdowns
 //
 // The overload control plane rides on cluster mode (any of these flags
@@ -126,12 +127,12 @@ func main() {
 	flag.IntVar(&opts.requests, "requests", 10_000, "requests per load point")
 	flag.StringVar(&opts.process, "process", "poisson", "arrival process: poisson or bursty")
 	flag.StringVar(&opts.loads, "loads", "", "comma-separated offered loads (empty = default sweep)")
-	flag.StringVar(&opts.scheds, "sched", "", "comma-separated scheduler subset (empty = all standard; 'lookahead' opts into the speculative scheduler)")
+	flag.StringVar(&opts.scheds, "sched", "", "comma-separated schedulers in run order (empty = FIFO,PREMA,AI-MT,EDF; cluster mode runs the first, default AI-MT): "+strings.Join(aimt.SchedulerNames(), ", "))
 	flag.Int64Var(&opts.seed, "seed", 7, "stream seed")
 	flag.IntVar(&opts.parallel, "parallel", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&opts.check, "check", false, "run the machine-model invariant checker on every simulation")
 	flag.IntVar(&opts.chips, "chips", 1, "simulated cluster size; >1 routes the stream across independent chips")
-	flag.StringVar(&opts.route, "route", "", "comma-separated routing policy subset for cluster mode (empty = all)")
+	flag.StringVar(&opts.route, "route", "", "comma-separated routing policies for cluster mode (empty = all but predictive): "+strings.Join(aimt.ClusterPolicyNames(), ", "))
 	flag.BoolVar(&opts.perchip, "perchip", false, "in cluster mode, print per-chip breakdowns for every result")
 	flag.BoolVar(&opts.admission, "admission", false, "SLO-aware admission control: shed lowest-priority requests predicted to miss their deadline (implies cluster mode)")
 	flag.BoolVar(&opts.prios, "priorities", false, "two-band priority mix (CNN premium) with preemptive AI-MT per chip (implies cluster mode)")
@@ -161,63 +162,104 @@ func main() {
 	}
 }
 
-// validate rejects bad flag combinations before any simulation work,
-// returning the parsed -loads factors and -route policy selection.
-func validate(opts options) ([]float64, []aimt.ClusterPolicySpec, error) {
+// plan is the validated flag selection.
+type plan struct {
+	// loads are the parsed -loads factors (nil = default sweep).
+	loads []float64
+	// schedulers are the -sched selection in the order given; in
+	// cluster mode the first one runs on every chip.
+	schedulers []aimt.SchedulerSpec
+	// policies are the -route selection (nil = default comparison set).
+	policies []aimt.ClusterPolicySpec
+}
+
+// clusterMode reports whether the sweep runs against a multi-chip
+// cluster: -chips above 1, -route, or any control-plane flag.
+func clusterMode(opts options) bool {
+	return opts.chips > 1 || opts.route != "" || opts.admission || opts.prios || opts.autoscale
+}
+
+// validate rejects bad flag combinations before any simulation work.
+func validate(opts options) (plan, error) {
+	var p plan
 	if opts.requests <= 0 {
-		return nil, nil, fmt.Errorf("-requests must be positive, got %d", opts.requests)
+		return p, fmt.Errorf("-requests must be positive, got %d", opts.requests)
 	}
 	if opts.chips < 1 {
-		return nil, nil, fmt.Errorf("-chips must be at least 1, got %d", opts.chips)
+		return p, fmt.Errorf("-chips must be at least 1, got %d", opts.chips)
 	}
 	if opts.parallel < 0 {
-		return nil, nil, fmt.Errorf("-parallel must be non-negative, got %d", opts.parallel)
+		return p, fmt.Errorf("-parallel must be non-negative, got %d", opts.parallel)
 	}
 	switch strings.ToLower(opts.process) {
 	case "", "poisson", "bursty":
 	default:
-		return nil, nil, fmt.Errorf("unknown -process %q (want poisson or bursty)", opts.process)
+		return p, fmt.Errorf("unknown -process %q (want poisson or bursty)", opts.process)
 	}
-	var loads []float64
 	if opts.loads != "" {
 		for _, f := range strings.Split(opts.loads, ",") {
 			load, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil || load <= 0 {
-				return nil, nil, errors.New("-loads values must be positive numbers, got " + strconv.Quote(f))
+				return p, errors.New("-loads values must be positive numbers, got " + strconv.Quote(f))
 			}
-			loads = append(loads, load)
+			p.loads = append(p.loads, load)
 		}
 	}
-	var policies []aimt.ClusterPolicySpec
+	scheds := opts.scheds
+	if scheds == "" && clusterMode(opts) {
+		// Cluster mode compares routing policies under AI-MT, or under
+		// preemptive AI-MT with -priorities so the premium band can
+		// displace executing batch work.
+		scheds = "AI-MT"
+		if opts.prios {
+			scheds = "AI-MT+Prio"
+		}
+	}
+	if scheds == "" {
+		p.schedulers = aimt.ServeStandardSchedulers()
+	} else {
+		seen := map[string]bool{}
+		for _, n := range strings.Split(scheds, ",") {
+			e, err := aimt.SchedulerByName(n)
+			if err != nil {
+				return p, fmt.Errorf("-sched: %w", err)
+			}
+			if seen[e.Name] {
+				return p, fmt.Errorf("-sched: %s listed twice", e.Name)
+			}
+			seen[e.Name] = true
+			p.schedulers = append(p.schedulers, aimt.ServeSpec(e))
+		}
+	}
 	if opts.route != "" {
 		for _, n := range strings.Split(opts.route, ",") {
-			pspec, err := aimt.ClusterPolicyByName(strings.ToLower(strings.TrimSpace(n)))
+			pspec, err := aimt.ClusterPolicyByName(n)
 			if err != nil {
-				return nil, nil, fmt.Errorf("-route: %w", err)
+				return p, fmt.Errorf("-route: %w", err)
 			}
-			policies = append(policies, pspec)
+			p.policies = append(p.policies, pspec)
 		}
 	}
 	if opts.hold < 0 {
-		return nil, nil, fmt.Errorf("-hold must be non-negative, got %v", opts.hold)
+		return p, fmt.Errorf("-hold must be non-negative, got %v", opts.hold)
 	}
 	if opts.decode < -1 {
-		return nil, nil, fmt.Errorf("-decode must be non-negative, got %d", opts.decode)
+		return p, fmt.Errorf("-decode must be non-negative, got %d", opts.decode)
 	}
 	if opts.decode >= 0 && !opts.transformer {
-		return nil, nil, errors.New("-decode requires -transformer")
+		return p, errors.New("-decode requires -transformer")
 	}
 	if opts.hold > 0 && opts.admin == "" {
-		return nil, nil, errors.New("-hold requires -admin")
+		return p, errors.New("-hold requires -admin")
 	}
 	if opts.rtrace < -1 {
-		return nil, nil, fmt.Errorf("-rtrace must be -1 (auto), 0 (off) or a positive sampling divisor, got %d", opts.rtrace)
+		return p, fmt.Errorf("-rtrace must be -1 (auto), 0 (off) or a positive sampling divisor, got %d", opts.rtrace)
 	}
-	return loads, policies, nil
+	return p, nil
 }
 
 func run(opts options) error {
-	loads, policies, err := validate(opts)
+	p, err := validate(opts)
 	if err != nil {
 		return err
 	}
@@ -239,28 +281,6 @@ func run(opts options) error {
 	sopts := aimt.ServeStreamOptions{Requests: opts.requests, Seed: opts.seed}
 	if strings.EqualFold(opts.process, "bursty") {
 		sopts.Process = aimt.ServeBursty
-	}
-
-	schedulers := aimt.ServeStandardSchedulers()
-	if opts.scheds != "" {
-		// The speculative lookahead scheduler is selectable by name but
-		// not part of the default sweep: every contested decision costs
-		// two horizon-length forward simulations.
-		available := append(schedulers, aimt.ServeLookaheadAIMT(0))
-		keep := map[string]bool{}
-		for _, n := range strings.Split(opts.scheds, ",") {
-			keep[strings.ToUpper(strings.TrimSpace(n))] = true
-		}
-		var sel []aimt.SchedulerSpec
-		for _, s := range available {
-			if keep[strings.ToUpper(s.Name)] {
-				sel = append(sel, s)
-			}
-		}
-		if len(sel) == 0 {
-			return fmt.Errorf("no scheduler matches %q", opts.scheds)
-		}
-		schedulers = sel
 	}
 
 	// Run history: every report of the sweep is appended here, and the
@@ -331,42 +351,18 @@ func run(opts options) error {
 	// cluster mode the loads are per chip: N chips at load L absorb an
 	// aggregate arrival rate N*L, so the stream gap shrinks by N.
 	var gaps []aimt.Cycles
-	if len(loads) > 0 {
-		probeOpts := sopts
-		probeOpts.Requests = 1
-		probeOpts.MeanGap = 1
-		probe, err := aimt.NewServeStream(cfg, classes, probeOpts)
-		if err != nil {
-			return err
+	if len(p.loads) > 0 {
+		chipLoads := make([]float64, len(p.loads))
+		for i, load := range p.loads {
+			chipLoads[i] = load * float64(opts.chips)
 		}
-		for _, load := range loads {
-			gap := aimt.Cycles(probe.MeanService / (load * float64(opts.chips)))
-			if gap < 1 {
-				gap = 1
-			}
-			gaps = append(gaps, gap)
+		if gaps, err = aimt.ServeGaps(cfg, classes, chipLoads...); err != nil {
+			return err
 		}
 	}
 
-	clusterMode := opts.chips > 1 || opts.route != "" ||
-		opts.admission || opts.prios || opts.autoscale
-	if clusterMode {
-		// Cluster mode compares routing policies under one per-chip
-		// scheduler: the first -sched selection, or AI-MT by default
-		// (preemptive AI-MT when -priorities is on, so the premium
-		// band can displace executing batch work).
-		spec := schedulers[0]
-		if opts.scheds == "" {
-			for _, s := range schedulers {
-				if s.Name == "AI-MT" {
-					spec = s
-				}
-			}
-			if opts.prios {
-				spec = aimt.ServePreemptiveAIMT()
-			}
-		}
-		err = runCluster(cfg, classes, spec, policies, gaps, sopts, reg, led, store, rstore, mixName, opts)
+	if clusterMode(opts) {
+		err = runCluster(cfg, classes, p.schedulers[0], p.policies, gaps, sopts, reg, led, store, rstore, mixName, opts)
 	} else {
 		copts := aimt.ServeCurveOptions{
 			Stream: sopts, Gaps: gaps, Workers: opts.parallel,
@@ -374,7 +370,7 @@ func run(opts options) error {
 			Trace: rstore,
 		}
 		var points []aimt.ServeCurvePoint
-		points, err = aimt.ServeLoadCurve(cfg, classes, schedulers, copts)
+		points, err = aimt.ServeLoadCurve(cfg, classes, p.schedulers, copts)
 		if err == nil {
 			fmt.Printf("Serving load sweep: %s mix, %d requests per point, %s arrivals\n\n", mixName, opts.requests, opts.process)
 			err = aimt.PrintServeCurve(os.Stdout, points)

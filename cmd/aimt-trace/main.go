@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"aimt"
 	"aimt/internal/trace"
@@ -34,7 +35,7 @@ import (
 func main() {
 	var (
 		mixSpec     = flag.String("mix", "RN50/GNMT", "co-location spec: compute nets / memory nets")
-		sched       = flag.String("sched", "aimt-all", "scheduler: fifo|rr|greedy|sjf|aimt-pf|aimt-merge|aimt-all")
+		sched       = flag.String("sched", "aimt-all", "scheduler: "+strings.Join(aimt.SchedulerNames(), "|"))
 		batch       = flag.Int("batch", 1, "batch size")
 		width       = flag.Int("width", 100, "Gantt chart width in columns")
 		jsonOut     = flag.String("json", "", "write Chrome trace_event JSON to this file")
@@ -70,14 +71,11 @@ func runRequests(requests, chips int, load float64, seed int64, transformer bool
 		classes = aimt.TransformerServingClasses()
 		mixName = "transformer/CNN"
 	}
-	var spec aimt.SchedulerSpec
-	for _, s := range aimt.ServeStandardSchedulers() {
-		if s.Name == "AI-MT" {
-			spec = s
-		}
+	e, err := aimt.SchedulerByName("AI-MT")
+	if err != nil {
+		return err
 	}
-
-	tr, err := aimt.ClusterTraceRequests(cfg, classes, spec, requests, chips, load, seed)
+	tr, err := aimt.ClusterTraceRequests(cfg, classes, aimt.ServeSpec(e), requests, chips, load, seed)
 	if err != nil {
 		return err
 	}
@@ -128,28 +126,12 @@ func run(mixSpec, sched string, batch, width int, jsonOut string, utilWindows in
 		return err
 	}
 
-	var s aimt.Scheduler
-	switch sched {
-	case "fifo":
-		s = aimt.NewFIFO()
-	case "rr":
-		s = aimt.NewRR()
-	case "greedy":
-		s = aimt.NewGreedy()
-	case "sjf":
-		s = aimt.NewSJF()
-	case "aimt-pf":
-		s = aimt.NewAIMT(cfg, aimt.PrefetchOnly())
-	case "aimt-merge":
-		s = aimt.NewAIMT(cfg, aimt.PrefetchMerge())
-	case "aimt-all", "aimt":
-		s = aimt.NewAIMT(cfg, aimt.AllMechanisms())
-	default:
-		return fmt.Errorf("unknown scheduler %q", sched)
+	e, err := aimt.SchedulerByName(sched)
+	if err != nil {
+		return err
 	}
-
 	rec := &trace.Recorder{}
-	res, err := aimt.Run(cfg, mix.Nets, s, aimt.RunOptions{Tracer: rec})
+	res, err := aimt.Run(cfg, mix.Nets, e.New(cfg, aimt.SchedulerInput{MemHeavy: mix.MemHeavy}), aimt.RunOptions{Tracer: rec})
 	if err != nil {
 		return err
 	}

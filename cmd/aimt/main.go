@@ -7,8 +7,9 @@
 //	aimt -mix "RN34,RN50/GNMT" -sched aimt-all -batch 4
 //	aimt -mix "RN50/VGG16" -sched rr -sram 2MiB -v
 //
-// Scheduler names: fifo, rr, greedy, sjf, compute-first, aimt-pf,
-// aimt-merge, aimt-all.
+// -sched takes any registered scheduler name or alias, in any case
+// (fifo, rr, greedy, sjf, compute-first, aimt-pf, aimt-merge,
+// aimt-all, ...); -h lists them.
 package main
 
 import (
@@ -27,7 +28,7 @@ func main() {
 	var (
 		mixSpec  = flag.String("mix", "RN50/GNMT", "co-location spec: compute nets / memory nets, comma-separated zoo names")
 		programs = flag.String("programs", "", "comma-separated .aimt binary programs (from aimt-compile) to run instead of -mix")
-		sched    = flag.String("sched", "aimt-all", "scheduler: fifo|rr|greedy|sjf|compute-first|aimt-pf|aimt-merge|aimt-all")
+		sched    = flag.String("sched", "aimt-all", "scheduler: "+strings.Join(aimt.SchedulerNames(), "|"))
 		batch    = flag.Int("batch", 1, "batch size")
 		iters    = flag.Int("iterations", 1, "mix repetitions (continuous-arrival scenario)")
 		sram     = flag.String("sram", "", "weight SRAM size override, e.g. 512KiB, 2MiB")
@@ -106,27 +107,13 @@ func run(mixSpec, programs, sched string, batch, iters int, sram string, verbose
 	return nil
 }
 
+// makeScheduler builds the named registry scheduler for the mix.
 func makeScheduler(name string, cfg aimt.Config, mix *workload.Mix) (aimt.Scheduler, error) {
-	switch name {
-	case "fifo":
-		return aimt.NewFIFO(), nil
-	case "rr":
-		return aimt.NewRR(), nil
-	case "greedy":
-		return aimt.NewGreedy(), nil
-	case "sjf":
-		return aimt.NewSJF(), nil
-	case "compute-first":
-		return aimt.NewComputeFirst(mix.MemHeavy), nil
-	case "aimt-pf":
-		return aimt.NewAIMT(cfg, aimt.PrefetchOnly()), nil
-	case "aimt-merge":
-		return aimt.NewAIMT(cfg, aimt.PrefetchMerge()), nil
-	case "aimt-all", "aimt":
-		return aimt.NewAIMT(cfg, aimt.AllMechanisms()), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
+	e, err := aimt.SchedulerByName(name)
+	if err != nil {
+		return nil, err
 	}
+	return e.New(cfg, aimt.SchedulerInput{MemHeavy: mix.MemHeavy}), nil
 }
 
 // loadPrograms builds a mix from binary .aimt program files produced

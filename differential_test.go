@@ -18,6 +18,10 @@ func TestDifferentialSerializedBound(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	serial, err := SchedulerByName("SerialFIFO")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"VGG16", "RN50", "MN", "GNMT"} {
 		net, err := NetworkByName(name)
 		if err != nil {
@@ -32,7 +36,7 @@ func TestDifferentialSerializedBound(t *testing.T) {
 			serialized += r.ComputeCycles + r.MemoryCycles
 		}
 
-		res, err := Run(cfg, []*Compiled{cn}, NewSerialFIFO(), RunOptions{CheckInvariants: true})
+		res, err := Run(cfg, []*Compiled{cn}, serial.New(cfg, SchedulerInput{}), RunOptions{CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -62,7 +66,7 @@ func TestDifferentialSerializedBound(t *testing.T) {
 }
 
 // TestFrontierDifferentialServeStream runs a random open-loop serving
-// stream under every scheduler with the machine-model invariant
+// stream under every registered scheduler with the machine-model invariant
 // checker enabled. Since PR 3 the checker's sixth invariant family
 // recomputes the candidate sets by brute force after every engine
 // event and compares them against the engine's incrementally
@@ -81,26 +85,7 @@ func TestFrontierDifferentialServeStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		schedulers := ServeStandardSchedulers()
-		for _, extra := range []struct {
-			name string
-			mk   func() Scheduler
-		}{
-			{"SerialFIFO", NewSerialFIFO},
-			{"RR", NewRR},
-			{"Greedy", NewGreedy},
-			{"Greedy+PF", NewGreedyPrefetch},
-			{"SJF", NewSJF},
-			{"AI-MT(PF)", func() Scheduler { return NewAIMT(cfg, PrefetchOnly()) }},
-			{"AI-MT(PF+Merge)", func() Scheduler { return NewAIMT(cfg, PrefetchMerge()) }},
-		} {
-			mk := extra.mk
-			schedulers = append(schedulers, SchedulerSpec{
-				Name: extra.name,
-				New:  func(Config, *ServeStream) Scheduler { return mk() },
-			})
-		}
-		for _, spec := range schedulers {
+		for _, spec := range registrySpecs() {
 			rep, err := ServeRun(cfg, stream, spec.New(cfg, stream), RunOptions{CheckInvariants: true})
 			if err != nil {
 				t.Errorf("%s/%s: %v", process, spec.Name, err)

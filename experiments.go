@@ -11,6 +11,7 @@ import (
 	"aimt/internal/metrics"
 	"aimt/internal/nn"
 	"aimt/internal/power"
+	"aimt/internal/sched"
 	"aimt/internal/serve"
 	"aimt/internal/sweep"
 	"aimt/internal/workload"
@@ -95,30 +96,51 @@ type MixOutcome struct {
 	Splits int
 }
 
-// runMixes simulates every paper mix at the given batch under the
-// schedulers produced by mk (called fresh per run — schedulers carry
-// state) and returns outcomes keyed in input order. The runs — one
+// entries resolves scheduler names through the registry.
+func entries(names ...string) ([]sched.Entry, error) {
+	out := make([]sched.Entry, len(names))
+	for i, name := range names {
+		e, err := sched.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = e
+	}
+	return out, nil
+}
+
+// mixJob is a sweep job running registry scheduler e over a compiled
+// mix. Its scheduler label is left empty, so outcomes carry the
+// scheduler's own name (e.g. "AI-MT(All)").
+func mixJob(cfg Config, label string, mix *workload.Mix, e sched.Entry) sweep.Job {
+	return sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
+		New: func() Scheduler { return e.New(cfg, sched.Input{MemHeavy: mix.MemHeavy}) }}
+}
+
+// runMixes simulates every paper mix at the given batch under the named
+// schedulers and returns outcomes keyed in input order. The runs — one
 // FIFO baseline plus one per name, per mix — fan out over the sweep
 // engine's worker pool (see SetSweepParallelism).
-func runMixes(cfg Config, batch int, names []string, mk func(name string, mix *workload.Mix) Scheduler) ([]MixOutcome, error) {
+func runMixes(cfg Config, batch int, names ...string) ([]MixOutcome, error) {
+	scheds, err := entries(append([]string{"FIFO"}, names...)...)
+	if err != nil {
+		return nil, err
+	}
 	var jobs []sweep.Job
 	for _, spec := range PaperMixes() {
 		mix, err := BuildMix(cfg, spec, batch)
 		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, sweep.Job{Mix: mix.Name, Cfg: cfg, Nets: mix.Nets,
-			New: func() Scheduler { return NewFIFO() }})
-		for _, name := range names {
-			jobs = append(jobs, sweep.Job{Mix: mix.Name, Cfg: cfg, Nets: mix.Nets,
-				New: func() Scheduler { return mk(name, mix) }})
+		for _, e := range scheds {
+			jobs = append(jobs, mixJob(cfg, mix.Name, mix, e))
 		}
 	}
 	outs, err := runSweep(jobs)
 	if err != nil {
 		return nil, err
 	}
-	stride := 1 + len(names)
+	stride := len(scheds)
 	var out []MixOutcome
 	for i := 0; i < len(outs); i += stride {
 		base := outs[i].Res
@@ -139,7 +161,7 @@ func runMixes(cfg Config, batch int, names []string, mk func(name string, mix *w
 // Fig7Data returns compute and memory-bandwidth utilization under the
 // round-robin scheduler for every paper mix (paper Fig 7).
 func Fig7Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, []string{"RR"}, func(string, *workload.Mix) Scheduler { return NewRR() })
+	return runMixes(cfg, 1, "RR")
 }
 
 // PrintFig7 renders Fig 7.
@@ -159,16 +181,7 @@ func PrintFig7(w io.Writer, cfg Config) error {
 // Fig8Data returns RR, Greedy and SJF speedups over sub-layer FIFO for
 // every paper mix (paper Fig 8).
 func Fig8Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, []string{"RR", "Greedy", "SJF"}, func(name string, _ *workload.Mix) Scheduler {
-		switch name {
-		case "RR":
-			return NewRR()
-		case "Greedy":
-			return NewGreedy()
-		default:
-			return NewSJF()
-		}
-	})
+	return runMixes(cfg, 1, "RR", "Greedy", "SJF")
 }
 
 // PrintFig8 renders Fig 8.
@@ -183,16 +196,7 @@ func PrintFig8(w io.Writer, cfg Config) error {
 // Fig14Data returns the AI-MT ablation — prefetching, +merging,
 // +eviction — as speedup over FIFO per mix at batch 1 (paper Fig 14).
 func Fig14Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, []string{"PF", "Merge", "All"}, func(name string, _ *workload.Mix) Scheduler {
-		switch name {
-		case "PF":
-			return NewAIMT(cfg, PrefetchOnly())
-		case "Merge":
-			return NewAIMT(cfg, PrefetchMerge())
-		default:
-			return NewAIMT(cfg, AllMechanisms())
-		}
-	})
+	return runMixes(cfg, 1, "AI-MT(PF)", "AI-MT(PF+Merge)", "AI-MT")
 }
 
 // PrintFig14 renders Fig 14.
@@ -273,6 +277,10 @@ func Fig15Data(cfg Config, batches []int) ([]BatchPoint, error) {
 	if len(batches) == 0 {
 		batches = Fig15Batches
 	}
+	scheds, err := entries("FIFO", "AI-MT(PF+Merge)", "AI-MT")
+	if err != nil {
+		return nil, err
+	}
 	var jobs []sweep.Job
 	for _, spec := range workload.GNMTMixes() {
 		for _, b := range batches {
@@ -281,13 +289,9 @@ func Fig15Data(cfg Config, batches []int) ([]BatchPoint, error) {
 				return nil, err
 			}
 			label := fmt.Sprintf("%s@batch%d", spec.Name, b)
-			jobs = append(jobs,
-				sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-					New: func() Scheduler { return NewFIFO() }},
-				sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-					New: func() Scheduler { return NewAIMT(cfg, PrefetchMerge()) }},
-				sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-					New: func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }})
+			for _, e := range scheds {
+				jobs = append(jobs, mixJob(cfg, label, mix, e))
+			}
 		}
 	}
 	outs, err := runSweep(jobs)
@@ -347,6 +351,10 @@ func Fig16Data(cfg Config, sizes []Bytes) ([]SRAMPoint, error) {
 		sizes = Fig16Sizes
 	}
 	spec := PaperMixes()[3] // RN34+RN50+MN+GNMT
+	scheds, err := entries("FIFO", "ComputeFirst+PF", "Greedy+PF", "AI-MT")
+	if err != nil {
+		return nil, err
+	}
 	var jobs []sweep.Job
 	for _, sz := range sizes {
 		c := cfg
@@ -359,15 +367,11 @@ func Fig16Data(cfg Config, sizes []Bytes) ([]SRAMPoint, error) {
 			return nil, err
 		}
 		label := fmt.Sprintf("%s@%s", mix.Name, arch.FormatBytes(sz))
-		jobs = append(jobs,
-			sweep.Job{Mix: label, Cfg: c, Nets: mix.Nets,
-				New: func() Scheduler { return NewFIFO() }},
-			sweep.Job{Mix: label, Scheduler: "ComputeFirst+PF", Cfg: c, Nets: mix.Nets,
-				New: func() Scheduler { return NewComputeFirst(mix.MemHeavy) }},
-			sweep.Job{Mix: label, Scheduler: "Greedy+PF", Cfg: c, Nets: mix.Nets,
-				New: func() Scheduler { return NewGreedyPrefetch() }},
-			sweep.Job{Mix: label, Scheduler: "AI-MT", Cfg: c, Nets: mix.Nets,
-				New: func() Scheduler { return NewAIMT(c, AllMechanisms()) }})
+		for _, e := range scheds {
+			j := mixJob(c, label, mix, e)
+			j.Scheduler = e.Name
+			jobs = append(jobs, j)
+		}
 	}
 	outs, err := runSweep(jobs)
 	if err != nil {
@@ -375,7 +379,7 @@ func Fig16Data(cfg Config, sizes []Bytes) ([]SRAMPoint, error) {
 	}
 	var out []SRAMPoint
 	for i, sz := range sizes {
-		o := outs[i*4 : i*4+4]
+		o := outs[i*len(scheds) : (i+1)*len(scheds)]
 		pt := SRAMPoint{SRAM: sz, Speedups: map[string]float64{}}
 		for _, r := range o[1:] {
 			pt.Speedups[r.Scheduler] = metrics.Speedup(o[0].Res, r.Res)
@@ -443,64 +447,38 @@ func PrintFig10(w io.Writer, cfg Config) error {
 	return err
 }
 
-// ServingPoint is one scheduler's result on the open-loop serving
-// stream (extension experiment; the paper's introduction motivates
-// multi-tenancy with exactly this cloud scenario).
-type ServingPoint struct {
-	// Scheduler is the policy name.
-	Scheduler string
-	// Makespan is the cycle the last request completed.
-	Makespan Cycles
-	// P50 and P99 are request-latency percentiles (finish - arrival),
-	// estimated by the streaming histogram (<=1/64 relative error).
-	P50, P99 Cycles
-	// PEUtil is the PE busy fraction over the run.
-	PEUtil float64
-}
-
-// ServingData runs a reproducible open-loop request stream (mixed
-// CNN/RNN requests, exponential inter-arrival) under FIFO, PREMA and
-// AI-MT, reporting tail latency and throughput. Latencies stream into
-// a bounded-memory histogram rather than a per-request slice.
-func ServingData(cfg Config) ([]ServingPoint, error) {
-	stream, err := workload.OpenLoop(cfg,
-		[]string{"RN34", "RN50", "MN", "GNMT"},
-		workload.StreamOptions{Requests: 24, MeanGap: 50_000, Seed: 7})
-	if err != nil {
-		return nil, err
-	}
-	runs := []struct {
-		name string
-		mk   func() Scheduler
-	}{
-		{"FIFO", func() Scheduler { return NewFIFO() }},
-		{"PREMA", func() Scheduler { return NewPREMA(nil) }},
-		{"AI-MT", func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }},
-	}
-	var jobs []sweep.Job
-	for _, r := range runs {
-		jobs = append(jobs, sweep.Job{Mix: "serving", Scheduler: r.name, Cfg: cfg,
-			Nets: stream.Nets, New: r.mk, Opts: RunOptions{Arrivals: stream.Arrivals}})
-	}
-	outs, err := runSweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	var out []ServingPoint
-	for _, o := range outs {
-		var h metrics.Histogram
-		for _, lat := range metrics.Latencies(o.Res) {
-			h.Record(lat)
+// ServingData runs a reproducible open-loop request stream (equal
+// shares of RN34, RN50, MN and GNMT requests, exponential
+// inter-arrival) under FIFO, PREMA and AI-MT — the cloud scenario the
+// paper's introduction motivates multi-tenancy with — and returns one
+// report per scheduler. Latencies stream into a bounded-memory
+// histogram rather than a per-request slice.
+func ServingData(cfg Config) ([]*ServeReport, error) {
+	var classes []ServeClass
+	for _, name := range []string{"RN34", "RN50", "MN", "GNMT"} {
+		net, err := nn.ByName(name)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, ServingPoint{
-			Scheduler: o.Scheduler,
-			Makespan:  o.Res.Makespan,
-			P50:       h.Quantile(50),
-			P99:       h.Quantile(99),
-			PEUtil:    o.Res.PEUtilization(),
-		})
+		classes = append(classes, ServeClass{Net: net})
 	}
-	return out, nil
+	var specs []SchedulerSpec
+	for _, name := range []string{"FIFO", "PREMA", "AI-MT"} {
+		spec, err := serve.SpecByName(name)
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, spec)
+	}
+	points, err := serve.LoadCurve(cfg, classes, specs, serve.CurveOptions{
+		Stream:  serve.StreamOptions{Requests: 24, Seed: 7},
+		Gaps:    []Cycles{50_000},
+		Workers: SweepParallelism(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return points[0].Reports, nil
 }
 
 // PrintServing renders the open-loop serving comparison.
@@ -574,19 +552,18 @@ type ClusterScalePoint struct {
 // policy.
 func ClusterScaleData(cfg Config) ([]ClusterScalePoint, error) {
 	classes := DefaultServingClasses()
-	probe, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 1, MeanGap: 1, Seed: 7})
+	gaps, err := serve.Gaps(cfg, classes, ClusterScaleLoad)
 	if err != nil {
 		return nil, err
 	}
-	gap := Cycles(probe.MeanService / ClusterScaleLoad)
-	if gap < 1 {
-		gap = 1
-	}
-	stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 320, MeanGap: gap, Seed: 7})
+	stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 320, MeanGap: gaps[0], Seed: 7})
 	if err != nil {
 		return nil, err
 	}
-	spec := SchedulerSpec{Name: "AI-MT", New: func(c Config, _ *ServeStream) Scheduler { return NewAIMT(c, AllMechanisms()) }}
+	spec, err := serve.SpecByName("AI-MT")
+	if err != nil {
+		return nil, err
+	}
 	var out []ClusterScalePoint
 	for _, pol := range ClusterPolicies() {
 		for _, chips := range ClusterScaleChips {
@@ -685,7 +662,11 @@ type OverloadPoint struct {
 // in growing, predictable proportion.
 func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
 	classes := OverloadClasses()
-	probe, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 1, MeanGap: 1, Seed: 7})
+	loads := make([]float64, len(OverloadLoads))
+	for i, load := range OverloadLoads {
+		loads[i] = load * float64(OverloadChips)
+	}
+	gaps, err := serve.Gaps(cfg, classes, loads...)
 	if err != nil {
 		return nil, err
 	}
@@ -693,17 +674,17 @@ func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	spec, err := serve.SpecByName("AI-MT+Prio")
+	if err != nil {
+		return nil, err
+	}
 	var out []OverloadPoint
-	for _, load := range OverloadLoads {
-		gap := Cycles(probe.MeanService / (load * float64(OverloadChips)))
-		if gap < 1 {
-			gap = 1
-		}
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 300, MeanGap: gap, Seed: 7})
+	for i, load := range OverloadLoads {
+		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 300, MeanGap: gaps[i], Seed: 7})
 		if err != nil {
 			return nil, err
 		}
-		res, err := ClusterServe(cfg, stream, ServePreemptiveAIMT(), pol.New(), ClusterOptions{
+		res, err := ClusterServe(cfg, stream, spec, pol.New(), ClusterOptions{
 			Chips:   OverloadChips,
 			Workers: SweepParallelism(),
 			Control: ClusterControl{Admission: true, Autoscale: true},
@@ -800,26 +781,26 @@ type DecodeBatchPoint struct {
 // tokens per megacycle must rise with the batch size while the
 // per-token deadline ladder keeps latency honest.
 func DecodeBatchCurveData(cfg Config) ([]DecodeBatchPoint, error) {
+	spec, err := serve.SpecByName("AI-MT")
+	if err != nil {
+		return nil, err
+	}
 	var out []DecodeBatchPoint
 	for _, batch := range DecodeBatchSizes {
 		classes := []ServeClass{TransformerChatServeClass(8, batch)}
-		probe, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 1, MeanGap: 1, Seed: 7})
+		gaps, err := serve.Gaps(cfg, classes, DecodeBatchLoad)
 		if err != nil {
 			return nil, err
 		}
-		gap := Cycles(probe.MeanService / DecodeBatchLoad)
-		if gap < 1 {
-			gap = 1
-		}
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 96, MeanGap: gap, Seed: 7})
+		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 96, MeanGap: gaps[0], Seed: 7})
 		if err != nil {
 			return nil, err
 		}
-		rep, err := ServeRun(cfg, stream, NewAIMT(cfg, AllMechanisms()), RunOptions{})
+		rep, err := ServeRun(cfg, stream, spec.New(cfg, stream), RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("decodebatch batch %d: %w", batch, err)
 		}
-		rep.Scheduler = "AI-MT"
+		rep.Scheduler = spec.Name
 		out = append(out, DecodeBatchPoint{Batch: batch, Rep: rep})
 	}
 	return out, nil
@@ -897,6 +878,10 @@ func lookaheadMixSpecs() []workload.Spec {
 // to the inner policy, so on these mixes its makespan is never worse
 // than AI-MT's and strictly better where speculation pays.
 func LookaheadData(cfg Config) ([]LookaheadPoint, error) {
+	aimt, err := sched.ByName("AI-MT")
+	if err != nil {
+		return nil, err
+	}
 	var jobs []sweep.Job
 	for _, batch := range LookaheadBatches {
 		for _, spec := range lookaheadMixSpecs() {
@@ -905,11 +890,10 @@ func LookaheadData(cfg Config) ([]LookaheadPoint, error) {
 				return nil, err
 			}
 			label := fmt.Sprintf("%s@batch%d", mix.Name, batch)
-			jobs = append(jobs, sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-				New: func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }})
+			jobs = append(jobs, mixJob(cfg, label, mix, aimt))
 			for _, h := range LookaheadHorizons {
 				jobs = append(jobs, sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-					New: func() Scheduler { return NewLookahead(NewAIMT(cfg, AllMechanisms()), h) }})
+					New: func() Scheduler { return sched.NewLookahead(aimt.New(cfg, sched.Input{}), h) }})
 			}
 		}
 	}

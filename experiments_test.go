@@ -220,6 +220,28 @@ func TestFig16Shape(t *testing.T) {
 	}
 }
 
+// TestServingShape pins the serving experiment's claim: on the open-
+// loop stream, AI-MT finishes first and keeps the PE array the busiest
+// of FIFO, PREMA and AI-MT.
+func TestServingShape(t *testing.T) {
+	pts, err := ServingData(PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 3 || pts[2].Scheduler != "AI-MT" {
+		t.Fatalf("serving points %+v, want FIFO, PREMA, AI-MT", pts)
+	}
+	ai := pts[2]
+	for _, p := range pts[:2] {
+		if ai.Makespan >= p.Makespan {
+			t.Errorf("AI-MT makespan %d not below %s's %d", ai.Makespan, p.Scheduler, p.Makespan)
+		}
+		if ai.PEUtil <= p.PEUtil {
+			t.Errorf("AI-MT PE util %.3f not above %s's %.3f", ai.PEUtil, p.Scheduler, p.PEUtil)
+		}
+	}
+}
+
 func TestTable2Shape(t *testing.T) {
 	rows := Table2Rows()
 	want := map[string][2]int{

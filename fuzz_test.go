@@ -3,6 +3,8 @@ package aimt
 import (
 	"fmt"
 	"testing"
+
+	"aimt/internal/sched"
 )
 
 // Native fuzz targets. `go test` always replays the seed corpus under
@@ -192,11 +194,7 @@ func FuzzStream(f *testing.F) {
 			deadlines = append(deadlines, at+Cycles(b%5)*100+1)
 		}
 		policies := allPolicies(cfg, len(nets))
-		policies = append(policies,
-			struct {
-				name string
-				mk   func() Scheduler
-			}{"EDF(fuzz)", func() Scheduler { return NewEDF(deadlines) }})
+		policies = append(policies, namedPolicy{"EDF(fuzz)", func() Scheduler { return sched.NewEDF(deadlines) }})
 		p := policies[int(schedPick)%len(policies)]
 		res, err := Run(cfg, nets, p.mk(), RunOptions{
 			CheckInvariants: true,
@@ -273,7 +271,7 @@ func FuzzAdmission(f *testing.F) {
 		chips := int(chipsPick%4) + 1
 		pols := ClusterPolicies()
 		pol := pols[int(pick(7))%len(pols)]
-		res, err := ClusterServe(cfg, stream, ServePreemptiveAIMT(), pol.New(), ClusterOptions{
+		res, err := ClusterServe(cfg, stream, serveSpec(t, "AI-MT+Prio"), pol.New(), ClusterOptions{
 			Chips:           chips,
 			CheckInvariants: true,
 			Control: ClusterControl{

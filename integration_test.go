@@ -11,14 +11,20 @@ import (
 // cross-cutting invariants and the behaviours the per-package suites
 // cannot see.
 
-func allSchedulers(cfg Config, mix *workload.Mix) []Scheduler {
-	return []Scheduler{
-		NewFIFO(), NewRR(), NewGreedy(), NewSJF(),
-		NewGreedyPrefetch(), NewComputeFirst(mix.MemHeavy),
-		NewAIMT(cfg, PrefetchOnly()),
-		NewAIMT(cfg, PrefetchMerge()),
-		NewAIMT(cfg, AllMechanisms()),
+// allSchedulers builds the paper's baselines and the AI-MT ablation
+// for a mix through the scheduler registry.
+func allSchedulers(t testing.TB, cfg Config, mix *workload.Mix) []Scheduler {
+	t.Helper()
+	var out []Scheduler
+	for _, name := range []string{"FIFO", "RR", "Greedy", "SJF", "Greedy+PF", "ComputeFirst+PF",
+		"AI-MT(PF)", "AI-MT(PF+Merge)", "AI-MT"} {
+		e, err := SchedulerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e.New(cfg, SchedulerInput{MemHeavy: mix.MemHeavy}))
 	}
+	return out
 }
 
 // TestEveryPolicyOnEveryMix runs the full policy matrix over the
@@ -38,7 +44,7 @@ func TestEveryPolicyOnEveryMix(t *testing.T) {
 		for _, cn := range mix.Nets {
 			blocks += cn.Stats().SubLayers
 		}
-		for _, s := range allSchedulers(cfg, mix) {
+		for _, s := range allSchedulers(t, cfg, mix) {
 			res, err := Run(cfg, mix.Nets, s, RunOptions{CheckInvariants: true})
 			if err != nil {
 				t.Errorf("%s under %s: %v", mix.Name, s.Name(), err)
@@ -103,7 +109,11 @@ func TestMemoryBoundMixAdaptation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := Run(cfg, mix.Nets, NewAIMT(cfg, PrefetchMerge()), RunOptions{})
+	merge, err := SchedulerByName("AI-MT(PF+Merge)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := Run(cfg, mix.Nets, merge.New(cfg, SchedulerInput{}), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +196,7 @@ func TestTinySRAMCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range allSchedulers(cfg, mix) {
+	for _, s := range allSchedulers(t, cfg, mix) {
 		res, err := Run(cfg, mix.Nets, s, RunOptions{CheckInvariants: true})
 		if err != nil {
 			t.Errorf("%s at 256 KiB: %v", s.Name(), err)
@@ -231,8 +241,8 @@ func TestIteratedMixInvariants(t *testing.T) {
 // request may start before it arrives, and every request completes.
 func TestArrivalStreamUnderAIMT(t *testing.T) {
 	cfg := PaperConfig()
-	stream, err := workload.OpenLoop(cfg, []string{"MN", "GNMT"},
-		workload.StreamOptions{Requests: 8, MeanGap: 30_000, Seed: 11})
+	stream, err := NewServeStream(cfg, []ServeClass{{Net: MobileNet()}, {Net: GNMT()}},
+		ServeStreamOptions{Requests: 8, MeanGap: 30_000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -474,19 +474,13 @@ func LoadCurve(cfg arch.Config, classes []serve.Class, spec serve.SchedulerSpec,
 	}
 	gaps := opts.Gaps
 	if len(gaps) == 0 {
-		probeOpts := opts.Stream
-		probeOpts.Requests = 1
-		probeOpts.MeanGap = 1
-		probe, err := serve.NewStream(cfg, classes, probeOpts)
-		if err != nil {
-			return nil, err
+		loads := make([]float64, len(serve.DefaultGapFactors))
+		for i, f := range serve.DefaultGapFactors {
+			loads[i] = f * float64(chips)
 		}
-		for _, f := range serve.DefaultGapFactors {
-			g := arch.Cycles(probe.MeanService / (f * float64(chips)))
-			if g < 1 {
-				g = 1
-			}
-			gaps = append(gaps, g)
+		var err error
+		if gaps, err = serve.Gaps(cfg, classes, loads...); err != nil {
+			return nil, err
 		}
 	}
 

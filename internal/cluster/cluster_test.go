@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"aimt/internal/arch"
@@ -250,17 +251,28 @@ type badPolicy struct{}
 func (badPolicy) Name() string                { return "bad" }
 func (badPolicy) Pick(v *View, _ Request) int { return v.Chips() }
 
-// TestPolicyNamesResolve keeps ByName and Policies in sync.
+// TestPolicyNamesResolve keeps ByName, Names and Policies in sync:
+// every table entry, the opt-in predictive policy included, resolves
+// in any case and builds the policy it names.
 func TestPolicyNamesResolve(t *testing.T) {
-	for _, pspec := range Policies() {
-		got, err := ByName(pspec.Name)
-		if err != nil {
-			t.Errorf("ByName(%q): %v", pspec.Name, err)
-			continue
+	names := Names()
+	if names[len(names)-1] != "predictive" {
+		t.Errorf("Names() = %v, want predictive listed", names)
+	}
+	for _, name := range names {
+		for _, spelling := range []string{name, strings.ToUpper(name)} {
+			got, err := ByName(spelling)
+			if err != nil {
+				t.Errorf("ByName(%q): %v", spelling, err)
+				continue
+			}
+			if got.Name != name || got.New().Name() != name {
+				t.Errorf("ByName(%q) = spec %q building policy %q", spelling, got.Name, got.New().Name())
+			}
 		}
-		if got.New().Name() != pspec.Name {
-			t.Errorf("spec %q builds policy named %q", pspec.Name, got.New().Name())
-		}
+	}
+	if len(Policies()) != len(names)-1 {
+		t.Errorf("Policies() has %d entries, want every name but predictive", len(Policies()))
 	}
 	if _, err := ByName("bogus"); err == nil {
 		t.Error("unknown policy name accepted")

@@ -15,15 +15,11 @@ func prioStream(t *testing.T, cfg arch.Config, requests int, seed int64, load fl
 	t.Helper()
 	classes := serve.DefaultClasses()
 	classes[0].Priority = 1
-	probe, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: 1, MeanGap: 1, Seed: seed})
+	gaps, err := serve.Gaps(cfg, classes, load*float64(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gap := arch.Cycles(probe.MeanService / (load * float64(chips)))
-	if gap < 1 {
-		gap = 1
-	}
-	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: requests, MeanGap: gap, Seed: seed})
+	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: requests, MeanGap: gaps[0], Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"aimt/internal/arch"
 )
@@ -240,28 +241,49 @@ type Spec struct {
 	New func() Policy
 }
 
-// Policies returns every built-in routing policy, in comparison order.
-func Policies() []Spec {
-	return []Spec{
-		{Name: "round-robin", New: func() Policy { return &RoundRobin{} }},
-		{Name: "least-work", New: func() Policy { return LeastWork{} }},
-		{Name: "class-affinity", New: func() Policy { return ClassAffinity{} }},
-		{Name: "deadline", New: func() Policy { return Deadline{} }},
-	}
+// policies is the one name→factory table for routing. Policies lists
+// the comparison set and ByName resolves every entry. The predictive
+// policy is opt-in: each of its routing decisions costs chip-count
+// forward simulations, so it is compared only when asked for.
+var policies = []struct {
+	Spec
+	optIn bool
+}{
+	{Spec: Spec{Name: "round-robin", New: func() Policy { return &RoundRobin{} }}},
+	{Spec: Spec{Name: "least-work", New: func() Policy { return LeastWork{} }}},
+	{Spec: Spec{Name: "class-affinity", New: func() Policy { return ClassAffinity{} }}},
+	{Spec: Spec{Name: "deadline", New: func() Policy { return Deadline{} }}},
+	{Spec: Spec{Name: "predictive", New: func() Policy { return Predictive{} }}, optIn: true},
 }
 
-// ByName resolves a routing policy spec from its name. The
-// "predictive" policy resolves here but is not part of Policies():
-// every routing decision costs chip-count forward simulations, so it
-// is compared only when asked for.
-func ByName(name string) (Spec, error) {
-	if name == "predictive" {
-		return Spec{Name: "predictive", New: func() Policy { return Predictive{} }}, nil
-	}
-	for _, s := range Policies() {
-		if s.Name == name {
-			return s, nil
+// Policies returns the routing policies compared by default, in
+// comparison order.
+func Policies() []Spec {
+	var out []Spec
+	for _, p := range policies {
+		if !p.optIn {
+			out = append(out, p.Spec)
 		}
 	}
-	return Spec{}, fmt.Errorf("cluster: unknown routing policy %q (have round-robin, least-work, class-affinity, deadline, predictive)", name)
+	return out
+}
+
+// Names returns every routing policy name, opt-in ones included.
+func Names() []string {
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.Name
+	}
+	return out
+}
+
+// ByName resolves any routing policy spec from its name, ignoring case.
+func ByName(name string) (Spec, error) {
+	name = strings.TrimSpace(name)
+	for _, p := range policies {
+		if strings.EqualFold(p.Name, name) {
+			return p.Spec, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("cluster: unknown routing policy %q (have %s)", name, strings.Join(Names(), ", "))
 }

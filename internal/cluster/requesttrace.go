@@ -34,16 +34,11 @@ func TraceRequests(cfg arch.Config, classes []serve.Class, spec serve.SchedulerS
 	if load <= 0 {
 		load = 1
 	}
-	probeOpts := serve.StreamOptions{Requests: 1, MeanGap: 1, Seed: seed}
-	probe, err := serve.NewStream(cfg, classes, probeOpts)
+	gaps, err := serve.Gaps(cfg, classes, load*float64(chips))
 	if err != nil {
 		return nil, err
 	}
-	gap := arch.Cycles(probe.MeanService / (load * float64(chips)))
-	if gap < 1 {
-		gap = 1
-	}
-	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: requests, MeanGap: gap, Seed: seed})
+	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: requests, MeanGap: gaps[0], Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -98,7 +98,7 @@ func Imbalance(vals []float64) float64 {
 // Percentile returns the p-th percentile (0..100) of the values using
 // nearest-rank on a sorted copy; it returns 0 for an empty slice or a
 // NaN p. Out-of-range p clamps to the extremes. For streams too long
-// to hold a latency slice, use Histogram instead.
+// to hold a latency slice, use hdr.Histogram instead.
 func Percentile(vals []arch.Cycles, p float64) arch.Cycles {
 	if len(vals) == 0 || math.IsNaN(p) {
 		return 0
@@ -116,21 +116,6 @@ func Percentile(vals []arch.Cycles, p float64) arch.Cycles {
 		rank = 0
 	}
 	return sorted[rank]
-}
-
-// Latencies returns per-network turnaround times (finish - arrival)
-// of a shared run. Entries beyond the shorter of the two slices are
-// skipped, so a partially filled Result cannot panic here.
-func Latencies(r *sim.Result) []arch.Cycles {
-	n := len(r.NetFinish)
-	if len(r.NetArrive) < n {
-		n = len(r.NetArrive)
-	}
-	out := make([]arch.Cycles, n)
-	for i := range out {
-		out[i] = r.NetFinish[i] - r.NetArrive[i]
-	}
-	return out
 }
 
 // Table renders rows as an aligned, pipe-separated text table.

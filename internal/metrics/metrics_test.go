@@ -108,17 +108,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestLatencies(t *testing.T) {
-	r := &sim.Result{
-		NetArrive: []arch.Cycles{0, 100},
-		NetFinish: []arch.Cycles{50, 400},
-	}
-	lat := Latencies(r)
-	if lat[0] != 50 || lat[1] != 300 {
-		t.Errorf("latencies = %v, want [50 300]", lat)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("mix", "speedup")
 	tbl.AddRow("RN34+GNMT", "1.366")
@@ -168,5 +157,26 @@ func TestImbalance(t *testing.T) {
 		if got := Imbalance(tc.vals); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: Imbalance(%v) = %v, want %v", tc.name, tc.vals, got, tc.want)
 		}
+	}
+}
+
+// TestEmptyInputGuards sweeps the derived-metric helpers with empty or
+// zero-valued inputs: none may panic and all must return zeros.
+func TestEmptyInputGuards(t *testing.T) {
+	empty := &sim.Result{}
+	if Speedup(empty, empty) != 0 {
+		t.Error("Speedup on empty results != 0")
+	}
+	if GeoMean(nil) != 0 {
+		t.Error("GeoMean(nil) != 0")
+	}
+	if STP(nil, empty) != 0 {
+		t.Error("STP with no networks != 0")
+	}
+	if ANTT(nil, empty) != 0 {
+		t.Error("ANTT with no networks != 0")
+	}
+	if Percentile(nil, 50) != 0 {
+		t.Error("Percentile(nil) != 0")
 	}
 }

@@ -6,7 +6,7 @@
 // latency-vs-throughput curve per scheduler.
 //
 // Memory stays bounded in the stream length: a report holds an
-// O(buckets) metrics.Histogram plus a handful of counters, never the
+// O(buckets) hdr.Histogram plus a handful of counters, never the
 // per-request latency slice, so sweeps of hundreds of thousands of
 // requests are routine.
 package serve
@@ -426,27 +426,27 @@ func serviceEstimate(cfg arch.Config, cn *compiler.CompiledNetwork) arch.Cycles 
 	return est + cfg.HostCycles(cn.HostInBytes) + cfg.HostCycles(cn.HostOutBytes)
 }
 
-// NewStream compiles the classes for cfg and draws a reproducible
-// open-loop request stream: weighted class picks, arrival gaps from
-// the chosen process, and per-request deadlines.
-func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, error) {
+// compiledMix is a class list lowered to one config: the classes
+// NewStream draws requests from, and the weight-averaged service
+// estimate Gaps turns offered loads into arrival gaps with.
+type compiledMix struct {
+	classes []compiledClass
+	weights []float64
+	totalW  float64
+	// meanService is the weight-averaged isolated service estimate of
+	// one whole request (prefill plus all decode iterations).
+	meanService float64
+	// phased notes that some class has a decode phase.
+	phased bool
+}
+
+// compileClasses compiles every class for cfg and derives the mix's
+// mean service estimate.
+func compileClasses(cfg arch.Config, classes []Class) (*compiledMix, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("serve: empty class list")
 	}
-	if opts.Requests <= 0 {
-		opts.Requests = 1024
-	}
-	if opts.MeanGap <= 0 {
-		opts.MeanGap = 20000
-	}
-	if opts.BurstLen <= 0 {
-		opts.BurstLen = 8
-	}
-
-	compiled := make([]compiledClass, 0, len(classes))
-	var weights []float64
-	var totalW, meanService float64
-	phased := false
+	m := &compiledMix{classes: make([]compiledClass, 0, len(classes))}
 	for i, c := range classes {
 		if c.Net == nil {
 			return nil, fmt.Errorf("serve: class %d has no network", i)
@@ -468,7 +468,7 @@ func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, e
 		}
 		cc.service = serviceEstimate(cfg, cn)
 		if c.DecodeNet != nil {
-			phased = true
+			m.phased = true
 			dn, err := compiler.Compile(c.DecodeNet, cfg, batch)
 			if err != nil {
 				return nil, fmt.Errorf("serve: class %q decode: %w", c.DecodeNet.Name, err)
@@ -488,21 +488,59 @@ func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, e
 		if w <= 0 {
 			w = 1
 		}
-		compiled = append(compiled, cc)
-		weights = append(weights, w)
-		totalW += w
-		meanService += w * float64(cc.service+arch.Cycles(cc.decodeIters)*cc.decodeSvc)
+		m.classes = append(m.classes, cc)
+		m.weights = append(m.weights, w)
+		m.totalW += w
+		m.meanService += w * float64(cc.service+arch.Cycles(cc.decodeIters)*cc.decodeSvc)
 	}
-	meanService /= totalW
+	m.meanService /= m.totalW
+	return m, nil
+}
 
+// Gaps converts offered loads into the mean inter-arrival gaps that
+// offer them for a stream of these classes: the mix's mean service
+// estimate over each load, at least one cycle. Loads are in single-chip
+// capacities, so a cluster of N chips at per-chip load L passes L*N.
+func Gaps(cfg arch.Config, classes []Class, loads ...float64) ([]arch.Cycles, error) {
+	m, err := compileClasses(cfg, classes)
+	if err != nil {
+		return nil, err
+	}
+	gaps := make([]arch.Cycles, len(loads))
+	for i, load := range loads {
+		if !(load > 0) {
+			return nil, fmt.Errorf("serve: offered load %v must be positive", load)
+		}
+		gaps[i] = max(arch.Cycles(m.meanService/load), 1)
+	}
+	return gaps, nil
+}
+
+// NewStream compiles the classes for cfg and draws a reproducible
+// open-loop request stream: weighted class picks, arrival gaps from
+// the chosen process, and per-request deadlines.
+func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, error) {
+	m, err := compileClasses(cfg, classes)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Requests <= 0 {
+		opts.Requests = 1024
+	}
+	if opts.MeanGap <= 0 {
+		opts.MeanGap = 20000
+	}
+	if opts.BurstLen <= 0 {
+		opts.BurstLen = 8
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	s := &Stream{
-		Name:        fmt.Sprintf("%s-load%.2f", opts.Process, meanService/float64(opts.MeanGap)),
-		MeanService: meanService,
+		Name:        fmt.Sprintf("%s-load%.2f", opts.Process, m.meanService/float64(opts.MeanGap)),
+		MeanService: m.meanService,
 		MeanGap:     opts.MeanGap,
 		Requests:    opts.Requests,
 	}
-	for _, cc := range compiled {
+	for _, cc := range m.classes {
 		s.Classes = append(s.Classes, cc.name)
 		s.ClassService = append(s.ClassService, cc.service)
 		s.ClassDecodeService = append(s.ClassDecodeService, cc.decodeSvc)
@@ -513,20 +551,20 @@ func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, e
 	var t arch.Cycles
 	for i := 0; i < opts.Requests; i++ {
 		// Weighted class pick.
-		pick := rng.Float64() * totalW
+		pick := rng.Float64() * m.totalW
 		ci := 0
-		for ci < len(weights)-1 && pick >= weights[ci] {
-			pick -= weights[ci]
+		for ci < len(m.weights)-1 && pick >= m.weights[ci] {
+			pick -= m.weights[ci]
 			ci++
 		}
-		cc := compiled[ci]
+		cc := m.classes[ci]
 		head := len(s.Nets)
 		headDeadline := t + arch.Cycles(cc.slack*float64(cc.service))
 		s.Nets = append(s.Nets, cc.net)
 		s.Arrivals = append(s.Arrivals, t)
 		s.Deadlines = append(s.Deadlines, headDeadline)
 		s.ClassOf = append(s.ClassOf, ci)
-		if phased {
+		if m.phased {
 			phase := PhaseSingle
 			if cc.decode != nil {
 				phase = PhasePrefill

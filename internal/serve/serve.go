@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"aimt/internal/arch"
-	"aimt/internal/core"
+	"aimt/internal/hdr"
 	"aimt/internal/metrics"
 	"aimt/internal/obs"
 	"aimt/internal/rtrace"
@@ -74,7 +74,7 @@ type Report struct {
 
 	// Latency is the streaming latency distribution; query it for
 	// quantiles beyond the pre-extracted ones below.
-	Latency metrics.Histogram
+	Latency hdr.Histogram
 
 	// P50, P95, P99 and P999 are request-latency quantiles.
 	P50, P95, P99, P999 arch.Cycles
@@ -136,7 +136,7 @@ func BuildReportShed(s *Stream, res *sim.Result, shed []bool) *Report {
 		MemUtil:   res.MemUtilization(),
 	}
 	perClass := make([]ClassStats, len(s.Classes))
-	classHist := make([]metrics.Histogram, len(s.Classes))
+	classHist := make([]hdr.Histogram, len(s.Classes))
 	for i := range perClass {
 		perClass[i].Class = s.Classes[i]
 	}
@@ -144,7 +144,7 @@ func BuildReportShed(s *Stream, res *sim.Result, shed []bool) *Report {
 	// row (PhaseSingle entries of a mixed stream are covered by their
 	// class row).
 	var perPhase []PhaseStats
-	var phaseHist []metrics.Histogram
+	var phaseHist []hdr.Histogram
 	phaseRow := func(i int) *PhaseStats {
 		if perPhase == nil {
 			return nil
@@ -159,7 +159,7 @@ func BuildReportShed(s *Stream, res *sim.Result, shed []bool) *Report {
 	}
 	if s.PhaseOf != nil {
 		perPhase = []PhaseStats{{Phase: PhasePrefill}, {Phase: PhaseDecode}}
-		phaseHist = make([]metrics.Histogram, len(perPhase))
+		phaseHist = make([]hdr.Histogram, len(perPhase))
 	}
 	for i := range s.Nets {
 		ci := s.ClassOf[i]
@@ -303,48 +303,36 @@ type SchedulerSpec struct {
 	New func(cfg arch.Config, s *Stream) sim.Scheduler
 }
 
+// Spec adapts a scheduler registry entry to a serving spec whose
+// factory reads the stream's deadlines and class priorities.
+func Spec(e sched.Entry) SchedulerSpec {
+	return SchedulerSpec{Name: e.Name, New: func(cfg arch.Config, s *Stream) sim.Scheduler {
+		return e.New(cfg, sched.Input{Deadlines: s.Deadlines, Priorities: s.NetPriorities()})
+	}}
+}
+
+// SpecByName resolves a serving spec through the scheduler registry.
+func SpecByName(name string) (SchedulerSpec, error) {
+	e, err := sched.ByName(name)
+	if err != nil {
+		return SchedulerSpec{}, err
+	}
+	return Spec(e), nil
+}
+
 // StandardSchedulers returns the serving comparison set: FIFO and
 // PREMA baselines, the full AI-MT mechanism stack, and deadline-aware
 // EDF.
 func StandardSchedulers() []SchedulerSpec {
-	return []SchedulerSpec{
-		{Name: "FIFO", New: func(arch.Config, *Stream) sim.Scheduler { return sched.NewFIFO() }},
-		{Name: "PREMA", New: func(arch.Config, *Stream) sim.Scheduler { return sched.NewPREMA(nil) }},
-		{Name: "AI-MT", New: func(cfg arch.Config, _ *Stream) sim.Scheduler { return core.New(cfg, core.All()) }},
-		{Name: "EDF", New: func(_ arch.Config, s *Stream) sim.Scheduler { return sched.NewEDF(s.Deadlines) }},
+	var out []SchedulerSpec
+	for _, name := range []string{"FIFO", "PREMA", "AI-MT", "EDF"} {
+		spec, err := SpecByName(name)
+		if err != nil {
+			panic(err) // registry names are static
+		}
+		out = append(out, spec)
 	}
-}
-
-// LookaheadAIMT returns the speculative lookahead scheduler wrapped
-// around the full AI-MT mechanism stack: contested fetch decisions
-// (a memory-intensive and a compute-heavy block both issuable) are
-// resolved by snapshotting the engine and simulating both branches a
-// horizon ahead instead of by AI-MT's static load-matching heuristic.
-// horizon <= 0 uses the lookahead default. It is not part of
-// StandardSchedulers: speculation multiplies simulated cycles by the
-// number of forks, so it is opt-in (aimt-serve -sched lookahead).
-func LookaheadAIMT(horizon arch.Cycles) SchedulerSpec {
-	return SchedulerSpec{
-		Name: "Lookahead",
-		New: func(cfg arch.Config, _ *Stream) sim.Scheduler {
-			return sched.NewLookahead(core.New(cfg, core.All()), horizon)
-		},
-	}
-}
-
-// PreemptiveAIMT returns the full AI-MT mechanism stack with the
-// stream's class priorities driving cross-request preemption: a
-// higher-priority request's ready compute blocks displace a
-// lower-priority executing one via the CB-split path. With uniform
-// class priorities the scheduler is bit-identical to the plain AI-MT
-// spec.
-func PreemptiveAIMT() SchedulerSpec {
-	return SchedulerSpec{
-		Name: "AI-MT+Prio",
-		New: func(cfg arch.Config, s *Stream) sim.Scheduler {
-			return core.New(cfg, core.All()).SetPreemptPriorities(s.NetPriorities())
-		},
-	}
+	return out
 }
 
 // CurvePoint is one offered-load point of a load sweep: the same
@@ -412,21 +400,9 @@ func LoadCurve(cfg arch.Config, classes []Class, schedulers []SchedulerSpec, opt
 	}
 	gaps := opts.Gaps
 	if len(gaps) == 0 {
-		// Probe the mix's mean service estimate with a one-request
-		// stream, then place gaps at the default load factors.
-		probeOpts := opts.Stream
-		probeOpts.Requests = 1
-		probeOpts.MeanGap = 1
-		probe, err := NewStream(cfg, classes, probeOpts)
-		if err != nil {
+		var err error
+		if gaps, err = Gaps(cfg, classes, DefaultGapFactors...); err != nil {
 			return nil, err
-		}
-		for _, f := range DefaultGapFactors {
-			g := arch.Cycles(probe.MeanService / f)
-			if g < 1 {
-				g = 1
-			}
-			gaps = append(gaps, g)
 		}
 	}
 

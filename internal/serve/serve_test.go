@@ -170,15 +170,13 @@ func TestLoadCurveAcceptance(t *testing.T) {
 		t.Skip("10k-request saturation sweep")
 	}
 	cfg := testConfig(t)
-	probe, err := NewStream(cfg, DefaultClasses(), StreamOptions{Requests: 1, MeanGap: 1, Seed: 3})
+	gaps, err := Gaps(cfg, DefaultClasses(), 0.4, 1.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	light := arch.Cycles(probe.MeanService / 0.4)
-	saturated := arch.Cycles(probe.MeanService / 1.3)
 	points, err := LoadCurve(cfg, DefaultClasses(), StandardSchedulers(), CurveOptions{
 		Stream: StreamOptions{Requests: 10_000, Seed: 3},
-		Gaps:   []arch.Cycles{light, saturated},
+		Gaps:   gaps,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -341,5 +339,41 @@ func TestReportFullyShedClassZeroRow(t *testing.T) {
 	// A nil shed slice is exactly the plain report.
 	if !reflect.DeepEqual(BuildReportShed(s, res, nil), BuildReport(s, res)) {
 		t.Error("BuildReportShed(nil) differs from BuildReport")
+	}
+}
+
+// TestGapsMatchStreamService pins Gaps to the stream's own service
+// estimate: each gap is the MeanService of a stream over the same
+// classes divided by the load, clamped to one cycle, so a stream drawn
+// at that gap offers the requested load.
+func TestGapsMatchStreamService(t *testing.T) {
+	cfg := testConfig(t)
+	for _, classes := range [][]Class{DefaultClasses(), TransformerClasses()} {
+		s, err := NewStream(cfg, classes, StreamOptions{Requests: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := []float64{0.2, 1.1, 2.5 * 4, 1e30}
+		gaps, err := Gaps(cfg, classes, loads...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, load := range loads {
+			want := arch.Cycles(s.MeanService / load)
+			if want < 1 {
+				want = 1
+			}
+			if gaps[i] != want {
+				t.Errorf("load %v: gap %d, want %d", load, gaps[i], want)
+			}
+		}
+	}
+	if _, err := Gaps(cfg, nil, 1); err == nil {
+		t.Error("Gaps accepted an empty class list")
+	}
+	for _, bad := range []float64{0, -1, math.NaN()} {
+		if _, err := Gaps(cfg, DefaultClasses(), 1, bad); err == nil {
+			t.Errorf("Gaps accepted offered load %v", bad)
+		}
 	}
 }

@@ -8,7 +8,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"aimt/internal/arch"
@@ -174,71 +173,6 @@ func Build(cfg arch.Config, spec Spec, opts BuildOptions) (*Mix, error) {
 		}
 	}
 	return m, nil
-}
-
-// Stream is an open-loop request stream for the cloud serving
-// scenario: network instances with staggered arrival times.
-type Stream struct {
-	// Name labels the stream.
-	Name string
-	// Nets holds the compiled instances in arrival order.
-	Nets []*compiler.CompiledNetwork
-	// Arrivals gives each instance's arrival cycle.
-	Arrivals []arch.Cycles
-}
-
-// StreamOptions tune OpenLoop.
-type StreamOptions struct {
-	// Batch is the per-request batch size; zero means 1.
-	Batch int
-	// Requests is the stream length; zero means 32.
-	Requests int
-	// MeanGap is the mean inter-arrival time in cycles; zero means
-	// 20000 (20 us at 1 GHz).
-	MeanGap arch.Cycles
-	// Seed makes the stream reproducible.
-	Seed int64
-}
-
-// OpenLoop generates a reproducible request stream drawing uniformly
-// from the given zoo networks with exponential inter-arrival gaps —
-// the continuous-arrival cloud scenario of the paper's introduction.
-func OpenLoop(cfg arch.Config, networks []string, opts StreamOptions) (*Stream, error) {
-	if opts.Batch <= 0 {
-		opts.Batch = 1
-	}
-	if opts.Requests <= 0 {
-		opts.Requests = 32
-	}
-	if opts.MeanGap <= 0 {
-		opts.MeanGap = 20000
-	}
-	var compiled []*compiler.CompiledNetwork
-	for _, name := range networks {
-		net, err := nn.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cn, err := compiler.Compile(net, cfg, opts.Batch)
-		if err != nil {
-			return nil, err
-		}
-		compiled = append(compiled, cn)
-	}
-	if len(compiled) == 0 {
-		return nil, fmt.Errorf("workload: empty network list")
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed))
-	s := &Stream{Name: strings.Join(networks, "+") + "-stream"}
-	var t arch.Cycles
-	for i := 0; i < opts.Requests; i++ {
-		s.Nets = append(s.Nets, compiled[rng.Intn(len(compiled))])
-		s.Arrivals = append(s.Arrivals, t)
-		gap := arch.Cycles(rng.ExpFloat64() * float64(opts.MeanGap))
-		t += gap
-	}
-	return s, nil
 }
 
 // ParseSpec builds a Spec from a string like "RN34,RN50/GNMT": compute

@@ -142,51 +142,6 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-func TestOpenLoopStream(t *testing.T) {
-	c := cfg(t)
-	s, err := OpenLoop(c, []string{"MN", "GNMT"}, StreamOptions{Requests: 10, MeanGap: 1000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Nets) != 10 || len(s.Arrivals) != 10 {
-		t.Fatalf("stream = %d nets, %d arrivals", len(s.Nets), len(s.Arrivals))
-	}
-	for i := 1; i < len(s.Arrivals); i++ {
-		if s.Arrivals[i] < s.Arrivals[i-1] {
-			t.Fatalf("arrivals not monotone: %v", s.Arrivals)
-		}
-	}
-	// Reproducible for the same seed, different for another.
-	s2, err := OpenLoop(c, []string{"MN", "GNMT"}, StreamOptions{Requests: 10, MeanGap: 1000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s.Arrivals {
-		if s.Arrivals[i] != s2.Arrivals[i] || s.Nets[i].Name != s2.Nets[i].Name {
-			t.Fatal("stream not reproducible for equal seeds")
-		}
-	}
-	s3, err := OpenLoop(c, []string{"MN", "GNMT"}, StreamOptions{Requests: 10, MeanGap: 1000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range s.Arrivals {
-		if s.Arrivals[i] != s3.Arrivals[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical arrivals")
-	}
-	if _, err := OpenLoop(c, []string{"nope"}, StreamOptions{}); err == nil {
-		t.Error("unknown network accepted")
-	}
-	if _, err := OpenLoop(c, nil, StreamOptions{}); err == nil {
-		t.Error("empty network list accepted")
-	}
-}
-
 func TestMemHeavyFlags(t *testing.T) {
 	c := cfg(t)
 	mix, err := Build(c, PaperMixes()[3], BuildOptions{Batch: 1})

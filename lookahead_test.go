@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aimt/internal/obs"
+	"aimt/internal/sched"
 )
 
 // lookaheadStream is a contended serving mix: the default classes mix
@@ -36,7 +37,7 @@ func TestLookaheadDeterministic(t *testing.T) {
 	cfg := PaperConfig()
 	stream, opts := lookaheadStream(t, 50)
 	opts.CheckInvariants = true
-	mk := func() Scheduler { return NewLookahead(NewAIMT(cfg, AllMechanisms()), 2048) }
+	mk := func() Scheduler { return sched.NewLookahead(NewAIMT(cfg, AllMechanisms()), 2048) }
 	a, err := Run(cfg, stream.Nets, mk(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestLookaheadSpeculationLeavesNoTrace(t *testing.T) {
 	opts.Metrics = reg
 	opts.Ledger = led
 	const horizon = 2048
-	res, err := Run(cfg, stream.Nets, NewLookahead(NewAIMT(cfg, AllMechanisms()), horizon), opts)
+	res, err := Run(cfg, stream.Nets, sched.NewLookahead(NewAIMT(cfg, AllMechanisms()), horizon), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

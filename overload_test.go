@@ -10,15 +10,11 @@ import (
 // optional uniform-priority variant for differential runs.
 func overloadStream(t *testing.T, cfg Config, classes []ServeClass, requests int, seed int64, load float64, chips int) *ServeStream {
 	t.Helper()
-	probe, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 1, MeanGap: 1, Seed: seed})
+	gaps, err := ServeGaps(cfg, classes, load*float64(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gap := Cycles(probe.MeanService / (load * float64(chips)))
-	if gap < 1 {
-		gap = 1
-	}
-	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: requests, MeanGap: gap, Seed: seed})
+	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: requests, MeanGap: gaps[0], Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +92,7 @@ func TestAdmissionProperties(t *testing.T) {
 		{"uniform", uniform},
 		{"two-tier", tiered},
 	}
-	schedulers := []SchedulerSpec{ServeStandardSchedulers()[0], ServePreemptiveAIMT()}
+	schedulers := []SchedulerSpec{serveSpec(t, "FIFO"), serveSpec(t, "AI-MT+Prio")}
 	for _, mix := range mixes {
 		s := overloadStream(t, cfg, mix.classes, 200, 17, 3.0, 2)
 		minPrio := s.ClassPriority[0]
@@ -194,7 +190,7 @@ func TestControlPlaneOffDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pspec := range ClusterPolicies() {
-		cres, err := ClusterServe(cfg, stream, ServePreemptiveAIMT(), pspec.New(), ClusterOptions{Chips: 1})
+		cres, err := ClusterServe(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{Chips: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", pspec.Name, err)
 		}
@@ -207,11 +203,11 @@ func TestControlPlaneOffDifferential(t *testing.T) {
 	// off, autoscaler pinned at MinChips == Chips) must match the
 	// control-plane-off run field for field.
 	for _, pspec := range ClusterPolicies() {
-		off, err := ClusterServe(cfg, stream, ServePreemptiveAIMT(), pspec.New(), ClusterOptions{Chips: 2})
+		off, err := ClusterServe(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{Chips: 2})
 		if err != nil {
 			t.Fatalf("%s off: %v", pspec.Name, err)
 		}
-		pin, err := ClusterServe(cfg, stream, ServePreemptiveAIMT(), pspec.New(), ClusterOptions{
+		pin, err := ClusterServe(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{
 			Chips:   2,
 			Control: ClusterControl{Autoscale: true, MinChips: 2},
 		})

@@ -48,43 +48,61 @@ func randomNetwork(r *rand.Rand, name string) (*Network, error) {
 	return b.Build()
 }
 
-// allPolicies returns a fresh instance of every scheduling policy,
-// keyed by label.
-func allPolicies(cfg Config, nets int) []struct {
+// namedPolicy labels a scheduler factory in the batteries.
+type namedPolicy struct {
 	name string
 	mk   func() Scheduler
-} {
-	return []struct {
-		name string
-		mk   func() Scheduler
-	}{
-		{"FIFO", func() Scheduler { return NewFIFO() }},
-		{"SerialFIFO", func() Scheduler { return NewSerialFIFO() }},
-		{"RR", func() Scheduler { return NewRR() }},
-		{"Greedy", func() Scheduler { return NewGreedy() }},
-		{"Greedy+PF", func() Scheduler { return NewGreedyPrefetch() }},
-		{"SJF", func() Scheduler { return NewSJF() }},
-		{"ComputeFirst", func() Scheduler { return NewComputeFirst(make([]bool, nets)) }},
-		{"PREMA", func() Scheduler { return NewPREMA(nil) }},
-		{"AI-MT(PF)", func() Scheduler { return NewAIMT(cfg, PrefetchOnly()) }},
-		{"AI-MT(PF+Merge)", func() Scheduler { return NewAIMT(cfg, PrefetchMerge()) }},
-		{"AI-MT(All)", func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }},
-		{"EDF", func() Scheduler { return NewEDF(propertyDeadlines(nets)) }},
-		{"AI-MT+EDF", func() Scheduler {
-			return NewAIMT(cfg, AllMechanisms()).SetDeadlines(propertyDeadlines(nets))
-		}},
-	}
 }
 
-// propertyDeadlines fabricates distinct per-network deadlines (latest
-// first, so deadline order inverts instance order) to exercise the
-// deadline-aware policies' reordering.
-func propertyDeadlines(nets int) []Cycles {
-	dl := make([]Cycles, nets)
-	for i := range dl {
-		dl[i] = Cycles(nets-i) * 100_000
+// allPolicies returns every registered scheduler plus AI-MT with
+// deadline tenant ordering (a configuration no registry entry builds),
+// each building fresh instances over nets networks.
+func allPolicies(cfg Config, nets int) []namedPolicy {
+	in := propertyInput(nets)
+	var out []namedPolicy
+	for _, e := range Schedulers() {
+		out = append(out, namedPolicy{e.Name, func() Scheduler { return e.New(cfg, in) }})
 	}
-	return dl
+	return append(out, namedPolicy{"AI-MT+EDF", func() Scheduler {
+		return NewAIMT(cfg, AllMechanisms()).SetDeadlines(in.Deadlines)
+	}})
+}
+
+// propertyInput fabricates per-network scheduler inputs that make the
+// input-reading policies reorder work: distinct deadlines (latest
+// first, so deadline order inverts instance order), and alternating
+// priority bands and memory-intensity flags.
+func propertyInput(nets int) SchedulerInput {
+	in := SchedulerInput{
+		Deadlines:  make([]Cycles, nets),
+		Priorities: make([]int, nets),
+		MemHeavy:   make([]bool, nets),
+	}
+	for i := 0; i < nets; i++ {
+		in.Deadlines[i] = Cycles(nets-i) * 100_000
+		in.Priorities[i] = i % 2
+		in.MemHeavy[i] = i%2 == 0
+	}
+	return in
+}
+
+// registrySpecs returns every registered scheduler as a serving spec.
+func registrySpecs() []SchedulerSpec {
+	var out []SchedulerSpec
+	for _, e := range Schedulers() {
+		out = append(out, ServeSpec(e))
+	}
+	return out
+}
+
+// serveSpec resolves a serving spec through the scheduler registry.
+func serveSpec(t testing.TB, name string) SchedulerSpec {
+	t.Helper()
+	e, err := SchedulerByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ServeSpec(e)
 }
 
 func TestPropertyPoliciesAgreeOnWork(t *testing.T) {

@@ -97,7 +97,7 @@ func TestRequestSpansReconcile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range ServeStandardSchedulers() {
+		for _, spec := range registrySpecs() {
 			spec := spec
 			t.Run(mix.name+"/"+spec.Name, func(t *testing.T) {
 				col := NewRequestTraceCollector(len(s.Nets))
@@ -151,7 +151,7 @@ func TestClusterSpansReconcile(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := NewRequestTraceStore(RequestTraceOptions{SampleEvery: 1})
-				res, err := ClusterServe(cfg, s, ServePreemptiveAIMT(), pol.New(), ClusterOptions{
+				res, err := ClusterServe(cfg, s, serveSpec(t, "AI-MT+Prio"), pol.New(), ClusterOptions{
 					Chips:   2,
 					Control: ctl,
 					Trace:   st,
@@ -198,13 +198,7 @@ const requestTraceGoldenPath = "testdata/requesttrace.golden.json"
 // overloaded enough to produce misses and interesting attribution.
 func traceGoldenRun(t *testing.T) *ClusterTraceRun {
 	t.Helper()
-	var spec SchedulerSpec
-	for _, s := range ServeStandardSchedulers() {
-		if s.Name == "AI-MT" {
-			spec = s
-		}
-	}
-	tr, err := ClusterTraceRequests(PaperConfig(), DefaultServingClasses(), spec, 60, 2, 2.0, 7)
+	tr, err := ClusterTraceRequests(PaperConfig(), DefaultServingClasses(), serveSpec(t, "AI-MT"), 60, 2, 2.0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,14 @@ func TestSmokeEndToEnd(t *testing.T) {
 	}
 	nets := []*Compiled{rn50, gnmt}
 
-	scheds := []Scheduler{
-		NewFIFO(), NewRR(), NewGreedy(), NewSJF(),
-		NewComputeFirst([]bool{false, true}),
-		NewAIMT(cfg, PrefetchOnly()),
-		NewAIMT(cfg, PrefetchMerge()),
-		NewAIMT(cfg, AllMechanisms()),
-	}
 	var fifoMakespan Cycles
-	for _, s := range scheds {
+	for _, name := range []string{"FIFO", "RR", "Greedy", "SJF", "ComputeFirst+PF",
+		"AI-MT(PF)", "AI-MT(PF+Merge)", "AI-MT"} {
+		e, err := SchedulerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.New(cfg, SchedulerInput{MemHeavy: []bool{false, true}})
 		res, err := Run(cfg, nets, s, RunOptions{CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

@@ -4,38 +4,23 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"aimt/internal/sched"
 )
 
 // snapshotSchedulers is the scheduler battery for the snapshot/restore
-// property tests: every policy in the repo, including the stateful
+// property tests: every registered policy, including the stateful
 // ones (queues, round-robin pointers, token ledgers, the AI-MT
 // selected queue and credit state) and the speculative Lookahead
-// wrapper, which itself snapshots the engine mid-run.
-func snapshotSchedulers(cfg Config) []SchedulerSpec {
-	specs := ServeStandardSchedulers()
-	for _, extra := range []struct {
-		name string
-		mk   func() Scheduler
-	}{
-		{"SerialFIFO", NewSerialFIFO},
-		{"RR", NewRR},
-		{"Greedy", NewGreedy},
-		{"Greedy+PF", NewGreedyPrefetch},
-		{"SJF", NewSJF},
-		{"AI-MT(PF)", func() Scheduler { return NewAIMT(cfg, PrefetchOnly()) }},
-		{"AI-MT(PF+Merge)", func() Scheduler { return NewAIMT(cfg, PrefetchMerge()) }},
-		{"Lookahead(AI-MT)", func() Scheduler {
-			return NewLookahead(NewAIMT(cfg, AllMechanisms()), 2048)
-		}},
-		{"Lookahead(FIFO)", func() Scheduler { return NewLookahead(NewFIFO(), 1024) }},
-	} {
-		mk := extra.mk
-		specs = append(specs, SchedulerSpec{
-			Name: extra.name,
-			New:  func(Config, *ServeStream) Scheduler { return mk() },
-		})
-	}
-	return specs
+// wrapper, which itself snapshots the engine mid-run, plus Lookahead
+// over a FIFO inner policy.
+func snapshotSchedulers() []SchedulerSpec {
+	return append(registrySpecs(), SchedulerSpec{
+		Name: "Lookahead(FIFO)",
+		New: func(Config, *ServeStream) Scheduler {
+			return sched.NewLookahead(NewFIFO(), 1024)
+		},
+	})
 }
 
 // runToProbe builds a fresh engine, steps it to the probe cycle, and
@@ -76,7 +61,7 @@ func TestSnapshotReplayAllSchedulers(t *testing.T) {
 		ChainAfter:      stream.ChainAfter,
 		CheckInvariants: true,
 	}
-	for _, spec := range snapshotSchedulers(cfg) {
+	for _, spec := range snapshotSchedulers() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			ref, err := Run(cfg, stream.Nets, spec.New(cfg, stream), opts)
@@ -146,7 +131,7 @@ func TestSnapshotRandomProbes(t *testing.T) {
 		{"AI-MT", func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }},
 		{"PREMA", func() Scheduler { return NewPREMA(nil) }},
 		{"Lookahead(AI-MT)", func() Scheduler {
-			return NewLookahead(NewAIMT(cfg, AllMechanisms()), 1024)
+			return sched.NewLookahead(NewAIMT(cfg, AllMechanisms()), 1024)
 		}},
 	} {
 		spec := spec

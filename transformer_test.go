@@ -16,15 +16,11 @@ func transformerClusterStream(t *testing.T, requests int, load float64) *ServeSt
 	t.Helper()
 	cfg := PaperConfig()
 	classes := TransformerServingClasses()
-	probe, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 1, MeanGap: 1, Seed: 11})
+	gaps, err := ServeGaps(cfg, classes, load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gap := Cycles(probe.MeanService / load)
-	if gap < 1 {
-		gap = 1
-	}
-	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: requests, MeanGap: gap, Seed: 11})
+	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: requests, MeanGap: gaps[0], Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +126,7 @@ func checkPhaseConservation(t *testing.T, label string, s *ServeStream, classes 
 }
 
 // TestTransformerPhaseConservation runs a transformer/CNN stream
-// through every serving scheduler x routing policy combination, with
+// through every registered scheduler x routing policy combination, with
 // and without the overload control plane, asserting the multi-phase
 // conservation properties under the machine-model invariant checker.
 func TestTransformerPhaseConservation(t *testing.T) {
@@ -138,7 +134,7 @@ func TestTransformerPhaseConservation(t *testing.T) {
 	const chips = 2
 	classes := TransformerServingClasses()
 	s := transformerClusterStream(t, 40, 2.5) // 1.25x the 2-chip cluster
-	for _, spec := range ServeStandardSchedulers() {
+	for _, spec := range registrySpecs() {
 		for _, pol := range ClusterPolicies() {
 			for _, ctl := range []ClusterControl{
 				{},
@@ -188,7 +184,7 @@ func TestZeroDecodeDifferential(t *testing.T) {
 	if !reflect.DeepEqual(sp.Arrivals, ss.Arrivals) || !reflect.DeepEqual(sp.Deadlines, ss.Deadlines) {
 		t.Fatalf("arrivals/deadlines differ between phased and single-phase streams")
 	}
-	for _, spec := range ServeStandardSchedulers() {
+	for _, spec := range registrySpecs() {
 		rp, err := Run(cfg, sp.Nets, spec.New(cfg, sp), RunOptions{
 			Arrivals: sp.Arrivals, ChainAfter: sp.ChainAfter, CheckInvariants: true,
 		})
