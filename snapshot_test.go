@@ -13,14 +13,22 @@ import (
 // ones (queues, round-robin pointers, token ledgers, the AI-MT
 // selected queue and credit state) and the speculative Lookahead
 // wrapper, which itself snapshots the engine mid-run, plus Lookahead
-// over a FIFO inner policy.
+// over AI-MT at a shorter horizon than the registry default and over a
+// FIFO inner policy.
 func snapshotSchedulers() []SchedulerSpec {
-	return append(registrySpecs(), SchedulerSpec{
-		Name: "Lookahead(FIFO)",
-		New: func(Config, *ServeStream) Scheduler {
-			return sched.NewLookahead(NewFIFO(), 1024)
+	return append(registrySpecs(),
+		SchedulerSpec{
+			Name: "Lookahead(AI-MT)",
+			New: func(cfg Config, _ *ServeStream) Scheduler {
+				return sched.NewLookahead(NewAIMT(cfg, AllMechanisms()), 2048)
+			},
 		},
-	})
+		SchedulerSpec{
+			Name: "Lookahead(FIFO)",
+			New: func(Config, *ServeStream) Scheduler {
+				return sched.NewLookahead(NewFIFO(), 1024)
+			},
+		})
 }
 
 // runToProbe builds a fresh engine, steps it to the probe cycle, and
