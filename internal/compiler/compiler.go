@@ -20,6 +20,7 @@ package compiler
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"aimt/internal/arch"
 	"aimt/internal/nn"
@@ -108,6 +109,44 @@ type CompiledNetwork struct {
 
 	// HostOutBytes is the output-feature traffic per inference batch.
 	HostOutBytes arch.Bytes
+
+	// labels holds each layer's trace labels, resolved on the first
+	// Label call so untraced runs never build them.
+	labelsOnce sync.Once
+	labels     [][numLabels]string
+}
+
+// LabelKind selects one of a layer's trace labels.
+type LabelKind uint8
+
+// Trace label kinds: a layer's memory block, compute block and
+// split-halted compute block.
+const (
+	LabelMB      LabelKind = iota // "MB:" + layer name
+	LabelCB                       // "CB:" + layer name
+	LabelCBSplit                  // "CB(split):" + layer name
+	numLabels
+)
+
+var labelPrefix = [numLabels]string{"MB:", "CB:", "CB(split):"}
+
+// Label returns the trace label of kind k for layer i: its prefix
+// and the layer name. The first call resolves every layer's labels at
+// once, so later calls never allocate; the table must not change
+// shape after that.
+func (cn *CompiledNetwork) Label(k LabelKind, i int) string {
+	cn.labelsOnce.Do(cn.resolveLabels)
+	return cn.labels[i][k]
+}
+
+// resolveLabels fills the per-layer label table from the layer names.
+func (cn *CompiledNetwork) resolveLabels() {
+	cn.labels = make([][numLabels]string, len(cn.Layers))
+	for i := range cn.Layers {
+		for k, p := range labelPrefix {
+			cn.labels[i][k] = p + cn.Layers[i].Name
+		}
+	}
 }
 
 // Errors returned by Compile.

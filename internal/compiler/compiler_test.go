@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -299,4 +300,46 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := cn.Validate(); err == nil {
 		t.Error("forward dep accepted")
 	}
+}
+
+// TestLabels pins the trace labels, for compiled and hand-built
+// tables alike: prefix plus layer name, resolved once, so reading one
+// never allocates.
+func TestLabels(t *testing.T) {
+	cn := compile(t, nn.ResNet50(), 1)
+	hand := &CompiledNetwork{Name: cn.Name, Batch: cn.Batch, Layers: cn.Layers}
+	for i, l := range cn.Layers {
+		for k, want := range map[LabelKind]string{LabelMB: "MB:" + l.Name, LabelCB: "CB:" + l.Name, LabelCBSplit: "CB(split):" + l.Name} {
+			if got := cn.Label(k, i); got != want {
+				t.Errorf("layer %d label %d = %q, want %q", i, k, got, want)
+			}
+			if got := hand.Label(k, i); got != want {
+				t.Errorf("hand-built layer %d label %d = %q, want %q", i, k, got, want)
+			}
+		}
+	}
+	last := len(cn.Layers) - 1
+	if n := testing.AllocsPerRun(100, func() { _ = cn.Label(LabelCBSplit, last) }); n != 0 {
+		t.Errorf("Label allocated %.0f times per call", n)
+	}
+}
+
+// TestLabelsConcurrent resolves one network's labels from several
+// goroutines at once, as parallel traced runs sharing a compiled
+// network do; run it under -race.
+func TestLabelsConcurrent(t *testing.T) {
+	cn := compile(t, nn.ResNet50(), 1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, l := range cn.Layers {
+				if got := cn.Label(LabelCB, i); got != "CB:"+l.Name {
+					t.Errorf("layer %d label %q", i, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

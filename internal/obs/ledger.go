@@ -106,8 +106,70 @@ type Ledger struct {
 	buf     []Decision
 	next    int // ring write position
 	total   int64
-	byKind  map[string]int64
-	byStall map[string]int64
+	byKind  tally
+	byStall tally
+}
+
+// The closed vocabularies Record counts into fixed slots, most
+// frequent first.
+var (
+	ledgerKinds = []string{KindMBPrefetch, KindCBMerge, KindEarlyEvict, KindCBSplit,
+		KindPreempt, KindLookahead, KindShed, KindScaleUp, KindScaleDown}
+	ledgerStalls = []string{StallHBM, StallPE, StallNone, ""}
+)
+
+// tally counts names from a closed vocabulary in fixed slots, so a
+// Record hashes nothing; a name outside the vocabulary goes to a
+// lazily made overflow map.
+type tally struct {
+	names []string
+	slots []int64
+	other map[string]int64
+}
+
+func newTally(names []string) tally {
+	return tally{names: names, slots: make([]int64, len(names))}
+}
+
+func (t *tally) slot(name string) int {
+	for i, n := range t.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+func (t *tally) add(name string) {
+	if i := t.slot(name); i >= 0 {
+		t.slots[i]++
+		return
+	}
+	if t.other == nil {
+		t.other = make(map[string]int64)
+	}
+	t.other[name]++
+}
+
+func (t *tally) get(name string) int64 {
+	if i := t.slot(name); i >= 0 {
+		return t.slots[i]
+	}
+	return t.other[name]
+}
+
+// counts returns every recorded name's count.
+func (t *tally) counts() map[string]int64 {
+	m := make(map[string]int64, len(t.other))
+	for i, c := range t.slots {
+		if c > 0 {
+			m[t.names[i]] = c
+		}
+	}
+	for n, c := range t.other {
+		m[n] = c
+	}
+	return m
 }
 
 // DefaultLedgerCap is the ring capacity used when NewLedger is given
@@ -122,8 +184,8 @@ func NewLedger(capacity int) *Ledger {
 	}
 	return &Ledger{
 		buf:     make([]Decision, 0, capacity),
-		byKind:  make(map[string]int64),
-		byStall: make(map[string]int64),
+		byKind:  newTally(ledgerKinds),
+		byStall: newTally(ledgerStalls),
 	}
 }
 
@@ -132,8 +194,8 @@ func (l *Ledger) Record(d Decision) {
 	l.mu.Lock()
 	d.Seq = l.total
 	l.total++
-	l.byKind[d.Kind]++
-	l.byStall[d.Stall]++
+	l.byKind.add(d.Kind)
+	l.byStall.add(d.Stall)
 	if len(l.buf) < cap(l.buf) {
 		l.buf = append(l.buf, d)
 	} else {
@@ -172,7 +234,7 @@ func (l *Ledger) Dropped() int64 {
 func (l *Ledger) CountKind(kind string) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.byKind[kind]
+	return l.byKind.get(kind)
 }
 
 // CountStall returns the lifetime count of decisions attributed to
@@ -180,7 +242,7 @@ func (l *Ledger) CountKind(kind string) int64 {
 func (l *Ledger) CountStall(stall string) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.byStall[stall]
+	return l.byStall.get(stall)
 }
 
 // Each calls fn on every retained decision, oldest first, stopping
@@ -237,19 +299,12 @@ type LedgerSummary struct {
 func (l *Ledger) Summary() LedgerSummary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := LedgerSummary{
+	return LedgerSummary{
 		Total:   l.total,
 		Dropped: l.total - int64(len(l.buf)),
-		ByKind:  make(map[string]int64, len(l.byKind)),
-		ByStall: make(map[string]int64, len(l.byStall)),
+		ByKind:  l.byKind.counts(),
+		ByStall: l.byStall.counts(),
 	}
-	for k, v := range l.byKind {
-		s.ByKind[k] = v
-	}
-	for k, v := range l.byStall {
-		s.ByStall[k] = v
-	}
-	return s
 }
 
 // WriteJSONL emits the retained decisions as JSON Lines, oldest

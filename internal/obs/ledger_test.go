@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"aimt/internal/arch"
@@ -49,6 +50,39 @@ func TestLedgerRingEviction(t *testing.T) {
 	sum := l.Summary()
 	if sum.Total != 10 || sum.Dropped != 6 || sum.ByKind[KindMBPrefetch] != 5 {
 		t.Errorf("Summary = %+v", sum)
+	}
+}
+
+// TestLedgerSummaryKeys pins the counting vocabulary: Summary lists
+// exactly the kinds and stalls that were recorded, known or not, and
+// the counters agree with it.
+func TestLedgerSummaryKeys(t *testing.T) {
+	l := NewLedger(2)
+	l.Record(Decision{Kind: KindShed})
+	l.Record(Decision{Kind: KindCBSplit, Stall: StallPE})
+	l.Record(Decision{Kind: "custom", Stall: "odd"})
+	l.Record(Decision{Kind: "custom", Stall: StallPE})
+	sum := l.Summary()
+	wantKind := map[string]int64{KindShed: 1, KindCBSplit: 1, "custom": 2}
+	wantStall := map[string]int64{"": 1, StallPE: 2, "odd": 1}
+	if !reflect.DeepEqual(sum.ByKind, wantKind) || !reflect.DeepEqual(sum.ByStall, wantStall) {
+		t.Errorf("Summary by kind %v, by stall %v; want %v, %v", sum.ByKind, sum.ByStall, wantKind, wantStall)
+	}
+	for k, n := range wantKind {
+		if got := l.CountKind(k); got != n {
+			t.Errorf("CountKind(%q) = %d, want %d", k, got, n)
+		}
+	}
+	for k, n := range wantStall {
+		if got := l.CountStall(k); got != n {
+			t.Errorf("CountStall(%q) = %d, want %d", k, got, n)
+		}
+	}
+	if got := l.CountKind(KindMBPrefetch) + l.CountStall(StallHBM) + l.CountKind("never"); got != 0 {
+		t.Errorf("unrecorded names count %d, want 0", got)
+	}
+	if got := NewLedger(1).Summary(); got.ByKind == nil || len(got.ByKind) != 0 || got.ByStall == nil || len(got.ByStall) != 0 {
+		t.Errorf("empty ledger summary = %+v, want empty non-nil maps", got)
 	}
 }
 

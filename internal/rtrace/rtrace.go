@@ -5,16 +5,25 @@
 //
 // The pipeline has three pieces:
 //
-//   - Collector implements sim.Tracer structurally and buckets every
-//     occupancy interval by network instance. It is attached per run
-//     (per chip in a cluster) and merged into stream coordinates.
+//   - Collector implements sim.Tracer structurally and appends every
+//     occupancy interval to one flat log of fixed-size typed records
+//     (engine kind, instance, layer, iter, start, end), growing a
+//     chunk at a time. It is attached per run (per chip in a cluster)
+//     and merged into stream coordinates.
 //   - Build folds a stream's metadata plus a finished sim.Result and
 //     a Collector into []RequestSpan: one span per request, one entry
 //     span per phase (prefill, each decode step), each partitioned
-//     into segments that sum exactly to finish − arrival.
+//     into segments that sum exactly to finish − arrival. It buckets
+//     the log by instance and groups entries by request with counting
+//     passes, and carves the spans' slices from a few shared slabs.
 //   - Store (store.go) retains bounded state across runs: worst-N
 //     tail exemplars per class, a sampled ring of recent spans, and
 //     running attribution aggregates.
+//
+// Tracing allocates O(requests), not O(events): the engine hands over
+// labels resolved once per compiled network, the log never copies
+// what it holds, and Build keeps its per-entry sums in fixed arrays
+// and its working buffers in a pool.
 //
 // Attribution rule: within an entry's [effective arrival, finish)
 // window every cycle gets exactly one label, chosen by priority
@@ -27,8 +36,10 @@
 package rtrace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
+	"sync"
 
 	"aimt/internal/arch"
 )
@@ -149,62 +160,91 @@ type RequestSpan struct {
 	Entries []EntrySpan `json:"entries"`
 }
 
-// peIval is one PE occupancy interval with enough identity to pair a
-// split-halted block with its resumption.
-type peIval struct {
-	start, end  arch.Cycles
-	layer, iter int
-	split       bool
+// Log record kinds: the engine an occupancy interval ran on, with the
+// CB-split identity decided once, when the event is logged.
+const (
+	kindPE uint8 = iota
+	kindPESplit
+	kindMem
+	kindHost
+)
+
+// record is one occupancy interval in the collector's log.
+type record struct {
+	start, end       arch.Cycles
+	net, layer, iter int32
+	kind             uint8
 }
 
-type ival struct{ start, end arch.Cycles }
+// logChunk is the record count of one log chunk. The log grows a
+// chunk at a time, so logging never copies what is already recorded.
+const logChunk = 2048
 
-// Collector buckets engine occupancy events by network instance. It
-// implements sim.Tracer structurally; attach it via
+// Collector logs engine occupancy events for a stream of network
+// instances. It implements sim.Tracer structurally; attach it via
 // sim.Options.Tracer (alone or fanned out through sim.MultiTracer).
-// The zero Collector is unusable — size it with NewCollector.
+// The log is one append-only sequence of fixed-size typed records held
+// in fixed-size chunks: recording costs one allocation per logChunk
+// events and none per event. The zero Collector is unusable — size it
+// with NewCollector.
 type Collector struct {
-	pe   [][]peIval
-	mem  [][]ival
-	host [][]ival
+	nets   int
+	chunks [][]record // every chunk but the last is full
 }
 
 // NewCollector sizes a collector for a stream of nets instances.
 func NewCollector(nets int) *Collector {
-	return &Collector{
-		pe:   make([][]peIval, nets),
-		mem:  make([][]ival, nets),
-		host: make([][]ival, nets),
-	}
+	return &Collector{nets: nets}
 }
 
 // Event implements the sim.Tracer contract. Events for out-of-range
 // instances (host warm-up probes, etc.) are dropped.
 func (c *Collector) Event(engine, name string, net, layer, iter int, start, end arch.Cycles) {
-	if net < 0 || net >= len(c.pe) || end <= start {
+	if net < 0 || net >= c.nets || end <= start {
 		return
 	}
+	var kind uint8
 	switch engine {
 	case "pe":
-		split := strings.HasPrefix(name, "CB(split)")
-		c.pe[net] = append(c.pe[net], peIval{start, end, layer, iter, split})
+		kind = kindPE
+		if strings.HasPrefix(name, "CB(split)") {
+			kind = kindPESplit
+		}
 	case "mem":
-		c.mem[net] = append(c.mem[net], ival{start, end})
+		kind = kindMem
 	case "host":
-		c.host[net] = append(c.host[net], ival{start, end})
+		kind = kindHost
+	default:
+		return
 	}
+	c.add(record{start, end, int32(net), int32(layer), int32(iter), kind})
+}
+
+func (c *Collector) add(r record) {
+	k := len(c.chunks) - 1
+	if k < 0 || len(c.chunks[k]) == logChunk {
+		c.chunks = append(c.chunks, make([]record, 0, logChunk))
+		k++
+	}
+	c.chunks[k] = append(c.chunks[k], r)
 }
 
 // Merge folds a sub-collector recorded over a chip-local sub-stream
 // into c, translating local instance li to global instance remap[li].
+// Records whose instance has no valid global slot are dropped.
 func (c *Collector) Merge(sub *Collector, remap []int) {
-	for li, gi := range remap {
-		if li >= len(sub.pe) || gi < 0 || gi >= len(c.pe) {
-			continue
+	for _, ch := range sub.chunks {
+		for _, r := range ch {
+			if int(r.net) >= len(remap) {
+				continue
+			}
+			gi := remap[r.net]
+			if gi < 0 || gi >= c.nets {
+				continue
+			}
+			r.net = int32(gi)
+			c.add(r)
 		}
-		c.pe[gi] = append(c.pe[gi], sub.pe[li]...)
-		c.mem[gi] = append(c.mem[gi], sub.mem[li]...)
-		c.host[gi] = append(c.host[gi], sub.host[li]...)
 	}
 }
 
@@ -246,33 +286,34 @@ type Input struct {
 
 // Build attributes every request in the input against the collected
 // occupancy intervals. Requests whose entries did not finish (run
-// truncated by MaxCycles) are dropped. The collector may be nil only
-// if the input has no finished entries.
+// truncated by MaxCycles) are dropped. A nil collector attributes
+// every cycle to idle-in-queue.
+//
+// Allocation is O(requests): the output spans' Entries, Segments,
+// Intervals and Totals are cap-limited windows of a few shared slabs,
+// and the bucketing, grouping and sweep buffers come from a pool.
 func Build(in Input, c *Collector) []RequestSpan {
 	n := len(in.ClassOf)
 	if n == 0 {
 		return nil
 	}
-	// Group entries by request id, preserving entry order.
-	groups := make([][]int, 0, n)
-	at := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		req := i
-		if in.ReqOf != nil {
-			req = in.ReqOf[i]
-		}
-		gi, ok := at[req]
-		if !ok {
-			gi = len(groups)
-			at[req] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.bucket(c, n)
+	sc.group(in.ReqOf, n)
 
-	out := make([]RequestSpan, 0, len(groups))
-	for _, g := range groups {
-		head, last := g[0], g[len(g)-1]
+	// A span retained past the call (a Store exemplar or ring entry)
+	// keeps alive only the slab chunks its own slices sit in, so the
+	// chunks stay small: at most 32 KB each.
+	var (
+		entries   = slab[EntrySpan]{chunk: 256}
+		segments  = slab[Segment]{chunk: 1024}
+		intervals = slab[Interval]{chunk: 1024}
+	)
+	out := make([]RequestSpan, 0, len(sc.bounds)-1)
+	for g := 0; g+1 < len(sc.bounds); g++ {
+		grp := sc.order[sc.bounds[g]:sc.bounds[g+1]]
+		head, last := grp[0], grp[len(grp)-1]
 		req := head
 		if in.ReqOf != nil {
 			req = in.ReqOf[head]
@@ -296,157 +337,334 @@ func Build(in Input, c *Collector) []RequestSpan {
 			out = append(out, sp)
 			continue
 		}
+		if !finished(in, grp) {
+			continue
+		}
 
-		totals := map[string]arch.Cycles{}
-		done := true
-		for _, i := range g {
+		sp.Entries = entries.take(len(grp))
+		var totals [nKinds]arch.Cycles
+		for k, i := range grp {
 			a, f := in.Arrive[i], in.Finish[i]
-			if f < a || (f == 0 && a > 0) {
-				done = false // truncated run: entry never finished
-				break
-			}
-			es := EntrySpan{Entry: i, Arrive: a, Finish: f}
+			sums, pieces := sc.attribute(a, f, sc.recs[sc.off[i]:sc.off[i+1]])
+			es := &sp.Entries[k]
+			*es = EntrySpan{Entry: i, Arrive: a, Finish: f, Segments: carveSegments(&segments, &sums)}
 			if in.Phases != nil {
 				es.Phase = in.Phases[i]
 			}
-			es.Segments, es.Intervals = attribute(a, f, c.pe[i], c.mem[i], c.host[i])
-			for _, s := range es.Segments {
-				totals[s.Kind] += s.Cycles
+			if len(pieces) > 0 {
+				es.Intervals = intervals.take(len(pieces))
+				for j, p := range pieces {
+					es.Intervals[j] = Interval{Kind: prioKind[p.prio], Start: p.start, End: p.end}
+				}
 			}
-			sp.Entries = append(sp.Entries, es)
-		}
-		if !done {
-			continue
+			for p, cy := range sums {
+				totals[p] += cy
+			}
 		}
 		sp.Finish = in.Finish[last]
 		sp.Latency = sp.Finish - sp.Arrive
 		sp.Missed = sp.Finish > sp.Deadline
-		for _, k := range SegmentKinds {
-			if totals[k] > 0 {
-				sp.Totals = append(sp.Totals, Segment{Kind: k, Cycles: totals[k]})
-			}
-		}
+		sp.Totals = carveSegments(&segments, &totals)
 		out = append(out, sp)
 	}
 	return out
 }
 
+// finished reports whether every entry of a request completed; a run
+// truncated by MaxCycles leaves later entries unfinished.
+func finished(in Input, grp []int) bool {
+	for _, i := range grp {
+		if a, f := in.Arrive[i], in.Finish[i]; f < a || (f == 0 && a > 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Classification priorities: lower wins when intervals overlap.
+// prioQueue labels cycles no interval covers.
 const (
-	prioPE = iota
+	prioPE uint8 = iota
 	prioHost
 	prioPreempt
 	prioHBM
 	nPrio
+
+	prioQueue = nPrio
+	nKinds    = nPrio + 1
 )
 
-var prioKind = [nPrio + 1]string{SegPE, SegHost, SegPreempt, SegHBM, SegQueue}
+var prioKind = [nKinds]string{SegPE, SegHost, SegPreempt, SegHBM, SegQueue}
+
+// reportOrder lists the priorities in SegmentKinds order.
+var reportOrder = [nKinds]uint8{prioQueue, prioHBM, prioPE, prioPreempt, prioHost}
+
+// carveSegments returns the non-zero per-kind sums as Segments in
+// canonical report order, or nil when every sum is zero.
+func carveSegments(s *slab[Segment], sums *[nKinds]arch.Cycles) []Segment {
+	k := 0
+	for _, cy := range sums {
+		if cy > 0 {
+			k++
+		}
+	}
+	out := s.take(k)
+	k = 0
+	for _, p := range reportOrder {
+		if sums[p] > 0 {
+			out[k] = Segment{Kind: prioKind[p], Cycles: sums[p]}
+			k++
+		}
+	}
+	return out
+}
+
+// slab hands out cap-limited windows of shared chunk arrays: carving
+// many small result slices costs one allocation per chunk of `chunk`
+// elements, and an append to one window reallocates instead of
+// overwriting the next.
+type slab[T any] struct {
+	buf   []T
+	chunk int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]T, 0, max(n, s.chunk))
+	}
+	i := len(s.buf)
+	s.buf = s.buf[:i+n]
+	return s.buf[i : i+n : i+n]
+}
+
+// scratch holds Build's transient buffers, pooled across calls.
+type scratch struct {
+	off    []int    // entry i's records are recs[off[i]:off[i+1]]
+	recs   []record // the log bucketed by instance, log order within each
+	order  []int    // entry indices grouped by request
+	bounds []int    // group g is order[bounds[g]:bounds[g+1]]
+	count  []int
+	next   []int
+	ids    []int
+	bs     []bnd
+	pieces []piece
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// ints returns buf resized to n zeroed elements, reusing its storage.
+func ints(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// bucket groups the log by instance with one stable counting pass,
+// keeping log order within each instance. Records of instances at or
+// beyond n are ignored.
+func (sc *scratch) bucket(c *Collector, n int) {
+	sc.off = ints(sc.off, n+1)
+	var chunks [][]record
+	if c != nil {
+		chunks = c.chunks
+	}
+	total := 0
+	for _, ch := range chunks {
+		for _, r := range ch {
+			if int(r.net) < n {
+				sc.off[r.net+1]++
+				total++
+			}
+		}
+	}
+	for i := 1; i <= n; i++ {
+		sc.off[i] += sc.off[i-1]
+	}
+	if cap(sc.recs) < total {
+		sc.recs = make([]record, total)
+	}
+	sc.recs = sc.recs[:total]
+	sc.next = ints(sc.next, n)
+	copy(sc.next, sc.off)
+	for _, ch := range chunks {
+		for _, r := range ch {
+			if int(r.net) < n {
+				sc.recs[sc.next[r.net]] = r
+				sc.next[r.net]++
+			}
+		}
+	}
+}
+
+// group orders the n entries by request — requests in order of first
+// appearance, entries in stream order within each — with a counting
+// pass over the dense request ids.
+func (sc *scratch) group(reqOf []int, n int) {
+	sc.order = ints(sc.order, n)
+	sc.bounds = append(sc.bounds[:0], 0)
+	if reqOf == nil {
+		for i := range sc.order {
+			sc.order[i] = i
+			sc.bounds = append(sc.bounds, i+1)
+		}
+		return
+	}
+	ids := reqOf
+	for _, r := range reqOf {
+		if r < 0 || r >= n {
+			ids = sc.densify(reqOf)
+			break
+		}
+	}
+	sc.count = ints(sc.count, n)
+	sc.next = ints(sc.next, n)
+	for _, r := range ids {
+		sc.count[r]++
+	}
+	pos := 0
+	for i, r := range ids {
+		if sc.count[r] > 0 { // first entry of request r: reserve its run
+			sc.next[r] = pos
+			pos += sc.count[r]
+			sc.count[r] = 0
+			sc.bounds = append(sc.bounds, pos)
+		}
+		sc.order[sc.next[r]] = i
+		sc.next[r]++
+	}
+}
+
+// densify renumbers request ids 0, 1, 2, … in order of first
+// appearance, for inputs whose ReqOf is not already dense.
+func (sc *scratch) densify(reqOf []int) []int {
+	sc.ids = ints(sc.ids, len(reqOf))
+	at := make(map[int]int)
+	for i, r := range reqOf {
+		d, ok := at[r]
+		if !ok {
+			d = len(at)
+			at[r] = d
+		}
+		sc.ids[i] = d
+	}
+	return sc.ids
+}
 
 // bnd is one sweep boundary: at cycle `at`, priority `prio` gains
 // (+1) or loses (-1) one covering interval.
 type bnd struct {
 	at    arch.Cycles
-	prio  int
-	delta int
+	prio  uint8
+	delta int8
 }
 
-// attribute partitions [a, f) into labelled segments using the
-// collected occupancy intervals for one entry. The returned intervals
-// cover the window exactly; the segments are the per-kind sums.
-func attribute(a, f arch.Cycles, pe []peIval, mem, host []ival) ([]Segment, []Interval) {
-	if f <= a {
-		return nil, nil
+func cmpBnd(x, y bnd) int {
+	if x.at != y.at {
+		return cmp.Compare(x.at, y.at)
 	}
-	bs := make([]bnd, 0, 2*(len(pe)+len(mem)+len(host))+8)
-	add := func(prio int, s, e arch.Cycles) {
-		if s < a {
-			s = a
-		}
-		if e > f {
-			e = f
-		}
+	if x.prio != y.prio {
+		return int(x.prio) - int(y.prio)
+	}
+	return int(x.delta) - int(y.delta)
+}
+
+// piece is one contiguous labelled slice of an entry window.
+type piece struct {
+	start, end arch.Cycles
+	prio       uint8
+}
+
+// attribute partitions [a, f) into labelled pieces using one entry's
+// occupancy records. The returned pieces cover the window exactly and
+// sums holds the per-priority totals; pieces is valid until the next
+// call.
+func (sc *scratch) attribute(a, f arch.Cycles, recs []record) (sums [nKinds]arch.Cycles, pieces []piece) {
+	sc.pieces = sc.pieces[:0]
+	if f <= a {
+		return sums, nil
+	}
+	bs := sc.bs[:0]
+	add := func(prio uint8, s, e arch.Cycles) {
+		s, e = max(s, a), min(e, f)
 		if s < e {
 			bs = append(bs, bnd{s, prio, 1}, bnd{e, prio, -1})
 		}
 	}
-	for _, iv := range pe {
-		add(prioPE, iv.start, iv.end)
-	}
-	for _, iv := range host {
-		add(prioHost, iv.start, iv.end)
-	}
-	for _, iv := range mem {
-		add(prioHBM, iv.start, iv.end)
-	}
-	// A split-halted compute block is preempted out until the next PE
-	// interval for the same (layer, iter) begins.
-	for i, iv := range pe {
-		if !iv.split {
-			continue
+	for i, r := range recs {
+		switch r.kind {
+		case kindPE:
+			add(prioPE, r.start, r.end)
+		case kindPESplit:
+			add(prioPE, r.start, r.end)
+			add(prioPreempt, r.end, resumeOf(recs, i, f))
+		case kindHost:
+			add(prioHost, r.start, r.end)
+		case kindMem:
+			add(prioHBM, r.start, r.end)
 		}
-		resume := f
-		for j, jv := range pe {
-			if j == i || jv.layer != iv.layer || jv.iter != iv.iter {
-				continue
-			}
-			if jv.start >= iv.end && jv.start < resume {
-				resume = jv.start
-			}
-		}
-		add(prioPreempt, iv.end, resume)
 	}
-
-	sort.Slice(bs, func(i, j int) bool {
-		if bs[i].at != bs[j].at {
-			return bs[i].at < bs[j].at
-		}
-		if bs[i].prio != bs[j].prio {
-			return bs[i].prio < bs[j].prio
-		}
-		return bs[i].delta < bs[j].delta
-	})
+	slices.SortFunc(bs, cmpBnd)
+	sc.bs = bs
 
 	var counts [nPrio]int
-	kindAt := func() string {
-		for p := 0; p < nPrio; p++ {
-			if counts[p] > 0 {
-				return prioKind[p]
-			}
-		}
-		return SegQueue
-	}
-	var ivs []Interval
-	sums := map[string]arch.Cycles{}
-	emit := func(from, to arch.Cycles, kind string) {
-		if to <= from {
-			return
-		}
-		sums[kind] += to - from
-		if n := len(ivs); n > 0 && ivs[n-1].Kind == kind && ivs[n-1].End == from {
-			ivs[n-1].End = to
-			return
-		}
-		ivs = append(ivs, Interval{Kind: kind, Start: from, End: to})
-	}
 	cur := a
 	for i := 0; i < len(bs); {
 		at := bs[i].at
-		emit(cur, at, kindAt())
+		sc.emit(&sums, cur, at, top(&counts))
 		if at > cur {
 			cur = at
 		}
 		for i < len(bs) && bs[i].at == at {
-			counts[bs[i].prio] += bs[i].delta
+			counts[bs[i].prio] += int(bs[i].delta)
 			i++
 		}
 	}
-	emit(cur, f, kindAt())
+	sc.emit(&sums, cur, f, top(&counts))
+	return sums, sc.pieces
+}
 
-	segs := make([]Segment, 0, len(sums))
-	for _, k := range SegmentKinds {
-		if sums[k] > 0 {
-			segs = append(segs, Segment{Kind: k, Cycles: sums[k]})
+// resumeOf returns when the split-halted compute block recs[i] is
+// preempted out until: the start of the next PE interval of the same
+// (layer, iter), or f when none follows.
+func resumeOf(recs []record, i int, f arch.Cycles) arch.Cycles {
+	iv := recs[i]
+	resume := f
+	for j, r := range recs {
+		if j == i || (r.kind != kindPE && r.kind != kindPESplit) || r.layer != iv.layer || r.iter != iv.iter {
+			continue
+		}
+		if r.start >= iv.end && r.start < resume {
+			resume = r.start
 		}
 	}
-	return segs, ivs
+	return resume
+}
+
+// top returns the winning priority among the covering intervals, or
+// prioQueue when none covers.
+func top(counts *[nPrio]int) uint8 {
+	for p, n := range counts {
+		if n > 0 {
+			return uint8(p)
+		}
+	}
+	return prioQueue
+}
+
+func (sc *scratch) emit(sums *[nKinds]arch.Cycles, from, to arch.Cycles, prio uint8) {
+	if to <= from {
+		return
+	}
+	sums[prio] += to - from
+	if n := len(sc.pieces); n > 0 && sc.pieces[n-1].prio == prio && sc.pieces[n-1].end == from {
+		sc.pieces[n-1].end = to
+		return
+	}
+	sc.pieces = append(sc.pieces, piece{from, to, prio})
 }

@@ -716,7 +716,9 @@ func (e *Engine) completeMB() error {
 	v.memBusy = false
 	e.res.MemBusy += l.MBCycles
 	e.res.MBCount++
-	e.trace("mem", "MB:", l.Name, r.Net, r.Layer, r.Iter, start, v.now)
+	if e.opts.Tracer != nil {
+		e.trace("mem", compiler.LabelMB, r.Net, r.Layer, r.Iter, start, v.now)
+	}
 	if v.om != nil {
 		v.om.mbDone.Inc()
 		v.om.memBusyC.Add(int64(l.MBCycles))
@@ -791,7 +793,9 @@ func (e *Engine) completeCB() error {
 	v.peBusy = false
 	e.res.PEBusy += v.curCBWork
 	e.res.CBCount++
-	e.trace("pe", "CB:", l.Name, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
+	if e.opts.Tracer != nil {
+		e.trace("pe", compiler.LabelCB, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
+	}
 
 	if err := v.buf.Consume(&s.chains[r.Layer], l.MBBlocks); err != nil {
 		return fmt.Errorf("sim: complete CB %+v: %w", r, err)
@@ -864,7 +868,9 @@ func (e *Engine) applySplit() error {
 	v.peBusy = false
 	e.res.PEBusy += executed
 	e.res.Splits++
-	e.trace("pe", "CB(split):", l.Name, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
+	if e.opts.Tracer != nil {
+		e.trace("pe", compiler.LabelCBSplit, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
+	}
 
 	if e.chk != nil {
 		if err := e.chk.cbSplit(r, v.cbStart, v.now, remaining); err != nil {
@@ -921,7 +927,9 @@ func (e *Engine) completeHost() error {
 	if x.output {
 		name = "host-out"
 	}
-	e.trace("host", "", name, x.net, -1, -1, e.hostEnd-x.cycles, v.now)
+	if e.opts.Tracer != nil {
+		e.opts.Tracer.Event("host", name, x.net, -1, -1, e.hostEnd-x.cycles, v.now)
+	}
 	if v.om != nil {
 		v.om.hostBusyC.Add(int64(x.cycles))
 	}
@@ -1008,15 +1016,14 @@ func (e *Engine) allDone() bool {
 	return e.hostHead == len(e.hostQ) && !e.hostBusy
 }
 
-// trace forwards one occupancy interval to the Tracer. The block
-// label is passed as prefix + name and concatenated only after the
-// nil check, so a run without a tracer never pays the string
-// allocation — this keeps the event hot loop allocation-free (see
-// BenchmarkSimulatorThroughput's allocs/op).
-func (e *Engine) trace(engineName, prefix, name string, net, layer, iter int, start, end arch.Cycles) {
-	if e.opts.Tracer != nil {
-		e.opts.Tracer.Event(engineName, prefix+name, net, layer, iter, start, end)
-	}
+// trace forwards one block's occupancy interval to the Tracer under
+// the layer's label of the given kind. Callers check for a nil Tracer
+// first, so an untraced run pays only that check and passes nothing
+// (see BenchmarkSimulatorThroughput's allocs/op); labels are resolved
+// once per compiled network, so a traced event does not allocate
+// either.
+func (e *Engine) trace(engineName string, kind compiler.LabelKind, net, layer, iter int, start, end arch.Cycles) {
+	e.opts.Tracer.Event(engineName, e.v.nets[net].cn.Label(kind, layer), net, layer, iter, start, end)
 }
 
 // stuckDiagnosis renders a short description of why no engine can make

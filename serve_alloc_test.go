@@ -48,6 +48,9 @@ func TestServeStreamAllocsFlatAt8x(t *testing.T) {
 // allocate exactly as much as leaving the field unset, so the hot
 // path never pays for hooks it isn't using.
 func TestServeStreamTracingDisabledAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
 	cfg := PaperConfig()
 	s, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: 200,
@@ -70,5 +73,48 @@ func TestServeStreamTracingDisabledAllocFree(t *testing.T) {
 	off := measure(RunOptions{Arrivals: s.Arrivals, ChainAfter: s.ChainAfter, Tracer: nil})
 	if off != base {
 		t.Errorf("nil tracer changed allocations: %.0f with tracing disabled, %.0f baseline", off, base)
+	}
+}
+
+// TestServeStreamTracedAllocsFlatAt8x pins request tracing at
+// O(requests) allocation instead of O(events): a traced run plus span
+// building over 8x the requests may allocate only a bounded number
+// more. Labels are resolved once per compiled network, the collector
+// logs into fixed-size chunks, and Build carves its spans from a few
+// shared slabs, so the growth is a handful of chunks, not one
+// allocation per event or per span.
+func TestServeStreamTracedAllocsFlatAt8x(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	cfg := PaperConfig()
+	run := func(requests int) float64 {
+		s, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+			Requests: requests,
+			Process:  ServePoisson,
+			Seed:     11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		once := func() {
+			col := NewRequestTraceCollector(len(s.Nets))
+			res, err := Run(cfg, s.Nets, NewAIMT(cfg, AllMechanisms()),
+				RunOptions{Arrivals: s.Arrivals, ChainAfter: s.ChainAfter, Tracer: col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spans := BuildRequestSpans(s, res, "pin", col); len(spans) != requests {
+				t.Fatalf("%d spans for %d requests", len(spans), requests)
+			}
+		}
+		once() // warm the pooled engine and span-builder buffers
+		return testing.AllocsPerRun(10, once)
+	}
+	small := run(50)
+	large := run(400)
+	if delta := large - small; delta > 64 {
+		t.Errorf("8x the requests grew traced allocations by %.0f (%.0f -> %.0f); tracing is not O(requests)",
+			delta, small, large)
 	}
 }
