@@ -36,7 +36,6 @@ import (
 	"aimt/internal/sched"
 	"aimt/internal/serve"
 	"aimt/internal/sim"
-	"aimt/internal/sweep"
 	"aimt/internal/workload"
 )
 
@@ -74,9 +73,6 @@ type Result = sim.Result
 
 // RunOptions tunes a simulation run; see sim.Options.
 type RunOptions = sim.Options
-
-// Tracer receives occupancy intervals; see sim.Tracer.
-type Tracer = sim.Tracer
 
 // Mix is a compiled co-location scenario; see workload.Mix.
 type Mix = workload.Mix
@@ -133,15 +129,6 @@ type TransformerConfig = nn.TransformerConfig
 var (
 	// Transformer builds a transformer from an explicit config.
 	Transformer = nn.Transformer
-	// MustTransformer is Transformer, panicking on invalid configs.
-	MustTransformer = nn.MustTransformer
-	// BERTBase returns the 12-block encoder at the given sequence length.
-	BERTBase = nn.BERTBase
-	// GPT2Prefill returns the 12-block decoder processing a full prompt.
-	GPT2Prefill = nn.GPT2Prefill
-	// GPT2Decode returns the single-token autoregressive decode step
-	// against a KV cache of the given context length.
-	GPT2Decode = nn.GPT2Decode
 )
 
 // Compile lowers a network onto the hardware at the given batch size,
@@ -176,25 +163,6 @@ func NewEngine(cfg Config, nets []*Compiled, s Scheduler, opts RunOptions) (*Eng
 // invariant checker (RunOptions.CheckInvariants) reports; see
 // sim.ErrInvariant.
 var ErrInvariant = sim.ErrInvariant
-
-// SweepJob is one simulation of a parallel sweep; see sweep.Job.
-type SweepJob = sweep.Job
-
-// SweepOutcome is one sweep job's result; see sweep.Outcome.
-type SweepOutcome = sweep.Outcome
-
-// SweepOptions tunes a sweep; see sweep.Options.
-type SweepOptions = sweep.Options
-
-// RunSweep fans independent simulations over a worker pool with
-// deterministic, job-ordered aggregation; see sweep.Run. The
-// experiment drivers (Fig7Data ... ServingData) run on it — see
-// SetSweepParallelism for their worker cap.
-func RunSweep(jobs []SweepJob, opts SweepOptions) []SweepOutcome { return sweep.Run(jobs, opts) }
-
-// SweepError returns the first failed outcome's error, annotated with
-// the job's labels; see sweep.FirstError.
-func SweepError(outs []SweepOutcome) error { return sweep.FirstError(outs) }
 
 // Baseline schedulers (§III-B, Fig 6).
 
@@ -291,9 +259,6 @@ type ServeCurveOptions = serve.CurveOptions
 // per run; see serve.SchedulerSpec.
 type SchedulerSpec = serve.SchedulerSpec
 
-// ServePhase tags a stream entry's request phase; see serve.Phase.
-type ServePhase = serve.Phase
-
 // Request phases for multi-phase (transformer) serving streams.
 const (
 	// ServeSinglePhase marks a classic one-shot request.
@@ -303,10 +268,6 @@ const (
 	// ServeDecodePhase marks one autoregressive decode iteration.
 	ServeDecodePhase = serve.PhaseDecode
 )
-
-// ServePhaseStats is one phase's row in a serving report; see
-// serve.PhaseStats.
-type ServePhaseStats = serve.PhaseStats
 
 // DefaultServingClasses returns the default mixed CNN/RNN serving mix.
 func DefaultServingClasses() []ServeClass { return serve.DefaultClasses() }
@@ -356,12 +317,6 @@ func ServeRun(cfg Config, s *ServeStream, sch Scheduler, opts RunOptions) (*Serv
 // a latency-vs-throughput curve per scheduler.
 func ServeLoadCurve(cfg Config, classes []ServeClass, schedulers []SchedulerSpec, opts ServeCurveOptions) ([]ServeCurvePoint, error) {
 	return serve.LoadCurve(cfg, classes, schedulers, opts)
-}
-
-// BuildServeReportShed folds a simulation result into a report where
-// admission control shed some requests; see serve.BuildReportShed.
-func BuildServeReportShed(s *ServeStream, res *Result, shed []bool) *ServeReport {
-	return serve.BuildReportShed(s, res, shed)
 }
 
 // ServeProcess selects a stream's arrival process; see serve.Process.
@@ -423,12 +378,6 @@ func ClusterPolicyNames() []string { return cluster.Names() }
 // ignoring case.
 func ClusterPolicyByName(name string) (ClusterPolicySpec, error) { return cluster.ByName(name) }
 
-// ClusterDispatch routes every request of a stream to a chip under the
-// policy and returns the request-to-chip assignment.
-func ClusterDispatch(s *ServeStream, pol ClusterPolicy, chips int) ([]int, error) {
-	return cluster.Dispatch(s, pol, chips)
-}
-
 // ClusterServe routes a stream across a simulated multi-chip cluster
 // and runs every chip's sub-stream on its own engine, reporting
 // per-chip and aggregate tail latency, SLA misses and load imbalance.
@@ -467,9 +416,6 @@ type ObsRegistry = obs.Registry
 // occupancy and stall attribution; see obs.Ledger.
 type ObsLedger = obs.Ledger
 
-// ObsDecision is one ledger entry; see obs.Decision.
-type ObsDecision = obs.Decision
-
 // NewObsRegistry returns an empty observability registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 
@@ -492,19 +438,9 @@ func ObsHandler(reg *ObsRegistry, led *ObsLedger) *http.ServeMux { return obs.Ha
 // see runstore.Run.
 type StoredRun = runstore.Run
 
-// RunMetric is one measured value of a run; see runstore.Metric.
-type RunMetric = runstore.Metric
-
 // RunStore is an append-only run log under one directory, tolerant of
 // torn trailing writes; see runstore.Store.
 type RunStore = runstore.Store
-
-// RunQuery filters runs by source and labels; see runstore.Query.
-type RunQuery = runstore.Query
-
-// RunDiff is a metric-by-metric comparison of two runs against a
-// noise threshold; see runstore.Diff.
-type RunDiff = runstore.Diff
 
 // OpenRunStore loads (creating if needed) the run store under dir.
 func OpenRunStore(dir string) (*RunStore, error) { return runstore.Open(dir) }
@@ -513,10 +449,6 @@ func OpenRunStore(dir string) (*RunStore, error) { return runstore.Open(dir) }
 // as seed run history, ordered by trailing number (BENCH_3 before
 // BENCH_8 before BENCH_10).
 func LoadBenchHistory(glob string) ([]StoredRun, error) { return runstore.LoadBenchGlob(glob) }
-
-// DiffRuns compares new against old: ratios beyond noise in a
-// metric's bad direction count as regressions.
-func DiffRuns(old, new StoredRun, noise float64) *RunDiff { return runstore.DiffRuns(old, new, noise) }
 
 // CurrentCommit returns the working tree's short git commit, or "".
 func CurrentCommit() string { return runstore.CurrentCommit() }
@@ -546,22 +478,14 @@ type RequestTraceOptions = rtrace.Options
 // segments sum exactly to its latency; see rtrace.RequestSpan.
 type RequestSpan = rtrace.RequestSpan
 
-// RequestSegment is one attributed share of a request's latency; see
-// rtrace.Segment.
-type RequestSegment = rtrace.Segment
-
 // RequestAttribution is one row of the latency-attribution report;
 // see rtrace.Attribution.
 type RequestAttribution = rtrace.Attribution
 
-// RequestTraceCollector buckets engine occupancy events by network
-// instance for span attribution; it implements Tracer, so attach it
-// via RunOptions.Tracer; see rtrace.Collector.
+// RequestTraceCollector logs engine occupancy events by network
+// instance for span attribution; attach it via RunOptions.Tracer; see
+// rtrace.Collector.
 type RequestTraceCollector = rtrace.Collector
-
-// RequestSegmentKinds lists the attribution segment labels in
-// canonical report order.
-var RequestSegmentKinds = rtrace.SegmentKinds
 
 // NewRequestTraceStore returns a bounded request-trace store.
 func NewRequestTraceStore(opt RequestTraceOptions) *RequestTraceStore { return rtrace.NewStore(opt) }
@@ -593,8 +517,8 @@ func PrintRequestAttribution(w io.Writer, rows []RequestAttribution) error {
 type ClusterTraceRun = cluster.TraceRun
 
 // ClusterTraceRequests runs a fixed-seed serving stream across a
-// cluster with request tracing and engine tracing on, and assembles
-// the merged Perfetto track set (chip occupancy overlaid with tail
+// cluster with request tracing on, and assembles the merged Perfetto
+// track set (chip occupancy overlaid with tail
 // exemplar request tracks); see cluster.TraceRequests.
 func ClusterTraceRequests(cfg Config, classes []ServeClass, spec SchedulerSpec, requests, chips int, load float64, seed int64) (*ClusterTraceRun, error) {
 	return cluster.TraceRequests(cfg, classes, spec, requests, chips, load, seed)
@@ -610,10 +534,4 @@ func RecordServeCurve(st *RunStore, mix, process, commit string, points []ServeC
 // of a cluster sweep to the store; see cluster.RecordCurve.
 func RecordClusterCurve(st *RunStore, mix, process, commit string, points []ClusterCurvePoint) ([]StoredRun, error) {
 	return cluster.RecordCurve(st, mix, process, commit, points)
-}
-
-// RecordSweepOutcomes appends one run per successful sweep outcome to
-// the store; see sweep.RecordOutcomes.
-func RecordSweepOutcomes(st *RunStore, commit string, labels map[string]string, outs []SweepOutcome) ([]StoredRun, error) {
-	return sweep.RecordOutcomes(st, commit, labels, outs)
 }

@@ -94,6 +94,29 @@ import (
 	"aimt/internal/profiling"
 )
 
+// Admin server timeouts. They bound how long a slow or stalled client
+// can hold a connection, and the goroutine serving it: one that never
+// finishes its headers is dropped after adminReadHeaderTimeout.
+// WriteTimeout bounds a whole response, so it outlasts the 30 s CPU
+// profile /debug/pprof/profile takes by default.
+const (
+	adminReadHeaderTimeout = 5 * time.Second
+	adminReadTimeout       = 10 * time.Second
+	adminWriteTimeout      = 90 * time.Second
+	adminIdleTimeout       = 120 * time.Second
+)
+
+// adminServer builds the admin endpoint server around its mux.
+func adminServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: adminReadHeaderTimeout,
+		ReadTimeout:       adminReadTimeout,
+		WriteTimeout:      adminWriteTimeout,
+		IdleTimeout:       adminIdleTimeout,
+	}
+}
+
 type options struct {
 	requests    int
 	process     string
@@ -343,7 +366,7 @@ func run(opts options) error {
 			return fmt.Errorf("-admin: %w", err)
 		}
 		defer ln.Close()
-		go func() { _ = (&http.Server{Handler: mux}).Serve(ln) }()
+		go func() { _ = adminServer(mux).Serve(ln) }()
 		fmt.Printf("admin: serving /metrics, /healthz, /runs, /debug/snapshot, /debug/pprof/ on %s\n", ln.Addr())
 	}
 

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // baseOptions mirrors the flag defaults with a short stream.
@@ -125,5 +127,28 @@ func TestRunSmoke(t *testing.T) {
 	opts.route = "predictive"
 	if err := run(opts); err != nil {
 		t.Fatalf("predictive cluster sweep: %v", err)
+	}
+}
+
+// TestAdminServerTimeouts pins the admin server's defence against
+// slow clients: every timeout is set, and a full response may outlast
+// the default 30 s /debug/pprof/profile capture.
+func TestAdminServerTimeouts(t *testing.T) {
+	srv := adminServer(http.NewServeMux())
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want > 0", name, d)
+		}
+	}
+	if srv.WriteTimeout <= 30*time.Second {
+		t.Errorf("WriteTimeout = %v, want > 30s so a default CPU profile completes", srv.WriteTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("server has no handler")
 	}
 }

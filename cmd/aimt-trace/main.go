@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"aimt"
+	"aimt/internal/rtrace"
 	"aimt/internal/trace"
 	"aimt/internal/workload"
 )
@@ -130,18 +131,19 @@ func run(mixSpec, sched string, batch, width int, jsonOut string, utilWindows in
 	if err != nil {
 		return err
 	}
-	rec := &trace.Recorder{}
-	res, err := aimt.Run(cfg, mix.Nets, e.New(cfg, aimt.SchedulerInput{MemHeavy: mix.MemHeavy}), aimt.RunOptions{Tracer: rec})
+	col := rtrace.NewCollector(len(mix.Nets))
+	res, err := aimt.Run(cfg, mix.Nets, e.New(cfg, aimt.SchedulerInput{MemHeavy: mix.MemHeavy}), aimt.RunOptions{Tracer: col})
 	if err != nil {
 		return err
 	}
+	evs := col.Events(mix.Nets)
 
 	fmt.Printf("mix %s under %s: makespan %d cycles, PE %.1f%%, mem %.1f%%\n",
 		mix.Name, res.Scheduler, res.Makespan, 100*res.PEUtilization(), 100*res.MemUtilization())
 	for i, name := range res.NetNames {
 		fmt.Printf("  net %d = %s\n", i, name)
 	}
-	fmt.Print(rec.Gantt(res.Makespan, width))
+	fmt.Print(trace.Gantt(evs, res.Makespan, width))
 
 	if utilWindows > 0 {
 		window := res.Makespan / aimt.Cycles(utilWindows)
@@ -149,7 +151,7 @@ func run(mixSpec, sched string, batch, width int, jsonOut string, utilWindows in
 			window = 1
 		}
 		fmt.Println("\nwindow-start  mem-util  pe-util")
-		for _, p := range rec.UtilizationSeries(res.Makespan, window) {
+		for _, p := range trace.UtilizationSeries(evs, res.Makespan, window) {
 			fmt.Printf("%12d  %8.2f  %7.2f\n", p.Start, p.Mem, p.PE)
 		}
 	}
@@ -160,10 +162,10 @@ func run(mixSpec, sched string, batch, width int, jsonOut string, utilWindows in
 			return err
 		}
 		defer f.Close()
-		if err := rec.WriteChromeTrace(f); err != nil {
+		if err := trace.WriteChromeTracks(f, trace.EngineTracks(evs, 1, mix.Name)); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d events to %s\n", len(rec.Events), jsonOut)
+		fmt.Printf("wrote %d events to %s\n", len(evs), jsonOut)
 	}
 	return nil
 }

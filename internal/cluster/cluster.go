@@ -68,12 +68,6 @@ type Options struct {
 	// verdict included) land in Result.Spans and the store. Nil
 	// attaches no tracer.
 	Trace *rtrace.Store
-
-	// EngineTrace, when non-nil, supplies an occupancy tracer per chip
-	// (nil return skips that chip), e.g. a trace.Recorder per chip for
-	// a merged Perfetto export. Independent of Trace; when both are
-	// set the chip engines fan events out to both.
-	EngineTrace func(chip int) sim.Tracer
 }
 
 // Result is one policy's cluster serving outcome.
@@ -186,6 +180,16 @@ func dispatch(s *serve.Stream, pol Policy, chips int, etas []arch.Cycles) ([]int
 // every chip's sub-stream on its own engine (one scheduler instance
 // per chip, built by spec), and merges per-chip and aggregate reports.
 func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Policy, opts Options) (*Result, error) {
+	res, _, err := serveChips(cfg, s, spec, pol, opts)
+	return res, err
+}
+
+// serveChips is Serve that also returns each chip's occupancy log in
+// chip-local instance coordinates (nil for chips that served nothing,
+// and all nil unless opts.Trace is set), for exports that render the
+// chips' engine timelines. The logs are not kept on Result: a load
+// sweep retains every Result, and the logs are O(events).
+func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Policy, opts Options) (*Result, []*rtrace.Collector, error) {
 	chips := opts.Chips
 	if chips <= 0 {
 		chips = 1
@@ -213,7 +217,7 @@ func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Polic
 		st.active = chips
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	perChip := make([][]int, chips)
@@ -225,9 +229,9 @@ func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Polic
 	}
 
 	subs := make([]*serve.Stream, chips)
+	cols := make([]*rtrace.Collector, chips)
 	var jobs []sweep.Job
 	var jobChip []int
-	var jobCols []*rtrace.Collector // parallel to jobs when tracing
 	for c := 0; c < chips; c++ {
 		if len(perChip[c]) == 0 {
 			continue
@@ -238,24 +242,12 @@ func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Polic
 		if opts.Metrics != nil {
 			netClasses = sub.NetClasses()
 		}
-		var tracers []sim.Tracer
-		var col *rtrace.Collector
-		if opts.Trace != nil {
-			col = rtrace.NewCollector(len(sub.Nets))
-			tracers = append(tracers, col)
-		}
-		jobCols = append(jobCols, col)
-		if opts.EngineTrace != nil {
-			if t := opts.EngineTrace(c); t != nil {
-				tracers = append(tracers, t)
-			}
-		}
+		// The tracer is assigned only when there is a collector, so an
+		// untraced chip never gets a non-nil Tracer wrapping a nil one.
 		var tracer sim.Tracer
-		switch len(tracers) {
-		case 1:
-			tracer = tracers[0]
-		case 2:
-			tracer = sim.MultiTracer(tracers)
+		if opts.Trace != nil {
+			cols[c] = rtrace.NewCollector(len(sub.Nets))
+			tracer = cols[c]
 		}
 		jobs = append(jobs, sweep.Job{
 			Mix:       sub.Name,
@@ -277,7 +269,7 @@ func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Polic
 	}
 	outs := sweep.Run(jobs, sweep.Options{Workers: opts.Workers})
 	if err := sweep.FirstError(outs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	res := &Result{
@@ -340,9 +332,9 @@ func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Polic
 		// attribute every request against the merged result; shed
 		// requests keep their failed admission prediction as the ETA.
 		gcol := rtrace.NewCollector(len(s.Nets))
-		for ji, col := range jobCols {
+		for c, col := range cols {
 			if col != nil {
-				gcol.Merge(col, perChip[jobChip[ji]])
+				gcol.Merge(col, perChip[c])
 			}
 		}
 		in := serve.TraceInput(s, merged, fmt.Sprintf("%s/%s", spec.Name, pol.Name()))
@@ -373,7 +365,7 @@ func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Polic
 	}
 	res.Imbalance = metrics.Imbalance(utils)
 	res.publish(opts.Metrics, utils)
-	return res, nil
+	return res, cols, nil
 }
 
 // publish folds the cluster outcome into an observability registry:

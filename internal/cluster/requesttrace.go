@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"aimt/internal/arch"
+	"aimt/internal/compiler"
 	"aimt/internal/rtrace"
 	"aimt/internal/serve"
-	"aimt/internal/sim"
 	"aimt/internal/trace"
 )
 
@@ -22,9 +22,10 @@ type TraceRun struct {
 }
 
 // TraceRequests runs one fixed-seed serving stream across a cluster
-// with both request tracing and engine tracing on, and assembles the
-// merged track set. load is the per-chip offered load (>1 means
-// overload); the routing policy is least-work. The run is
+// with request tracing on, and assembles the merged track set: each
+// chip's engine tracks are rendered from the same occupancy log its
+// spans were attributed from. load is the per-chip offered load (>1
+// means overload); the routing policy is least-work. The run is
 // deterministic for fixed inputs, so goldens can pin the merged
 // export byte-exactly.
 func TraceRequests(cfg arch.Config, classes []serve.Class, spec serve.SchedulerSpec, requests, chips int, load float64, seed int64) (*TraceRun, error) {
@@ -48,25 +49,25 @@ func TraceRequests(cfg arch.Config, classes []serve.Class, spec serve.SchedulerS
 		return nil, err
 	}
 	st := rtrace.NewStore(rtrace.Options{SampleEvery: 1, WorstN: 4})
-	recs := make([]*trace.Recorder, chips)
-	res, err := Serve(cfg, s, spec, pol.New(), Options{
-		Chips: chips,
-		Trace: st,
-		EngineTrace: func(c int) sim.Tracer {
-			recs[c] = &trace.Recorder{}
-			return recs[c]
-		},
-	})
+	res, cols, err := serveChips(cfg, s, spec, pol.New(), Options{Chips: chips, Trace: st})
 	if err != nil {
 		return nil, err
 	}
 
+	// A chip's log is in chip-local instance coordinates: its nets are
+	// the stream's nets routed to it, in stream order.
+	chipNets := make([][]*compiler.CompiledNetwork, chips)
+	for i, c := range res.Assignment {
+		if c >= 0 {
+			chipNets[c] = append(chipNets[c], s.Nets[i])
+		}
+	}
 	var tracks []trace.Track
-	for c := 0; c < chips; c++ {
-		if recs[c] == nil {
+	for c, col := range cols {
+		if col == nil {
 			continue
 		}
-		tracks = append(tracks, recs[c].EngineTracks(c+1, fmt.Sprintf("chip %d", c))...)
+		tracks = append(tracks, trace.EngineTracks(col.Events(chipNets[c]), c+1, fmt.Sprintf("chip %d", c))...)
 	}
 	tracks = append(tracks, rtrace.Tracks(chips+1, st.Exemplars())...)
 	return &TraceRun{Stream: s, Result: res, Store: st, Tracks: tracks}, nil

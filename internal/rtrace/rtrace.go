@@ -9,7 +9,10 @@
 //     occupancy interval to one flat log of fixed-size typed records
 //     (engine kind, instance, layer, iter, start, end), growing a
 //     chunk at a time. It is attached per run (per chip in a cluster)
-//     and merged into stream coordinates.
+//     and merged into stream coordinates. It is the only occupancy
+//     recorder: Events replays the log, labels resolved at export
+//     time, for the Gantt, utilization and Chrome renderers in
+//     package trace.
 //   - Build folds a stream's metadata plus a finished sim.Result and
 //     a Collector into []RequestSpan: one span per request, one entry
 //     span per phase (prefill, each decode step), each partitioned
@@ -42,6 +45,8 @@ import (
 	"sync"
 
 	"aimt/internal/arch"
+	"aimt/internal/compiler"
+	"aimt/internal/trace"
 )
 
 // Segment kinds, in canonical report order. Every attributed cycle
@@ -161,12 +166,21 @@ type RequestSpan struct {
 }
 
 // Log record kinds: the engine an occupancy interval ran on, with the
-// CB-split identity decided once, when the event is logged.
+// CB-split identity and the host transfer direction decided once, when
+// the event is logged.
 const (
 	kindPE uint8 = iota
 	kindPESplit
 	kindMem
-	kindHost
+	kindHostIn
+	kindHostOut
+)
+
+// kindEngine and kindLabel map a record kind back to the engine name
+// and the compiled layer label the engine emitted it under.
+var (
+	kindEngine = [...]string{kindPE: "pe", kindPESplit: "pe", kindMem: "mem", kindHostIn: "host", kindHostOut: "host"}
+	kindLabel  = [...]compiler.LabelKind{kindPE: compiler.LabelCB, kindPESplit: compiler.LabelCBSplit, kindMem: compiler.LabelMB}
 )
 
 // record is one occupancy interval in the collector's log.
@@ -182,7 +196,8 @@ const logChunk = 2048
 
 // Collector logs engine occupancy events for a stream of network
 // instances. It implements sim.Tracer structurally; attach it via
-// sim.Options.Tracer (alone or fanned out through sim.MultiTracer).
+// sim.Options.Tracer. It is the only occupancy recorder: span
+// attribution (Build) and every timeline export (Events) read its log.
 // The log is one append-only sequence of fixed-size typed records held
 // in fixed-size chunks: recording costs one allocation per logChunk
 // events and none per event. The zero Collector is unusable — size it
@@ -213,7 +228,10 @@ func (c *Collector) Event(engine, name string, net, layer, iter int, start, end 
 	case "mem":
 		kind = kindMem
 	case "host":
-		kind = kindHost
+		kind = kindHostIn
+		if name == "host-out" {
+			kind = kindHostOut
+		}
 	default:
 		return
 	}
@@ -227,6 +245,39 @@ func (c *Collector) add(r record) {
 		k++
 	}
 	c.chunks[k] = append(c.chunks[k], r)
+}
+
+// Events rebuilds the logged occupancy intervals in log order, the
+// order the engine emitted them, for the timeline renderers in package
+// trace. Labels are resolved at export time: nets[i] must be the
+// compiled network of instance i, and a block's name is its layer's
+// label ("MB:", "CB:" or "CB(split):" plus the layer name); host
+// transfers are named "host-in" or "host-out".
+func (c *Collector) Events(nets []*compiler.CompiledNetwork) []trace.Event {
+	n := 0
+	for _, ch := range c.chunks {
+		n += len(ch)
+	}
+	out := make([]trace.Event, 0, n)
+	for _, ch := range c.chunks {
+		for _, r := range ch {
+			e := trace.Event{
+				Engine: kindEngine[r.kind],
+				Net:    int(r.net), Layer: int(r.layer), Iter: int(r.iter),
+				Start: r.start, End: r.end,
+			}
+			switch r.kind {
+			case kindHostIn:
+				e.Name = "host-in"
+			case kindHostOut:
+				e.Name = "host-out"
+			default:
+				e.Name = nets[r.net].Label(kindLabel[r.kind], int(r.layer))
+			}
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Merge folds a sub-collector recorded over a chip-local sub-stream
@@ -603,7 +654,7 @@ func (sc *scratch) attribute(a, f arch.Cycles, recs []record) (sums [nKinds]arch
 		case kindPESplit:
 			add(prioPE, r.start, r.end)
 			add(prioPreempt, r.end, resumeOf(recs, i, f))
-		case kindHost:
+		case kindHostIn, kindHostOut:
 			add(prioHost, r.start, r.end)
 		case kindMem:
 			add(prioHBM, r.start, r.end)

@@ -260,7 +260,7 @@ func TestBuildWindowsAreCapLimited(t *testing.T) {
 // refOf replays a collector's log into a reference collector.
 func refOf(c *Collector, nets int) *refCollector {
 	rc := newRefCollector(nets)
-	engines := [...]string{kindPE: "pe", kindPESplit: "pe", kindMem: "mem", kindHost: "host"}
+	engines := [...]string{kindPE: "pe", kindPESplit: "pe", kindMem: "mem", kindHostIn: "host", kindHostOut: "host"}
 	for _, ch := range c.chunks {
 		for _, r := range ch {
 			name := "CB:l"

@@ -1,14 +1,14 @@
-// Package trace captures per-engine occupancy intervals from the
-// simulator and renders them: as Chrome trace_event JSON (load in
-// chrome://tracing or Perfetto), as an ASCII Gantt chart like the
-// paper's timeline figures (Figs 4, 6, 9, 12, 13), and as windowed
-// utilization series for Fig 7-style plots.
+// Package trace renders per-engine occupancy intervals: as Chrome
+// trace_event JSON (load in chrome://tracing or Perfetto), as an
+// ASCII Gantt chart like the paper's timeline figures (Figs 4, 6, 9,
+// 12, 13), and as windowed utilization series for Fig 7-style plots.
+// It records nothing itself: the events come from the one occupancy
+// log, rtrace.Collector, whose Events method replays them with their
+// labels resolved at export time.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"aimt/internal/arch"
@@ -27,65 +27,16 @@ type Event struct {
 	Start, End arch.Cycles
 }
 
-// Recorder collects events; it implements sim.Tracer.
-type Recorder struct {
-	// Events holds the recorded intervals in completion order.
-	Events []Event
-}
-
-// Event implements sim.Tracer.
-func (r *Recorder) Event(engine, name string, net, layer, iter int, start, end arch.Cycles) {
-	r.Events = append(r.Events, Event{
-		Engine: engine, Name: name,
-		Net: net, Layer: layer, Iter: iter,
-		Start: start, End: end,
-	})
-}
-
-// chromeEvent is the trace_event "complete" (ph=X) record.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-var engineTID = map[string]int{"mem": 1, "pe": 2, "host": 3}
-
-// WriteChromeTrace emits the events as a Chrome trace_event JSON
-// array; timestamps are cycles interpreted as microseconds.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	evs := make([]chromeEvent, 0, len(r.Events))
-	for _, e := range r.Events {
-		evs = append(evs, chromeEvent{
-			Name: e.Name,
-			Cat:  e.Engine,
-			Ph:   "X",
-			TS:   int64(e.Start),
-			Dur:  int64(e.End - e.Start),
-			PID:  1,
-			TID:  engineTID[e.Engine],
-			Args: map[string]any{"net": e.Net, "layer": e.Layer, "iter": e.Iter},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(evs)
-}
-
 // Gantt renders the events as an ASCII timeline with one row per
 // engine, width columns wide, covering [0, makespan]. Each cell shows
 // the network index occupying the engine ('.' when idle, '*' when
 // several nets share the cell).
-func (r *Recorder) Gantt(makespan arch.Cycles, width int) string {
+func Gantt(evs []Event, makespan arch.Cycles, width int) string {
 	if width <= 0 {
 		width = 80
 	}
 	if makespan <= 0 {
-		for _, e := range r.Events {
+		for _, e := range evs {
 			if e.End > makespan {
 				makespan = e.End
 			}
@@ -105,7 +56,7 @@ func (r *Recorder) Gantt(makespan arch.Cycles, width int) string {
 		}
 		return i
 	}
-	for _, e := range r.Events {
+	for _, e := range evs {
 		row, ok := rows[e.Engine]
 		if !ok {
 			continue
@@ -139,14 +90,14 @@ type UtilizationPoint struct {
 
 // UtilizationSeries computes windowed busy fractions for the mem and
 // pe engines over [0, makespan] using the given window size.
-func (r *Recorder) UtilizationSeries(makespan, window arch.Cycles) []UtilizationPoint {
+func UtilizationSeries(evs []Event, makespan, window arch.Cycles) []UtilizationPoint {
 	if window <= 0 || makespan <= 0 {
 		return nil
 	}
 	n := int((makespan + window - 1) / window)
 	memBusy := make([]arch.Cycles, n)
 	peBusy := make([]arch.Cycles, n)
-	for _, e := range r.Events {
+	for _, e := range evs {
 		var acc []arch.Cycles
 		switch e.Engine {
 		case "mem":

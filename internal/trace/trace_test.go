@@ -9,55 +9,70 @@ import (
 	"aimt/internal/arch"
 )
 
-func sample() *Recorder {
-	r := &Recorder{}
-	r.Event("mem", "MB:a", 0, 0, 0, 0, 10)
-	r.Event("pe", "CB:a", 0, 0, 0, 10, 40)
-	r.Event("mem", "MB:b", 1, 0, 0, 10, 30)
-	r.Event("pe", "CB:b", 1, 0, 0, 40, 50)
-	r.Event("host", "host-in", 1, -1, -1, 0, 5)
-	return r
-}
-
-func TestRecorderCollects(t *testing.T) {
-	r := sample()
-	if len(r.Events) != 5 {
-		t.Fatalf("events = %d", len(r.Events))
-	}
-	e := r.Events[1]
-	if e.Engine != "pe" || e.Net != 0 || e.Start != 10 || e.End != 40 {
-		t.Errorf("event = %+v", e)
+func sample() []Event {
+	return []Event{
+		{"mem", "MB:a", 0, 0, 0, 0, 10},
+		{"pe", "CB:a", 0, 0, 0, 10, 40},
+		{"mem", "MB:b", 1, 0, 0, 10, 30},
+		{"pe", "CB:b", 1, 0, 0, 40, 50},
+		{"host", "host-in", 1, -1, -1, 0, 5},
 	}
 }
 
+// TestChromeTraceRoundTrips checks that an engine-track export emits
+// every event exactly once as a complete slice, on its engine's TID
+// and with its identity args, after the process and thread names.
 func TestChromeTraceRoundTrips(t *testing.T) {
+	evs := sample()
 	var buf bytes.Buffer
-	if err := sample().WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTracks(&buf, EngineTracks(evs, 1, "mix")); err != nil {
 		t.Fatal(err)
 	}
-	var evs []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+	var out []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if len(evs) != 5 {
-		t.Fatalf("JSON events = %d", len(evs))
+	type slice struct {
+		name, cat        string
+		ts, dur, tid     float64
+		net, layer, iter float64
 	}
-	first := evs[0]
-	if first["ph"] != "X" || first["name"] != "MB:a" || first["dur"] != float64(10) {
-		t.Errorf("first event = %v", first)
+	var meta int
+	got := map[slice]int{}
+	for _, e := range out {
+		switch e["ph"] {
+		case "M":
+			meta++
+		case "X":
+			if e["pid"] != float64(1) {
+				t.Errorf("slice pid = %v, want 1", e["pid"])
+			}
+			a := e["args"].(map[string]any)
+			got[slice{e["name"].(string), e["cat"].(string), e["ts"].(float64), e["dur"].(float64), e["tid"].(float64),
+				a["net"].(float64), a["layer"].(float64), a["iter"].(float64)}]++
+		default:
+			t.Errorf("unexpected record %v", e)
+		}
 	}
-	// Engines map to distinct tids.
-	tids := map[float64]bool{}
+	// One process name plus one thread name per engine.
+	if meta != 4 {
+		t.Errorf("metadata records = %d, want 4", meta)
+	}
+	if len(got) != len(evs) {
+		t.Fatalf("distinct slices = %d, want %d: %v", len(got), len(evs), got)
+	}
+	tids := map[string]float64{"mem": 1, "pe": 2, "host": 3}
 	for _, e := range evs {
-		tids[e["tid"].(float64)] = true
-	}
-	if len(tids) != 3 {
-		t.Errorf("distinct tids = %d, want 3", len(tids))
+		k := slice{e.Name, e.Engine, float64(e.Start), float64(e.End - e.Start), tids[e.Engine],
+			float64(e.Net), float64(e.Layer), float64(e.Iter)}
+		if got[k] != 1 {
+			t.Errorf("event %+v emitted %d times, want once", e, got[k])
+		}
 	}
 }
 
 func TestGanttRendersRows(t *testing.T) {
-	g := sample().Gantt(50, 50)
+	g := Gantt(sample(), 50, 50)
 	lines := strings.Split(strings.TrimRight(g, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("gantt lines = %d:\n%s", len(lines), g)
@@ -81,25 +96,24 @@ func TestGanttRendersRows(t *testing.T) {
 }
 
 func TestGanttInfersMakespan(t *testing.T) {
-	g := sample().Gantt(0, 40)
+	g := Gantt(sample(), 0, 40)
 	if !strings.Contains(g, "cycles 0..50") {
 		t.Errorf("inferred makespan missing: %q", strings.SplitN(g, "\n", 2)[0])
 	}
-	if sample().Gantt(0, 0) == "" {
+	if Gantt(sample(), 0, 0) == "" {
 		t.Error("default width produced empty chart")
 	}
-	empty := &Recorder{}
-	if got := empty.Gantt(0, 10); got != "" {
-		t.Errorf("empty recorder chart = %q", got)
+	if got := Gantt(nil, 0, 10); got != "" {
+		t.Errorf("empty event list chart = %q", got)
 	}
 }
 
 func TestGanttOverlapMarker(t *testing.T) {
-	r := &Recorder{}
 	// Two nets sharing one cell of the pe row.
-	r.Event("pe", "CB", 0, 0, 0, 0, 10)
-	r.Event("pe", "CB", 1, 0, 0, 5, 10)
-	g := r.Gantt(10, 2)
+	g := Gantt([]Event{
+		{"pe", "CB", 0, 0, 0, 0, 10},
+		{"pe", "CB", 1, 0, 0, 5, 10},
+	}, 10, 2)
 	lines := strings.Split(g, "\n")
 	pe := lines[2][6:]
 	if !strings.Contains(pe, "*") {
@@ -108,17 +122,16 @@ func TestGanttOverlapMarker(t *testing.T) {
 }
 
 func TestGanttManyNetsWrapDigits(t *testing.T) {
-	r := &Recorder{}
-	r.Event("pe", "CB", 12, 0, 0, 0, 10) // net 12 renders as digit 2
-	g := r.Gantt(10, 10)
+	// Net 12 renders as digit 2.
+	g := Gantt([]Event{{"pe", "CB", 12, 0, 0, 0, 10}}, 10, 10)
 	if !strings.Contains(g, "2") {
 		t.Errorf("net index not rendered modulo 10:\n%s", g)
 	}
 }
 
 func TestUtilizationSeries(t *testing.T) {
-	r := sample()
-	pts := r.UtilizationSeries(50, 10)
+	evs := sample()
+	pts := UtilizationSeries(evs, 50, 10)
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5", len(pts))
 	}
@@ -139,18 +152,17 @@ func TestUtilizationSeries(t *testing.T) {
 			t.Errorf("window %d out of range: %+v", p.Start, p)
 		}
 	}
-	if got := r.UtilizationSeries(0, 10); got != nil {
+	if got := UtilizationSeries(evs, 0, 10); got != nil {
 		t.Error("zero makespan series != nil")
 	}
-	if got := r.UtilizationSeries(50, 0); got != nil {
+	if got := UtilizationSeries(evs, 50, 0); got != nil {
 		t.Error("zero window series != nil")
 	}
 }
 
 func TestPartialWindowAccounting(t *testing.T) {
-	r := &Recorder{}
-	r.Event("pe", "CB", 0, 0, 0, 5, 15) // straddles two windows
-	pts := r.UtilizationSeries(20, 10)
+	// One event straddling two windows.
+	pts := UtilizationSeries([]Event{{"pe", "CB", 0, 0, 0, 5, 15}}, 20, 10)
 	if pts[0].PE != 0.5 || pts[1].PE != 0.5 {
 		t.Errorf("straddling event split = %f/%f, want 0.5/0.5", pts[0].PE, pts[1].PE)
 	}

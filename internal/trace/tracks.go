@@ -5,6 +5,21 @@ import (
 	"io"
 )
 
+// chromeEvent is one trace_event record: a "complete" (ph=X) slice
+// or a metadata (ph=M) name record.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	TS   int64          `json:"ts"`
+	Dur  int64          `json:"dur"`
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+var engineTID = map[string]int{"mem": 1, "pe": 2, "host": 3}
+
 // Track is one named timeline in a merged Chrome/Perfetto export: a
 // (process, thread) pair plus its occupancy events. Merged exports
 // overlay engine occupancy (one process per chip, one thread per
@@ -22,13 +37,13 @@ type Track struct {
 	Events []Event
 }
 
-// EngineTracks splits a recorder's events into one track per engine
-// ("mem", "pe", "host", in that order) under the given process.
-func (r *Recorder) EngineTracks(pid int, process string) []Track {
+// EngineTracks splits events into one track per engine ("mem", "pe",
+// "host", in that order) under the given process.
+func EngineTracks(all []Event, pid int, process string) []Track {
 	var out []Track
 	for _, eng := range []string{"mem", "pe", "host"} {
 		var evs []Event
-		for _, e := range r.Events {
+		for _, e := range all {
 			if e.Engine == eng {
 				evs = append(evs, e)
 			}

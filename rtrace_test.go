@@ -295,3 +295,106 @@ func TestRequestTraceSurfacesAgree(t *testing.T) {
 		t.Errorf("worst request %d has no track in the merged export", worst.Req)
 	}
 }
+
+// rawTracer records every engine Event call verbatim: the stream a
+// collector's Events replay must reproduce.
+type rawTracer struct{ evs []trace.Event }
+
+func (r *rawTracer) Event(engine, name string, net, layer, iter int, start, end Cycles) {
+	r.evs = append(r.evs, trace.Event{Engine: engine, Name: name, Net: net, Layer: layer, Iter: iter, Start: start, End: end})
+}
+
+// teeTracer hands each event to the collector under test and to the
+// raw reference.
+type teeTracer struct {
+	col *RequestTraceCollector
+	raw *rawTracer
+}
+
+func (t teeTracer) Event(engine, name string, net, layer, iter int, start, end Cycles) {
+	t.col.Event(engine, name, net, layer, iter, start, end)
+	t.raw.Event(engine, name, net, layer, iter, start, end)
+}
+
+// TestCollectorEventsMatchEngine is the differential test for the one
+// occupancy log: replaying a collector with its labels resolved at
+// export time must give exactly the events the engine emitted, field
+// for field and in order, names included. It covers every registry
+// scheduler over the paper's mixes at batch 1 and 4, and a prioritized
+// transformer serving stream under the preemptive and lookahead
+// schedulers, so CB splits, both host directions and chained decode
+// entries all pass through.
+func TestCollectorEventsMatchEngine(t *testing.T) {
+	cfg := PaperConfig()
+	seen := map[string]int{}
+	check := func(t *testing.T, nets []*Compiled, run func(teeTracer) error) {
+		t.Helper()
+		col := NewRequestTraceCollector(len(nets))
+		raw := &rawTracer{}
+		if err := run(teeTracer{col, raw}); err != nil {
+			t.Fatal(err)
+		}
+		got := col.Events(nets)
+		if len(got) != len(raw.evs) {
+			t.Fatalf("replayed %d events, engine emitted %d", len(got), len(raw.evs))
+		}
+		for i := range got {
+			if got[i] != raw.evs[i] {
+				t.Fatalf("event %d: replayed %+v, engine emitted %+v", i, got[i], raw.evs[i])
+			}
+		}
+		for _, e := range raw.evs {
+			k := e.Engine
+			if e.Engine != "mem" {
+				k = strings.SplitN(e.Name, ":", 2)[0]
+			}
+			seen[k]++
+		}
+	}
+
+	for _, spec := range PaperMixes() {
+		for _, batch := range []int{1, 4} {
+			mix, err := BuildMix(cfg, spec, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := propertyInput(len(mix.Nets))
+			in.MemHeavy = mix.MemHeavy
+			for _, e := range Schedulers() {
+				t.Run(fmt.Sprintf("%s/b%d/%s", spec.Name, batch, e.Name), func(t *testing.T) {
+					check(t, mix.Nets, func(tr teeTracer) error {
+						_, err := Run(cfg, mix.Nets, e.New(cfg, in), RunOptions{Tracer: tr})
+						return err
+					})
+				})
+			}
+		}
+	}
+
+	// Chat outranks vision, so the preemptive scheduler splits CBs.
+	classes := TransformerServingClasses()
+	classes[0].Priority = 1
+	gaps, err := ServeGaps(cfg, classes, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 150, MeanGap: gaps[0], Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"AI-MT+Prio", "Lookahead"} {
+		spec := serveSpec(t, name)
+		t.Run("transformer/"+name, func(t *testing.T) {
+			check(t, s.Nets, func(tr teeTracer) error {
+				_, err := Run(cfg, s.Nets, spec.New(cfg, s), RunOptions{Arrivals: s.Arrivals, ChainAfter: s.ChainAfter, Tracer: tr})
+				return err
+			})
+		})
+	}
+
+	for _, k := range []string{"mem", "CB", "CB(split)", "host-in", "host-out"} {
+		if seen[k] == 0 {
+			t.Errorf("no %q events exercised; seen %v", k, seen)
+		}
+	}
+}
