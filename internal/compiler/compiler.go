@@ -297,7 +297,8 @@ type Stats struct {
 // Stats computes aggregate totals over the network's layers.
 func (cn *CompiledNetwork) Stats() Stats {
 	var s Stats
-	for _, l := range cn.Layers {
+	for i := range cn.Layers {
+		l := &cn.Layers[i]
 		s.SubLayers += l.Iters
 		s.MBCycles += l.TotalMBCycles()
 		s.CBCycles += l.TotalCBCycles()
@@ -323,9 +324,10 @@ func (cn *CompiledNetwork) Validate() error {
 	if cn.Batch <= 0 {
 		return ErrBadBatch
 	}
-	for i, l := range cn.Layers {
+	for i := range cn.Layers {
+		l := &cn.Layers[i]
 		if l.Iters <= 0 || l.MBCycles < 0 || l.CBCycles <= 0 || l.MBBlocks <= 0 {
-			return fmt.Errorf("compiler: layer %d (%s) has invalid parameters %+v", i, l.Name, l)
+			return fmt.Errorf("compiler: layer %d (%s) has invalid parameters %+v", i, l.Name, *l)
 		}
 		for _, d := range l.Deps {
 			if d < 0 || d >= i {

@@ -397,16 +397,16 @@ func (a *AIMT) PickMB(v *sim.View) (sim.MBRef, bool) {
 	}
 
 	a.rrMB = (target.Net + 1) % v.NumNets()
-	l := v.Layer(target.Net, target.Layer)
+	mb, cb := v.BlockCycles(target.Net, target.Layer)
 	// Algorithm 2 lines 16-17: the selected MB consumes coverage and
 	// its corresponding CB becomes available.
-	a.avlCB -= l.MBCycles
+	a.avlCB -= mb
 	if a.avlCB < 0 {
 		a.avlCB = 0
 	}
-	a.avlCB += l.CBCycles
+	a.avlCB += cb
 	if a.merge {
-		a.mergeCBs(v, l.MBCycles)
+		a.mergeCBs(v, mb)
 	}
 	return target, true
 }
@@ -486,8 +486,7 @@ func (a *AIMT) chooseTarget(v *sim.View) (target sim.MBRef, reserve, ok bool) {
 	// machine state (resident, unconsumed compute work).
 	if a.merge && a.coverage(v) < a.mergeThreshold {
 		for _, m := range a.mbs {
-			l := v.Layer(m.Net, m.Layer)
-			if l.CBCycles > l.MBCycles && v.IsMBIssuable(m) {
+			if mb, cb := v.BlockCycles(m.Net, m.Layer); cb > mb && v.IsMBIssuable(m) {
 				return m, false, true
 			}
 		}
@@ -503,7 +502,7 @@ func (a *AIMT) chooseTarget(v *sim.View) (target sim.MBRef, reserve, ok bool) {
 		// the PE complex has resident work to chew through; idling the
 		// channel with no compute runway just moves the bottleneck.
 		for _, m := range a.mbs {
-			if !v.Layer(m.Net, m.Layer).MemoryIntensive() {
+			if !v.MemoryIntensive(m.Net, m.Layer) {
 				continue
 			}
 			if v.IsMBIssuable(m) {
@@ -709,7 +708,8 @@ func (a *AIMT) OnCBStart(v *sim.View, r sim.CBRef) {
 // is stalled (Algorithm 2 line 12).
 func (a *AIMT) OnCBDone(v *sim.View, r sim.CBRef) {
 	if a.stalled {
-		a.avlCB -= v.Layer(r.Net, r.Layer).CBCycles
+		_, cb := v.BlockCycles(r.Net, r.Layer)
+		a.avlCB -= cb
 		if a.avlCB < 0 {
 			a.avlCB = 0
 		}
@@ -723,7 +723,8 @@ func (a *AIMT) OnCBSplit(v *sim.View, r sim.CBRef, remaining arch.Cycles) {
 	kept := a.sq[:0]
 	for _, c := range a.sq {
 		if c.Net == r.Net && c.Layer == r.Layer {
-			a.sqCycles -= v.Layer(c.Net, c.Layer).CBCycles
+			_, cb := v.BlockCycles(c.Net, c.Layer)
+			a.sqCycles -= cb
 			continue
 		}
 		kept = append(kept, c)

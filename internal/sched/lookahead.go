@@ -24,13 +24,13 @@ import (
 // machine invariant. Committed decisions are recorded through
 // View.NoteLookahead (KindLookahead + aimt_sim_lookahead_total).
 type Lookahead struct {
-	inner   sim.Scheduler
-	horizon arch.Cycles
+	inner sim.Scheduler
 
-	// cooldown spaces speculations: after one commits (or ties), no
-	// new fork happens for this many cycles. It bounds speculation
-	// overhead to O(horizon / cooldown) per simulated cycle.
-	cooldown arch.Cycles
+	// horizon is how far ahead each contested branch is simulated. It
+	// also spaces speculations: after one commits (or ties), no new
+	// fork happens for this many cycles, which bounds speculation
+	// overhead to O(1) forked cycles per simulated cycle.
+	horizon arch.Cycles
 
 	eng      *sim.Engine
 	snap     *sim.Snapshot
@@ -66,22 +66,13 @@ func (s *Lookahead) notePick(v *sim.View, r sim.MBRef) {
 
 // NewLookahead returns a speculative lookahead scheduler over inner.
 // horizon is how far ahead each contested branch is simulated;
-// non-positive defaults to 4096 cycles. The cooldown between
-// speculations defaults to the horizon.
+// non-positive defaults to 4096 cycles. Speculations are spaced at
+// least horizon cycles apart.
 func NewLookahead(inner sim.Scheduler, horizon arch.Cycles) *Lookahead {
 	if horizon <= 0 {
 		horizon = 4096
 	}
-	return &Lookahead{inner: inner, horizon: horizon, cooldown: horizon}
-}
-
-// SetCooldown overrides the minimum cycle spacing between
-// speculations. It returns the scheduler for chaining.
-func (s *Lookahead) SetCooldown(c arch.Cycles) *Lookahead {
-	if c > 0 {
-		s.cooldown = c
-	}
-	return s
+	return &Lookahead{inner: inner, horizon: horizon}
 }
 
 // Name implements sim.Scheduler.
@@ -120,7 +111,7 @@ func (s *Lookahead) PickMB(v *sim.View) (sim.MBRef, bool) {
 		if !v.IsMBIssuable(m) {
 			continue
 		}
-		if v.Layer(m.Net, m.Layer).MemoryIntensive() {
+		if v.MemoryIntensive(m.Net, m.Layer) {
 			if !haveMem {
 				memC, haveMem = m, true
 			}
@@ -135,7 +126,7 @@ func (s *Lookahead) PickMB(v *sim.View) (sim.MBRef, bool) {
 		return s.inner.PickMB(v)
 	}
 
-	s.nextSpec = v.Now() + s.cooldown
+	s.nextSpec = v.Now() + s.horizon
 	unmute := s.eng.Quiesce()
 	s.snap = s.eng.Snapshot(s.snap)
 	limit := v.Now() + s.horizon

@@ -125,8 +125,7 @@ func (p *PREMA) OnCBDone(v *sim.View, r sim.CBRef) {
 	if r.Net != p.active {
 		return
 	}
-	l := v.Layer(r.Net, r.Layer)
-	if r.Iter == l.Iters-1 {
+	if r.Iter == v.LayerIters(r.Net, r.Layer)-1 {
 		p.elect(v)
 	}
 }

@@ -215,11 +215,11 @@ func (s *SJF) PickMB(v *sim.View) (sim.MBRef, bool) {
 		return sim.MBRef{}, false
 	}
 	size := func(m sim.MBRef) arch.Cycles {
-		l := v.Layer(m.Net, m.Layer)
-		if l.MBCycles > l.CBCycles {
-			return l.MBCycles
+		mb, cb := v.BlockCycles(m.Net, m.Layer)
+		if mb > cb {
+			return mb
 		}
-		return l.CBCycles
+		return cb
 	}
 	best := c[0]
 	bestSize := size(best)

@@ -80,8 +80,10 @@ type Options struct {
 	// CheckInvariants validates the machine-model invariants at every
 	// engine event against an independent shadow of the machine state:
 	// the HBM channel and PE complex each execute one block at a time,
-	// SRAM occupancy never exceeds capacity (and the allocator's chains
-	// stay consistent), no compute block starts before its memory
+	// SRAM occupancy never exceeds capacity (the checker drives the
+	// paper's free list and per-layer block chains from the event
+	// stream, and each chain and the engine's occupancy counter must
+	// agree with it), no compute block starts before its memory
 	// blocks and predecessor layers complete, event time is monotonic,
 	// split/resume conserves compute-block work, and the incrementally
 	// maintained candidate frontiers match a brute-force rescan of
@@ -208,6 +210,10 @@ type Engine struct {
 	// into a re-initialized (or pooled-and-reused) engine is rejected.
 	runID uint64
 
+	// tables lists the distinct compiled tables init has validated
+	// this run (see checkTable).
+	tables []checkedTable
+
 	res Result
 }
 
@@ -230,8 +236,8 @@ type StatefulScheduler interface {
 	RestoreState(st any)
 }
 
-// enginePool recycles engines (arena slabs, frontier backings, SRAM
-// tables, scratch buffers) across Run calls, which is what makes a
+// enginePool recycles engines (arena slabs, frontier backings, checker
+// state, scratch buffers) across Run calls, which is what makes a
 // steady-state serve stream allocation-free per run.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
@@ -271,18 +277,18 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	if len(nets) == 0 {
 		return errors.New("sim: no networks")
 	}
-	totalLayers := 0
+	e.tables = e.tables[:0]
+	totalLayers, subLayers := 0, 0
+	var cbTotal, mbTotal arch.Cycles
 	for _, cn := range nets {
-		if err := cn.Validate(); err != nil {
+		st, err := e.checkTable(cfg, cn)
+		if err != nil {
 			return err
 		}
-		for _, l := range cn.Layers {
-			if l.MBBlocks > cfg.WeightBlocks() {
-				return fmt.Errorf("sim: %s/%s needs %d SRAM blocks but the weight buffer holds %d",
-					cn.Name, l.Name, l.MBBlocks, cfg.WeightBlocks())
-			}
-		}
 		totalLayers += len(cn.Layers)
+		subLayers += st.SubLayers
+		cbTotal += st.CBCycles
+		mbTotal += st.MBCycles
 	}
 	if opts.MaxCycles <= 0 {
 		opts.MaxCycles = 200_000_000_000
@@ -290,14 +296,12 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	e.runID++
 
 	// Reset the view in place, keeping its recycled slices.
-	e.view = View{cfg: cfg, buf: e.view.buf, nets: e.netPtrs[:0], active: e.view.active[:0]}
+	e.view = View{
+		cfg: cfg, total: cfg.WeightBlocks(), nets: e.netPtrs[:0], active: e.view.active[:0],
+		mbRemaining: subLayers, cbTotal: cbTotal, mbTotal: mbTotal,
+	}
 	v := &e.view
 	e.v = v
-	if v.buf == nil {
-		v.buf = sram.NewBuffer(cfg.WeightBlocks())
-	} else {
-		v.buf.Reset(cfg.WeightBlocks())
-	}
 
 	e.arena.reset(totalLayers)
 	if cap(e.states) < len(nets) {
@@ -324,7 +328,9 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	e.chk = nil
 	if opts.CheckInvariants {
 		e.chk = &e.chkState
-		e.chk.reset(v)
+		if err := e.chk.reset(v); err != nil {
+			return err
+		}
 	}
 	v.led = opts.Ledger
 	if opts.Metrics != nil {
@@ -368,15 +374,6 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 		v.nets[i].arrived = false // invisible until the predecessor finishes
 	}
 
-	for _, cn := range nets {
-		for _, l := range cn.Layers {
-			v.mbRemaining += l.Iters
-		}
-		st := cn.Stats()
-		v.cbTotal += st.CBCycles
-		v.mbTotal += st.MBCycles
-	}
-
 	if ea, ok := sch.(EngineAware); ok {
 		ea.AttachEngine(e)
 	}
@@ -403,6 +400,45 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	return nil
 }
 
+// checkedTable is one distinct compiled table validated by init, with
+// its aggregate totals.
+type checkedTable struct {
+	cn *compiler.CompiledNetwork
+	st compiler.Stats
+}
+
+// maxCheckedTables bounds the linear scan in checkTable. A serving
+// stream repeats a handful of tables across thousands of instances;
+// past this many distinct ones, further tables are simply validated at
+// each occurrence.
+const maxCheckedTables = 32
+
+// checkTable validates cn (its own consistency, and that every memory
+// block fits the weight SRAM) and returns its totals, doing the work
+// once per distinct table per run. Nothing is cached on the table
+// itself: its exported Layers may be edited between runs.
+func (e *Engine) checkTable(cfg arch.Config, cn *compiler.CompiledNetwork) (compiler.Stats, error) {
+	for i := range e.tables {
+		if e.tables[i].cn == cn {
+			return e.tables[i].st, nil
+		}
+	}
+	if err := cn.Validate(); err != nil {
+		return compiler.Stats{}, err
+	}
+	for i := range cn.Layers {
+		if l := &cn.Layers[i]; l.MBBlocks > cfg.WeightBlocks() {
+			return compiler.Stats{}, fmt.Errorf("sim: %s/%s needs %d SRAM blocks but the weight buffer holds %d",
+				cn.Name, l.Name, l.MBBlocks, cfg.WeightBlocks())
+		}
+	}
+	st := cn.Stats()
+	if len(e.tables) < maxCheckedTables {
+		e.tables = append(e.tables, checkedTable{cn: cn, st: st})
+	}
+	return st, nil
+}
+
 // release drops every reference a pooled engine would otherwise pin
 // (compiled networks, the scheduler, observability sinks) while
 // keeping the backing arrays for reuse.
@@ -420,6 +456,8 @@ func (e *Engine) release() {
 	e.chainSucc = nil
 	e.chk = nil
 	e.chkState.v = nil
+	clear(e.tables)
+	e.tables = e.tables[:0]
 }
 
 // cloneResult copies the engine's result with fresh slices, so the
@@ -502,14 +540,6 @@ func (e *Engine) Config() arch.Config { return e.v.cfg }
 // the machine busier within the horizon wins.
 func (e *Engine) Progress() arch.Cycles {
 	return e.res.MemBusy + e.res.PEBusy
-}
-
-// NetFinishAt reports whether network instance i has finished and, if
-// so, at which cycle — the predicted completion a forward-simulating
-// dispatcher reads off after stepping a candidate schedule.
-func (e *Engine) NetFinishAt(i int) (arch.Cycles, bool) {
-	s := e.v.nets[i]
-	return s.finishAt, s.finished
 }
 
 // Quiesce mutes the engine's externally visible emission — metrics,
@@ -672,32 +702,33 @@ func (e *Engine) issueMB(r MBRef) error {
 		return fmt.Errorf("sim: scheduler %s returned non-issuable MB %+v", e.sch.Name(), r)
 	}
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
-	if err := v.buf.Allocate(&s.chains[r.Layer], l.MBBlocks); err != nil {
-		return fmt.Errorf("sim: issue MB %+v: %w", r, err)
+	h := &s.hot[r.Layer]
+	if free := v.total - v.used; free < h.mbBlocks {
+		return fmt.Errorf("sim: issue MB %+v: %w: want %d, have %d", r, sram.ErrNoSpace, h.mbBlocks, free)
 	}
-	if used := v.buf.UsedBlocks(); used > e.res.SRAMPeakBlocks {
-		e.res.SRAMPeakBlocks = used
+	v.used += h.mbBlocks
+	if v.used > e.res.SRAMPeakBlocks {
+		e.res.SRAMPeakBlocks = v.used
 	}
 	s.mbIssued[r.Layer]++
-	if s.mbIssued[r.Layer] == l.Iters {
+	if s.mbIssued[r.Layer] == h.iters {
 		s.mbFront = frontRemove(s.mbFront, r.Layer)
 	}
 	v.outstanding++
 	v.mbRemaining--
 	v.memBusy = true
 	v.curMB = r
-	v.memEnd = v.now + e.opts.SchedulerLatency + l.MBCycles
+	v.memEnd = v.now + e.opts.SchedulerLatency + h.mbCycles
 	if v.om != nil {
 		v.om.prefetches.Inc()
-		v.om.sramUsed.Set(float64(v.buf.UsedBlocks()))
+		v.om.sramUsed.Set(float64(v.used))
 		v.om.sramPeak.Set(float64(e.res.SRAMPeakBlocks))
 	}
 	if v.led != nil {
-		v.note(obs.KindMBPrefetch, r.Net, r.Layer, r.Iter, v.stallCause(0), l.MBCycles)
+		v.note(obs.KindMBPrefetch, r.Net, r.Layer, r.Iter, v.stallCause(0), h.mbCycles)
 	}
 	if e.chk != nil {
-		if err := e.chk.mbIssue(r, l.MBBlocks); err != nil {
+		if err := e.chk.mbIssue(r, h.mbBlocks); err != nil {
 			return err
 		}
 		if err := e.chk.frontiers(); err != nil {
@@ -711,19 +742,19 @@ func (e *Engine) completeMB() error {
 	v := e.v
 	r := v.curMB
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
-	start := v.memEnd - l.MBCycles
+	h := &s.hot[r.Layer]
+	start := v.memEnd - h.mbCycles
 	v.memBusy = false
-	e.res.MemBusy += l.MBCycles
+	e.res.MemBusy += h.mbCycles
 	e.res.MBCount++
 	if e.opts.Tracer != nil {
 		e.trace("mem", compiler.LabelMB, r.Net, r.Layer, r.Iter, start, v.now)
 	}
 	if v.om != nil {
 		v.om.mbDone.Inc()
-		v.om.memBusyC.Add(int64(l.MBCycles))
+		v.om.memBusyC.Add(int64(h.mbCycles))
 		v.om.memUtil.Set(ratio(e.res.MemBusy, v.now))
-		v.om.mbHist.Observe(l.MBCycles)
+		v.om.mbHist.Observe(h.mbCycles)
 	}
 	if e.chk != nil {
 		if err := e.chk.mbDone(r, start, v.now); err != nil {
@@ -739,12 +770,12 @@ func (e *Engine) completeMB() error {
 		if s.mbDone[r.Layer]-s.cbDone[r.Layer] == 1 {
 			s.cbFront = frontAdd(s.cbFront, r.Layer)
 		}
-		v.availCB += l.CBCycles
+		v.availCB += h.cbCycles
 	}
-	if s.mbDone[r.Layer] == l.Iters {
-		for _, p := range l.Posts {
+	if s.mbDone[r.Layer] == h.iters {
+		for _, p := range s.cn.Layers[r.Layer].Posts {
 			s.mbIndeg[p]--
-			if s.mbIndeg[p] == 0 && s.mbIssued[p] < s.cn.Layers[p].Iters {
+			if s.mbIndeg[p] == 0 && s.mbIssued[p] < s.hot[p].iters {
 				s.mbFront = frontAdd(s.mbFront, p)
 			}
 		}
@@ -789,7 +820,7 @@ func (e *Engine) completeCB() error {
 	v := e.v
 	r := v.curCB
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
+	h := &s.hot[r.Layer]
 	v.peBusy = false
 	e.res.PEBusy += v.curCBWork
 	e.res.CBCount++
@@ -797,18 +828,22 @@ func (e *Engine) completeCB() error {
 		e.trace("pe", compiler.LabelCB, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
 	}
 
-	if err := v.buf.Consume(&s.chains[r.Layer], l.MBBlocks); err != nil {
-		return fmt.Errorf("sim: complete CB %+v: %w", r, err)
+	// The completed block releases its weights: the layer's resident
+	// blocks are (mbIssued - cbDone) * mbBlocks.
+	if resident := s.mbIssued[r.Layer] - s.cbDone[r.Layer]; resident < 1 {
+		return fmt.Errorf("sim: complete CB %+v: %w: want %d, layer holds %d",
+			r, sram.ErrUnderflow, h.mbBlocks, resident*h.mbBlocks)
 	}
+	v.used -= h.mbBlocks
 	if v.om != nil {
 		v.om.cbDone.Inc()
 		v.om.peBusyC.Add(int64(v.curCBWork))
 		v.om.peUtil.Set(ratio(e.res.PEBusy, v.now))
 		v.om.cbHist.Observe(v.curCBWork)
-		v.om.sramUsed.Set(float64(v.buf.UsedBlocks()))
+		v.om.sramUsed.Set(float64(v.used))
 	}
 	if e.chk != nil {
-		if err := e.chk.cbDone(r, v.cbStart, v.now, l.MBBlocks); err != nil {
+		if err := e.chk.cbDone(r, v.cbStart, v.now, h.mbBlocks); err != nil {
 			return err
 		}
 	}
@@ -819,7 +854,7 @@ func (e *Engine) completeCB() error {
 	if rem := s.remnant[r.Layer]; rem > 0 {
 		v.availCB -= rem + v.cfg.FillLatency
 	} else {
-		v.availCB -= l.CBCycles
+		v.availCB -= h.cbCycles
 	}
 	s.remnant[r.Layer] = 0
 	s.cbDone[r.Layer]++
@@ -827,8 +862,8 @@ func (e *Engine) completeCB() error {
 		s.cbFront = frontRemove(s.cbFront, r.Layer)
 	}
 	v.outstanding--
-	if s.cbDone[r.Layer] == l.Iters {
-		for _, p := range l.Posts {
+	if s.cbDone[r.Layer] == h.iters {
+		for _, p := range s.cn.Layers[r.Layer].Posts {
 			s.cbIndeg[p]--
 			if s.cbIndeg[p] == 0 {
 				v.unlockCB(s, p)
@@ -861,7 +896,6 @@ func (e *Engine) applySplit() error {
 	}
 	r := v.curCB
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
 	executed := v.now - v.cbStart
 	remaining := v.peEnd - v.now
 
@@ -881,7 +915,7 @@ func (e *Engine) applySplit() error {
 	// start (a full block, or a previous remnant + refill) to the new
 	// remainder + refill. Frontier membership is unchanged: the block
 	// returns to candidacy on a still-unlocked layer.
-	old := l.CBCycles
+	old := s.hot[r.Layer].cbCycles
 	if s.remnant[r.Layer] > 0 {
 		old = s.remnant[r.Layer] + v.cfg.FillLatency
 	}
@@ -942,8 +976,8 @@ func (e *Engine) completeHost() error {
 func (e *Engine) finishHostIn(net int) error {
 	s := e.v.nets[net]
 	s.hostInDone = true
-	for li, l := range s.cn.Layers {
-		if len(l.Deps) == 0 {
+	for li := range s.cn.Layers {
+		if len(s.cn.Layers[li].Deps) == 0 {
 			s.cbIndeg[li]--
 			if s.cbIndeg[li] == 0 {
 				e.v.unlockCB(s, li)

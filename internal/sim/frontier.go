@@ -69,10 +69,10 @@ func (v *View) unlockCB(s *netState, li int) {
 		return
 	}
 	s.cbFront = frontAdd(s.cbFront, li)
-	l := s.cn.Layers[li]
-	v.availCB += arch.Cycles(n) * l.CBCycles
+	cb := s.hot[li].cbCycles
+	v.availCB += arch.Cycles(n) * cb
 	if s.remnant[li] > 0 {
-		v.availCB -= l.CBCycles - (s.remnant[li] + v.cfg.FillLatency)
+		v.availCB -= cb - (s.remnant[li] + v.cfg.FillLatency)
 	}
 }
 
@@ -128,7 +128,7 @@ func (v *View) scanAvailableCBCycles() arch.Cycles {
 	var sum arch.Cycles
 	for _, ni := range v.active {
 		s := v.nets[ni]
-		for li, l := range s.cn.Layers {
+		for li := range s.cn.Layers {
 			if s.cbIndeg[li] != 0 {
 				continue
 			}
@@ -136,11 +136,12 @@ func (v *View) scanAvailableCBCycles() arch.Cycles {
 			if n <= 0 {
 				continue
 			}
-			sum += arch.Cycles(n) * l.CBCycles
+			cb := s.cn.Layers[li].CBCycles
+			sum += arch.Cycles(n) * cb
 			if s.remnant[li] > 0 {
 				// The layer's next CB is a halted remainder, shorter
 				// than a full block.
-				sum -= l.CBCycles - (s.remnant[li] + v.cfg.FillLatency)
+				sum -= cb - (s.remnant[li] + v.cfg.FillLatency)
 			}
 		}
 	}

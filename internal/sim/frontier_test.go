@@ -8,7 +8,6 @@ import (
 
 	"aimt/internal/arch"
 	"aimt/internal/compiler"
-	"aimt/internal/sram"
 )
 
 // probe is a randomized scheduler that compares the incrementally
@@ -231,7 +230,7 @@ func TestInvariantCatchesFrontierCorruption(t *testing.T) {
 func benchView(b *testing.B, nets, layers int) *View {
 	b.Helper()
 	cfg := testConfig(b)
-	v := &View{cfg: cfg, buf: sram.NewBuffer(cfg.WeightBlocks())}
+	v := &View{cfg: cfg, total: cfg.WeightBlocks()}
 	for n := 0; n < nets; n++ {
 		specs := make([]layerSpec, layers)
 		for l := range specs {

@@ -22,8 +22,13 @@ var ErrInvariant = errors.New("sim: machine invariant violated")
 //
 //  1. the HBM channel and the PE complex each execute one block at a
 //     time (occupancy intervals never overlap);
-//  2. weight-SRAM occupancy never exceeds capacity, and the allocator's
-//     chains stay consistent with the shadow occupancy;
+//  2. weight-SRAM occupancy never exceeds capacity: the checker drives
+//     the paper's block table (§IV-A3: free list plus per-layer
+//     w_head/w_tail chains, sram.Buffer) from MB issues and CB
+//     completions, and the table must stay consistent, each layer's
+//     chain must hold exactly (MBs issued - CBs done) x MBBlocks
+//     blocks, and the engine's occupancy counter must equal the
+//     table's;
 //  3. no compute block starts before all of its memory blocks complete
 //     and before every predecessor layer's compute blocks complete;
 //  4. event time is monotonically non-decreasing;
@@ -53,9 +58,10 @@ type checker struct {
 	memFree     arch.Cycles
 	peFree      arch.Cycles
 
-	// used is the shadow weight-SRAM occupancy in blocks, counted from
-	// MB issues and CB completions only.
-	used int
+	// buf is the weight SRAM's block table, allocated at MB issue and
+	// consumed at CB completion into the layers' chains. The engine
+	// itself keeps only an occupancy count.
+	buf sram.Buffer
 
 	nets []netShadow
 
@@ -70,8 +76,8 @@ type checker struct {
 	cbGot, cbWant []CBRef
 
 	// chainPtrs caches the pointer list checkSRAM hands to sram.Check;
-	// the chains themselves live in the engine arena, so the pointers
-	// are stable for the whole run and are built once.
+	// the chains live in layerSlab, so the pointers are stable for the
+	// whole run and are built once.
 	chainPtrs []*sram.Chain
 }
 
@@ -98,17 +104,23 @@ type layerShadow struct {
 	// whose work disagrees with them is a broken halt/resume pairing.
 	halted    bool
 	remaining arch.Cycles
+
+	// chain is the layer's resident weight blocks in the block table.
+	chain sram.Chain
 }
 
-func newChecker(v *View) *checker {
+func newChecker(v *View) (*checker, error) {
 	c := &checker{}
-	c.reset(v)
-	return c
+	if err := c.reset(v); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// reset rebinds the checker to a fresh run over v, reusing its slab,
-// scratch and chain-pointer storage from the previous run.
-func (c *checker) reset(v *View) {
+// reset rebinds the checker to a fresh run over v, reusing its block
+// table, slab, scratch and chain-pointer storage from the previous
+// run. It fails when the configuration's weight SRAM holds no block.
+func (c *checker) reset(v *View) error {
 	totalLayers := 0
 	for _, s := range v.nets {
 		totalLayers += len(s.cn.Layers)
@@ -116,6 +128,7 @@ func (c *checker) reset(v *View) {
 	*c = checker{
 		v:         v,
 		fill:      v.cfg.FillLatency,
+		buf:       c.buf,
 		nets:      c.nets[:0],
 		layerSlab: c.layerSlab[:0],
 		mbGot:     c.mbGot[:0], mbWant: c.mbWant[:0],
@@ -131,17 +144,16 @@ func (c *checker) reset(v *View) {
 	slab := c.layerSlab[:totalLayers]
 	for i := range slab {
 		slab[i] = layerShadow{}
+		c.chainPtrs = append(c.chainPtrs, &slab[i].chain)
 	}
 	off := 0
 	for _, s := range v.nets {
 		n := len(s.cn.Layers)
 		c.nets = append(c.nets, netShadow{layers: slab[off : off+n : off+n]})
-		for i := range s.chains {
-			c.chainPtrs = append(c.chainPtrs, &s.chains[i])
-		}
 		off += n
 	}
 	c.layerSlab = slab
+	return c.buf.Reset(v.cfg.WeightBlocks())
 }
 
 func (c *checker) violate(format string, args ...any) error {
@@ -163,8 +175,8 @@ func (c *checker) hostIn(net int) {
 }
 
 // mbIssue checks invariants 1 and 2 at memory-block issue: the channel
-// must be free, the MB must be the layer's next, and the allocation
-// must fit the SRAM.
+// must be free, the MB must be the layer's next, and its blocks must
+// fit the block table's free list.
 func (c *checker) mbIssue(r MBRef, blocks int) error {
 	if c.memInFlight {
 		return c.violate("MB %+v issued while the HBM channel executes another block", r)
@@ -176,9 +188,9 @@ func (c *checker) mbIssue(r MBRef, blocks int) error {
 	if r.Iter >= c.v.nets[r.Net].cn.Layers[r.Layer].Iters {
 		return c.violate("MB %+v beyond the layer's %d sub-layers", r, c.v.nets[r.Net].cn.Layers[r.Layer].Iters)
 	}
-	c.used += blocks
-	if cap := c.v.buf.NumBlocks(); c.used > cap {
-		return c.violate("SRAM occupancy %d blocks exceeds capacity %d after MB %+v", c.used, cap, r)
+	if err := c.buf.Allocate(&sh.chain, blocks); err != nil {
+		return c.violate("SRAM occupancy %d + %d blocks exceeds capacity %d at MB %+v: %v",
+			c.buf.UsedBlocks(), blocks, c.buf.NumBlocks(), r, err)
 	}
 	sh.mbIssued++
 	c.memInFlight = true
@@ -226,7 +238,7 @@ func (c *checker) cbStart(r CBRef, work arch.Cycles) error {
 	if r.Iter >= sh.mbDone {
 		return c.violate("CB %+v started before its memory block completed (%d fetched)", r, sh.mbDone)
 	}
-	l := c.v.nets[r.Net].cn.Layers[r.Layer]
+	l := &c.v.nets[r.Net].cn.Layers[r.Layer]
 	if len(l.Deps) == 0 && !ns.hostInDone {
 		return c.violate("CB %+v started before the network's host input arrived", r)
 	}
@@ -277,15 +289,11 @@ func (c *checker) cbDone(r CBRef, start, end arch.Cycles, blocks int) error {
 		return c.violate("CB %+v completed before its memory block (%d fetched)", r, sh.mbDone)
 	}
 
-	c.used -= blocks
-	if c.used < 0 {
-		return c.violate("CB %+v freed more SRAM blocks than were allocated", r)
-	}
-	if got := c.v.buf.UsedBlocks(); got != c.used {
-		return c.violate("allocator occupancy %d blocks disagrees with the event stream's %d", got, c.used)
+	if err := c.buf.Consume(&sh.chain, blocks); err != nil {
+		return c.violate("CB %+v freed more SRAM blocks than were allocated: %v", r, err)
 	}
 	if err := c.checkSRAM(); err != nil {
-		return c.violate("%v", err)
+		return err
 	}
 	c.cbCount++
 	return nil
@@ -377,10 +385,29 @@ func cbRefsEqual(a, b []CBRef) bool {
 	return true
 }
 
-// checkSRAM verifies the allocator's free list and per-layer chains
-// against each other (invariant 2's structural half).
+// checkSRAM verifies invariant 2's structural half: the block table's
+// free list and chains partition the buffer, each layer's chain holds
+// exactly its fetched-but-unconsumed memory blocks (sized from the
+// compiled table, not the engine's hot rows), and the engine's
+// occupancy counter equals the table's.
 func (c *checker) checkSRAM() error {
-	return c.v.buf.Check(c.chainPtrs)
+	if err := c.buf.Check(c.chainPtrs); err != nil {
+		return c.violate("%v", err)
+	}
+	for ni := range c.nets {
+		layers := c.v.nets[ni].cn.Layers
+		for li := range c.nets[ni].layers {
+			sh := &c.nets[ni].layers[li]
+			if want := (sh.mbIssued - sh.cbDone) * layers[li].MBBlocks; sh.chain.Len() != want {
+				return c.violate("net %d layer %d chain holds %d SRAM blocks, want (%d issued - %d done) x %d",
+					ni, li, sh.chain.Len(), sh.mbIssued, sh.cbDone, layers[li].MBBlocks)
+			}
+		}
+	}
+	if got, want := c.v.used, c.buf.UsedBlocks(); got != want {
+		return c.violate("engine SRAM occupancy %d blocks disagrees with the block table's %d", got, want)
+	}
+	return nil
 }
 
 // finish runs the end-of-simulation checks: every sub-layer fetched
@@ -390,11 +417,11 @@ func (c *checker) finish(res *Result) error {
 	if c.memInFlight || c.peInFlight {
 		return c.violate("run finished with a block still in flight")
 	}
-	if c.used != 0 {
-		return c.violate("run finished with %d SRAM blocks still allocated", c.used)
+	if used := c.buf.UsedBlocks(); used != 0 {
+		return c.violate("run finished with %d SRAM blocks still allocated", used)
 	}
-	if free, total := c.v.buf.FreeBlocks(), c.v.buf.NumBlocks(); free != total {
-		return c.violate("allocator reports %d/%d blocks free after completion", free, total)
+	if c.v.used != 0 {
+		return c.violate("engine reports %d SRAM blocks in use after completion", c.v.used)
 	}
 	for ni := range c.nets {
 		for li, sh := range c.nets[ni].layers {

@@ -7,7 +7,6 @@ import (
 
 	"aimt/internal/arch"
 	"aimt/internal/compiler"
-	"aimt/internal/sram"
 )
 
 // The invariant checker keeps shadow state derived purely from the
@@ -224,9 +223,10 @@ func TestInvariantCatchesDoubleResume(t *testing.T) {
 	}
 }
 
-// leakyConsumer completes compute blocks but skips returning their
-// SRAM blocks — emulating an allocator leak the checker must notice
-// when the event-stream occupancy disagrees with the buffer.
+// leakyConsumer completes compute blocks but leaves one SRAM block
+// counted as in use each time — emulating an occupancy leak the
+// checker must notice when the engine's counter disagrees with the
+// block table it drives from the event stream.
 type leakyConsumer struct{ spoof spoofResidency }
 
 func (leakyConsumer) Name() string { return "leaky-consumer" }
@@ -238,10 +238,8 @@ func (leakyConsumer) OnCBStart(*View, CBRef)              {}
 func (leakyConsumer) OnCBSplit(*View, CBRef, arch.Cycles) {}
 
 func (leakyConsumer) OnCBDone(v *View, r CBRef) {
-	// The sabotage: re-allocate the block the engine just freed into a
-	// foreign chain, leaking it from the checker's point of view.
-	s := v.nets[r.Net]
-	_ = v.buf.Allocate(&s.chains[r.Layer], 1)
+	// The sabotage: take back one of the blocks the engine just freed.
+	v.used++
 }
 
 func TestInvariantCatchesSRAMLeak(t *testing.T) {
@@ -249,7 +247,7 @@ func TestInvariantCatchesSRAMLeak(t *testing.T) {
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 5, iters: 3, blocks: 1})
 	_, err := Run(cfg, []*compiler.CompiledNetwork{cn}, leakyConsumer{}, Options{CheckInvariants: true})
 	if !errors.Is(err, ErrInvariant) {
-		t.Fatalf("err = %v, want ErrInvariant (allocator occupancy disagrees with events)", err)
+		t.Fatalf("err = %v, want ErrInvariant (engine occupancy disagrees with the block table)", err)
 	}
 }
 
@@ -260,9 +258,13 @@ func TestCheckerUnits(t *testing.T) {
 	cfg := testConfig(t)
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 5, iters: 2, blocks: 1})
 	mkChecker := func() *checker {
-		v := &View{cfg: cfg, buf: sram.NewBuffer(cfg.WeightBlocks())}
+		v := &View{cfg: cfg, total: cfg.WeightBlocks()}
 		v.nets = append(v.nets, newNetState(cn))
-		return newChecker(v)
+		c, err := newChecker(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 
 	t.Run("time-backwards", func(t *testing.T) {
@@ -322,6 +324,27 @@ func TestCheckerUnits(t *testing.T) {
 		c := mkChecker()
 		if err := c.mbIssue(MBRef{}, cfg.WeightBlocks()+1); !errors.Is(err, ErrInvariant) {
 			t.Errorf("err = %v, want ErrInvariant", err)
+		}
+	})
+
+	t.Run("SRAM-chain-length", func(t *testing.T) {
+		// A completion that releases fewer blocks than its layer's
+		// memory block holds leaves a chain longer than (issued - done)
+		// x MBBlocks.
+		c := mkChecker()
+		c.hostIn(0)
+		if err := c.mbIssue(MBRef{}, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.mbDone(MBRef{}, 0, 10); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.cbStart(CBRef{}, 5); err != nil {
+			t.Fatal(err)
+		}
+		err := c.cbDone(CBRef{}, 10, 15, 1)
+		if !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "chain holds") {
+			t.Errorf("err = %v, want the chain-length check to fire", err)
 		}
 	})
 

@@ -116,7 +116,7 @@ func (o *simObs) finish(net, active int) {
 // memory), none otherwise. need <= 0 asks only whether SRAM is
 // completely full.
 func (v *View) stallCause(need int) string {
-	if free := v.buf.FreeBlocks(); free == 0 || free < need {
+	if free := v.FreeBlocks(); free == 0 || free < need {
 		return obs.StallPE
 	}
 	if v.availCB == 0 {
@@ -136,8 +136,8 @@ func (v *View) note(kind string, net, layer, iter int, stall string, detail arch
 		Net:       net,
 		Layer:     layer,
 		Iter:      iter,
-		SRAMUsed:  v.buf.UsedBlocks(),
-		SRAMTotal: v.buf.NumBlocks(),
+		SRAMUsed:  v.used,
+		SRAMTotal: v.total,
 		AvailCB:   v.availCB,
 		Stall:     stall,
 		Detail:    detail,
@@ -157,8 +157,8 @@ func (v *View) NoteEviction(r MBRef) {
 	if v.led == nil {
 		return
 	}
-	l := v.nets[r.Net].cn.Layers[r.Layer]
-	v.note(obs.KindEarlyEvict, r.Net, r.Layer, r.Iter, v.stallCause(l.MBBlocks), l.MBCycles)
+	h := &v.nets[r.Net].hot[r.Layer]
+	v.note(obs.KindEarlyEvict, r.Net, r.Layer, r.Iter, v.stallCause(h.mbBlocks), h.mbCycles)
 }
 
 // NotePreemption records a priority preemption in the run's decision
@@ -206,8 +206,8 @@ func (v *View) NoteLookahead(r MBRef, horizon, delta arch.Cycles) {
 		Net:       r.Net,
 		Layer:     r.Layer,
 		Iter:      r.Iter,
-		SRAMUsed:  v.buf.UsedBlocks(),
-		SRAMTotal: v.buf.NumBlocks(),
+		SRAMUsed:  v.used,
+		SRAMTotal: v.total,
 		AvailCB:   v.availCB,
 		Stall:     v.stallCause(0),
 		Detail:    delta,

@@ -7,7 +7,7 @@
 //
 // Scheduling policy is pluggable through the Scheduler interface; the
 // engine owns all state transitions (dependency resolution, SRAM
-// allocation, split/resume) so that every policy is simulated under
+// occupancy, split/resume) so that every policy is simulated under
 // identical machine semantics.
 package sim
 
@@ -17,7 +17,6 @@ import (
 	"aimt/internal/arch"
 	"aimt/internal/compiler"
 	"aimt/internal/obs"
-	"aimt/internal/sram"
 )
 
 // MBRef identifies one memory block: sub-layer Iter of compiled layer
@@ -86,6 +85,9 @@ func (NopHooks) OnCBSplit(*View, CBRef, arch.Cycles) {}
 type netState struct {
 	cn *compiler.CompiledNetwork
 
+	// hot is the net's per-layer hot row (see layerHot).
+	hot []layerHot
+
 	mbIndeg []int // unresolved MB-chain predecessors per layer
 	cbIndeg []int // unresolved CB-chain predecessors per layer
 
@@ -106,8 +108,6 @@ type netState struct {
 	mbFront []int
 	cbFront []int
 
-	chains []sram.Chain // resident weight blocks per layer
-
 	arrival    arch.Cycles
 	arrived    bool
 	hostInDone bool
@@ -116,19 +116,33 @@ type netState struct {
 	finishAt   arch.Cycles
 }
 
+// layerHot is the part of a compiled layer the engine, the frontiers
+// and the schedulers read on every event. initNetState copies it out
+// of the compiled table once per run, so the hot path indexes a small
+// flat row instead of reading (or copying) the full
+// compiler.CompiledLayer record with its name and dependency lists.
+// A layer's resident SRAM blocks are (mbIssued - cbDone) * mbBlocks,
+// which is why the engine needs no block table of its own.
+type layerHot struct {
+	mbCycles, cbCycles arch.Cycles
+	iters, mbBlocks    int
+	memIntensive       bool // mbCycles > cbCycles
+}
+
 // stateArena carves every net's per-layer bookkeeping out of three
 // flat, grow-only slabs — a struct-of-arrays layout. Each netState's
 // slices are fixed-capacity sub-slices of the slabs, so a pooled
 // engine re-running a same-shaped workload allocates nothing, and a
-// snapshot of the whole machine is three bulk copies (plus per-net
-// scalars) instead of a walk over thousands of tiny slices. The
-// frontier sub-slices are carved with capacity equal to the net's
-// layer count — a frontier can never hold more than one entry per
-// layer, so frontAdd's append can never grow past the carve.
+// snapshot of the whole machine is two bulk copies (plus per-net
+// scalars) instead of a walk over thousands of tiny slices; the hot
+// rows never change during a run and are not captured. The frontier
+// sub-slices are carved with capacity equal to the net's layer count —
+// a frontier can never hold more than one entry per layer, so
+// frontAdd's append can never grow past the carve.
 type stateArena struct {
 	ints   []int         // 8 ints per layer: 6 counters + 2 frontier backings
 	cycles []arch.Cycles // 1 per layer: remnant
-	chains []sram.Chain  // 1 per layer
+	hot    []layerHot    // 1 per layer, filled by initNetState
 }
 
 // reset clears and re-carves the arena for a workload with the given
@@ -141,20 +155,17 @@ func (a *stateArena) reset(totalLayers int) {
 	if cap(a.cycles) < nc {
 		a.cycles = make([]arch.Cycles, nc)
 	}
-	if cap(a.chains) < nc {
-		a.chains = make([]sram.Chain, nc)
+	if cap(a.hot) < nc {
+		a.hot = make([]layerHot, nc)
 	}
 	a.ints = a.ints[:ni]
 	a.cycles = a.cycles[:nc]
-	a.chains = a.chains[:nc]
+	a.hot = a.hot[:nc]
 	for i := range a.ints {
 		a.ints[i] = 0
 	}
 	for i := range a.cycles {
 		a.cycles[i] = 0
-	}
-	for i := range a.chains {
-		a.chains[i] = sram.Chain{}
 	}
 }
 
@@ -166,7 +177,8 @@ func carveInts(slab []int, off *int, n int) []int {
 }
 
 // initNetState wires one net's state into the arena slabs (already
-// zeroed by reset) and seeds its dependency counts and MB frontier.
+// zeroed by reset), fills its hot rows and seeds its dependency counts
+// and MB frontier.
 func initNetState(s *netState, cn *compiler.CompiledNetwork, a *stateArena, intOff, layerOff *int) {
 	n := len(cn.Layers)
 	*s = netState{
@@ -180,12 +192,20 @@ func initNetState(s *netState, cn *compiler.CompiledNetwork, a *stateArena, intO
 		mbFront:    carveInts(a.ints, intOff, n)[:0],
 		cbFront:    carveInts(a.ints, intOff, n)[:0],
 		remnant:    a.cycles[*layerOff : *layerOff+n : *layerOff+n],
-		chains:     a.chains[*layerOff : *layerOff+n : *layerOff+n],
+		hot:        a.hot[*layerOff : *layerOff+n : *layerOff+n],
 		layersLeft: n,
 		arrived:    true, // the engine clears this for late arrivals
 	}
 	*layerOff += n
-	for i, l := range cn.Layers {
+	for i := range cn.Layers {
+		l := &cn.Layers[i]
+		s.hot[i] = layerHot{
+			mbCycles:     l.MBCycles,
+			cbCycles:     l.CBCycles,
+			iters:        l.Iters,
+			mbBlocks:     l.MBBlocks,
+			memIntensive: l.MemoryIntensive(),
+		}
 		s.mbIndeg[i] = len(l.Deps)
 		s.cbIndeg[i] = len(l.Deps)
 		if len(l.Deps) == 0 {
@@ -218,7 +238,13 @@ func newNetState(cn *compiler.CompiledNetwork) *netState {
 type View struct {
 	cfg  arch.Config
 	nets []*netState
-	buf  *sram.Buffer
+
+	// used is the weight SRAM's occupancy in blocks, out of total: the
+	// sum over layers of (mbIssued - cbDone) * MBBlocks, raised at MB
+	// issue and lowered at CB completion. The paper's block table
+	// (sram.Buffer) is modelled only by the invariant checker, which
+	// proves the two agree.
+	used, total int
 
 	// active holds the indices of arrived, unfinished networks in
 	// ascending order — the only nets candidate scans must visit. With
@@ -309,10 +335,21 @@ func (v *View) activeRemove(net int) {
 // NumLayers returns the layer count of network instance net.
 func (v *View) NumLayers(net int) int { return len(v.nets[net].cn.Layers) }
 
-// Layer returns the scheduling-table row for (net, layer).
-func (v *View) Layer(net, layer int) compiler.CompiledLayer {
-	return v.nets[net].cn.Layers[layer]
+// LayerIters returns the sub-layer count of (net, layer).
+func (v *View) LayerIters(net, layer int) int { return v.nets[net].hot[layer].iters }
+
+// BlockCycles returns the full HBM occupancy of one memory block and
+// the full PE occupancy of one compute block of (net, layer), ignoring
+// any halted remainder (see CBCycles).
+func (v *View) BlockCycles(net, layer int) (mb, cb arch.Cycles) {
+	h := &v.nets[net].hot[layer]
+	return h.mbCycles, h.cbCycles
 }
+
+// MemoryIntensive reports whether (net, layer)'s memory blocks take
+// longer than its compute blocks — the capacity-critical class early
+// MB eviction keys on.
+func (v *View) MemoryIntensive(net, layer int) bool { return v.nets[net].hot[layer].memIntensive }
 
 // NetName returns the name of network instance net.
 func (v *View) NetName(net int) string { return v.nets[net].cn.Name }
@@ -334,20 +371,16 @@ func (v *View) MixTotals() (cb, mb arch.Cycles) {
 }
 
 // FreeBlocks returns the number of free weight-SRAM blocks.
-func (v *View) FreeBlocks() int { return v.buf.FreeBlocks() }
+func (v *View) FreeBlocks() int { return v.total - v.used }
 
 // TotalBlocks returns the weight SRAM's capacity in blocks.
-func (v *View) TotalBlocks() int { return v.buf.NumBlocks() }
+func (v *View) TotalBlocks() int { return v.total }
 
 // MBCycles returns the HBM occupancy of the referenced memory block.
-func (v *View) MBCycles(r MBRef) arch.Cycles {
-	return v.Layer(r.Net, r.Layer).MBCycles
-}
+func (v *View) MBCycles(r MBRef) arch.Cycles { return v.nets[r.Net].hot[r.Layer].mbCycles }
 
 // MBBlocks returns the SRAM blocks the referenced MB allocates.
-func (v *View) MBBlocks(r MBRef) int {
-	return v.Layer(r.Net, r.Layer).MBBlocks
-}
+func (v *View) MBBlocks(r MBRef) int { return v.nets[r.Net].hot[r.Layer].mbBlocks }
 
 // CBCycles returns the PE occupancy of the referenced compute block,
 // accounting for a halted remainder plus refill penalty when the block
@@ -357,7 +390,7 @@ func (v *View) CBCycles(r CBRef) arch.Cycles {
 	if r.Iter == s.cbDone[r.Layer] && s.remnant[r.Layer] > 0 {
 		return s.remnant[r.Layer] + v.cfg.FillLatency
 	}
-	return s.cn.Layers[r.Layer].CBCycles
+	return s.hot[r.Layer].cbCycles
 }
 
 // IsMBIssuable reports whether the referenced MB may be handed to the
@@ -366,12 +399,12 @@ func (v *View) CBCycles(r CBRef) arch.Cycles {
 // for its blocks.
 func (v *View) IsMBIssuable(r MBRef) bool {
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
+	h := &s.hot[r.Layer]
 	return s.arrived &&
 		s.mbIndeg[r.Layer] == 0 &&
 		r.Iter == s.mbIssued[r.Layer] &&
-		r.Iter < l.Iters &&
-		v.buf.FreeBlocks() >= l.MBBlocks
+		r.Iter < h.iters &&
+		v.total-v.used >= h.mbBlocks
 }
 
 // IsCBExecutable reports whether the referenced CB can start now: its
@@ -382,7 +415,7 @@ func (v *View) IsCBExecutable(r CBRef) bool {
 	return s.arrived &&
 		s.cbIndeg[r.Layer] == 0 &&
 		r.Iter == s.cbDone[r.Layer] &&
-		r.Iter < s.cn.Layers[r.Layer].Iters &&
+		r.Iter < s.hot[r.Layer].iters &&
 		s.mbDone[r.Layer] > r.Iter
 }
 
@@ -474,15 +507,6 @@ func (v *View) ExecutingCB() (CBRef, arch.Cycles, bool) {
 		return CBRef{}, 0, false
 	}
 	return v.curCB, v.peEnd - v.now, true
-}
-
-// FetchingMB returns the memory block currently occupying the HBM
-// channel and its remaining cycles.
-func (v *View) FetchingMB() (MBRef, arch.Cycles, bool) {
-	if !v.memBusy {
-		return MBRef{}, 0, false
-	}
-	return v.curMB, v.memEnd - v.now, true
 }
 
 // OutstandingMBs returns the number of memory blocks issued whose

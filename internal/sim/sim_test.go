@@ -8,7 +8,7 @@ import (
 
 	"aimt/internal/arch"
 	"aimt/internal/compiler"
-	"aimt/internal/sram"
+	"aimt/internal/nn"
 )
 
 // testConfig returns a small machine: 4 arrays of 4x4 PEs, 1 B/cycle
@@ -544,7 +544,7 @@ func TestViewAccessors(t *testing.T) {
 		layerSpec{mb: 10, cb: 20, iters: 2, blocks: 1},
 		layerSpec{mb: 10, cb: 5, iters: 1, blocks: 2},
 	)
-	v := &View{cfg: cfg, buf: sram.NewBuffer(cfg.WeightBlocks()), nets: []*netState{newNetState(cn)}}
+	v := &View{cfg: cfg, total: cfg.WeightBlocks(), nets: []*netState{newNetState(cn)}}
 	v.nets[0].hostInDone = true
 	// The engine maintains the active list, the incremental
 	// outstanding/remaining counters and the candidate frontiers; a
@@ -599,5 +599,58 @@ func TestViewAccessors(t *testing.T) {
 	}
 	if !v.HasMBWork() {
 		t.Fatal("work remains but HasMBWork is false")
+	}
+}
+
+// TestHotRowsMatchCompiledTable checks that the engine's per-layer hot
+// rows, and the View accessors that read them, agree field for field
+// with the compiled tables: every zoo network at batch 1 and 4 plus
+// the transformer prefill and decode tables. The last instance repeats
+// the first table, so a row filled for an already-validated table is
+// covered too.
+func TestHotRowsMatchCompiledTable(t *testing.T) {
+	cfg := arch.PaperConfig()
+	srcs := []*nn.Network{nn.GPT2Prefill(128), nn.GPT2Decode(128)}
+	for _, name := range []string{"RN34", "RN50", "VGG16", "MN", "GNMT"} {
+		srcs = append(srcs, nn.Zoo()[name])
+	}
+	for _, batch := range []int{1, 4} {
+		var nets []*compiler.CompiledNetwork
+		for _, src := range srcs {
+			cn, err := compiler.Compile(src, cfg, batch)
+			if err != nil {
+				t.Fatalf("compile %s at batch %d: %v", src.Name, batch, err)
+			}
+			nets = append(nets, cn)
+		}
+		nets = append(nets, nets[0])
+		e, err := NewEngine(cfg, nets, serial{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := e.v
+		for ni, cn := range nets {
+			if got := len(v.nets[ni].hot); got != len(cn.Layers) {
+				t.Fatalf("batch %d net %d (%s): %d hot rows for %d layers", batch, ni, cn.Name, got, len(cn.Layers))
+			}
+			for li := range cn.Layers {
+				l := &cn.Layers[li]
+				want := layerHot{
+					mbCycles: l.MBCycles, cbCycles: l.CBCycles,
+					iters: l.Iters, mbBlocks: l.MBBlocks,
+					memIntensive: l.MemoryIntensive(),
+				}
+				if got := v.nets[ni].hot[li]; got != want {
+					t.Errorf("batch %d %s layer %d (%s): hot row %+v, want %+v", batch, cn.Name, li, l.Name, got, want)
+				}
+				mb, cb := v.BlockCycles(ni, li)
+				r := MBRef{Net: ni, Layer: li}
+				if mb != l.MBCycles || cb != l.CBCycles || v.MBCycles(r) != l.MBCycles ||
+					v.MBBlocks(r) != l.MBBlocks || v.LayerIters(ni, li) != l.Iters ||
+					v.MemoryIntensive(ni, li) != l.MemoryIntensive() {
+					t.Errorf("batch %d %s layer %d (%s): View accessors disagree with the compiled table", batch, cn.Name, li, l.Name)
+				}
+			}
+		}
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"fmt"
 
 	"aimt/internal/arch"
-	"aimt/internal/sram"
 )
 
 // Snapshot is a point-in-time copy of one engine's mutable machine
-// state. Because the per-layer bookkeeping lives in three flat arena
-// slabs (see stateArena), capturing it is three bulk copies plus a
-// handful of per-net scalars — O(state), with no per-slice walking —
-// cheap enough to take at every contested scheduling decision.
+// state. Because the per-layer bookkeeping lives in flat arena slabs
+// (see stateArena), capturing it is two bulk copies plus a handful of
+// per-net scalars — O(state), with no per-slice walking — cheap enough
+// to take at every contested scheduling decision.
 //
 // A snapshot is bound to the engine and run it was taken from:
 // restoring it into another engine, or after the engine was
@@ -23,13 +22,10 @@ type Snapshot struct {
 	owner *Engine
 	runID uint64
 
-	// Arena slabs: counters, frontier backings, remnants, SRAM chains.
+	// Arena slabs: counters, frontier backings, remnants. The hot rows
+	// never change during a run and are not captured.
 	ints   []int
 	cycles []arch.Cycles
-	chains []sram.Chain
-
-	// SRAM allocator state: management table and free list.
-	sramNext, sramFree []int32
 
 	nets   []netSnap
 	active []int
@@ -43,7 +39,8 @@ type Snapshot struct {
 	arrivalOrder []int
 	nextArrival  int
 
-	// View scalars.
+	// View scalars. used is the engine's SRAM occupancy counter.
+	used           int
 	outstanding    int
 	mbRemaining    int
 	availCB        arch.Cycles
@@ -65,11 +62,14 @@ type Snapshot struct {
 	resFinish []arch.Cycles
 
 	// Invariant-checker shadow state, captured only when the run
-	// checks invariants, so a restored run keeps validating.
-	chkValid  bool
-	chkSnap   checkerSnap
-	chkLayers []layerShadow
-	chkHostIn []bool
+	// checks invariants, so a restored run keeps validating. chkLayers
+	// carries the layers' block chains; chkNext and chkFree the
+	// checker's block table and free list.
+	chkValid         bool
+	chkSnap          checkerSnap
+	chkLayers        []layerShadow
+	chkHostIn        []bool
+	chkNext, chkFree []int32
 
 	// Opaque scheduler decision state (StatefulScheduler).
 	schedState any
@@ -79,7 +79,6 @@ type Snapshot struct {
 type checkerSnap struct {
 	now, memFree, peFree         arch.Cycles
 	memInFlight, peInFlight      bool
-	used                         int
 	mbCount, cbCount, splitCount int
 }
 
@@ -111,8 +110,6 @@ func (e *Engine) Snapshot(dst *Snapshot) *Snapshot {
 
 	dst.ints = append(dst.ints[:0], e.arena.ints...)
 	dst.cycles = append(dst.cycles[:0], e.arena.cycles...)
-	dst.chains = append(dst.chains[:0], e.arena.chains...)
-	dst.sramNext, dst.sramFree = v.buf.SaveState(dst.sramNext, dst.sramFree)
 
 	dst.nets = dst.nets[:0]
 	for _, s := range v.nets {
@@ -137,6 +134,7 @@ func (e *Engine) Snapshot(dst *Snapshot) *Snapshot {
 	dst.arrivalOrder = append(dst.arrivalOrder[:0], e.arrivalOrder...)
 	dst.nextArrival = e.nextArrival
 
+	dst.used = v.used
 	dst.outstanding = v.outstanding
 	dst.mbRemaining = v.mbRemaining
 	dst.availCB = v.availCB
@@ -164,10 +162,10 @@ func (e *Engine) Snapshot(dst *Snapshot) *Snapshot {
 		dst.chkSnap = checkerSnap{
 			now: c.now, memFree: c.memFree, peFree: c.peFree,
 			memInFlight: c.memInFlight, peInFlight: c.peInFlight,
-			used:    c.used,
 			mbCount: c.mbCount, cbCount: c.cbCount, splitCount: c.splitCount,
 		}
 		dst.chkLayers = append(dst.chkLayers[:0], c.layerSlab...)
+		dst.chkNext, dst.chkFree = c.buf.SaveState(dst.chkNext, dst.chkFree)
 		dst.chkHostIn = dst.chkHostIn[:0]
 		for i := range c.nets {
 			dst.chkHostIn = append(dst.chkHostIn, c.nets[i].hostInDone)
@@ -190,15 +188,13 @@ func (e *Engine) Restore(s *Snapshot) error {
 		return fmt.Errorf("%w: snapshot does not belong to this engine run", ErrSnapshot)
 	}
 	if len(s.ints) != len(e.arena.ints) || len(s.cycles) != len(e.arena.cycles) ||
-		len(s.chains) != len(e.arena.chains) || len(s.nets) != len(e.v.nets) {
+		len(s.nets) != len(e.v.nets) {
 		return fmt.Errorf("%w: state shape changed since capture", ErrSnapshot)
 	}
 	v := e.v
 
 	copy(e.arena.ints, s.ints)
 	copy(e.arena.cycles, s.cycles)
-	copy(e.arena.chains, s.chains)
-	v.buf.RestoreState(s.sramNext, s.sramFree)
 
 	for i, sn := range s.nets {
 		st := v.nets[i]
@@ -224,6 +220,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.arrivalOrder = append(e.arrivalOrder[:0], s.arrivalOrder...)
 	e.nextArrival = s.nextArrival
 
+	v.used = s.used
 	v.outstanding = s.outstanding
 	v.mbRemaining = s.mbRemaining
 	v.availCB = s.availCB
@@ -253,11 +250,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 		c.peFree = s.chkSnap.peFree
 		c.memInFlight = s.chkSnap.memInFlight
 		c.peInFlight = s.chkSnap.peInFlight
-		c.used = s.chkSnap.used
 		c.mbCount = s.chkSnap.mbCount
 		c.cbCount = s.chkSnap.cbCount
 		c.splitCount = s.chkSnap.splitCount
 		copy(c.layerSlab, s.chkLayers)
+		c.buf.RestoreState(s.chkNext, s.chkFree)
 		for i := range c.nets {
 			c.nets[i].hostInDone = s.chkHostIn[i]
 		}

@@ -63,22 +63,40 @@ func TestSnapshotSabotageAvailCB(t *testing.T) {
 	}
 }
 
-// TestSnapshotSabotageSRAMFreeList corrupts a snapshot's SRAM
-// allocator state by double-freeing a block. The checker's structural
-// SRAM walk (free list and chains partition the blocks exactly) must
-// reject the replay.
+// TestSnapshotSabotageSRAMFreeList corrupts the snapshot of the
+// checker's SRAM block table by double-freeing a block. The checker's
+// structural SRAM walk (free list and chains partition the blocks
+// exactly) must reject the replay.
 func TestSnapshotSabotageSRAMFreeList(t *testing.T) {
 	e := probedEngine(t)
 	snap := e.Snapshot(nil)
-	if len(snap.sramFree) == 0 {
+	if len(snap.chkFree) == 0 {
 		t.Fatal("probe found an empty free list; nothing to sabotage")
 	}
-	snap.sramFree = append(snap.sramFree, snap.sramFree[0])
+	snap.chkFree = append(snap.chkFree, snap.chkFree[0])
 	if err := e.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if _, err := e.Run(); err == nil {
-		t.Fatal("run after corrupted SRAM restore succeeded; want checker error")
+	if _, err := e.Run(); !errors.Is(err, ErrInvariant) {
+		t.Fatalf("run after corrupted SRAM restore: err=%v, want ErrInvariant", err)
+	}
+}
+
+// TestSnapshotSabotageSRAMOccupancy restores a snapshot whose engine
+// SRAM occupancy counter is off by one in either direction. The
+// checker compares the counter with its own block table, so the
+// replay must trip ErrInvariant.
+func TestSnapshotSabotageSRAMOccupancy(t *testing.T) {
+	for _, delta := range []int{1, -1} {
+		e := probedEngine(t)
+		snap := e.Snapshot(nil)
+		snap.used += delta
+		if err := e.Restore(snap); err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		if _, err := e.Run(); !errors.Is(err, ErrInvariant) {
+			t.Errorf("delta %+d: run after corrupted restore: err=%v, want ErrInvariant", delta, err)
+		}
 	}
 }
 

@@ -11,6 +11,11 @@
 // free list. This lets the runtime locate every compute block's
 // weights with only two pointers per layer, exactly as the paper
 // describes.
+//
+// The simulator's engine never reads a block id, so it keeps only an
+// occupancy count; a Buffer is the model the invariant checker drives
+// from the engine's event stream to prove that count and the paper's
+// table agree.
 package sram
 
 import (
@@ -44,30 +49,24 @@ type Chain struct {
 func (c *Chain) Len() int { return c.count }
 
 // NewBuffer returns a buffer with the given number of blocks, all free.
-func NewBuffer(numBlocks int) *Buffer {
-	if numBlocks <= 0 {
-		panic(fmt.Sprintf("sram: non-positive block count %d", numBlocks))
+// A non-positive block count is an error.
+func NewBuffer(numBlocks int) (*Buffer, error) {
+	b := &Buffer{}
+	if err := b.Reset(numBlocks); err != nil {
+		return nil, err
 	}
-	b := &Buffer{
-		next:      make([]int32, numBlocks),
-		free:      make([]int32, 0, numBlocks),
-		numBlocks: numBlocks,
-	}
-	for i := numBlocks - 1; i >= 0; i-- {
-		b.next[i] = nilBlock
-		b.free = append(b.free, int32(i))
-	}
-	return b
+	return b, nil
 }
 
 // Reset reinitializes the buffer to numBlocks all-free blocks,
 // reusing the existing backing arrays when they are large enough.
-// It leaves the buffer exactly as NewBuffer would, so pooled
-// simulation engines can recycle one buffer across runs without
-// reallocating the management table.
-func (b *Buffer) Reset(numBlocks int) {
+// It leaves the buffer exactly as NewBuffer would, so a pooled
+// invariant checker can recycle one buffer across runs without
+// reallocating the management table. A non-positive block count is an
+// error and leaves the buffer unchanged.
+func (b *Buffer) Reset(numBlocks int) error {
 	if numBlocks <= 0 {
-		panic(fmt.Sprintf("sram: non-positive block count %d", numBlocks))
+		return fmt.Errorf("sram: non-positive block count %d", numBlocks)
 	}
 	if cap(b.next) < numBlocks {
 		b.next = make([]int32, numBlocks)
@@ -80,6 +79,7 @@ func (b *Buffer) Reset(numBlocks int) {
 		b.next[i] = nilBlock
 		b.free = append(b.free, int32(i))
 	}
+	return nil
 }
 
 // SaveState copies the buffer's mutable state — the weight management
@@ -164,7 +164,7 @@ func (b *Buffer) Consume(c *Chain, n int) error {
 // Check verifies the buffer's internal invariants against the given
 // set of live chains: every block is in exactly one chain or the free
 // list, chain lengths match their linked lists, and no id is out of
-// range. Intended for tests and the simulator's debug mode.
+// range. Intended for tests and the simulator's invariant checker.
 func (b *Buffer) Check(chains []*Chain) error {
 	seen := make([]bool, b.numBlocks)
 	mark := func(id int32, where string) error {

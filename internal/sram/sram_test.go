@@ -7,8 +7,17 @@ import (
 	"testing/quick"
 )
 
+func mustBuffer(t *testing.T, n int) *Buffer {
+	t.Helper()
+	b, err := NewBuffer(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestNewBufferAllFree(t *testing.T) {
-	b := NewBuffer(64)
+	b := mustBuffer(t, 64)
 	if b.NumBlocks() != 64 || b.FreeBlocks() != 64 || b.UsedBlocks() != 0 {
 		t.Fatalf("fresh buffer: num=%d free=%d used=%d", b.NumBlocks(), b.FreeBlocks(), b.UsedBlocks())
 	}
@@ -17,17 +26,24 @@ func TestNewBufferAllFree(t *testing.T) {
 	}
 }
 
-func TestNewBufferPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewBuffer(0) did not panic")
+func TestNewBufferRejectsNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if b, err := NewBuffer(n); err == nil {
+			t.Errorf("NewBuffer(%d) = %v, want an error", n, b)
 		}
-	}()
-	NewBuffer(0)
+		b := mustBuffer(t, 4)
+		if err := b.Reset(n); err == nil {
+			t.Errorf("Reset(%d) succeeded, want an error", n)
+		}
+		// A rejected Reset leaves the buffer as it was.
+		if b.NumBlocks() != 4 || b.FreeBlocks() != 4 {
+			t.Errorf("Reset(%d) mutated the buffer: num=%d free=%d", n, b.NumBlocks(), b.FreeBlocks())
+		}
+	}
 }
 
 func TestAllocateConsumeRoundTrip(t *testing.T) {
-	b := NewBuffer(16)
+	b := mustBuffer(t, 16)
 	var c Chain
 	if err := b.Allocate(&c, 5); err != nil {
 		t.Fatal(err)
@@ -53,7 +69,7 @@ func TestConsumeIsFIFO(t *testing.T) {
 	// Two interleaved allocations into one chain must release from the
 	// head: allocating after a partial consume and consuming the rest
 	// must never corrupt the free list.
-	b := NewBuffer(8)
+	b := mustBuffer(t, 8)
 	var c Chain
 	if err := b.Allocate(&c, 3); err != nil {
 		t.Fatal(err)
@@ -79,7 +95,7 @@ func TestConsumeIsFIFO(t *testing.T) {
 }
 
 func TestAllocateNoSpace(t *testing.T) {
-	b := NewBuffer(4)
+	b := mustBuffer(t, 4)
 	var c Chain
 	if err := b.Allocate(&c, 5); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("Allocate(5/4) = %v, want ErrNoSpace", err)
@@ -97,7 +113,7 @@ func TestAllocateNoSpace(t *testing.T) {
 }
 
 func TestConsumeUnderflow(t *testing.T) {
-	b := NewBuffer(4)
+	b := mustBuffer(t, 4)
 	var c Chain
 	if err := b.Consume(&c, 1); !errors.Is(err, ErrUnderflow) {
 		t.Fatalf("Consume on empty = %v, want ErrUnderflow", err)
@@ -111,7 +127,7 @@ func TestConsumeUnderflow(t *testing.T) {
 }
 
 func TestBadCounts(t *testing.T) {
-	b := NewBuffer(4)
+	b := mustBuffer(t, 4)
 	var c Chain
 	if err := b.Allocate(&c, 0); err == nil {
 		t.Error("Allocate(0) succeeded")
@@ -125,7 +141,7 @@ func TestBadCounts(t *testing.T) {
 }
 
 func TestMultipleChainsShareBuffer(t *testing.T) {
-	b := NewBuffer(10)
+	b := mustBuffer(t, 10)
 	chains := make([]*Chain, 3)
 	for i := range chains {
 		chains[i] = &Chain{}
@@ -160,7 +176,7 @@ func TestPropertyRandomWorkload(t *testing.T) {
 	const blocks = 64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBuffer(blocks)
+		b := mustBuffer(t, blocks)
 		chains := make([]*Chain, 8)
 		for i := range chains {
 			chains[i] = &Chain{}
@@ -203,7 +219,7 @@ func TestPropertyRandomWorkload(t *testing.T) {
 }
 
 func TestCheckDetectsLeak(t *testing.T) {
-	b := NewBuffer(4)
+	b := mustBuffer(t, 4)
 	var c Chain
 	if err := b.Allocate(&c, 2); err != nil {
 		t.Fatal(err)
