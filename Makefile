@@ -60,7 +60,7 @@ fuzz-short:
 # Run the engine-throughput benchmarks and write $(BENCH_OUT)
 # (blocks/sec, ns/op, allocs/op per benchmark). Bump BENCH_OUT per PR
 # so the BENCH_*.json series accumulates as run history for /runs.
-BENCH_OUT ?= BENCH_17.json
+BENCH_OUT ?= BENCH_19.json
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . ./internal/sim | tee bench.txt
 	$(GO) run ./cmd/aimt-benchjson -in bench.txt -out $(BENCH_OUT)

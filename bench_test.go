@@ -538,6 +538,33 @@ func BenchmarkServeStream(b *testing.B) {
 	b.ReportMetric(float64(blocks), "blocks/op")
 }
 
+// BenchmarkServeStreamChecked is BenchmarkServeStream with the
+// machine-model invariant checker on: it gates the checker's per-event
+// cost (frontier rescans, the SRAM block-table walk over the nets
+// holding blocks), which the sweep engine's verification mode and
+// every checked test run pay.
+func BenchmarkServeStreamChecked(b *testing.B) {
+	cfg := PaperConfig()
+	stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+		Requests: 10_000,
+		Seed:     7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var blocks int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg, stream.Nets, NewAIMT(cfg, AllMechanisms()),
+			RunOptions{Arrivals: stream.Arrivals, CheckInvariants: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks = res.MBCount + res.CBCount
+	}
+	b.ReportMetric(float64(blocks), "blocks/op")
+}
+
 // BenchmarkServeStreamTraced measures the same serving run with
 // request tracing on: the collector taps every occupancy event, and
 // each run pays span building plus store aggregation — the full cost

@@ -282,9 +282,6 @@ func TestExperimentsRun(t *testing.T) {
 			t.Errorf("duplicate experiment id %q", e.ID)
 		}
 		seen[e.ID] = true
-		if e.ID == "fig15" || e.ID == "fig16" {
-			continue // long sweeps covered by their shape tests
-		}
 		var buf bytes.Buffer
 		if err := e.Run(&buf, cfg); err != nil {
 			t.Errorf("%s: %v", e.ID, err)

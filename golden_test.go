@@ -10,12 +10,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
-// goldenSkip lists experiments excluded from golden comparison: the
-// two long sensitivity sweeps, whose shapes are asserted in
-// experiments_test.go instead.
-var goldenSkip = map[string]bool{"fig15": true, "fig16": true}
-
-// TestGoldenExperiments pins every (fast) experiment's rendered output
+// TestGoldenExperiments pins every experiment's rendered output
 // byte-for-byte, so the paper-figure tables can never drift silently.
 // After an intentional change, regenerate with:
 //
@@ -23,9 +18,6 @@ var goldenSkip = map[string]bool{"fig15": true, "fig16": true}
 func TestGoldenExperiments(t *testing.T) {
 	cfg := PaperConfig()
 	for _, e := range Experiments() {
-		if goldenSkip[e.ID] {
-			continue
-		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -62,9 +54,7 @@ func TestGoldenFilesComplete(t *testing.T) {
 	}
 	want := map[string]bool{}
 	for _, e := range Experiments() {
-		if !goldenSkip[e.ID] {
-			want[e.ID+".golden"] = true
-		}
+		want[e.ID+".golden"] = true
 	}
 	ents, err := os.ReadDir("testdata")
 	if err != nil {

@@ -124,7 +124,6 @@ type AIMT struct {
 	// scratch buffers reused across picks.
 	mbs []sim.MBRef
 	cbs []sim.CBRef
-	ord []sim.MBRef
 }
 
 // Mechanisms selects which AI-MT mechanisms are active.
@@ -368,13 +367,17 @@ func (a *AIMT) PickMB(v *sim.View) (sim.MBRef, bool) {
 	// the spot where a high-priority arrival can displace a
 	// low-priority executing block.
 	a.maybePreempt(v)
-	a.mbs = v.MBCandidates(a.mbs[:0])
+	if a.ranked() {
+		a.mbs = v.MBCandidates(a.mbs[:0])
+		a.rotateMBs(v)
+	} else {
+		a.mbs = v.MBCandidatesFrom(a.mbs[:0], a.rrMB)
+	}
 	if len(a.mbs) == 0 {
 		a.reserving = false
 		a.stalled = false
 		return sim.MBRef{}, false
 	}
-	a.rotateMBs(v)
 
 	target, reserve, ok := a.chooseTarget(v)
 	wasReserving := a.reserving
@@ -411,11 +414,18 @@ func (a *AIMT) PickMB(v *sim.View) (sim.MBRef, bool) {
 	return target, true
 }
 
-// rotateMBs reorders the candidate buffer so scanning starts at the
-// round-robin pointer, and pushes candidates of networks whose input
-// features have not yet arrived to the back: their compute blocks
-// cannot start, so their weights would only hog SRAM that runnable
-// networks need.
+// ranked reports whether tenant ranking (priority classes, deadlines
+// or weights) replaces the uniform round-robin rotation.
+func (a *AIMT) ranked() bool {
+	return a.prios != nil || a.deadlines != nil || a.weights != nil
+}
+
+// rotateMBs reorders the candidate buffer by the active tenant
+// ranking, and pushes candidates of networks whose input features
+// have not yet arrived to the back: their compute blocks cannot
+// start, so their weights would only hog SRAM that runnable networks
+// need. The uniform rotation gets the same order, starting at the
+// round-robin pointer, from View.MBCandidatesFrom.
 func (a *AIMT) rotateMBs(v *sim.View) {
 	if len(a.mbs) < 2 {
 		return
@@ -440,39 +450,14 @@ func (a *AIMT) rotateMBs(v *sim.View) {
 		})
 		return
 	}
-	if a.weights != nil {
-		credits := a.accrueCredits(v)
-		sort.SliceStable(a.mbs, func(i, j int) bool {
-			hi, hj := !v.HostInputDone(a.mbs[i].Net), !v.HostInputDone(a.mbs[j].Net)
-			if hi != hj {
-				return hj // arrived inputs first
-			}
-			return credits[a.mbs[i].Net] > credits[a.mbs[j].Net]
-		})
-		return
-	}
-	rank := func(m sim.MBRef) int {
-		r := 0
-		if m.Net < a.rrMB {
-			r++
+	credits := a.accrueCredits(v)
+	sort.SliceStable(a.mbs, func(i, j int) bool {
+		hi, hj := !v.HostInputDone(a.mbs[i].Net), !v.HostInputDone(a.mbs[j].Net)
+		if hi != hj {
+			return hj // arrived inputs first
 		}
-		if !v.HostInputDone(m.Net) {
-			r += 2
-		}
-		return r
-	}
-	a.ord = a.ord[:0]
-	for pri := 0; pri <= 3; pri++ {
-		for _, m := range a.mbs {
-			if rank(m) == pri {
-				a.ord = append(a.ord, m)
-			}
-		}
-	}
-	// Swap the rank-ordered scratch in as the candidate buffer; the old
-	// buffer becomes next pick's scratch, so steady state allocates
-	// nothing.
-	a.mbs, a.ord = a.ord, a.mbs
+		return credits[a.mbs[i].Net] > credits[a.mbs[j].Net]
+	})
 }
 
 // chooseTarget picks the next memory block. The reserve result, valid
@@ -534,13 +519,14 @@ func (a *AIMT) mergeCBs(v *sim.View, mbCycles arch.Cycles) {
 		backlog += rem
 	}
 	for backlog < mbCycles {
-		a.cbs = v.SelectableCBs(a.cbs[:0])
-		if len(a.cbs) == 0 {
-			return
-		}
-		pick := a.cbs[0]
+		var pick sim.CBRef
 		if a.underPressure(v) {
 			// Eviction: smallest CB first recovers capacity fastest.
+			a.cbs = v.SelectableCBs(a.cbs[:0])
+			if len(a.cbs) == 0 {
+				return
+			}
+			pick = a.cbs[0]
 			for _, c := range a.cbs[1:] {
 				if v.CBCycles(c) < v.CBCycles(pick) {
 					pick = c
@@ -548,11 +534,9 @@ func (a *AIMT) mergeCBs(v *sim.View, mbCycles arch.Cycles) {
 			}
 		} else {
 			// Claim fairly across networks, like the candidate queues.
-			for _, c := range a.cbs {
-				if c.Net >= a.rrCB {
-					pick = c
-					break
-				}
+			var ok bool
+			if pick, ok = v.FirstSelectableCB(a.rrCB); !ok {
+				return
 			}
 		}
 		if err := v.SelectCB(pick); err != nil {
@@ -640,13 +624,18 @@ func (a *AIMT) PickCB(v *sim.View) (sim.CBRef, bool) {
 	}
 	// With the selected queue empty, run ready compute blocks
 	// directly; idling the PE until the in-flight fetch tops the queue
-	// up would only move its work later.
+	// up would only move its work later. Round-robin is the default.
+	pressure := a.underPressure(v)
+	if !pressure && a.deadlines == nil && a.weights == nil {
+		return v.FirstReadyCB(a.rrCB)
+	}
 	a.cbs = v.ReadyCBs(a.cbs[:0])
 	if len(a.cbs) == 0 {
 		return sim.CBRef{}, false
 	}
-	pick, found := a.cbs[0], false
-	if a.underPressure(v) {
+	var pick sim.CBRef
+	found := false
+	if pressure {
 		for _, c := range a.cbs {
 			if !found || v.CBCycles(c) < v.CBCycles(pick) {
 				pick, found = c, true
@@ -662,23 +651,11 @@ func (a *AIMT) PickCB(v *sim.View) (sim.CBRef, bool) {
 		}
 		return pick, true
 	}
-	if a.weights != nil {
-		credits := a.accrueCredits(v)
-		for _, c := range a.cbs {
-			if !found || credits[c.Net] > credits[pick.Net] {
-				pick, found = c, true
-			}
-		}
-		return pick, true
-	}
+	credits := a.accrueCredits(v)
 	for _, c := range a.cbs {
-		if c.Net >= a.rrCB {
+		if !found || credits[c.Net] > credits[pick.Net] {
 			pick, found = c, true
-			break
 		}
-	}
-	if !found {
-		pick = a.cbs[0]
 	}
 	return pick, true
 }

@@ -147,7 +147,7 @@ func Open(dir string) (*Store, error) {
 }
 
 // nextSeq returns one past the highest run-NNNNNN sequence in use, so
-// assigned IDs never collide with survivors of a Compact.
+// assigned IDs never collide with stored runs.
 func nextSeq(runs []Run) int {
 	max := 0
 	for _, r := range runs {
@@ -185,8 +185,8 @@ func (s *Store) Runs() []Run {
 	return out
 }
 
-// Get returns the run with the given ID (the latest, if Compact has
-// not yet folded duplicates).
+// Get returns the run with the given ID (the latest, if the log holds
+// the ID more than once).
 func (s *Store) Get(id string) (Run, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,44 +265,6 @@ func (s *Store) Select(q Query) []Run {
 		}
 	}
 	return out
-}
-
-// Compact rewrites the log keeping only the latest run per ID
-// (append order otherwise preserved), atomically via a temp file and
-// rename. It returns how many duplicate entries were dropped.
-func (s *Store) Compact() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byID := map[string]int{}
-	var kept []Run
-	for _, r := range s.runs {
-		if i, ok := byID[r.ID]; ok {
-			kept[i] = r
-			continue
-		}
-		byID[r.ID] = len(kept)
-		kept = append(kept, r)
-	}
-	dropped := len(s.runs) - len(kept)
-	var buf bytes.Buffer
-	for _, r := range kept {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return 0, err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	s.runs = kept
-	return dropped, nil
 }
 
 // CurrentCommit returns the working tree's short git commit, or ""

@@ -83,36 +83,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestCompactDropsDuplicateIDs(t *testing.T) {
-	dir := t.TempDir()
-	s := openFixed(t, dir)
-	if _, err := s.Append(Run{ID: "a", Source: "serve", Labels: map[string]string{"v": "1"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Append(Run{ID: "b", Source: "serve"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Append(Run{ID: "a", Source: "serve", Labels: map[string]string{"v": "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	dropped, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 1 {
-		t.Fatalf("Compact dropped %d, want 1", dropped)
-	}
-	runs := s.Runs()
-	if len(runs) != 2 || runs[0].ID != "a" || runs[0].Labels["v"] != "2" || runs[1].ID != "b" {
-		t.Fatalf("after Compact: %+v", runs)
-	}
-	// The rewrite is durable.
-	s2 := openFixed(t, dir)
-	if s2.Len() != 2 {
-		t.Fatalf("reopened after Compact: Len = %d, want 2", s2.Len())
-	}
-}
-
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openFixed(t, dir)

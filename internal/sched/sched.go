@@ -128,25 +128,23 @@ func NewRR() *RR { return &RR{base: base{depth: 2}} }
 func (*RR) Name() string { return "RR" }
 
 // PickMB implements sim.Scheduler: the first issuable candidate at or
-// after the rotation pointer.
+// after the rotation pointer, wrapping to the first candidate.
+// Candidates come in net order, so one pass finds it.
 func (r *RR) PickMB(v *sim.View) (sim.MBRef, bool) {
 	c := r.candidates(v)
 	if len(c) == 0 {
 		return sim.MBRef{}, false
 	}
-	n := v.NumNets()
-	for off := 0; off < n; off++ {
-		net := (r.next + off) % n
-		for _, m := range c {
-			if m.Net == net {
-				r.next = (net + 1) % n
-				r.enqueue(m)
-				return m, true
-			}
+	m := c[0]
+	for _, x := range c {
+		if x.Net >= r.next {
+			m = x
+			break
 		}
 	}
-	r.enqueue(c[0])
-	return c[0], true
+	r.next = (m.Net + 1) % v.NumNets()
+	r.enqueue(m)
+	return m, true
 }
 
 // Greedy dynamically selects the memory block whose duration is most

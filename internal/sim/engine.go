@@ -211,8 +211,12 @@ type Engine struct {
 	runID uint64
 
 	// tables lists the distinct compiled tables init has validated
-	// this run (see checkTable).
+	// this run, each with its init template (see checkTable). Entries
+	// past len keep their template storage for the next run. spill is
+	// the template of a table beyond maxCheckedTables, rebuilt at each
+	// of its instances.
 	tables []checkedTable
+	spill  netTemplate
 
 	res Result
 }
@@ -278,14 +282,17 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 		return errors.New("sim: no networks")
 	}
 	e.tables = e.tables[:0]
-	totalLayers, subLayers := 0, 0
+	totalLayers, spillLayers, subLayers := 0, 0, 0
 	var cbTotal, mbTotal arch.Cycles
 	for _, cn := range nets {
-		st, err := e.checkTable(cfg, cn)
+		st, shared, err := e.checkTable(cfg, cn)
 		if err != nil {
 			return err
 		}
 		totalLayers += len(cn.Layers)
+		if !shared {
+			spillLayers += len(cn.Layers)
+		}
 		subLayers += st.SubLayers
 		cbTotal += st.CBCycles
 		mbTotal += st.MBCycles
@@ -297,20 +304,21 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 
 	// Reset the view in place, keeping its recycled slices.
 	e.view = View{
-		cfg: cfg, total: cfg.WeightBlocks(), nets: e.netPtrs[:0], active: e.view.active[:0],
+		cfg: cfg, total: cfg.WeightBlocks(), nets: e.netPtrs[:0],
+		active: e.view.active[:0], cbNets: e.view.cbNets[:0],
 		mbRemaining: subLayers, cbTotal: cbTotal, mbTotal: mbTotal,
 	}
 	v := &e.view
 	e.v = v
 
-	e.arena.reset(totalLayers)
+	e.arena.reset(totalLayers, spillLayers)
 	if cap(e.states) < len(nets) {
 		e.states = make([]netState, len(nets))
 	}
 	e.states = e.states[:len(nets)]
-	var intOff, layerOff int
+	var intOff, layerOff, spillOff int
 	for i, cn := range nets {
-		initNetState(&e.states[i], cn, &e.arena, &intOff, &layerOff)
+		initNetState(&e.states[i], cn, e.template(cn, &spillOff), &e.arena, &intOff, &layerOff)
 		v.nets = append(v.nets, &e.states[i])
 	}
 	e.netPtrs = v.nets
@@ -401,42 +409,72 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 }
 
 // checkedTable is one distinct compiled table validated by init, with
-// its aggregate totals.
+// its aggregate totals and the init template its instances share.
 type checkedTable struct {
-	cn *compiler.CompiledNetwork
-	st compiler.Stats
+	cn   *compiler.CompiledNetwork
+	st   compiler.Stats
+	tmpl netTemplate
 }
 
 // maxCheckedTables bounds the linear scan in checkTable. A serving
 // stream repeats a handful of tables across thousands of instances;
-// past this many distinct ones, further tables are simply validated at
-// each occurrence.
+// past this many distinct ones, further tables are simply validated,
+// and their templates built, at each occurrence.
 const maxCheckedTables = 32
 
 // checkTable validates cn (its own consistency, and that every memory
 // block fits the weight SRAM) and returns its totals, doing the work
-// once per distinct table per run. Nothing is cached on the table
-// itself: its exported Layers may be edited between runs.
-func (e *Engine) checkTable(cfg arch.Config, cn *compiler.CompiledNetwork) (compiler.Stats, error) {
+// and building the table's init template once per distinct table per
+// run; shared reports that the template was recorded. Nothing is
+// cached on the table itself: its exported Layers may be edited
+// between runs.
+func (e *Engine) checkTable(cfg arch.Config, cn *compiler.CompiledNetwork) (st compiler.Stats, shared bool, err error) {
 	for i := range e.tables {
 		if e.tables[i].cn == cn {
-			return e.tables[i].st, nil
+			return e.tables[i].st, true, nil
 		}
 	}
 	if err := cn.Validate(); err != nil {
-		return compiler.Stats{}, err
+		return compiler.Stats{}, false, err
 	}
 	for i := range cn.Layers {
 		if l := &cn.Layers[i]; l.MBBlocks > cfg.WeightBlocks() {
-			return compiler.Stats{}, fmt.Errorf("sim: %s/%s needs %d SRAM blocks but the weight buffer holds %d",
+			return compiler.Stats{}, false, fmt.Errorf("sim: %s/%s needs %d SRAM blocks but the weight buffer holds %d",
 				cn.Name, l.Name, l.MBBlocks, cfg.WeightBlocks())
 		}
 	}
-	st := cn.Stats()
-	if len(e.tables) < maxCheckedTables {
-		e.tables = append(e.tables, checkedTable{cn: cn, st: st})
+	st = cn.Stats()
+	n := len(e.tables)
+	if n == maxCheckedTables {
+		return st, false, nil
 	}
-	return st, nil
+	// Reuse the template storage a previous run left past len.
+	if n < cap(e.tables) {
+		e.tables = e.tables[:n+1]
+	} else {
+		e.tables = append(e.tables, checkedTable{})
+	}
+	t := &e.tables[n]
+	t.cn, t.st = cn, st
+	t.tmpl.build(cn)
+	return st, true, nil
+}
+
+// template returns the init template for an instance of cn: its
+// checked table's, or for a table beyond maxCheckedTables one built
+// now whose hot rows are written into the arena at *spillOff, so they
+// outlive the next instance's rebuild.
+func (e *Engine) template(cn *compiler.CompiledNetwork, spillOff *int) *netTemplate {
+	for i := range e.tables {
+		if e.tables[i].cn == cn {
+			return &e.tables[i].tmpl
+		}
+	}
+	n := len(cn.Layers)
+	e.spill.hot = e.arena.hot[*spillOff : *spillOff : *spillOff+n]
+	*spillOff += n
+	e.spill.build(cn)
+	return &e.spill
 }
 
 // release drops every reference a pooled engine would otherwise pin
@@ -456,7 +494,9 @@ func (e *Engine) release() {
 	e.chainSucc = nil
 	e.chk = nil
 	e.chkState.v = nil
-	clear(e.tables)
+	for i := range e.tables {
+		e.tables[i].cn = nil
+	}
 	e.tables = e.tables[:0]
 }
 
@@ -768,7 +808,7 @@ func (e *Engine) completeMB() error {
 		// layer: it joins the CB frontier (if the layer was drained)
 		// and the available-compute total.
 		if s.mbDone[r.Layer]-s.cbDone[r.Layer] == 1 {
-			s.cbFront = frontAdd(s.cbFront, r.Layer)
+			v.cbFrontAdd(r.Net, r.Layer)
 		}
 		v.availCB += h.cbCycles
 	}
@@ -859,14 +899,14 @@ func (e *Engine) completeCB() error {
 	s.remnant[r.Layer] = 0
 	s.cbDone[r.Layer]++
 	if s.mbDone[r.Layer] == s.cbDone[r.Layer] {
-		s.cbFront = frontRemove(s.cbFront, r.Layer)
+		v.cbFrontRemove(r.Net, r.Layer)
 	}
 	v.outstanding--
 	if s.cbDone[r.Layer] == h.iters {
 		for _, p := range s.cn.Layers[r.Layer].Posts {
 			s.cbIndeg[p]--
 			if s.cbIndeg[p] == 0 {
-				v.unlockCB(s, p)
+				v.unlockCB(r.Net, p)
 			}
 		}
 		s.layersLeft--
@@ -980,7 +1020,7 @@ func (e *Engine) finishHostIn(net int) error {
 		if len(s.cn.Layers[li].Deps) == 0 {
 			s.cbIndeg[li]--
 			if s.cbIndeg[li] == 0 {
-				e.v.unlockCB(s, li)
+				e.v.unlockCB(net, li)
 			}
 		}
 	}

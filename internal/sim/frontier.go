@@ -22,13 +22,23 @@ import "aimt/internal/arch"
 //
 //	mbFront: mbIndeg == 0 && mbIssued < Iters
 //	cbFront: cbIndeg == 0 && mbDone  > cbDone
+//	cbNets:  active nets with a non-empty cbFront
 //
 // ReadyCBs and SelectableCBs are both filters over cbFront: a cbFront
 // layer is ready when nothing on it is claimed ahead of execution
 // (cbSelected == cbDone), and contributes selectable iterations
 // cbSelected..mbDone-1. Since cbDone <= cbSelected <= mbDone always
 // holds, both sets are subsets of cbFront, so one frontier serves all
-// three CB-side queries.
+// three CB-side queries, and the View-level cbNets index lets them
+// skip every net that holds no resident compute work. cbFront changes
+// only through cbFrontAdd and cbFrontRemove, which keep cbNets in
+// step.
+//
+// AI-MT's rotating picks need only the first candidate at or after a
+// round-robin pointer (FirstReadyCB, FirstSelectableCB) or the MB
+// candidates in rotation order (MBCandidatesFrom); those queries
+// answer from the frontiers in one walk, without materializing and
+// re-ranking a copy.
 //
 // The scan* functions below are the original full-scan
 // implementations, kept as the reference the invariant checker (and
@@ -58,22 +68,60 @@ func frontRemove(f []int, li int) []int {
 	return f
 }
 
-// unlockCB accounts for layer li of net s whose CB chain just became
+// cbFrontAdd inserts layer li into net's CB frontier, entering the
+// net into cbNets when its frontier was empty.
+func (v *View) cbFrontAdd(net, li int) {
+	s := v.nets[net]
+	if len(s.cbFront) == 0 {
+		v.cbNets = frontAdd(v.cbNets, net)
+	}
+	s.cbFront = frontAdd(s.cbFront, li)
+}
+
+// cbFrontRemove deletes layer li from net's CB frontier, dropping the
+// net from cbNets when its frontier empties.
+func (v *View) cbFrontRemove(net, li int) {
+	s := v.nets[net]
+	s.cbFront = frontRemove(s.cbFront, li)
+	if len(s.cbFront) == 0 {
+		v.cbNets = frontRemove(v.cbNets, net)
+	}
+}
+
+// unlockCB accounts for layer li of net whose CB chain just became
 // dependency-free: any already-resident compute blocks join the CB
 // frontier and the available-compute counter. (A layer's weights may
 // be fetched while its CB chain is still locked — MB and CB chains
 // unlock independently.)
-func (v *View) unlockCB(s *netState, li int) {
+func (v *View) unlockCB(net, li int) {
+	s := v.nets[net]
 	n := s.mbDone[li] - s.cbDone[li]
 	if n <= 0 {
 		return
 	}
-	s.cbFront = frontAdd(s.cbFront, li)
+	v.cbFrontAdd(net, li)
 	cb := s.hot[li].cbCycles
 	v.availCB += arch.Cycles(n) * cb
 	if s.remnant[li] > 0 {
 		v.availCB -= cb - (s.remnant[li] + v.cfg.FillLatency)
 	}
+}
+
+// scanCBNets reports whether cbNets lists exactly the active nets
+// whose CB frontier is non-empty, in ascending order — the reference
+// rescan of the index.
+func (v *View) scanCBNets() bool {
+	i := 0
+	for _, ni := range v.active {
+		if len(v.nets[ni].cbFront) == 0 {
+			continue
+		}
+		if i >= len(v.cbNets) || v.cbNets[i] != ni {
+			return false
+		}
+		i++
+	}
+	return i == len(v.cbNets)
 }
 
 // scanMBCandidates is the reference full-scan implementation of

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -222,12 +224,81 @@ func TestInvariantCatchesFrontierCorruption(t *testing.T) {
 	}
 }
 
+// TestInvariantCatchesCBNetIndexCorruption corrupts the CB-frontier net
+// index mid-run, once dropping a net that holds resident compute work
+// and once listing a stale net (a late arrival with an empty CB
+// frontier); the checker's rescan of the index must catch both.
+func TestInvariantCatchesCBNetIndexCorruption(t *testing.T) {
+	cfg := testConfig(t)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(v *View)
+	}{
+		{"dropped-net", func(v *View) {
+			if len(v.cbNets) > 0 {
+				v.cbNets = v.cbNets[:len(v.cbNets)-1]
+			}
+		}},
+		{"stale-net", func(v *View) {
+			if !v.nets[1].arrived && (len(v.cbNets) == 0 || v.cbNets[len(v.cbNets)-1] != 1) {
+				v.cbNets = append(v.cbNets, 1)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := chainNet("a", cfg,
+				layerSpec{mb: 10, cb: 20, iters: 3, blocks: 1},
+				layerSpec{mb: 10, cb: 5, iters: 2, blocks: 1})
+			b := chainNet("b", cfg, layerSpec{mb: 10, cb: 5, iters: 2, blocks: 1})
+			_, err := Run(cfg, []*compiler.CompiledNetwork{a, b}, &frontierSaboteur{corrupt: tc.corrupt},
+				Options{CheckInvariants: true, Arrivals: []arch.Cycles{0, 500}})
+			if !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "net index") {
+				t.Fatalf("err = %v, want ErrInvariant from the CB-frontier net index check", err)
+			}
+		})
+	}
+}
+
+// TestRestoreRebuildsCBNetIndex corrupts the live index after a
+// snapshot; Restore must rebuild it from the restored frontiers, so
+// the checked replay matches an uninterrupted run exactly.
+func TestRestoreRebuildsCBNetIndex(t *testing.T) {
+	cfg, nets := snapshotWorkload(t)
+	want, err := Run(cfg, nets, serial{}, Options{CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(cfg, nets, serial{}, Options{CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.StepUntil(want.Makespan / 3); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.v.cbNets) == 0 {
+		t.Fatal("probe point holds no compute candidates; nothing to rebuild")
+	}
+	snap := e.Snapshot(nil)
+	e.v.cbNets = append(e.v.cbNets[:0], 1, 0, 7)
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replay after restore diverged: makespan %d, want %d", got.Makespan, want.Makespan)
+	}
+}
+
 // benchView hand-builds a mid-run View over nets deep chain networks:
 // per net, the first prog layers are complete, the layer at prog is
-// mid-flight with resident unconsumed compute blocks, and everything
-// beyond is still locked — the steady state of a deep-layer mix, where
-// a full scan walks every layer to find a handful of candidates.
-func benchView(b *testing.B, nets, layers int) *View {
+// mid-flight, and everything beyond is still locked — the steady state
+// of a deep-layer mix, where a full scan walks every layer to find a
+// handful of candidates. The first resident nets hold unconsumed
+// compute blocks at prog; the others still wait for its weights.
+func benchView(b *testing.B, nets, layers, resident int) *View {
 	b.Helper()
 	cfg := testConfig(b)
 	v := &View{cfg: cfg, total: cfg.WeightBlocks()}
@@ -246,10 +317,13 @@ func benchView(b *testing.B, nets, layers int) *View {
 				s.mbIndeg[li], s.cbIndeg[li] = 0, 0
 				s.mbIssued[li], s.mbDone[li] = iters, iters
 				s.cbSelected[li], s.cbDone[li] = iters, iters
-			case li == prog:
+			case li == prog && n < resident:
 				s.mbIndeg[li], s.cbIndeg[li] = 0, 0
 				s.mbIssued[li], s.mbDone[li] = 3, 2
 				s.cbSelected[li], s.cbDone[li] = 1, 0
+			case li == prog:
+				s.mbIndeg[li], s.cbIndeg[li] = 0, 0
+				s.mbIssued[li] = 1
 			}
 			// Layers beyond prog keep their constructed in-degrees
 			// (locked), except the one directly after prog, whose MB
@@ -263,14 +337,14 @@ func benchView(b *testing.B, nets, layers int) *View {
 	}
 	// Rebuild the frontiers and the AVL counter from the counters, the
 	// way the engine's incremental maintenance would have left them.
-	for _, s := range v.nets {
+	for ni, s := range v.nets {
 		s.mbFront, s.cbFront = s.mbFront[:0], s.cbFront[:0]
 		for li := range s.cn.Layers {
 			if s.mbIndeg[li] == 0 && s.mbIssued[li] < s.cn.Layers[li].Iters {
 				s.mbFront = frontAdd(s.mbFront, li)
 			}
 			if s.cbIndeg[li] == 0 && s.mbDone[li] > s.cbDone[li] {
-				s.cbFront = frontAdd(s.cbFront, li)
+				v.cbFrontAdd(ni, li)
 			}
 		}
 	}
@@ -281,13 +355,17 @@ func benchView(b *testing.B, nets, layers int) *View {
 // BenchmarkCandidateScan measures one full scheduler-visible candidate
 // derivation (MBCandidates + ReadyCBs + SelectableCBs +
 // AvailableCBCycles) on a deep-layer mid-run state: the incremental
-// frontiers against the reference full scan they replaced.
+// frontiers against the reference full scan they replaced. The
+// first-* and mb-from sub-benchmarks measure AI-MT's rotation-aware
+// queries on a serve-sized active set — 7 shallow nets, one holding
+// resident compute work — each against the materialize-then-pick
+// path it replaced.
 func BenchmarkCandidateScan(b *testing.B) {
-	v := benchView(b, 8, 64)
+	v := benchView(b, 8, 64, 8)
 	if g, w := v.MBCandidates(nil), v.scanMBCandidates(nil); !mbRefsEqual(g, w) {
 		b.Fatalf("frontier %v != scan %v", g, w)
 	}
-	var mbs []MBRef
+	var mbs, ord []MBRef
 	var cbs []CBRef
 	b.Run("frontier", func(b *testing.B) {
 		b.ReportAllocs()
@@ -305,6 +383,76 @@ func BenchmarkCandidateScan(b *testing.B) {
 			cbs = v.scanReadyCBs(cbs[:0])
 			cbs = v.scanSelectableCBs(cbs[:0])
 			_ = v.scanAvailableCBCycles()
+		}
+	})
+
+	sv := benchView(b, 7, 6, 1)
+	sv.nets[0].cbSelected[3] = 0 // nothing claimed: the block is ready too
+	if len(sv.ReadyCBs(nil)) == 0 || len(sv.SelectableCBs(nil)) == 0 {
+		b.Fatal("serve-sized view holds no ready or selectable compute block")
+	}
+	const from = 4 // a rotation pointer past the resident net, so picks wrap
+	first := func(cbs []CBRef) CBRef {
+		for _, c := range cbs {
+			if c.Net >= from {
+				return c
+			}
+		}
+		return cbs[0]
+	}
+	b.Run("first-ready", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = sv.FirstReadyCB(from)
+		}
+	})
+	b.Run("first-ready-materialized", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cbs = sv.ReadyCBs(cbs[:0])
+			_ = first(cbs)
+		}
+	})
+	b.Run("first-selectable", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = sv.FirstSelectableCB(from)
+		}
+	})
+	b.Run("first-selectable-materialized", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cbs = sv.SelectableCBs(cbs[:0])
+			_ = first(cbs)
+		}
+	})
+	b.Run("mb-from", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mbs = sv.MBCandidatesFrom(mbs[:0], from)
+		}
+	})
+	b.Run("mb-from-materialized", func(b *testing.B) {
+		// MBCandidates plus the four-pass rank the rotation used to do.
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mbs = sv.MBCandidates(mbs[:0])
+			ord = ord[:0]
+			for pri := 0; pri <= 3; pri++ {
+				for _, m := range mbs {
+					r := 0
+					if m.Net < from {
+						r++
+					}
+					if !sv.nets[m.Net].hostInDone {
+						r += 2
+					}
+					if r == pri {
+						ord = append(ord, m)
+					}
+				}
+			}
+			mbs, ord = ord, mbs
 		}
 	})
 }

@@ -37,8 +37,10 @@ var ErrInvariant = errors.New("sim: machine invariant violated")
 //     resume;
 //  6. the incrementally maintained candidate frontiers agree with a
 //     brute-force rescan: MBCandidates, ReadyCBs, SelectableCBs and
-//     AvailableCBCycles equal the reference full-scan results after
-//     every state transition (see frontier.go);
+//     AvailableCBCycles equal the reference full-scan results, and
+//     the CB-frontier net index lists exactly the active nets with a
+//     non-empty CB frontier, after every state transition (see
+//     frontier.go);
 //  7. halts and resumes pair up: a compute block that starts with less
 //     than its full work must be the resume of exactly the outstanding
 //     halted remainder (plus the refill penalty), and each halt is
@@ -65,6 +67,13 @@ type checker struct {
 
 	nets []netShadow
 
+	// holding lists, ascending, the nets with an outstanding memory
+	// block (issued, its compute block not yet complete): the only
+	// nets whose chains can hold blocks, so checkSRAM walks just
+	// these. A block left in any other net's chain is in no chain
+	// checkSRAM hands the block table, which reports it as leaked.
+	holding []int
+
 	// layerSlab is the flat backing every netShadow's layers sub-slice
 	// is carved from, so a pooled checker resets without reallocating.
 	layerSlab []layerShadow
@@ -75,9 +84,8 @@ type checker struct {
 	mbGot, mbWant []MBRef
 	cbGot, cbWant []CBRef
 
-	// chainPtrs caches the pointer list checkSRAM hands to sram.Check;
-	// the chains live in layerSlab, so the pointers are stable for the
-	// whole run and are built once.
+	// chainPtrs is checkSRAM's scratch list of the holding nets'
+	// chains, handed to sram.Check.
 	chainPtrs []*sram.Chain
 }
 
@@ -86,6 +94,11 @@ type checker struct {
 type netShadow struct {
 	hostInDone bool
 	layers     []layerShadow
+
+	// outstanding counts the net's memory blocks issued whose compute
+	// blocks have not completed; the net is in holding while it is
+	// positive.
+	outstanding int
 }
 
 // layerShadow shadows one layer's sub-layer progress.
@@ -130,6 +143,7 @@ func (c *checker) reset(v *View) error {
 		fill:      v.cfg.FillLatency,
 		buf:       c.buf,
 		nets:      c.nets[:0],
+		holding:   c.holding[:0],
 		layerSlab: c.layerSlab[:0],
 		mbGot:     c.mbGot[:0], mbWant: c.mbWant[:0],
 		cbGot: c.cbGot[:0], cbWant: c.cbWant[:0],
@@ -142,10 +156,7 @@ func (c *checker) reset(v *View) error {
 		c.layerSlab = make([]layerShadow, 0, totalLayers)
 	}
 	slab := c.layerSlab[:totalLayers]
-	for i := range slab {
-		slab[i] = layerShadow{}
-		c.chainPtrs = append(c.chainPtrs, &slab[i].chain)
-	}
+	clear(slab)
 	off := 0
 	for _, s := range v.nets {
 		n := len(s.cn.Layers)
@@ -193,6 +204,11 @@ func (c *checker) mbIssue(r MBRef, blocks int) error {
 			c.buf.UsedBlocks(), blocks, c.buf.NumBlocks(), r, err)
 	}
 	sh.mbIssued++
+	ns := &c.nets[r.Net]
+	ns.outstanding++
+	if ns.outstanding == 1 {
+		c.holding = frontAdd(c.holding, r.Net)
+	}
 	c.memInFlight = true
 	return nil
 }
@@ -292,8 +308,16 @@ func (c *checker) cbDone(r CBRef, start, end arch.Cycles, blocks int) error {
 	if err := c.buf.Consume(&sh.chain, blocks); err != nil {
 		return c.violate("CB %+v freed more SRAM blocks than were allocated: %v", r, err)
 	}
+	// The net leaves holding only after this check, so the chains of
+	// a net releasing its last memory block are walked once more and
+	// must be empty.
 	if err := c.checkSRAM(); err != nil {
 		return err
+	}
+	ns := &c.nets[r.Net]
+	ns.outstanding--
+	if ns.outstanding == 0 {
+		c.holding = frontRemove(c.holding, r.Net)
 	}
 	c.cbCount++
 	return nil
@@ -345,6 +369,11 @@ func (c *checker) frontiers() error {
 	if !mbRefsEqual(c.mbGot, c.mbWant) {
 		return c.violate("MB frontier %v diverged from full scan %v", c.mbGot, c.mbWant)
 	}
+	// The CB-side queries read through the net index, so check it
+	// first: a corrupt index is then reported as itself.
+	if !v.scanCBNets() {
+		return c.violate("CB-frontier net index %v diverged from the active nets' frontiers", v.cbNets)
+	}
 	c.cbGot = v.ReadyCBs(c.cbGot[:0])
 	c.cbWant = v.scanReadyCBs(c.cbWant[:0])
 	if !cbRefsEqual(c.cbGot, c.cbWant) {
@@ -385,16 +414,35 @@ func cbRefsEqual(a, b []CBRef) bool {
 	return true
 }
 
-// checkSRAM verifies invariant 2's structural half: the block table's
-// free list and chains partition the buffer, each layer's chain holds
-// exactly its fetched-but-unconsumed memory blocks (sized from the
-// compiled table, not the engine's hot rows), and the engine's
-// occupancy counter equals the table's.
-func (c *checker) checkSRAM() error {
-	if err := c.buf.Check(c.chainPtrs); err != nil {
-		return c.violate("%v", err)
-	}
+// rebuildHolding recomputes each net's outstanding MB count and the
+// holding list from the layer shadows, after a restore rewound them.
+func (c *checker) rebuildHolding() {
+	c.holding = c.holding[:0]
 	for ni := range c.nets {
+		ns := &c.nets[ni]
+		ns.outstanding = 0
+		for li := range ns.layers {
+			ns.outstanding += ns.layers[li].mbIssued - ns.layers[li].cbDone
+		}
+		if ns.outstanding > 0 {
+			c.holding = append(c.holding, ni)
+		}
+	}
+}
+
+// checkSRAM verifies invariant 2's structural half: the block table's
+// free list and the holding nets' chains partition the buffer (so a
+// block in any other chain is reported as leaked), each holding net's
+// layer chains hold exactly its fetched-but-unconsumed memory blocks
+// (sized from the compiled table, not the engine's hot rows), and the
+// engine's occupancy counter equals the table's. A net outside
+// holding has every layer at mbIssued == cbDone, so its chains must
+// be empty — which the partition check already proves. The cost is
+// the block count plus the holding nets' layers, not every layer of
+// every instance.
+func (c *checker) checkSRAM() error {
+	c.chainPtrs = c.chainPtrs[:0]
+	for _, ni := range c.holding {
 		layers := c.v.nets[ni].cn.Layers
 		for li := range c.nets[ni].layers {
 			sh := &c.nets[ni].layers[li]
@@ -402,7 +450,11 @@ func (c *checker) checkSRAM() error {
 				return c.violate("net %d layer %d chain holds %d SRAM blocks, want (%d issued - %d done) x %d",
 					ni, li, sh.chain.Len(), sh.mbIssued, sh.cbDone, layers[li].MBBlocks)
 			}
+			c.chainPtrs = append(c.chainPtrs, &sh.chain)
 		}
+	}
+	if err := c.buf.Check(c.chainPtrs); err != nil {
+		return c.violate("%v", err)
 	}
 	if got, want := c.v.used, c.buf.UsedBlocks(); got != want {
 		return c.violate("engine SRAM occupancy %d blocks disagrees with the block table's %d", got, want)

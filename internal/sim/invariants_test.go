@@ -251,6 +251,39 @@ func TestInvariantCatchesSRAMLeak(t *testing.T) {
 	}
 }
 
+// TestInvariantCatchesBlockInIdleNetChain plants a weight block in the
+// chain of a net that holds none (it has not even arrived), keeping
+// the engine's occupancy counter in step so only the block table can
+// notice. checkSRAM hands sram.Check the chains of the nets holding
+// blocks only, so the planted block lies in no chain it sees and must
+// be reported as leaked.
+func TestInvariantCatchesBlockInIdleNetChain(t *testing.T) {
+	cfg := testConfig(t)
+	nets := []*compiler.CompiledNetwork{
+		chainNet("a", cfg, layerSpec{mb: 10, cb: 20, iters: 6, blocks: 1}),
+		chainNet("b", cfg, layerSpec{mb: 10, cb: 5, iters: 2, blocks: 1}),
+	}
+	e, err := NewEngine(cfg, nets, serial{}, Options{CheckInvariants: true, Arrivals: []arch.Cycles{0, 10_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.StepUntil(30); err != nil {
+		t.Fatal(err)
+	}
+	c := e.chk
+	if c.nets[1].outstanding != 0 || len(c.holding) != 1 {
+		t.Fatalf("probe point: net 1 outstanding %d, holding %v; want net 0 alone holding", c.nets[1].outstanding, c.holding)
+	}
+	if err := c.buf.Allocate(&c.nets[1].layers[0].chain, 1); err != nil {
+		t.Fatal(err)
+	}
+	e.v.used++
+	_, err = e.Run()
+	if !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "leaked") {
+		t.Fatalf("err = %v, want ErrInvariant reporting the planted block as leaked", err)
+	}
+}
+
 // TestCheckerUnits exercises checker transitions the engine cannot
 // currently produce, so regressions in future engine refactors are
 // still caught.

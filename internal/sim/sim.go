@@ -85,7 +85,8 @@ func (NopHooks) OnCBSplit(*View, CBRef, arch.Cycles) {}
 type netState struct {
 	cn *compiler.CompiledNetwork
 
-	// hot is the net's per-layer hot row (see layerHot).
+	// hot is the net's per-layer hot row (see layerHot), shared with
+	// every instance of the same compiled table.
 	hot []layerHot
 
 	mbIndeg []int // unresolved MB-chain predecessors per layer
@@ -117,37 +118,84 @@ type netState struct {
 }
 
 // layerHot is the part of a compiled layer the engine, the frontiers
-// and the schedulers read on every event. initNetState copies it out
-// of the compiled table once per run, so the hot path indexes a small
-// flat row instead of reading (or copying) the full
+// and the schedulers read on every event, so the hot path indexes a
+// small flat row instead of reading (or copying) the full
 // compiler.CompiledLayer record with its name and dependency lists.
-// A layer's resident SRAM blocks are (mbIssued - cbDone) * mbBlocks,
-// which is why the engine needs no block table of its own.
+// Rows never change during a run, so every instance of one compiled
+// table shares its table's rows (see netTemplate). A layer's resident
+// SRAM blocks are (mbIssued - cbDone) * mbBlocks, which is why the
+// engine needs no block table of its own.
 type layerHot struct {
 	mbCycles, cbCycles arch.Cycles
 	iters, mbBlocks    int
 	memIntensive       bool // mbCycles > cbCycles
 }
 
-// stateArena carves every net's per-layer bookkeeping out of three
-// flat, grow-only slabs — a struct-of-arrays layout. Each netState's
+// netTemplate is the starting state every instance of one compiled
+// table shares: the table's hot rows, which instances point at
+// read-only, and the initial MB/CB indegrees and root MB frontier,
+// which each instance copies into its own arena carve. The engine
+// builds one per distinct table per run (see Engine.checkTable), so
+// a serving stream of thousands of instances over a handful of
+// tables fills rows once per table rather than once per instance.
+type netTemplate struct {
+	hot              []layerHot
+	mbIndeg, cbIndeg []int
+	mbFront          []int
+}
+
+// build fills t from cn, reusing t's storage. The rows are appended
+// to t.hot[:0], so a caller may point t.hot at a cap-limited carve
+// of other storage to have the rows written there.
+func (t *netTemplate) build(cn *compiler.CompiledNetwork) {
+	t.hot, t.mbIndeg, t.cbIndeg, t.mbFront = t.hot[:0], t.mbIndeg[:0], t.cbIndeg[:0], t.mbFront[:0]
+	for i := range cn.Layers {
+		l := &cn.Layers[i]
+		t.hot = append(t.hot, layerHot{
+			mbCycles:     l.MBCycles,
+			cbCycles:     l.CBCycles,
+			iters:        l.Iters,
+			mbBlocks:     l.MBBlocks,
+			memIntensive: l.MemoryIntensive(),
+		})
+		deps := len(l.Deps)
+		t.mbIndeg = append(t.mbIndeg, deps)
+		if deps == 0 {
+			// Root layers additionally wait for the host input transfer
+			// before computing (their weights may be fetched earlier).
+			t.cbIndeg = append(t.cbIndeg, 1)
+			if l.Iters > 0 {
+				t.mbFront = append(t.mbFront, i)
+			}
+		} else {
+			t.cbIndeg = append(t.cbIndeg, deps)
+		}
+	}
+}
+
+// stateArena carves every net's per-layer bookkeeping out of flat,
+// grow-only slabs — a struct-of-arrays layout. Each netState's
 // slices are fixed-capacity sub-slices of the slabs, so a pooled
 // engine re-running a same-shaped workload allocates nothing, and a
 // snapshot of the whole machine is two bulk copies (plus per-net
-// scalars) instead of a walk over thousands of tiny slices; the hot
-// rows never change during a run and are not captured. The frontier
-// sub-slices are carved with capacity equal to the net's layer count —
-// a frontier can never hold more than one entry per layer, so
-// frontAdd's append can never grow past the carve.
+// scalars) instead of a walk over thousands of tiny slices. The
+// frontier sub-slices are carved with capacity equal to the net's
+// layer count — a frontier can never hold more than one entry per
+// layer, so frontAdd's append can never grow past the carve.
 type stateArena struct {
 	ints   []int         // 8 ints per layer: 6 counters + 2 frontier backings
 	cycles []arch.Cycles // 1 per layer: remnant
-	hot    []layerHot    // 1 per layer, filled by initNetState
+
+	// hot holds the rows of instances whose table has no shared
+	// template (beyond maxCheckedTables); never mutated mid-run, so
+	// it is not captured by snapshots.
+	hot []layerHot
 }
 
 // reset clears and re-carves the arena for a workload with the given
-// total layer count, reusing capacity when possible.
-func (a *stateArena) reset(totalLayers int) {
+// total layer count, of which spillLayers belong to instances whose
+// hot rows live in the arena, reusing capacity when possible.
+func (a *stateArena) reset(totalLayers, spillLayers int) {
 	ni, nc := totalLayers*8, totalLayers
 	if cap(a.ints) < ni {
 		a.ints = make([]int, ni)
@@ -155,18 +203,14 @@ func (a *stateArena) reset(totalLayers int) {
 	if cap(a.cycles) < nc {
 		a.cycles = make([]arch.Cycles, nc)
 	}
-	if cap(a.hot) < nc {
-		a.hot = make([]layerHot, nc)
+	if cap(a.hot) < spillLayers {
+		a.hot = make([]layerHot, spillLayers)
 	}
 	a.ints = a.ints[:ni]
 	a.cycles = a.cycles[:nc]
-	a.hot = a.hot[:nc]
-	for i := range a.ints {
-		a.ints[i] = 0
-	}
-	for i := range a.cycles {
-		a.cycles[i] = 0
-	}
+	a.hot = a.hot[:spillLayers]
+	clear(a.ints)
+	clear(a.cycles)
 }
 
 // carveInts takes the next n ints from the slab.
@@ -177,12 +221,13 @@ func carveInts(slab []int, off *int, n int) []int {
 }
 
 // initNetState wires one net's state into the arena slabs (already
-// zeroed by reset), fills its hot rows and seeds its dependency counts
-// and MB frontier.
-func initNetState(s *netState, cn *compiler.CompiledNetwork, a *stateArena, intOff, layerOff *int) {
+// zeroed by reset): it points the net at its template's hot rows and
+// copies in the template's dependency counts and root MB frontier.
+func initNetState(s *netState, cn *compiler.CompiledNetwork, t *netTemplate, a *stateArena, intOff, layerOff *int) {
 	n := len(cn.Layers)
 	*s = netState{
 		cn:         cn,
+		hot:        t.hot,
 		mbIndeg:    carveInts(a.ints, intOff, n),
 		cbIndeg:    carveInts(a.ints, intOff, n),
 		mbIssued:   carveInts(a.ints, intOff, n),
@@ -192,44 +237,28 @@ func initNetState(s *netState, cn *compiler.CompiledNetwork, a *stateArena, intO
 		mbFront:    carveInts(a.ints, intOff, n)[:0],
 		cbFront:    carveInts(a.ints, intOff, n)[:0],
 		remnant:    a.cycles[*layerOff : *layerOff+n : *layerOff+n],
-		hot:        a.hot[*layerOff : *layerOff+n : *layerOff+n],
 		layersLeft: n,
 		arrived:    true, // the engine clears this for late arrivals
 	}
 	*layerOff += n
-	for i := range cn.Layers {
-		l := &cn.Layers[i]
-		s.hot[i] = layerHot{
-			mbCycles:     l.MBCycles,
-			cbCycles:     l.CBCycles,
-			iters:        l.Iters,
-			mbBlocks:     l.MBBlocks,
-			memIntensive: l.MemoryIntensive(),
-		}
-		s.mbIndeg[i] = len(l.Deps)
-		s.cbIndeg[i] = len(l.Deps)
-		if len(l.Deps) == 0 {
-			// Root layers additionally wait for the host input transfer
-			// before computing (their weights may be fetched earlier).
-			s.cbIndeg[i] = 1
-		}
-		if s.mbIndeg[i] == 0 && l.Iters > 0 {
-			s.mbFront = append(s.mbFront, i)
-		}
-		// cbFront starts empty: no weights are resident before the
-		// first MB completes, and root CB chains wait on host input.
-	}
+	copy(s.mbIndeg, t.mbIndeg)
+	copy(s.cbIndeg, t.cbIndeg)
+	s.mbFront = append(s.mbFront, t.mbFront...)
+	// cbFront starts empty: no weights are resident before the first
+	// MB completes, and root CB chains wait on host input.
 }
 
 // newNetState builds a standalone net state with its own slabs —
 // used by tests that assemble a View by hand; the engine carves all
 // nets out of one shared arena instead.
 func newNetState(cn *compiler.CompiledNetwork) *netState {
+	t := &netTemplate{}
+	t.build(cn)
 	a := &stateArena{}
-	a.reset(len(cn.Layers))
+	a.reset(len(cn.Layers), 0)
 	s := &netState{}
 	var intOff, layerOff int
-	initNetState(s, cn, a, &intOff, &layerOff)
+	initNetState(s, cn, t, a, &intOff, &layerOff)
 	return s
 }
 
@@ -253,6 +282,14 @@ type View struct {
 	// stream length; the active list keeps each scan proportional to
 	// the in-flight population.
 	active []int
+
+	// cbNets is the ascending list of active nets whose CB frontier is
+	// non-empty — the only nets that can contribute a ready or
+	// selectable compute block. A serving stream keeps several nets
+	// in flight but few of them hold resident compute work at any
+	// pick, so the CB-side queries walk this list, not active.
+	// Maintained by cbFrontAdd/cbFrontRemove (see frontier.go).
+	cbNets []int
 
 	// outstanding is the incremental Σ(mbIssued - cbDone) over all
 	// nets; mbRemaining counts memory blocks not yet issued anywhere.
@@ -426,10 +463,57 @@ func (v *View) IsCBExecutable(r CBRef) bool {
 // size of the result, not the layer count.
 func (v *View) MBCandidates(out []MBRef) []MBRef {
 	for _, ni := range v.active {
+		out = v.nets[ni].appendMBs(out, ni)
+	}
+	return out
+}
+
+// MBCandidatesFrom appends MBCandidates to out in AI-MT's rotation
+// order: first the nets whose host input is done, starting at the
+// first active net >= from and wrapping around, then the nets still
+// waiting for their input in the same order (their compute cannot
+// start, so their weights would only hog SRAM that runnable nets
+// need). Within a net, layers stay ascending. The order is built in
+// one walk over the active list, plus a second only when a waiting
+// net holds candidates.
+func (v *View) MBCandidatesFrom(out []MBRef, from int) []MBRef {
+	k := 0
+	for k < len(v.active) && v.active[k] < from {
+		k++
+	}
+	out, w1 := v.appendMBsOf(out, v.active[k:], true)
+	out, w2 := v.appendMBsOf(out, v.active[:k], true)
+	if w1 || w2 {
+		out, _ = v.appendMBsOf(out, v.active[k:], false)
+		out, _ = v.appendMBsOf(out, v.active[:k], false)
+	}
+	return out
+}
+
+// appendMBsOf appends the MB candidates of the nets in list whose
+// host-input state equals inputDone, and reports whether it skipped a
+// net with candidates in the other state.
+func (v *View) appendMBsOf(out []MBRef, list []int, inputDone bool) ([]MBRef, bool) {
+	skipped := false
+	for _, ni := range list {
 		s := v.nets[ni]
-		for _, li := range s.mbFront {
-			out = append(out, MBRef{Net: ni, Layer: li, Iter: s.mbIssued[li]})
+		if len(s.mbFront) == 0 {
+			continue
 		}
+		if s.hostInDone != inputDone {
+			skipped = true
+			continue
+		}
+		out = s.appendMBs(out, ni)
+	}
+	return out, skipped
+}
+
+// appendMBs appends the next memory block of every layer in s's MB
+// frontier; s is network instance net.
+func (s *netState) appendMBs(out []MBRef, net int) []MBRef {
+	for _, li := range s.mbFront {
+		out = append(out, MBRef{Net: net, Layer: li, Iter: s.mbIssued[li]})
 	}
 	return out
 }
@@ -438,7 +522,7 @@ func (v *View) MBCandidates(out []MBRef) []MBRef {
 // compute block is executable right now (weights resident, chain
 // unlocked), in (net, layer) order.
 func (v *View) ReadyCBs(out []CBRef) []CBRef {
-	for _, ni := range v.active {
+	for _, ni := range v.cbNets {
 		s := v.nets[ni]
 		for _, li := range s.cbFront {
 			// cbFront membership already implies cbIndeg == 0 and
@@ -452,6 +536,29 @@ func (v *View) ReadyCBs(out []CBRef) []CBRef {
 	return out
 }
 
+// FirstReadyCB returns the first ReadyCBs entry whose net is >= from,
+// or else the first entry (round-robin across networks); ok is false
+// when no compute block is ready. It walks the candidate nets in
+// place and copies nothing.
+func (v *View) FirstReadyCB(from int) (r CBRef, ok bool) {
+	for _, ni := range v.cbNets {
+		if ok && ni < from {
+			continue // a wrap-around fallback is already held
+		}
+		s := v.nets[ni]
+		for _, li := range s.cbFront {
+			if s.cbSelected[li] == s.cbDone[li] {
+				if ni >= from {
+					return CBRef{Net: ni, Layer: li, Iter: s.cbDone[li]}, true
+				}
+				r, ok = CBRef{Net: ni, Layer: li, Iter: s.cbDone[li]}, true
+				break
+			}
+		}
+	}
+	return r, ok
+}
+
 // SelectableCBs appends to out the compute blocks a scheduler may
 // claim ahead of execution (the paper's CB candidate queue for
 // merging): CBs whose layer is unlocked and whose weights are already
@@ -459,7 +566,7 @@ func (v *View) ReadyCBs(out []CBRef) []CBRef {
 // overlap an in-flight fetch. Several consecutive iterations of one
 // layer may appear.
 func (v *View) SelectableCBs(out []CBRef) []CBRef {
-	for _, ni := range v.active {
+	for _, ni := range v.cbNets {
 		s := v.nets[ni]
 		for _, li := range s.cbFront {
 			for it := s.cbSelected[li]; it < s.mbDone[li]; it++ {
@@ -468,6 +575,28 @@ func (v *View) SelectableCBs(out []CBRef) []CBRef {
 		}
 	}
 	return out
+}
+
+// FirstSelectableCB returns the first SelectableCBs entry whose net is
+// >= from, or else the first entry; ok is false when nothing is
+// selectable. Like FirstReadyCB it walks in place.
+func (v *View) FirstSelectableCB(from int) (r CBRef, ok bool) {
+	for _, ni := range v.cbNets {
+		if ok && ni < from {
+			continue
+		}
+		s := v.nets[ni]
+		for _, li := range s.cbFront {
+			if s.cbSelected[li] < s.mbDone[li] {
+				if ni >= from {
+					return CBRef{Net: ni, Layer: li, Iter: s.cbSelected[li]}, true
+				}
+				r, ok = CBRef{Net: ni, Layer: li, Iter: s.cbSelected[li]}, true
+				break
+			}
+		}
+	}
+	return r, ok
 }
 
 // AvailableCBCycles returns the total PE work that is available to

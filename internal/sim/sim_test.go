@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -576,7 +578,7 @@ func TestViewAccessors(t *testing.T) {
 	v.outstanding++
 	v.mbRemaining--
 	v.nets[0].cbIndeg[0] = 0
-	v.unlockCB(v.nets[0], 0)
+	v.unlockCB(0, 0)
 	if got := v.AvailableCBCycles(); got != 20 {
 		t.Fatalf("available CB cycles = %d, want 20", got)
 	}
@@ -602,55 +604,166 @@ func TestViewAccessors(t *testing.T) {
 	}
 }
 
-// TestHotRowsMatchCompiledTable checks that the engine's per-layer hot
-// rows, and the View accessors that read them, agree field for field
-// with the compiled tables: every zoo network at batch 1 and 4 plus
-// the transformer prefill and decode tables. The last instance repeats
-// the first table, so a row filled for an already-validated table is
-// covered too.
+// checkInitState checks that every instance's hot rows, the View
+// accessors that read them, and its initial dependency counts and MB
+// frontier agree field for field with its compiled table. The tables
+// must carry host input, so no root CB chain is unlocked yet.
+func checkInitState(t *testing.T, e *Engine, nets []*compiler.CompiledNetwork) {
+	t.Helper()
+	v := e.v
+	for ni, cn := range nets {
+		s := v.nets[ni]
+		if got := len(s.hot); got != len(cn.Layers) {
+			t.Fatalf("net %d (%s): %d hot rows for %d layers", ni, cn.Name, got, len(cn.Layers))
+		}
+		var front []int
+		for li := range cn.Layers {
+			l := &cn.Layers[li]
+			want := layerHot{
+				mbCycles: l.MBCycles, cbCycles: l.CBCycles,
+				iters: l.Iters, mbBlocks: l.MBBlocks,
+				memIntensive: l.MemoryIntensive(),
+			}
+			if got := s.hot[li]; got != want {
+				t.Errorf("net %d %s layer %d (%s): hot row %+v, want %+v", ni, cn.Name, li, l.Name, got, want)
+			}
+			mb, cb := v.BlockCycles(ni, li)
+			r := MBRef{Net: ni, Layer: li}
+			if mb != l.MBCycles || cb != l.CBCycles || v.MBCycles(r) != l.MBCycles ||
+				v.MBBlocks(r) != l.MBBlocks || v.LayerIters(ni, li) != l.Iters ||
+				v.MemoryIntensive(ni, li) != l.MemoryIntensive() {
+				t.Errorf("net %d %s layer %d (%s): View accessors disagree with the compiled table", ni, cn.Name, li, l.Name)
+			}
+			cbIn := len(l.Deps)
+			if cbIn == 0 {
+				cbIn = 1
+			}
+			if s.mbIndeg[li] != len(l.Deps) || s.cbIndeg[li] != cbIn {
+				t.Errorf("net %d %s layer %d: indegrees MB %d CB %d, want %d and %d",
+					ni, cn.Name, li, s.mbIndeg[li], s.cbIndeg[li], len(l.Deps), cbIn)
+			}
+			if len(l.Deps) == 0 && l.Iters > 0 {
+				front = append(front, li)
+			}
+		}
+		if !slices.Equal(s.mbFront, front) {
+			t.Errorf("net %d %s: initial MB frontier %v, want %v", ni, cn.Name, s.mbFront, front)
+		}
+	}
+}
+
+// TestHotRowsMatchCompiledTable checks each instance's init state —
+// hot rows, View accessors, indegrees and root MB frontier — against
+// its compiled table: every zoo network at batch 1 and 4 plus the
+// transformer prefill and decode tables, with the first table
+// repeated; a stream-like run where many instances share one table
+// (and therefore one row set); and a run with more distinct tables
+// than the engine records, whose spilled templates are rebuilt at
+// each occurrence.
 func TestHotRowsMatchCompiledTable(t *testing.T) {
 	cfg := arch.PaperConfig()
 	srcs := []*nn.Network{nn.GPT2Prefill(128), nn.GPT2Decode(128)}
 	for _, name := range []string{"RN34", "RN50", "VGG16", "MN", "GNMT"} {
 		srcs = append(srcs, nn.Zoo()[name])
 	}
-	for _, batch := range []int{1, 4} {
-		var nets []*compiler.CompiledNetwork
-		for _, src := range srcs {
-			cn, err := compiler.Compile(src, cfg, batch)
-			if err != nil {
-				t.Fatalf("compile %s at batch %d: %v", src.Name, batch, err)
-			}
-			nets = append(nets, cn)
+	compile := func(t *testing.T, src *nn.Network, batch int) *compiler.CompiledNetwork {
+		t.Helper()
+		cn, err := compiler.Compile(src, cfg, batch)
+		if err != nil {
+			t.Fatalf("compile %s at batch %d: %v", src.Name, batch, err)
 		}
-		nets = append(nets, nets[0])
+		return cn
+	}
+	engine := func(t *testing.T, nets []*compiler.CompiledNetwork) *Engine {
+		t.Helper()
 		e, err := NewEngine(cfg, nets, serial{}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := e.v
-		for ni, cn := range nets {
-			if got := len(v.nets[ni].hot); got != len(cn.Layers) {
-				t.Fatalf("batch %d net %d (%s): %d hot rows for %d layers", batch, ni, cn.Name, got, len(cn.Layers))
+		return e
+	}
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("zoo-batch%d", batch), func(t *testing.T) {
+			var nets []*compiler.CompiledNetwork
+			for _, src := range srcs {
+				nets = append(nets, compile(t, src, batch))
 			}
-			for li := range cn.Layers {
-				l := &cn.Layers[li]
-				want := layerHot{
-					mbCycles: l.MBCycles, cbCycles: l.CBCycles,
-					iters: l.Iters, mbBlocks: l.MBBlocks,
-					memIntensive: l.MemoryIntensive(),
-				}
-				if got := v.nets[ni].hot[li]; got != want {
-					t.Errorf("batch %d %s layer %d (%s): hot row %+v, want %+v", batch, cn.Name, li, l.Name, got, want)
-				}
-				mb, cb := v.BlockCycles(ni, li)
-				r := MBRef{Net: ni, Layer: li}
-				if mb != l.MBCycles || cb != l.CBCycles || v.MBCycles(r) != l.MBCycles ||
-					v.MBBlocks(r) != l.MBBlocks || v.LayerIters(ni, li) != l.Iters ||
-					v.MemoryIntensive(ni, li) != l.MemoryIntensive() {
-					t.Errorf("batch %d %s layer %d (%s): View accessors disagree with the compiled table", batch, cn.Name, li, l.Name)
-				}
+			nets = append(nets, nets[0])
+			checkInitState(t, engine(t, nets), nets)
+		})
+	}
+	t.Run("shared-table", func(t *testing.T) {
+		mn, gnmt := compile(t, nn.Zoo()["MN"], 1), compile(t, nn.Zoo()["GNMT"], 1)
+		var nets []*compiler.CompiledNetwork
+		for i := 0; i < 200; i++ {
+			nets = append(nets, mn)
+			if i%3 == 0 {
+				nets = append(nets, gnmt)
 			}
 		}
+		e := engine(t, nets)
+		checkInitState(t, e, nets)
+		// Instances of one table read one row set.
+		first := map[*compiler.CompiledNetwork]*layerHot{}
+		for ni, cn := range nets {
+			row := &e.v.nets[ni].hot[0]
+			if f, ok := first[cn]; !ok {
+				first[cn] = row
+			} else if f != row {
+				t.Fatalf("net %d (%s) has its own hot rows; want the table's shared rows", ni, cn.Name)
+			}
+		}
+	})
+	t.Run("beyond-recorded-tables", func(t *testing.T) {
+		// Distinct tables that differ in every row, so an instance
+		// reading another table's (or a stale rebuild's) rows fails.
+		base := compile(t, nn.Zoo()["MN"], 1)
+		var nets []*compiler.CompiledNetwork
+		for i := 0; i < maxCheckedTables+6; i++ {
+			cn := &compiler.CompiledNetwork{
+				Name: base.Name, Batch: base.Batch, Layers: slices.Clone(base.Layers),
+				HostInBytes: base.HostInBytes, HostOutBytes: base.HostOutBytes,
+			}
+			for li := range cn.Layers {
+				cn.Layers[li].MBCycles += arch.Cycles(i)
+				cn.Layers[li].CBCycles += arch.Cycles(2 * i)
+			}
+			nets = append(nets, cn)
+		}
+		// Repeat a recorded and a spilled table.
+		nets = append(nets, nets[0], nets[maxCheckedTables+2], nets[maxCheckedTables+2])
+		e := engine(t, nets)
+		checkInitState(t, e, nets)
+		if n := len(e.tables); n != maxCheckedTables {
+			t.Errorf("engine recorded %d tables, want the cap %d", n, maxCheckedTables)
+		}
+	})
+}
+
+// TestWarmEngineInitAllocFree re-initializes a pooled-style engine
+// over a workload with shared tables and spilled ones: once warm, the
+// init templates, arena and checker reuse their storage, so init
+// allocates nothing.
+func TestWarmEngineInitAllocFree(t *testing.T) {
+	cfg := testConfig(t)
+	var nets []*compiler.CompiledNetwork
+	for i := 0; i < maxCheckedTables+4; i++ {
+		nets = append(nets, chainNet("n", cfg,
+			layerSpec{mb: arch.Cycles(10 + i), cb: 20, iters: 3, blocks: 1},
+			layerSpec{mb: 10, cb: arch.Cycles(5 + i), iters: 2, blocks: 1}))
+	}
+	for i := 0; i < 50; i++ {
+		nets = append(nets, nets[i%3])
+	}
+	e := new(Engine)
+	run := func() {
+		if err := e.init(cfg, nets, serial{}, Options{CheckInvariants: true}); err != nil {
+			t.Fatal(err)
+		}
+		e.release()
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+		t.Errorf("warm engine init allocates %.1f objects/op, want 0", allocs)
 	}
 }

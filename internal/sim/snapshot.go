@@ -64,7 +64,8 @@ type Snapshot struct {
 	// Invariant-checker shadow state, captured only when the run
 	// checks invariants, so a restored run keeps validating. chkLayers
 	// carries the layers' block chains; chkNext and chkFree the
-	// checker's block table and free list.
+	// checker's block table and free list. Its list of nets holding
+	// blocks is derived from the layers and rebuilt on restore.
 	chkValid         bool
 	chkSnap          checkerSnap
 	chkLayers        []layerShadow
@@ -211,6 +212,14 @@ func (e *Engine) Restore(s *Snapshot) error {
 		st.finished = sn.finished
 	}
 	v.active = append(v.active[:0], s.active...)
+	// The CB-frontier net index is derived state: rebuild it from the
+	// restored frontiers rather than capturing it.
+	v.cbNets = v.cbNets[:0]
+	for _, ni := range v.active {
+		if len(v.nets[ni].cbFront) > 0 {
+			v.cbNets = append(v.cbNets, ni)
+		}
+	}
 
 	e.hostQ = append(e.hostQ[:0], s.hostQ...)
 	e.hostHead = s.hostHead
@@ -258,6 +267,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 		for i := range c.nets {
 			c.nets[i].hostInDone = s.chkHostIn[i]
 		}
+		c.rebuildHolding()
 	}
 
 	if ss, ok := e.sch.(StatefulScheduler); ok {

@@ -35,6 +35,9 @@ type Buffer struct {
 	// free is the free list of unallocated block ids.
 	free []int32
 
+	// seen is Check's scratch: one mark per block, reused per call.
+	seen []bool
+
 	numBlocks int
 }
 
@@ -166,26 +169,37 @@ func (b *Buffer) Consume(c *Chain, n int) error {
 // list, chain lengths match their linked lists, and no id is out of
 // range. Intended for tests and the simulator's invariant checker.
 func (b *Buffer) Check(chains []*Chain) error {
-	seen := make([]bool, b.numBlocks)
-	mark := func(id int32, where string) error {
+	if cap(b.seen) < b.numBlocks {
+		b.seen = make([]bool, b.numBlocks)
+	}
+	seen := b.seen[:b.numBlocks]
+	clear(seen)
+	// mark records one sighting of id in the free list (chain -1) or
+	// in chains[chain]. The location is only formatted on failure, so
+	// a consistent table checks without allocating.
+	mark := func(id int32, chain int) error {
+		if id >= 0 && int(id) < b.numBlocks && !seen[id] {
+			seen[id] = true
+			return nil
+		}
+		where := "free list"
+		if chain >= 0 {
+			where = fmt.Sprintf("chain %d", chain)
+		}
 		if id < 0 || int(id) >= b.numBlocks {
 			return fmt.Errorf("sram: %s references block %d out of range", where, id)
 		}
-		if seen[id] {
-			return fmt.Errorf("sram: block %d appears twice (%s)", id, where)
-		}
-		seen[id] = true
-		return nil
+		return fmt.Errorf("sram: block %d appears twice (%s)", id, where)
 	}
 	for _, id := range b.free {
-		if err := mark(id, "free list"); err != nil {
+		if err := mark(id, -1); err != nil {
 			return err
 		}
 	}
 	for ci, c := range chains {
 		n := 0
 		for id := c.head; n < c.count; id = b.next[id] {
-			if err := mark(id, fmt.Sprintf("chain %d", ci)); err != nil {
+			if err := mark(id, ci); err != nil {
 				return err
 			}
 			n++
