@@ -7,8 +7,10 @@ GO ?= go
 # Throughput-critical benchmarks that gate CI (see cmd/aimt-benchjson
 # and testdata/bench_baseline.json). The EngineObs pair measures the
 # observability layer: Disabled is the instrumented-but-off path that
-# must stay free, Enabled the full emission cost.
-BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkCandidateScan|BenchmarkEngineObs
+# must stay free, Enabled the full emission cost. Build (span
+# attribution) and LedgerRecord (one decision-ledger append) are the
+# request-tracing and ledger layers on their own.
+BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkBuild|BenchmarkLedgerRecord
 
 .PHONY: check build test race vet benchmod lint fuzz-short bench benchall benchcheck bench-compare profile golden
 
@@ -60,9 +62,9 @@ fuzz-short:
 # Run the engine-throughput benchmarks and write $(BENCH_OUT)
 # (blocks/sec, ns/op, allocs/op per benchmark). Bump BENCH_OUT per PR
 # so the BENCH_*.json series accumulates as run history for /runs.
-BENCH_OUT ?= BENCH_19.json
+BENCH_OUT ?= BENCH_20.json
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . ./internal/sim | tee bench.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . ./internal/sim ./internal/rtrace ./internal/obs | tee bench.txt
 	$(GO) run ./cmd/aimt-benchjson -in bench.txt -out $(BENCH_OUT)
 
 # Gate against the checked-in baseline; fails only on gross (2×)

@@ -61,9 +61,9 @@ func (h *Histogram) Record(v arch.Cycles) {
 	}
 	idx := histIndex(v)
 	if idx >= len(h.counts) {
-		grown := make([]uint64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		// append grows the storage geometrically: a stream of rising
+		// values costs O(log) reallocations, not one per new bucket.
+		h.counts = append(h.counts, make([]uint64, idx+1-len(h.counts))...)
 	}
 	h.counts[idx]++
 	if h.count == 0 || v < h.min {
@@ -82,9 +82,7 @@ func (h *Histogram) Merge(other *Histogram) {
 		return
 	}
 	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+		h.counts = append(h.counts, make([]uint64, len(other.counts)-len(h.counts))...)
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c
@@ -97,6 +95,12 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.count += other.count
 	h.sum += other.sum
+}
+
+// Reset empties the histogram, keeping its bucket storage.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
 // Count returns the number of recorded observations.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sync"
 
 	"aimt/internal/arch"
@@ -97,17 +98,32 @@ type Decision struct {
 
 // Ledger is a bounded, concurrency-safe ring of decisions. Appends
 // never allocate once the ring is warm; when the ring is full the
-// oldest entries are dropped (Dropped counts them) while per-kind
+// oldest entries are dropped (Summary counts them) while per-kind
 // totals keep exact lifetime counts, so attribution tests and the
 // admin surface can reconcile against simulator results even for
 // streams far longer than the ring.
+//
+// The ring holds fixed-size, pointer-free entries, so the collector
+// never scans it: kind and stall are stored as slots of the counting
+// vocabularies (a name outside them gets a slot of its own, once), and
+// the sequence number follows from the ring position. A Decision is
+// built only on read, by Each, Tail and WriteJSONL.
 type Ledger struct {
 	mu      sync.Mutex
-	buf     []Decision
+	buf     []entry
 	next    int // ring write position
 	total   int64
 	byKind  tally
 	byStall tally
+}
+
+// entry is one retained decision: a Decision without its sequence
+// number, with kind and stall as tally slots.
+type entry struct {
+	cycle, availCB, detail, horizon arch.Cycles
+	net, layer, iter                int
+	sramUsed, sramTotal             int
+	kind, stall                     int32
 }
 
 // The closed vocabularies Record counts into fixed slots, most
@@ -118,56 +134,76 @@ var (
 	ledgerStalls = []string{StallHBM, StallPE, StallNone, ""}
 )
 
-// tally counts names from a closed vocabulary in fixed slots, so a
-// Record hashes nothing; a name outside the vocabulary goes to a
-// lazily made overflow map.
+// tally counts names in slots: the vocabulary's first, then each name
+// outside it in order of first use, found through a lazily made
+// index. Counting a vocabulary name hashes nothing.
 type tally struct {
 	names []string
 	slots []int64
-	other map[string]int64
+	other map[string]int32 // slot of each name outside the vocabulary
+	vocab int
 }
 
-func newTally(names []string) tally {
-	return tally{names: names, slots: make([]int64, len(names))}
+func newTally(vocab []string) tally {
+	return tally{names: slices.Clone(vocab), slots: make([]int64, len(vocab)), vocab: len(vocab)}
 }
 
-func (t *tally) slot(name string) int {
-	for i, n := range t.names {
+// slot returns name's slot, or -1 when it has none yet.
+func (t *tally) slot(name string) int32 {
+	for i, n := range t.names[:t.vocab] {
 		if n == name {
-			return i
+			return int32(i)
+		}
+	}
+	if i, ok := t.other[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// addKnown counts one use of a vocabulary name and returns its slot,
+// or returns -1 for a name outside the vocabulary, which addOther then
+// counts. The split keeps addKnown small enough to inline.
+func (t *tally) addKnown(name string) int32 {
+	for i, n := range t.names[:t.vocab] {
+		if n == name {
+			t.slots[i]++
+			return int32(i)
 		}
 	}
 	return -1
 }
 
-func (t *tally) add(name string) {
-	if i := t.slot(name); i >= 0 {
-		t.slots[i]++
-		return
+// addOther counts one use of a name outside the vocabulary.
+func (t *tally) addOther(name string) int32 {
+	i, ok := t.other[name]
+	if !ok {
+		if t.other == nil {
+			t.other = make(map[string]int32)
+		}
+		i = int32(len(t.names))
+		t.other[name] = i
+		t.names = append(t.names, name)
+		t.slots = append(t.slots, 0)
 	}
-	if t.other == nil {
-		t.other = make(map[string]int64)
-	}
-	t.other[name]++
+	t.slots[i]++
+	return i
 }
 
 func (t *tally) get(name string) int64 {
 	if i := t.slot(name); i >= 0 {
 		return t.slots[i]
 	}
-	return t.other[name]
+	return 0
 }
 
 // counts returns every recorded name's count.
 func (t *tally) counts() map[string]int64 {
-	m := make(map[string]int64, len(t.other))
+	m := make(map[string]int64, len(t.names))
 	for i, c := range t.slots {
 		if c > 0 {
 			m[t.names[i]] = c
 		}
-	}
-	for n, c := range t.other {
-		m[n] = c
 	}
 	return m
 }
@@ -183,29 +219,67 @@ func NewLedger(capacity int) *Ledger {
 		capacity = DefaultLedgerCap
 	}
 	return &Ledger{
-		buf:     make([]Decision, 0, capacity),
+		buf:     make([]entry, 0, capacity),
 		byKind:  newTally(ledgerKinds),
 		byStall: newTally(ledgerStalls),
 	}
 }
 
-// Record appends one decision, assigning its sequence number.
+// Record appends one decision, assigning its sequence number (d.Seq
+// is ignored).
 func (l *Ledger) Record(d Decision) {
+	l.Note(d.Kind, d.Stall, d.Cycle, d.Net, d.Layer, d.Iter, d.SRAMUsed, d.SRAMTotal, d.AvailCB, d.Detail, d.Horizon)
+}
+
+// Note appends one decision given field by field, the fields of
+// Decision in order, for emitters that would otherwise build a
+// Decision only to have it copied into the ring.
+func (l *Ledger) Note(kind, stall string, cycle arch.Cycles, net, layer, iter, sramUsed, sramTotal int, availCB, detail, horizon arch.Cycles) {
 	l.mu.Lock()
-	d.Seq = l.total
-	l.total++
-	l.byKind.add(d.Kind)
-	l.byStall.add(d.Stall)
+	var e *entry
 	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, d)
+		l.buf = l.buf[:len(l.buf)+1]
+		e = &l.buf[len(l.buf)-1]
 	} else {
-		l.buf[l.next] = d
+		e = &l.buf[l.next]
 		l.next++
 		if l.next == len(l.buf) {
 			l.next = 0
 		}
 	}
+	// Field by field: a composite literal would be built aside and
+	// block-copied into the ring.
+	e.cycle, e.availCB, e.detail, e.horizon = cycle, availCB, detail, horizon
+	e.net, e.layer, e.iter = net, layer, iter
+	e.sramUsed, e.sramTotal = sramUsed, sramTotal
+	if e.kind = l.byKind.addKnown(kind); e.kind < 0 {
+		e.kind = l.byKind.addOther(kind)
+	}
+	if e.stall = l.byStall.addKnown(stall); e.stall < 0 {
+		e.stall = l.byStall.addOther(stall)
+	}
+	l.total++
 	l.mu.Unlock()
+}
+
+// decision rebuilds the i-th retained decision, oldest first. The
+// caller holds the lock.
+func (l *Ledger) decision(i int) Decision {
+	e := &l.buf[(l.next+i)%len(l.buf)]
+	return Decision{
+		Seq:       l.total - int64(len(l.buf)) + int64(i),
+		Cycle:     e.cycle,
+		Kind:      l.byKind.names[e.kind],
+		Net:       e.net,
+		Layer:     e.layer,
+		Iter:      e.iter,
+		SRAMUsed:  e.sramUsed,
+		SRAMTotal: e.sramTotal,
+		AvailCB:   e.availCB,
+		Stall:     l.byStall.names[e.stall],
+		Detail:    e.detail,
+		Horizon:   e.horizon,
+	}
 }
 
 // Total returns the lifetime number of recorded decisions.
@@ -220,13 +294,6 @@ func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.buf)
-}
-
-// Dropped returns how many decisions the ring has evicted.
-func (l *Ledger) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total - int64(len(l.buf))
 }
 
 // CountKind returns the lifetime count of decisions of the given
@@ -252,7 +319,7 @@ func (l *Ledger) Each(fn func(Decision) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := 0; i < len(l.buf); i++ {
-		if !fn(l.buf[(l.next+i)%len(l.buf)]) {
+		if !fn(l.decision(i)) {
 			return
 		}
 	}
@@ -267,22 +334,9 @@ func (l *Ledger) Tail(n int) []Decision {
 		n = len(l.buf)
 	}
 	out := make([]Decision, n)
-	for i := 0; i < n; i++ {
-		out[i] = l.buf[(l.next+len(l.buf)-n+i)%len(l.buf)]
+	for i := range out {
+		out[i] = l.decision(len(l.buf) - n + i)
 	}
-	return out
-}
-
-// Filter returns the retained decisions of the given kind, oldest
-// first.
-func (l *Ledger) Filter(kind string) []Decision {
-	var out []Decision
-	l.Each(func(d Decision) bool {
-		if d.Kind == kind {
-			out = append(out, d)
-		}
-		return true
-	})
 	return out
 }
 
@@ -295,7 +349,8 @@ type LedgerSummary struct {
 	ByStall map[string]int64 `json:"by_stall"`
 }
 
-// Summary returns the ledger's lifetime totals.
+// Summary returns the ledger's lifetime totals; Dropped counts the
+// decisions the ring has evicted.
 func (l *Ledger) Summary() LedgerSummary {
 	l.mu.Lock()
 	defer l.mu.Unlock()

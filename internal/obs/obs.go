@@ -92,6 +92,16 @@ func (h *Histogram) Observe(v arch.Cycles) {
 	h.mu.Unlock()
 }
 
+// Merge folds every observation of a caller-owned histogram into h
+// under one lock: a hot loop can record into a local hdr.Histogram
+// and publish it in one step. The result is exactly that of observing
+// each value.
+func (h *Histogram) Merge(o *hdr.Histogram) {
+	h.mu.Lock()
+	h.h.Merge(o)
+	h.mu.Unlock()
+}
+
 // HistogramSnapshot is a point-in-time summary of a Histogram.
 type HistogramSnapshot struct {
 	Count int         `json:"count"`

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"aimt/internal/arch"
+	"aimt/internal/hdr"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -195,4 +196,24 @@ func TestSnapshotJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "snapshot.json", buf.Bytes())
+}
+
+// TestHistogramMergeMatchesObserve pins that folding a local histogram
+// in with Merge, in several batches, leaves the snapshot that observing
+// every value one at a time does.
+func TestHistogramMergeMatchesObserve(t *testing.T) {
+	vals := []arch.Cycles{0, -3, 1, 63, 64, 65, 1000, 7, 123456789, 5, 1 << 40, 64}
+	var observed, merged Histogram
+	var local hdr.Histogram
+	for i, v := range vals {
+		observed.Observe(v)
+		local.Record(v)
+		if i%5 == 4 || i == len(vals)-1 {
+			merged.Merge(&local)
+			local.Reset()
+		}
+	}
+	if got, want := merged.Snapshot(), observed.Snapshot(); got != want {
+		t.Errorf("merged snapshot %+v, want %+v", got, want)
+	}
 }

@@ -64,7 +64,7 @@ func (st *Store) WaterfallHTML() string {
 		for _, e := range sp.Entries {
 			for _, iv := range e.Intervals {
 				row.Segments = append(row.Segments, analysis.WaterfallSegment{
-					Kind:  iv.Kind,
+					Kind:  iv.Kind.String(),
 					Start: float64(iv.Start - sp.Arrive),
 					End:   float64(iv.End - sp.Arrive),
 				})
@@ -78,7 +78,7 @@ func (st *Store) WaterfallHTML() string {
 	b.WriteString(analysis.WaterfallSVG(analysis.Waterfall{
 		Title:  "Tail exemplar waterfalls",
 		XLabel: "cycles since arrival",
-		Kinds:  SegmentKinds,
+		Kinds:  segNames[:],
 	}, rows))
 	return b.String()
 }
@@ -94,7 +94,7 @@ func Tracks(pid int, spans []RequestSpan) []trace.Track {
 		for _, e := range sp.Entries {
 			for _, iv := range e.Intervals {
 				evs = append(evs, trace.Event{
-					Engine: "request", Name: iv.Kind,
+					Engine: "request", Name: iv.Kind.String(),
 					Net: sp.Req, Layer: e.Entry, Iter: -1,
 					Start: iv.Start, End: iv.End,
 				})

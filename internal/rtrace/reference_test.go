@@ -112,7 +112,7 @@ func refBuild(in Input, c *refCollector) []RequestSpan {
 			continue
 		}
 
-		totals := map[string]arch.Cycles{}
+		totals := map[SegKind]arch.Cycles{}
 		done := true
 		for _, i := range g {
 			a, f := in.Arrive[i], in.Finish[i]
@@ -155,7 +155,7 @@ const (
 	refNPrio
 )
 
-var refKind = [refNPrio + 1]string{SegPE, SegHost, SegPreempt, SegHBM, SegQueue}
+var refKind = [refNPrio + 1]SegKind{SegPE, SegHost, SegPreempt, SegHBM, SegQueue}
 
 // refBnd is one sweep boundary: at cycle `at`, priority `prio` gains
 // (+1) or loses (-1) one covering interval.
@@ -222,7 +222,7 @@ func refAttribute(a, f arch.Cycles, pe []refPE, mem, host []refIval) ([]Segment,
 	})
 
 	var counts [refNPrio]int
-	kindAt := func() string {
+	kindAt := func() SegKind {
 		for p := 0; p < refNPrio; p++ {
 			if counts[p] > 0 {
 				return refKind[p]
@@ -231,8 +231,8 @@ func refAttribute(a, f arch.Cycles, pe []refPE, mem, host []refIval) ([]Segment,
 		return SegQueue
 	}
 	var ivs []Interval
-	sums := map[string]arch.Cycles{}
-	emit := func(from, to arch.Cycles, kind string) {
+	sums := map[SegKind]arch.Cycles{}
+	emit := func(from, to arch.Cycles, kind SegKind) {
 		if to <= from {
 			return
 		}

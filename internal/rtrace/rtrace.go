@@ -17,8 +17,11 @@
 //     a Collector into []RequestSpan: one span per request, one entry
 //     span per phase (prefill, each decode step), each partitioned
 //     into segments that sum exactly to finish − arrival. It buckets
-//     the log by instance and groups entries by request with counting
-//     passes, and carves the spans' slices from a few shared slabs.
+//     the log's positions by instance and groups entries by request
+//     with counting passes, labels each entry window with one pass
+//     over its records and a cursor sweep (no sort on an engine's
+//     log), and carves the spans' slices from a few shared slabs of
+//     pointer-free Segments and Intervals.
 //   - Store (store.go) retains bounded state across runs: worst-N
 //     tail exemplars per class, a sampled ring of recent spans, and
 //     running attribution aggregates.
@@ -26,7 +29,7 @@
 // Tracing allocates O(requests), not O(events): the engine hands over
 // labels resolved once per compiled network, the log never copies
 // what it holds, and Build keeps its per-entry sums in fixed arrays
-// and its working buffers in a pool.
+// indexed by SegKind and its working buffers in a pool.
 //
 // Attribution rule: within an entry's [effective arrival, finish)
 // window every cycle gets exactly one label, chosen by priority
@@ -40,7 +43,10 @@ package rtrace
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -49,44 +55,80 @@ import (
 	"aimt/internal/trace"
 )
 
-// Segment kinds, in canonical report order. Every attributed cycle
-// carries exactly one of these labels.
+// SegKind is a segment label: where one attributed cycle went. It is
+// one byte, so the slabs Build carves spans from hold no pointers; it
+// marshals to and from its name, so JSON and text output carry the
+// names below. The values are in canonical report order.
+type SegKind uint8
+
 const (
 	// SegQueue is time the entry was ready but no engine was doing its
 	// work: waiting for AVL_CB credit, for the PE array, or for its
 	// turn in the memory-block schedule.
-	SegQueue = "idle-in-queue"
+	SegQueue SegKind = iota
 
 	// SegHBM is time the HBM channel was fetching this entry's own
 	// memory blocks while its PE work was stalled on them.
-	SegHBM = "hbm-bound"
+	SegHBM
 
 	// SegPE is time the PE array was executing this entry's compute
 	// blocks.
-	SegPE = "pe-bound"
+	SegPE
 
 	// SegPreempt is time between a split-halted compute block and its
 	// resumption: the entry was preempted out by a higher-priority
 	// competitor.
-	SegPreempt = "preempted-out"
+	SegPreempt
 
 	// SegHost is PCIe transfer time for this entry's input and output.
-	SegHost = "host"
+	SegHost
+
+	nSegKinds
 )
 
-// SegmentKinds lists every segment label in canonical report order.
-var SegmentKinds = []string{SegQueue, SegHBM, SegPE, SegPreempt, SegHost}
+// segNames names every segment kind, in canonical report order.
+var segNames = [nSegKinds]string{"idle-in-queue", "hbm-bound", "pe-bound", "preempted-out", "host"}
+
+// SegmentKinds lists every segment kind in canonical report order.
+var SegmentKinds = [nSegKinds]SegKind{SegQueue, SegHBM, SegPE, SegPreempt, SegHost}
+
+// String returns the kind's name.
+func (k SegKind) String() string {
+	if k < nSegKinds {
+		return segNames[k]
+	}
+	return "SegKind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// MarshalText encodes the kind as its name.
+func (k SegKind) MarshalText() ([]byte, error) {
+	if k >= nSegKinds {
+		return nil, fmt.Errorf("rtrace: invalid segment kind %d", k)
+	}
+	return []byte(segNames[k]), nil
+}
+
+// UnmarshalText decodes a kind from its name.
+func (k *SegKind) UnmarshalText(b []byte) error {
+	for i, name := range segNames {
+		if string(b) == name {
+			*k = SegKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("rtrace: unknown segment kind %q", b)
+}
 
 // Segment is one attributed share of an entry or request window.
 type Segment struct {
-	Kind   string      `json:"kind"`
+	Kind   SegKind     `json:"kind"`
 	Cycles arch.Cycles `json:"cycles"`
 }
 
 // Interval is one contiguous attributed slice of an entry's window,
 // suitable for rendering as a waterfall bar or a Perfetto slice.
 type Interval struct {
-	Kind  string      `json:"kind"`
+	Kind  SegKind     `json:"kind"`
 	Start arch.Cycles `json:"start"`
 	End   arch.Cycles `json:"end"`
 }
@@ -158,7 +200,8 @@ type RequestSpan struct {
 	Latency arch.Cycles `json:"latency"`
 
 	// Totals sums each segment kind across entries. Because chained
-	// entries telescope, Totals sum exactly to Latency.
+	// entries telescope, Totals sum exactly to Latency. A single-entry
+	// request's Totals share their storage with its entry's Segments.
 	Totals []Segment `json:"totals"`
 
 	// Entries holds the per-phase spans in execution order.
@@ -192,7 +235,12 @@ type record struct {
 
 // logChunk is the record count of one log chunk. The log grows a
 // chunk at a time, so logging never copies what is already recorded.
-const logChunk = 2048
+// Every chunk but the last is full, so record p of the log is
+// chunks[p>>logShift][p&(logChunk-1)].
+const (
+	logShift = 11
+	logChunk = 1 << logShift
+)
 
 // Collector logs engine occupancy events for a stream of network
 // instances. It implements sim.Tracer structurally; attach it via
@@ -350,12 +398,15 @@ func Build(in Input, c *Collector) []RequestSpan {
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.bucket(c, n)
+	log := sc.bucket(c, n)
 	sc.group(in.ReqOf, n)
 
 	// A span retained past the call (a Store exemplar or ring entry)
 	// keeps alive only the slab chunks its own slices sit in, so the
-	// chunks stay small: at most 32 KB each.
+	// chunks are small objects, under 32 KB each: 256 EntrySpans of 88
+	// bytes, 1024 Segments of 16 bytes, 1024 Intervals of 24 bytes.
+	// Segments and Intervals hold no pointers, so the collector never
+	// scans their chunks.
 	var (
 		entries   = slab[EntrySpan]{chunk: 256}
 		segments  = slab[Segment]{chunk: 1024}
@@ -393,10 +444,10 @@ func Build(in Input, c *Collector) []RequestSpan {
 		}
 
 		sp.Entries = entries.take(len(grp))
-		var totals [nKinds]arch.Cycles
+		var totals [nSegKinds]arch.Cycles
 		for k, i := range grp {
 			a, f := in.Arrive[i], in.Finish[i]
-			sums, pieces := sc.attribute(a, f, sc.recs[sc.off[i]:sc.off[i+1]])
+			sums, pieces := sc.attribute(a, f, log, sc.pos[sc.off[i]:sc.off[i+1]])
 			es := &sp.Entries[k]
 			*es = EntrySpan{Entry: i, Arrive: a, Finish: f, Segments: carveSegments(&segments, &sums)}
 			if in.Phases != nil {
@@ -404,18 +455,20 @@ func Build(in Input, c *Collector) []RequestSpan {
 			}
 			if len(pieces) > 0 {
 				es.Intervals = intervals.take(len(pieces))
-				for j, p := range pieces {
-					es.Intervals[j] = Interval{Kind: prioKind[p.prio], Start: p.start, End: p.end}
-				}
+				copy(es.Intervals, pieces)
 			}
-			for p, cy := range sums {
-				totals[p] += cy
+			for kind, cy := range sums {
+				totals[kind] += cy
 			}
 		}
 		sp.Finish = in.Finish[last]
 		sp.Latency = sp.Finish - sp.Arrive
 		sp.Missed = sp.Finish > sp.Deadline
-		sp.Totals = carveSegments(&segments, &totals)
+		if len(grp) == 1 {
+			sp.Totals = sp.Entries[0].Segments // equal sums, one carve
+		} else {
+			sp.Totals = carveSegments(&segments, &totals)
+		}
 		out = append(out, sp)
 	}
 	return out
@@ -442,17 +495,14 @@ const (
 	nPrio
 
 	prioQueue = nPrio
-	nKinds    = nPrio + 1
 )
 
-var prioKind = [nKinds]string{SegPE, SegHost, SegPreempt, SegHBM, SegQueue}
-
-// reportOrder lists the priorities in SegmentKinds order.
-var reportOrder = [nKinds]uint8{prioQueue, prioHBM, prioPE, prioPreempt, prioHost}
+// prioKind maps a priority to the segment kind it labels.
+var prioKind = [nPrio + 1]SegKind{SegPE, SegHost, SegPreempt, SegHBM, SegQueue}
 
 // carveSegments returns the non-zero per-kind sums as Segments in
 // canonical report order, or nil when every sum is zero.
-func carveSegments(s *slab[Segment], sums *[nKinds]arch.Cycles) []Segment {
+func carveSegments(s *slab[Segment], sums *[nSegKinds]arch.Cycles) []Segment {
 	k := 0
 	for _, cy := range sums {
 		if cy > 0 {
@@ -461,9 +511,9 @@ func carveSegments(s *slab[Segment], sums *[nKinds]arch.Cycles) []Segment {
 	}
 	out := s.take(k)
 	k = 0
-	for _, p := range reportOrder {
-		if sums[p] > 0 {
-			out[k] = Segment{Kind: prioKind[p], Cycles: sums[p]}
+	for kind, cy := range sums {
+		if cy > 0 {
+			out[k] = Segment{Kind: SegKind(kind), Cycles: cy}
 			k++
 		}
 	}
@@ -493,15 +543,17 @@ func (s *slab[T]) take(n int) []T {
 
 // scratch holds Build's transient buffers, pooled across calls.
 type scratch struct {
-	off    []int    // entry i's records are recs[off[i]:off[i+1]]
-	recs   []record // the log bucketed by instance, log order within each
-	order  []int    // entry indices grouped by request
-	bounds []int    // group g is order[bounds[g]:bounds[g+1]]
-	count  []int
-	next   []int
-	ids    []int
-	bs     []bnd
-	pieces []piece
+	off     []int   // entry i's log positions are pos[off[i]:off[i+1]]
+	pos     []int32 // log positions bucketed by instance, log order within each
+	order   []int   // entry indices grouped by request
+	bounds  []int   // group g is order[bounds[g]:bounds[g+1]]
+	count   []int
+	next    []int
+	ids     []int
+	streams [nPrio][]span // one entry's clipped intervals per priority
+	splits  []halt        // one entry's split-halted compute blocks
+	open    []int         // indices into splits still awaiting a resumption
+	pieces  []Interval
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -516,20 +568,20 @@ func ints(buf []int, n int) []int {
 	return buf
 }
 
-// bucket groups the log by instance with one stable counting pass,
-// keeping log order within each instance. Records of instances at or
-// beyond n are ignored.
-func (sc *scratch) bucket(c *Collector, n int) {
+// bucket groups the log's positions by instance with one stable
+// counting pass, keeping log order within each instance, and returns
+// the log's chunks. Records of instances at or beyond n are ignored.
+func (sc *scratch) bucket(c *Collector, n int) [][]record {
 	sc.off = ints(sc.off, n+1)
-	var chunks [][]record
-	if c != nil {
-		chunks = c.chunks
+	sc.pos = sc.pos[:0]
+	if c == nil {
+		return nil
 	}
 	total := 0
-	for _, ch := range chunks {
-		for _, r := range ch {
-			if int(r.net) < n {
-				sc.off[r.net+1]++
+	for _, ch := range c.chunks {
+		for i := range ch {
+			if net := int(ch[i].net); net < n {
+				sc.off[net+1]++
 				total++
 			}
 		}
@@ -537,20 +589,23 @@ func (sc *scratch) bucket(c *Collector, n int) {
 	for i := 1; i <= n; i++ {
 		sc.off[i] += sc.off[i-1]
 	}
-	if cap(sc.recs) < total {
-		sc.recs = make([]record, total)
+	if cap(sc.pos) < total {
+		sc.pos = make([]int32, total)
 	}
-	sc.recs = sc.recs[:total]
+	sc.pos = sc.pos[:total]
 	sc.next = ints(sc.next, n)
 	copy(sc.next, sc.off)
-	for _, ch := range chunks {
-		for _, r := range ch {
-			if int(r.net) < n {
-				sc.recs[sc.next[r.net]] = r
-				sc.next[r.net]++
+	var p int32
+	for _, ch := range c.chunks {
+		for i := range ch {
+			if net := int(ch[i].net); net < n {
+				sc.pos[sc.next[net]] = p
+				sc.next[net]++
 			}
+			p++
 		}
 	}
+	return c.chunks
 }
 
 // group orders the n entries by request — requests in order of first
@@ -607,115 +662,175 @@ func (sc *scratch) densify(reqOf []int) []int {
 	return sc.ids
 }
 
-// bnd is one sweep boundary: at cycle `at`, priority `prio` gains
-// (+1) or loses (-1) one covering interval.
-type bnd struct {
-	at    arch.Cycles
-	prio  uint8
-	delta int8
-}
+// span is one clipped interval [start, end) of a priority stream.
+type span struct{ start, end arch.Cycles }
 
-func cmpBnd(x, y bnd) int {
-	if x.at != y.at {
-		return cmp.Compare(x.at, y.at)
-	}
-	if x.prio != y.prio {
-		return int(x.prio) - int(y.prio)
-	}
-	return int(x.delta) - int(y.delta)
-}
-
-// piece is one contiguous labelled slice of an entry window.
-type piece struct {
-	start, end arch.Cycles
-	prio       uint8
+// halt is one split-halted compute block of the entry being
+// attributed: it is preempted out from end until resume, the start of
+// the next PE interval of the same (layer, iter).
+type halt struct {
+	end, resume arch.Cycles
+	layer, iter int32
+	pos         int32 // the split's log position
 }
 
 // attribute partitions [a, f) into labelled pieces using one entry's
-// occupancy records. The returned pieces cover the window exactly and
-// sums holds the per-priority totals; pieces is valid until the next
-// call.
-func (sc *scratch) attribute(a, f arch.Cycles, recs []record) (sums [nKinds]arch.Cycles, pieces []piece) {
+// occupancy records, given by their log positions in log order. The
+// returned pieces cover the window exactly and sums holds the per-kind
+// totals; pieces is valid until the next call.
+//
+// One pass over the records in log order builds the four per-priority
+// interval streams, clipped to the window. Each engine serializes its
+// resource and logs an interval when it completes, so a stream
+// normally arrives in start order; the pass checks this and sorts only
+// a stream that did not. The same pass pairs each split with its
+// resumption: when the entry's PE records arrive in start order, the
+// first later PE record of the same (layer, iter) that starts at or
+// after the halt is the resumption, and otherwise every split is
+// paired by a rescan. A sweep over the unioned streams with one cursor
+// each then labels every cycle with the lowest covering priority.
+func (sc *scratch) attribute(a, f arch.Cycles, log [][]record, pos []int32) (sums [nSegKinds]arch.Cycles, pieces []Interval) {
 	sc.pieces = sc.pieces[:0]
 	if f <= a {
 		return sums, nil
 	}
-	bs := sc.bs[:0]
-	add := func(prio uint8, s, e arch.Cycles) {
+	for p := range sc.streams {
+		sc.streams[p] = sc.streams[p][:0]
+	}
+	sc.splits, sc.open = sc.splits[:0], sc.open[:0]
+	var unsorted [nPrio]bool
+	push := func(prio uint8, s, e arch.Cycles) {
 		s, e = max(s, a), min(e, f)
-		if s < e {
-			bs = append(bs, bnd{s, prio, 1}, bnd{e, prio, -1})
+		if s >= e {
+			return
 		}
-	}
-	for i, r := range recs {
-		switch r.kind {
-		case kindPE:
-			add(prioPE, r.start, r.end)
-		case kindPESplit:
-			add(prioPE, r.start, r.end)
-			add(prioPreempt, r.end, resumeOf(recs, i, f))
-		case kindHostIn, kindHostOut:
-			add(prioHost, r.start, r.end)
-		case kindMem:
-			add(prioHBM, r.start, r.end)
+		st := sc.streams[prio]
+		if n := len(st); n > 0 && s < st[n-1].start {
+			unsorted[prio] = true
 		}
+		sc.streams[prio] = append(st, span{s, e})
 	}
-	slices.SortFunc(bs, cmpBnd)
-	sc.bs = bs
 
-	var counts [nPrio]int
-	cur := a
-	for i := 0; i < len(bs); {
-		at := bs[i].at
-		sc.emit(&sums, cur, at, top(&counts))
-		if at > cur {
-			cur = at
-		}
-		for i < len(bs) && bs[i].at == at {
-			counts[bs[i].prio] += int(bs[i].delta)
-			i++
+	peInOrder, lastPE := true, arch.Cycles(math.MinInt64)
+	for _, p := range pos {
+		r := &log[p>>logShift][p&(logChunk-1)]
+		switch r.kind {
+		case kindPE, kindPESplit:
+			peInOrder = peInOrder && r.start >= lastPE
+			lastPE = r.start
+			if len(sc.open) > 0 {
+				sc.resume(r)
+			}
+			push(prioPE, r.start, r.end)
+			if r.kind == kindPESplit {
+				sc.open = append(sc.open, len(sc.splits))
+				sc.splits = append(sc.splits, halt{end: r.end, resume: f, layer: r.layer, iter: r.iter, pos: p})
+			}
+		case kindHostIn, kindHostOut:
+			push(prioHost, r.start, r.end)
+		case kindMem:
+			push(prioHBM, r.start, r.end)
 		}
 	}
-	sc.emit(&sums, cur, f, top(&counts))
+	if !peInOrder {
+		for i := range sc.splits {
+			sc.splits[i].resume = resumeOf(log, pos, &sc.splits[i], f)
+		}
+	}
+	for _, h := range sc.splits {
+		push(prioPreempt, h.end, h.resume)
+	}
+
+	for p := range sc.streams {
+		if unsorted[p] {
+			slices.SortFunc(sc.streams[p], func(x, y span) int { return cmp.Compare(x.start, y.start) })
+		}
+		sc.streams[p] = union(sc.streams[p])
+	}
+
+	var cur [nPrio]int
+	for t := a; t < f; {
+		best, next := prioQueue, f
+		for p := uint8(0); p < nPrio; p++ {
+			st, c := sc.streams[p], cur[p]
+			for c < len(st) && st[c].end <= t {
+				c++
+			}
+			cur[p] = c
+			if c == len(st) {
+				continue
+			}
+			if st[c].start <= t { // covers t: lower priorities cannot show
+				best, next = p, min(next, st[c].end)
+				break
+			}
+			next = min(next, st[c].start)
+		}
+		sc.emit(&sums, t, next, prioKind[best])
+		t = next
+	}
 	return sums, sc.pieces
 }
 
-// resumeOf returns when the split-halted compute block recs[i] is
-// preempted out until: the start of the next PE interval of the same
-// (layer, iter), or f when none follows.
-func resumeOf(recs []record, i int, f arch.Cycles) arch.Cycles {
-	iv := recs[i]
-	resume := f
-	for j, r := range recs {
-		if j == i || (r.kind != kindPE && r.kind != kindPESplit) || r.layer != iv.layer || r.iter != iv.iter {
+// resume pairs the open splits with PE record r: a split of the same
+// (layer, iter) that halted at or before r starts resumes at r. With
+// the entry's PE records in start order no later record can resume it
+// earlier, so the split closes.
+func (sc *scratch) resume(r *record) {
+	for i := 0; i < len(sc.open); {
+		h := &sc.splits[sc.open[i]]
+		if h.layer == r.layer && h.iter == r.iter && r.start >= h.end {
+			h.resume = min(h.resume, r.start)
+			last := len(sc.open) - 1
+			sc.open[i] = sc.open[last]
+			sc.open = sc.open[:last]
 			continue
 		}
-		if r.start >= iv.end && r.start < resume {
+		i++
+	}
+}
+
+// resumeOf returns when split h is preempted out until, by a rescan of
+// the entry's records: the earliest start, at or after the halt, of
+// another PE interval of the same (layer, iter), or f when none
+// follows.
+func resumeOf(log [][]record, pos []int32, h *halt, f arch.Cycles) arch.Cycles {
+	resume := f
+	for _, p := range pos {
+		r := &log[p>>logShift][p&(logChunk-1)]
+		if p == h.pos || (r.kind != kindPE && r.kind != kindPESplit) || r.layer != h.layer || r.iter != h.iter {
+			continue
+		}
+		if r.start >= h.end && r.start < resume {
 			resume = r.start
 		}
 	}
 	return resume
 }
 
-// top returns the winning priority among the covering intervals, or
-// prioQueue when none covers.
-func top(counts *[nPrio]int) uint8 {
-	for p, n := range counts {
-		if n > 0 {
-			return uint8(p)
-		}
+// union merges a start-ordered stream's overlapping and touching
+// intervals in place.
+func union(st []span) []span {
+	if len(st) == 0 {
+		return st
 	}
-	return prioQueue
+	w := 0
+	for _, x := range st[1:] {
+		if x.start <= st[w].end {
+			st[w].end = max(st[w].end, x.end)
+			continue
+		}
+		w++
+		st[w] = x
+	}
+	return st[:w+1]
 }
 
-func (sc *scratch) emit(sums *[nKinds]arch.Cycles, from, to arch.Cycles, prio uint8) {
-	if to <= from {
+func (sc *scratch) emit(sums *[nSegKinds]arch.Cycles, from, to arch.Cycles, kind SegKind) {
+	sums[kind] += to - from
+	if n := len(sc.pieces); n > 0 && sc.pieces[n-1].Kind == kind && sc.pieces[n-1].End == from {
+		sc.pieces[n-1].End = to
 		return
 	}
-	sums[prio] += to - from
-	if n := len(sc.pieces); n > 0 && sc.pieces[n-1].prio == prio && sc.pieces[n-1].end == from {
-		sc.pieces[n-1].end = to
-		return
-	}
-	sc.pieces = append(sc.pieces, piece{from, to, prio})
+	sc.pieces = append(sc.pieces, Interval{kind, from, to})
 }

@@ -1,6 +1,7 @@
 package rtrace
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -50,7 +51,7 @@ func single(a, f arch.Cycles) Input {
 	}
 }
 
-func iv(kind string, s, e arch.Cycles) Interval { return Interval{Kind: kind, Start: s, End: e} }
+func iv(kind SegKind, s, e arch.Cycles) Interval { return Interval{Kind: kind, Start: s, End: e} }
 
 // segmentsOf sums intervals per kind in canonical report order.
 func segmentsOf(ivs []Interval) []Segment {
@@ -249,9 +250,9 @@ func TestBuildWindowsAreCapLimited(t *testing.T) {
 	spans := Build(in, c)
 	want := refBuild(in, refOf(c, 2))
 	_ = append(spans[0].Entries, EntrySpan{Entry: -1})
-	_ = append(spans[0].Entries[0].Segments, Segment{Kind: "x"})
-	_ = append(spans[0].Entries[0].Intervals, Interval{Kind: "x"})
-	_ = append(spans[0].Totals, Segment{Kind: "x"})
+	_ = append(spans[0].Entries[0].Segments, Segment{Kind: SegHost, Cycles: 1})
+	_ = append(spans[0].Entries[0].Intervals, Interval{Kind: SegHost})
+	_ = append(spans[0].Totals, Segment{Kind: SegHost, Cycles: 1})
 	if !reflect.DeepEqual(spans, want) {
 		t.Errorf("append to span 0 changed span 1: %+v", spans[1])
 	}
@@ -399,5 +400,39 @@ func TestBuildMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: spans differ from the reference\n got %+v\nwant %+v", trial, got, want)
 		}
+	}
+}
+
+// TestSegKindText round-trips every segment kind through its name, in
+// JSON too, and pins that an unknown name or kind is an error.
+func TestSegKindText(t *testing.T) {
+	want := []string{"idle-in-queue", "hbm-bound", "pe-bound", "preempted-out", "host"}
+	if len(SegmentKinds) != len(want) {
+		t.Fatalf("%d segment kinds, want %d", len(SegmentKinds), len(want))
+	}
+	for i, k := range SegmentKinds {
+		text, err := k.MarshalText()
+		if err != nil || string(text) != want[i] || k.String() != want[i] {
+			t.Errorf("kind %d: MarshalText %q, %v; String %q; want %q", k, text, err, k.String(), want[i])
+		}
+		var back SegKind
+		if err := back.UnmarshalText(text); err != nil || back != k {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, k)
+		}
+		js, err := json.Marshal(Segment{Kind: k, Cycles: 7})
+		if wantJS := `{"kind":"` + want[i] + `","cycles":7}`; err != nil || string(js) != wantJS {
+			t.Errorf("json %s, %v; want %s", js, err, wantJS)
+		}
+		var seg Segment
+		if err := json.Unmarshal(js, &seg); err != nil || seg.Kind != k {
+			t.Errorf("json round trip of %s: %v, %v", js, seg, err)
+		}
+	}
+	var k SegKind
+	if err := k.UnmarshalText([]byte("pe")); err == nil {
+		t.Error("UnmarshalText accepted an unknown name")
+	}
+	if _, err := SegKind(len(want)).MarshalText(); err == nil {
+		t.Error("MarshalText accepted an out-of-range kind")
 	}
 }

@@ -43,7 +43,7 @@ func (o Options) withDefaults() Options {
 type phaseAgg struct {
 	entries int
 	latency arch.Cycles
-	segs    map[string]arch.Cycles
+	segs    [nSegKinds]arch.Cycles // by kind
 }
 
 // classAgg accumulates one class's request population.
@@ -52,7 +52,7 @@ type classAgg struct {
 	shed     int
 	missed   int
 	latency  arch.Cycles
-	segs     map[string]arch.Cycles
+	segs     [nSegKinds]arch.Cycles // by kind
 	phases   map[string]*phaseAgg
 	worst    []RequestSpan // latency-descending, len <= WorstN
 }
@@ -83,9 +83,6 @@ func NewStore(opt Options) *Store {
 // SampleEvery reports the store's 1-in-N sampling rate.
 func (st *Store) SampleEvery() int { return st.opt.SampleEvery }
 
-// WorstN reports how many exemplars are retained per class.
-func (st *Store) WorstN() int { return st.opt.WorstN }
-
 // AddRun folds one run's spans into the store.
 func (st *Store) AddRun(spans []RequestSpan) {
 	if st == nil || len(spans) == 0 {
@@ -96,7 +93,7 @@ func (st *Store) AddRun(spans []RequestSpan) {
 	for _, sp := range spans {
 		ca := st.classes[sp.Class]
 		if ca == nil {
-			ca = &classAgg{segs: map[string]arch.Cycles{}, phases: map[string]*phaseAgg{}}
+			ca = &classAgg{phases: map[string]*phaseAgg{}}
 			st.classes[sp.Class] = ca
 		}
 		if sp.Shed {
@@ -119,7 +116,7 @@ func (st *Store) AddRun(spans []RequestSpan) {
 			}
 			pa := ca.phases[e.Phase]
 			if pa == nil {
-				pa = &phaseAgg{segs: map[string]arch.Cycles{}}
+				pa = &phaseAgg{}
 				ca.phases[e.Phase] = pa
 			}
 			pa.entries++
@@ -154,6 +151,18 @@ func (st *Store) addWorst(ca *classAgg, sp RequestSpan) {
 	if len(ca.worst) > st.opt.WorstN {
 		ca.worst = ca.worst[:st.opt.WorstN]
 	}
+}
+
+// tail sums the retained exemplars' segments by kind, and their
+// latencies.
+func (ca *classAgg) tail() (segs [nSegKinds]arch.Cycles, latency arch.Cycles) {
+	for _, sp := range ca.worst {
+		latency += sp.Latency
+		for _, s := range sp.Totals {
+			segs[s.Kind] += s.Cycles
+		}
+	}
+	return segs, latency
 }
 
 // Totals reports (finished, shed, ring-sampled) span counts.
@@ -227,7 +236,7 @@ func (st *Store) classNames() []string {
 
 // SegmentShare is one segment's share of a population's latency.
 type SegmentShare struct {
-	Kind   string      `json:"kind"`
+	Kind   SegKind     `json:"kind"`
 	Cycles arch.Cycles `json:"cycles"`
 	Share  float64     `json:"share"`
 }
@@ -256,14 +265,13 @@ type Attribution struct {
 	WorstLatency arch.Cycles    `json:"worst_latency,omitempty"`
 }
 
-func shares(segs map[string]arch.Cycles, total arch.Cycles) []SegmentShare {
+func shares(segs *[nSegKinds]arch.Cycles, total arch.Cycles) []SegmentShare {
 	var out []SegmentShare
-	for _, k := range SegmentKinds {
-		c := segs[k]
+	for k, c := range segs {
 		if c == 0 {
 			continue
 		}
-		sh := SegmentShare{Kind: k, Cycles: c}
+		sh := SegmentShare{Kind: SegKind(k), Cycles: c}
 		if total > 0 {
 			sh.Share = float64(c) / float64(total)
 		}
@@ -289,18 +297,11 @@ func (st *Store) Attribution() []Attribution {
 			Shed:         ca.shed,
 			Missed:       ca.missed,
 			TotalLatency: ca.latency,
-			Mean:         shares(ca.segs, ca.latency),
+			Mean:         shares(&ca.segs, ca.latency),
 		}
 		if len(ca.worst) > 0 {
-			tail := map[string]arch.Cycles{}
-			var tailLat arch.Cycles
-			for _, sp := range ca.worst {
-				tailLat += sp.Latency
-				for _, s := range sp.Totals {
-					tail[s.Kind] += s.Cycles
-				}
-			}
-			row.Tail = shares(tail, tailLat)
+			tail, tailLat := ca.tail()
+			row.Tail = shares(&tail, tailLat)
 			row.WorstReq = ca.worst[0].Req
 			row.WorstLatency = ca.worst[0].Latency
 		}
@@ -318,7 +319,7 @@ func (st *Store) Attribution() []Attribution {
 				Phase:        ph,
 				Requests:     pa.entries,
 				TotalLatency: pa.latency,
-				Mean:         shares(pa.segs, pa.latency),
+				Mean:         shares(&pa.segs, pa.latency),
 			})
 		}
 	}
@@ -342,24 +343,17 @@ func (st *Store) Publish(reg *obs.Registry) {
 		ca := st.classes[name]
 		cl := func(metric string) string { return obs.Label(metric, "class", name) }
 		if ca.latency > 0 {
-			for _, k := range SegmentKinds {
-				g := obs.Label(cl("aimt_rtrace_mean_share"), "segment", k)
-				reg.Gauge(g).Set(float64(ca.segs[k]) / float64(ca.latency))
+			for k, c := range ca.segs {
+				g := obs.Label(cl("aimt_rtrace_mean_share"), "segment", segNames[k])
+				reg.Gauge(g).Set(float64(c) / float64(ca.latency))
 			}
 		}
 		if len(ca.worst) > 0 {
-			tail := map[string]arch.Cycles{}
-			var tailLat arch.Cycles
-			for _, sp := range ca.worst {
-				tailLat += sp.Latency
-				for _, s := range sp.Totals {
-					tail[s.Kind] += s.Cycles
-				}
-			}
+			tail, tailLat := ca.tail()
 			if tailLat > 0 {
-				for _, k := range SegmentKinds {
-					g := obs.Label(cl("aimt_rtrace_tail_share"), "segment", k)
-					reg.Gauge(g).Set(float64(tail[k]) / float64(tailLat))
+				for k, c := range tail {
+					g := obs.Label(cl("aimt_rtrace_tail_share"), "segment", segNames[k])
+					reg.Gauge(g).Set(float64(c) / float64(tailLat))
 				}
 			}
 			reg.Gauge(cl("aimt_rtrace_worst_latency_cycles")).Set(float64(ca.worst[0].Latency))

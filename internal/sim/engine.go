@@ -201,6 +201,10 @@ type Engine struct {
 	chk      *checker
 	chkState checker
 
+	// obsState is the pooled storage of View.om, the run's metric
+	// handles when Options.Metrics is set.
+	obsState simObs
+
 	// mbScratch and cbScratch are reused by the deadlock-diagnosis
 	// path so it allocates nothing.
 	mbScratch []MBRef
@@ -342,7 +346,8 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	}
 	v.led = opts.Ledger
 	if opts.Metrics != nil {
-		v.om = newSimObs(opts.Metrics, opts.NetClasses, len(nets))
+		e.obsState.reset(opts.Metrics, opts.NetClasses, len(nets))
+		v.om = &e.obsState
 		v.om.sramTotal.Set(float64(cfg.WeightBlocks()))
 	}
 
@@ -491,6 +496,7 @@ func (e *Engine) release() {
 	e.opts = Options{}
 	e.view.led = nil
 	e.view.om = nil
+	e.obsState.drop()
 	e.chainSucc = nil
 	e.chk = nil
 	e.chkState.v = nil
@@ -601,6 +607,9 @@ func (e *Engine) Quiesce() (restore func()) {
 // completion.
 func (e *Engine) loop(limit arch.Cycles) (done bool, err error) {
 	v := e.v
+	if v.om != nil {
+		defer v.om.flush()
+	}
 	for {
 		if err := e.scheduleAll(); err != nil {
 			return false, err
@@ -794,7 +803,7 @@ func (e *Engine) completeMB() error {
 		v.om.mbDone.Inc()
 		v.om.memBusyC.Add(int64(h.mbCycles))
 		v.om.memUtil.Set(ratio(e.res.MemBusy, v.now))
-		v.om.mbHist.Observe(h.mbCycles)
+		v.om.mbRun.Record(h.mbCycles)
 	}
 	if e.chk != nil {
 		if err := e.chk.mbDone(r, start, v.now); err != nil {
@@ -879,7 +888,7 @@ func (e *Engine) completeCB() error {
 		v.om.cbDone.Inc()
 		v.om.peBusyC.Add(int64(v.curCBWork))
 		v.om.peUtil.Set(ratio(e.res.PEBusy, v.now))
-		v.om.cbHist.Observe(v.curCBWork)
+		v.om.cbRun.Record(v.curCBWork)
 		v.om.sramUsed.Set(float64(v.used))
 	}
 	if e.chk != nil {

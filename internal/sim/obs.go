@@ -4,14 +4,17 @@ import (
 	"strconv"
 
 	"aimt/internal/arch"
+	"aimt/internal/hdr"
 	"aimt/internal/obs"
 )
 
 // simObs bundles the engine's pre-resolved metric handles. The engine
 // resolves every series once at Run start, so hot-loop emission is a
-// handful of atomic operations — no map lookups, no allocations. A
-// nil *simObs (no Options.Metrics) disables metric emission entirely;
-// the decision ledger is gated separately by View.led.
+// handful of atomic operations — no map lookups, no allocations, no
+// locks: the block-size distributions fill run-local histograms that
+// flush folds into the registry's when each event-loop call returns.
+// A nil *simObs (no Options.Metrics) disables metric emission
+// entirely; the decision ledger is gated separately by View.led.
 type simObs struct {
 	// Lifetime counters. With several runs sharing one registry (a
 	// parallel sweep, a multi-chip cluster), counters aggregate across
@@ -40,9 +43,10 @@ type simObs struct {
 	memUtil    *obs.Gauge
 	peUtil     *obs.Gauge
 
-	// Block-size distributions.
-	mbHist *obs.Histogram
-	cbHist *obs.Histogram
+	// Block-size distributions: the registry's, and the run-local ones
+	// the engine records into until the next flush.
+	mbHist, cbHist *obs.Histogram
+	mbRun, cbRun   hdr.Histogram
 
 	// classGauge, when Options.NetClasses is set, maps each net index
 	// to its class's in-flight gauge (nets of one class share a
@@ -50,8 +54,13 @@ type simObs struct {
 	classGauge []*obs.Gauge
 }
 
-func newSimObs(reg *obs.Registry, classes []string, numNets int) *simObs {
-	o := &simObs{
+// reset resolves o's handles against reg for a run of numNets nets,
+// keeping the run-local histograms' and class gauges' storage.
+func (o *simObs) reset(reg *obs.Registry, classes []string, numNets int) {
+	mbRun, cbRun, classGauge := o.mbRun, o.cbRun, o.classGauge[:0]
+	mbRun.Reset()
+	cbRun.Reset()
+	*o = simObs{
 		prefetches: reg.Counter("aimt_sim_mb_prefetch_total"),
 		merges:     reg.Counter("aimt_sim_cb_merge_total"),
 		evictions:  reg.Counter("aimt_sim_evictions_total"),
@@ -75,10 +84,16 @@ func newSimObs(reg *obs.Registry, classes []string, numNets int) *simObs {
 		peUtil:     reg.Gauge("aimt_sim_pe_util"),
 		mbHist:     reg.Histogram("aimt_sim_mb_cycles"),
 		cbHist:     reg.Histogram("aimt_sim_cb_cycles"),
+		mbRun:      mbRun,
+		cbRun:      cbRun,
 	}
 	if len(classes) > 0 {
 		byName := make(map[string]*obs.Gauge, 4)
-		o.classGauge = make([]*obs.Gauge, numNets)
+		if cap(classGauge) < numNets {
+			classGauge = make([]*obs.Gauge, numNets)
+		}
+		o.classGauge = classGauge[:numNets]
+		clear(o.classGauge)
 		for i := 0; i < numNets && i < len(classes); i++ {
 			name := classes[i]
 			g := byName[name]
@@ -89,7 +104,26 @@ func newSimObs(reg *obs.Registry, classes []string, numNets int) *simObs {
 			o.classGauge[i] = g
 		}
 	}
-	return o
+}
+
+// drop releases every registry handle, keeping the storage reset
+// reuses.
+func (o *simObs) drop() {
+	clear(o.classGauge)
+	*o = simObs{mbRun: o.mbRun, cbRun: o.cbRun, classGauge: o.classGauge[:0]}
+}
+
+// flush folds the run-local block-size histograms into the registry's
+// and empties them.
+func (o *simObs) flush() {
+	if o.mbRun.Count() > 0 {
+		o.mbHist.Merge(&o.mbRun)
+		o.mbRun.Reset()
+	}
+	if o.cbRun.Count() > 0 {
+		o.cbHist.Merge(&o.cbRun)
+		o.cbRun.Reset()
+	}
 }
 
 // arrive notes a network entering the in-flight population.
@@ -130,18 +164,7 @@ func (v *View) stallCause(need int) string {
 // stallCause (splits pass StallPE directly — a split is by
 // construction a capacity-recovery decision).
 func (v *View) note(kind string, net, layer, iter int, stall string, detail arch.Cycles) {
-	v.led.Record(obs.Decision{
-		Cycle:     v.now,
-		Kind:      kind,
-		Net:       net,
-		Layer:     layer,
-		Iter:      iter,
-		SRAMUsed:  v.used,
-		SRAMTotal: v.total,
-		AvailCB:   v.availCB,
-		Stall:     stall,
-		Detail:    detail,
-	})
+	v.led.Note(kind, stall, v.now, net, layer, iter, v.used, v.total, v.availCB, detail, 0)
 }
 
 // NoteEviction records an early-eviction capacity reservation in the
@@ -200,18 +223,5 @@ func (v *View) NoteLookahead(r MBRef, horizon, delta arch.Cycles) {
 	}
 	// Detail carries the predicted progress delta; the horizon is
 	// encoded in the free-form field so both survive the ring.
-	d := obs.Decision{
-		Cycle:     v.now,
-		Kind:      obs.KindLookahead,
-		Net:       r.Net,
-		Layer:     r.Layer,
-		Iter:      r.Iter,
-		SRAMUsed:  v.used,
-		SRAMTotal: v.total,
-		AvailCB:   v.availCB,
-		Stall:     v.stallCause(0),
-		Detail:    delta,
-		Horizon:   horizon,
-	}
-	v.led.Record(d)
+	v.led.Note(obs.KindLookahead, v.stallCause(0), v.now, r.Net, r.Layer, r.Iter, v.used, v.total, v.availCB, delta, horizon)
 }

@@ -79,14 +79,18 @@ func TestLookaheadSpeculationLeavesNoTrace(t *testing.T) {
 	if got := reg.Counter("aimt_sim_lookahead_total").Value(); got != commits {
 		t.Errorf("aimt_sim_lookahead_total=%d, ledger has %d lookahead decisions", got, commits)
 	}
-	for _, d := range led.Filter(obs.KindLookahead) {
+	led.Each(func(d obs.Decision) bool {
+		if d.Kind != obs.KindLookahead {
+			return true
+		}
 		if d.Horizon != horizon {
 			t.Errorf("lookahead decision at cycle %d has horizon %d, want %d", d.Cycle, d.Horizon, horizon)
 		}
 		if d.Detail <= 0 {
 			t.Errorf("lookahead decision at cycle %d has predicted delta %d, want > 0", d.Cycle, d.Detail)
 		}
-	}
+		return true
+	})
 }
 
 // TestLookaheadNeverWorseOnContendedMixes asserts the lookahead
