@@ -338,9 +338,6 @@ func PrintServeCurve(w io.Writer, points []ServeCurvePoint) error {
 // request dispatcher with pluggable routing policies; see the
 // internal/cluster package.
 
-// ClusterPolicy routes requests to chips; see cluster.Policy.
-type ClusterPolicy = cluster.Policy
-
 // ClusterPolicySpec names a routing policy and builds fresh instances;
 // see cluster.Spec.
 type ClusterPolicySpec = cluster.Spec
@@ -348,22 +345,13 @@ type ClusterPolicySpec = cluster.Spec
 // ClusterOptions tunes one cluster serving run; see cluster.Options.
 type ClusterOptions = cluster.Options
 
-// ClusterResult is one policy's cluster serving outcome with per-chip
-// and aggregate reports; see cluster.Result.
-type ClusterResult = cluster.Result
-
 // ClusterCurveOptions tunes a cluster load sweep; see
 // cluster.CurveOptions.
 type ClusterCurveOptions = cluster.CurveOptions
 
-// ClusterCurvePoint is one offered-load point of a cluster sweep; see
-// cluster.CurvePoint.
-type ClusterCurvePoint = cluster.CurvePoint
-
 // ClusterControl configures the cluster's overload control plane:
 // SLO-aware admission shedding and elastic autoscaling with
-// hysteresis; see cluster.Control. The zero value disables it and the
-// serve path is bit-identical to the uncontrolled cluster.
+// hysteresis; see cluster.Control. The zero value disables it.
 type ClusterControl = cluster.Control
 
 // ClusterPolicies returns the routing policies compared by default:
@@ -378,27 +366,20 @@ func ClusterPolicyNames() []string { return cluster.Names() }
 // ignoring case.
 func ClusterPolicyByName(name string) (ClusterPolicySpec, error) { return cluster.ByName(name) }
 
-// ClusterServe routes a stream across a simulated multi-chip cluster
-// and runs every chip's sub-stream on its own engine, reporting
-// per-chip and aggregate tail latency, SLA misses and load imbalance.
-func ClusterServe(cfg Config, s *ServeStream, spec SchedulerSpec, pol ClusterPolicy, opts ClusterOptions) (*ClusterResult, error) {
-	return cluster.Serve(cfg, s, spec, pol, opts)
-}
-
 // ClusterLoadCurve sweeps offered load against a cluster, routing the
 // identical request sequence under every policy at each point.
-func ClusterLoadCurve(cfg Config, classes []ServeClass, spec SchedulerSpec, policies []ClusterPolicySpec, opts ClusterCurveOptions) ([]ClusterCurvePoint, error) {
+func ClusterLoadCurve(cfg Config, classes []ServeClass, spec SchedulerSpec, policies []ClusterPolicySpec, opts ClusterCurveOptions) ([]cluster.CurvePoint, error) {
 	return cluster.LoadCurve(cfg, classes, spec, policies, opts)
 }
 
 // PrintClusterCurve renders a cluster load sweep as one aggregate
 // table per offered-load point.
-func PrintClusterCurve(w io.Writer, points []ClusterCurvePoint) error {
+func PrintClusterCurve(w io.Writer, points []cluster.CurvePoint) error {
 	return cluster.PrintCurve(w, points)
 }
 
 // PrintClusterChips renders one cluster result's per-chip breakdown.
-func PrintClusterChips(w io.Writer, r *ClusterResult) error {
+func PrintClusterChips(w io.Writer, r *cluster.Result) error {
 	return cluster.PrintChips(w, r)
 }
 
@@ -532,6 +513,6 @@ func RecordServeCurve(st *RunStore, mix, process, commit string, points []ServeC
 
 // RecordClusterCurve appends one run per (load point, routing policy)
 // of a cluster sweep to the store; see cluster.RecordCurve.
-func RecordClusterCurve(st *RunStore, mix, process, commit string, points []ClusterCurvePoint) ([]StoredRun, error) {
+func RecordClusterCurve(st *RunStore, mix, process, commit string, points []cluster.CurvePoint) ([]StoredRun, error) {
 	return cluster.RecordCurve(st, mix, process, commit, points)
 }

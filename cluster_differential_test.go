@@ -3,6 +3,8 @@ package aimt
 import (
 	"reflect"
 	"testing"
+
+	"aimt/internal/cluster"
 )
 
 // TestClusterN1BitIdentical is the cluster model's correctness anchor:
@@ -36,7 +38,7 @@ func TestClusterN1BitIdentical(t *testing.T) {
 				t.Fatalf("%s/%s reference report: %v", process, spec.Name, err)
 			}
 			for _, pspec := range ClusterPolicies() {
-				cres, err := ClusterServe(cfg, stream, spec, pspec.New(), ClusterOptions{Chips: 1})
+				cres, err := cluster.Serve(cfg, stream, spec, pspec.New(), ClusterOptions{Chips: 1})
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", process, spec.Name, pspec.Name, err)
 				}

@@ -452,18 +452,20 @@ func runCluster(cfg aimt.Config, classes []aimt.ServeClass, spec aimt.SchedulerS
 		policies = aimt.ClusterPolicies()
 	}
 	points, err := aimt.ClusterLoadCurve(cfg, classes, spec, policies, aimt.ClusterCurveOptions{
-		Stream:          sopts,
-		Gaps:            gaps,
-		Chips:           opts.chips,
-		Workers:         opts.parallel,
-		CheckInvariants: opts.check,
-		Metrics:         reg,
-		Ledger:          led,
-		Trace:           rstore,
-		Control: aimt.ClusterControl{
-			Admission: opts.admission,
-			Autoscale: opts.autoscale,
+		Options: aimt.ClusterOptions{
+			Chips:           opts.chips,
+			Workers:         opts.parallel,
+			CheckInvariants: opts.check,
+			Metrics:         reg,
+			Ledger:          led,
+			Trace:           rstore,
+			Control: aimt.ClusterControl{
+				Admission: opts.admission,
+				Autoscale: opts.autoscale,
+			},
 		},
+		Stream: sopts,
+		Gaps:   gaps,
 	})
 	if err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 
 	"aimt/internal/analysis"
 	"aimt/internal/arch"
+	"aimt/internal/cluster"
 	"aimt/internal/metrics"
 	"aimt/internal/nn"
 	"aimt/internal/power"
@@ -567,7 +568,7 @@ func ClusterScaleData(cfg Config) ([]ClusterScalePoint, error) {
 	var out []ClusterScalePoint
 	for _, pol := range ClusterPolicies() {
 		for _, chips := range ClusterScaleChips {
-			res, err := ClusterServe(cfg, stream, spec, pol.New(), ClusterOptions{
+			res, err := cluster.Serve(cfg, stream, spec, pol.New(), ClusterOptions{
 				Chips:   chips,
 				Workers: SweepParallelism(),
 			})
@@ -650,7 +651,7 @@ type OverloadPoint struct {
 	// Load is the offered load in full-cluster capacities.
 	Load float64
 	// Res is the controlled cluster serving outcome at this load.
-	Res *ClusterResult
+	Res *cluster.Result
 }
 
 // OverloadCurveData sweeps offered load from comfortable to 5x
@@ -684,7 +685,7 @@ func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := ClusterServe(cfg, stream, spec, pol.New(), ClusterOptions{
+		res, err := cluster.Serve(cfg, stream, spec, pol.New(), ClusterOptions{
 			Chips:   OverloadChips,
 			Workers: SweepParallelism(),
 			Control: ClusterControl{Admission: true, Autoscale: true},

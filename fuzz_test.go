@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"aimt/internal/cluster"
 	"aimt/internal/sched"
 )
 
@@ -271,7 +272,7 @@ func FuzzAdmission(f *testing.F) {
 		chips := int(chipsPick%4) + 1
 		pols := ClusterPolicies()
 		pol := pols[int(pick(7))%len(pols)]
-		res, err := ClusterServe(cfg, stream, serveSpec(t, "AI-MT+Prio"), pol.New(), ClusterOptions{
+		res, err := cluster.Serve(cfg, stream, serveSpec(t, "AI-MT+Prio"), pol.New(), ClusterOptions{
 			Chips:           chips,
 			CheckInvariants: true,
 			Control: ClusterControl{

@@ -57,8 +57,7 @@ type Options struct {
 	Ledger *obs.Ledger
 
 	// Control configures the overload control plane (admission
-	// shedding, elastic autoscaling). The zero value disables it and
-	// Serve takes the plain Dispatch path unchanged.
+	// shedding, elastic autoscaling). The zero value disables it.
 	Control Control
 
 	// Trace, when non-nil, collects attributed per-request spans for
@@ -103,7 +102,9 @@ type Result struct {
 	Imbalance float64
 
 	// Shed marks requests dropped by admission control (Assignment -1);
-	// nil when the control plane is off. ShedCount totals them.
+	// nil when admission, autoscaling and the predictor are all off,
+	// which keeps the control-plane series off /metrics. ShedCount
+	// totals them.
 	Shed      []bool
 	ShedCount int
 
@@ -124,56 +125,11 @@ type Result struct {
 // service estimate. Routing is request-granular: a decode entry
 // inherits its predecessor's chip without consulting the policy — its
 // KV cache lives there — but still advances that chip's backlog by the
-// decode service estimate.
+// decode service estimate. Dispatch runs with the control plane off
+// and no predictor, so every estimate is the static one.
 func Dispatch(s *serve.Stream, pol Policy, chips int) ([]int, error) {
-	return dispatch(s, pol, chips, nil)
-}
-
-// dispatch is Dispatch with an optional etas sink: when non-nil (and
-// stream-length), each entry's dispatcher completion estimate at
-// routing time is recorded for the request tracer.
-func dispatch(s *serve.Stream, pol Policy, chips int, etas []arch.Cycles) ([]int, error) {
-	if chips <= 0 {
-		return nil, fmt.Errorf("cluster: chips must be positive, got %d", chips)
-	}
-	v := &View{
-		chips:   chips,
-		classes: len(s.Classes),
-		freeAt:  make([]arch.Cycles, chips),
-		counts:  make([]int, chips),
-	}
-	out := make([]int, len(s.Nets))
-	for i := range s.Nets {
-		r := Request{
-			Index:    i,
-			Class:    s.ClassOf[i],
-			Arrival:  s.Arrivals[i],
-			Deadline: s.Deadlines[i],
-			Service:  s.EntryService(i),
-		}
-		if r.Class < len(s.ClassPriority) {
-			r.Priority = s.ClassPriority[r.Class]
-		}
-		if s.ChainAfter != nil && s.ChainAfter[i] >= 0 {
-			c := out[s.ChainAfter[i]]
-			out[i] = c
-			if etas != nil {
-				etas[i] = v.ETA(c, r)
-			}
-			v.route(c, r)
-			continue
-		}
-		c := pol.Pick(v, r)
-		if c < 0 || c >= chips {
-			return nil, fmt.Errorf("cluster: policy %s routed request %d to chip %d, want [0,%d)", pol.Name(), i, c, chips)
-		}
-		out[i] = c
-		if etas != nil {
-			etas[i] = v.ETA(c, r)
-		}
-		v.route(c, r)
-	}
-	return out, nil
+	assign, _, _, err := dispatch(s, pol, chips, Control{}, nil, nil, nil)
+	return assign, err
 }
 
 // Serve routes the stream across the cluster under the policy, runs
@@ -194,28 +150,17 @@ func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol 
 	if chips <= 0 {
 		chips = 1
 	}
-	var (
-		assign []int
-		shed   []bool
-		st     ctlStats
-		err    error
-	)
-	ctl := opts.Control
+	var pred *predictor
 	if pol.Name() == "predictive" {
 		// The predictive policy is meaningless without the predictor;
-		// selecting it opts into forward-simulated ETAs implicitly.
-		ctl.Predictive = true
+		// selecting it is the one switch that attaches it.
+		pred = newPredictor(cfg, s, chips)
 	}
 	var etas []arch.Cycles
 	if opts.Trace != nil {
 		etas = make([]arch.Cycles, len(s.Nets))
 	}
-	if ctl.enabled() {
-		assign, shed, st, err = dispatchControlled(cfg, s, pol, chips, ctl, opts.Ledger, etas)
-	} else {
-		assign, err = dispatch(s, pol, chips, etas)
-		st.active = chips
-	}
+	assign, shed, st, err := dispatch(s, pol, chips, opts.Control, pred, opts.Ledger, etas)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -236,7 +181,10 @@ func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol 
 		if len(perChip[c]) == 0 {
 			continue
 		}
-		sub := s.SubStream(fmt.Sprintf("%s-chip%d", s.Name, c), perChip[c])
+		sub, err := s.SubStream(fmt.Sprintf("%s-chip%d", s.Name, c), perChip[c])
+		if err != nil {
+			return nil, nil, err
+		}
 		subs[c] = sub
 		var netClasses []string
 		if opts.Metrics != nil {
@@ -403,6 +351,9 @@ func (r *Result) publish(reg *obs.Registry, utils []float64) {
 
 // CurveOptions tune a cluster load sweep.
 type CurveOptions struct {
+	// Options configures every cluster run of the sweep; see Options.
+	Options
+
 	// Stream is the per-point stream shape; its MeanGap field is
 	// ignored in favor of Gaps.
 	Stream serve.StreamOptions
@@ -412,29 +363,6 @@ type CurveOptions struct {
 	// (the cluster absorbs chips x the single-chip rate at the same
 	// factor).
 	Gaps []arch.Cycles
-
-	// Chips is the cluster size; <= 0 means 1.
-	Chips int
-
-	// Workers caps per-point simulation parallelism.
-	Workers int
-
-	// CheckInvariants turns the machine-model invariant checker on for
-	// every chip simulation.
-	CheckInvariants bool
-
-	// Metrics and Ledger, when non-nil, are threaded into every
-	// cluster run of the sweep; see Options.
-	Metrics *obs.Registry
-	Ledger  *obs.Ledger
-
-	// Control configures the overload control plane for every run of
-	// the sweep; the zero value disables it.
-	Control Control
-
-	// Trace, when non-nil, collects attributed per-request spans from
-	// every cluster run of the sweep; see Options.Trace.
-	Trace *rtrace.Store
 }
 
 // CurvePoint is one offered-load point of a cluster load sweep: the
@@ -486,15 +414,7 @@ func LoadCurve(cfg arch.Config, classes []serve.Class, spec serve.SchedulerSpec,
 		}
 		pt := CurvePoint{MeanGap: gap, ChipLoad: s.OfferedLoad() / float64(chips)}
 		for _, pspec := range policies {
-			r, err := Serve(cfg, s, spec, pspec.New(), Options{
-				Chips:           chips,
-				Workers:         opts.Workers,
-				CheckInvariants: opts.CheckInvariants,
-				Metrics:         opts.Metrics,
-				Ledger:          opts.Ledger,
-				Control:         opts.Control,
-				Trace:           opts.Trace,
-			})
+			r, err := Serve(cfg, s, spec, pspec.New(), opts.Options)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: %s at gap %d: %w", pspec.Name, gap, err)
 			}

@@ -197,9 +197,9 @@ func TestLeastWorkBalances(t *testing.T) {
 func TestLoadCurveShapes(t *testing.T) {
 	cfg := testConfig(t)
 	points, err := LoadCurve(cfg, serve.DefaultClasses(), aimtSpec(), nil, CurveOptions{
-		Stream: serve.StreamOptions{Requests: 40, Seed: 1},
-		Gaps:   []arch.Cycles{4000, 1000},
-		Chips:  3,
+		Options: Options{Chips: 3},
+		Stream:  serve.StreamOptions{Requests: 40, Seed: 1},
+		Gaps:    []arch.Cycles{4000, 1000},
 	})
 	if err != nil {
 		t.Fatal(err)

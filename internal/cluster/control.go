@@ -12,8 +12,8 @@ import (
 // admission control and elastic autoscaling, both acting at dispatch
 // time with exactly the information a production front door has —
 // arrivals, class service estimates and its own routing decisions.
-// The zero value disables everything; Serve then takes the plain
-// Dispatch path and is bit-identical to the uncontrolled cluster.
+// The zero value disables everything, and the dispatcher then routes
+// every request by the policy alone.
 type Control struct {
 	// Admission enables SLO-aware shedding: a request of the lowest
 	// priority band whose best predicted completion (per-chip
@@ -25,10 +25,10 @@ type Control struct {
 
 	// Autoscale enables elastic sizing of the active chip set: the
 	// dispatcher starts at MinChips and grows toward Options.Chips
-	// when the mean backlog depth per active chip stays above UpDepth
-	// for Patience consecutive arrivals, shrinking symmetrically below
-	// DownDepth. Hysteresis comes from the gap between the two
-	// thresholds plus the patience run length.
+	// when the mean backlog depth per active chip stays above
+	// scaleUpDepth for Patience consecutive arrivals, shrinking
+	// symmetrically below scaleDownDepth. Hysteresis comes from the
+	// gap between the two thresholds plus the patience run length.
 	Autoscale bool
 
 	// MinChips is the autoscaler's floor; <= 0 means 1. It is clamped
@@ -36,34 +36,18 @@ type Control struct {
 	// autoscaler becomes a recorded no-op).
 	MinChips int
 
-	// UpDepth and DownDepth are backlog depths in units of mean
-	// request service per active chip: grow above UpDepth (<= 0 means
-	// 3), shrink below DownDepth (<= 0 means 0.5). DownDepth is forced
-	// below UpDepth.
-	UpDepth, DownDepth float64
-
 	// Patience is how many consecutive arrivals must cross a threshold
 	// before the active set changes; <= 0 means 8.
 	Patience int
-
-	// Predictive replaces the dispatcher's static drain-then-serve ETA
-	// arithmetic with a bounded forward simulation of each candidate
-	// chip's recent workload plus the request on the real machine
-	// model (see View.PredictETA). It upgrades the deadline routing
-	// policy and the admission check; routing policies that never
-	// consult ETAs are unaffected. Serve turns it on implicitly for
-	// the "predictive" policy.
-	Predictive bool
-
-	// PredictWindow bounds each prediction to the chip's most recent
-	// routed requests; <= 0 means 8. The window is what keeps a
-	// per-request simulation cheap and is also the model's horizon:
-	// requests older than the window are assumed drained.
-	PredictWindow int
 }
 
-// enabled reports whether any control-plane mechanism is on.
-func (c Control) enabled() bool { return c.Admission || c.Autoscale || c.Predictive }
+// The autoscaler's thresholds, as backlog depths in units of mean
+// request service per active chip: grow above scaleUpDepth, shrink
+// below scaleDownDepth.
+const (
+	scaleUpDepth   = 3
+	scaleDownDepth = 0.5
+)
 
 // ctlStats carries the dispatch-time control-plane outcome into the
 // cluster result.
@@ -92,14 +76,19 @@ func ctlNote(led *obs.Ledger, cycle arch.Cycles, kind string, net int, detail ar
 	})
 }
 
-// dispatchControlled is Dispatch with the control plane in the loop:
-// per arrival it first lets the autoscaler adjust the active chip set,
+// dispatch routes every request of the stream in arrival order. Per
+// arrival it first lets the autoscaler adjust the active chip set,
 // then applies admission control, then routes via the policy within
-// the active set. It returns the assignment (-1 for shed requests),
-// the shed mask, and the control-plane stats. With admission off and
-// the active set pinned at the full cluster it routes identically to
-// Dispatch.
-func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int, ctl Control, led *obs.Ledger, etas []arch.Cycles) ([]int, []bool, ctlStats, error) {
+// the active set. pred, when non-nil, replaces the static ETA
+// arithmetic behind View.PredictETA with forward simulation. etas,
+// when non-nil (and stream-length), receives each entry's dispatcher
+// completion estimate at routing time for the request tracer.
+//
+// It returns the assignment (-1 for shed requests), the shed mask and
+// the control-plane stats. The mask is nil exactly when admission,
+// autoscaling and the predictor are all off, which is what tells
+// Result.publish the control plane was idle.
+func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predictor, led *obs.Ledger, etas []arch.Cycles) ([]int, []bool, ctlStats, error) {
 	if chips <= 0 {
 		return nil, nil, ctlStats{}, fmt.Errorf("cluster: chips must be positive, got %d", chips)
 	}
@@ -109,17 +98,6 @@ func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int,
 	}
 	if minChips > chips {
 		minChips = chips
-	}
-	up := ctl.UpDepth
-	if up <= 0 {
-		up = 3
-	}
-	down := ctl.DownDepth
-	if down <= 0 {
-		down = 0.5
-	}
-	if down >= up {
-		down = up / 2
 	}
 	patience := ctl.Patience
 	if patience <= 0 {
@@ -150,12 +128,13 @@ func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int,
 		classes: len(s.Classes),
 		freeAt:  make([]arch.Cycles, chips),
 		counts:  make([]int, chips),
-	}
-	if ctl.Predictive {
-		v.pred = newPredictor(cfg, s, chips, ctl.PredictWindow)
+		pred:    pred,
 	}
 	assign := make([]int, len(s.Nets))
-	shed := make([]bool, len(s.Nets))
+	var shed []bool
+	if ctl.Admission || ctl.Autoscale || pred != nil {
+		shed = make([]bool, len(s.Nets))
+	}
 	var st ctlStats
 	var upRun, downRun int
 	for i := range s.Nets {
@@ -177,7 +156,7 @@ func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int,
 		// on its own.
 		if s.ChainAfter != nil && s.ChainAfter[i] >= 0 {
 			p := s.ChainAfter[i]
-			if shed[p] {
+			if shed != nil && shed[p] {
 				assign[i] = -1
 				shed[i] = true
 				st.shedCount++
@@ -199,10 +178,10 @@ func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int,
 			}
 			depth := float64(backlog) / (float64(active) * s.MeanService)
 			switch {
-			case depth > up:
+			case depth > scaleUpDepth:
 				upRun++
 				downRun = 0
-			case depth < down:
+			case depth < scaleDownDepth:
 				downRun++
 				upRun = 0
 			default:
@@ -225,7 +204,7 @@ func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int,
 		if ctl.Admission && r.Priority == minPrio {
 			// The admission check reads the PredictETA seam: static
 			// arithmetic normally, the forward-simulated completion
-			// when the predictor is on — shedding decisions then see
+			// under the predictive policy — shedding decisions then see
 			// the multi-tenant overlap the serial sum cannot.
 			best := v.PredictETA(0, r)
 			for c := 1; c < active; c++ {

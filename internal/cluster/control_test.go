@@ -32,7 +32,7 @@ func prioStream(t *testing.T, cfg arch.Config, requests int, seed int64, load fl
 func TestAdmissionShedsOnlyLowestClass(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 300, 9, 4.0, 2)
-	assign, shed, st, err := dispatchControlled(cfg, s, LeastWork{}, 2, Control{Admission: true}, nil, nil)
+	assign, shed, st, err := dispatch(s, LeastWork{}, 2, Control{Admission: true}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 	cfg := testConfig(t)
 	hot := prioStream(t, cfg, 300, 9, 4.0, 4)
 	led := obs.NewLedger(0)
-	_, _, st, err := dispatchControlled(cfg, hot, LeastWork{}, 4, Control{Autoscale: true}, led, nil)
+	_, _, st, err := dispatch(hot, LeastWork{}, 4, Control{Autoscale: true}, nil, led, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 	}
 
 	light := prioStream(t, cfg, 300, 9, 0.1, 4)
-	_, _, lst, err := dispatchControlled(cfg, light, LeastWork{}, 4, Control{Autoscale: true}, nil, nil)
+	_, _, lst, err := dispatch(light, LeastWork{}, 4, Control{Autoscale: true}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin, pinShed, pst, err := dispatchControlled(cfg, hot, LeastWork{}, 4, Control{Autoscale: true, MinChips: 4}, nil, nil)
+	pin, pinShed, pst, err := dispatch(hot, LeastWork{}, 4, Control{Autoscale: true, MinChips: 4}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

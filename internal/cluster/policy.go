@@ -45,10 +45,9 @@ type View struct {
 	freeAt  []arch.Cycles // estimated cycle each chip drains its queue
 	counts  []int         // requests routed to each chip so far
 
-	// pred, when the control plane enables prediction, refines ETA
-	// queries by bounded forward simulation of the chip's recent
-	// workload on the real machine model. Nil keeps every estimate
-	// static, bit-identical to the plain dispatcher.
+	// pred, attached under the predictive policy, refines ETA queries
+	// by bounded forward simulation of the chip's recent workload on
+	// the real machine model. Nil keeps every estimate static.
 	pred *predictor
 }
 
@@ -81,8 +80,7 @@ func (v *View) ETA(chip int, r Request) arch.Cycles {
 // PredictETA returns the best completion estimate available for
 // routing r to chip: the static drain-then-serve arithmetic when the
 // dispatcher has no predictor, or the bounded forward simulation of
-// the chip's recent workload plus r when the control plane enabled
-// prediction (Control.Predictive, or the "predictive" policy). The
+// the chip's recent workload plus r under the predictive policy. The
 // deadline policy and admission control query this seam, so turning
 // prediction on upgrades both without changing their logic.
 func (v *View) PredictETA(chip int, r Request) arch.Cycles {
@@ -194,9 +192,9 @@ type Deadline struct{}
 func (Deadline) Name() string { return "deadline" }
 
 // Pick implements Policy. It routes through the PredictETA seam, so
-// with the control plane's predictor attached the "earliest feasible
-// completion" is a forward-simulated one; without it the behaviour is
-// the original static estimate, bit for bit.
+// with the predictor attached (the predictive policy) the "earliest
+// feasible completion" is a forward-simulated one; without it the
+// estimate is the static one.
 func (Deadline) Pick(v *View, r Request) int {
 	best := 0
 	bestETA := v.PredictETA(0, r)
@@ -209,28 +207,16 @@ func (Deadline) Pick(v *View, r Request) int {
 }
 
 // Predictive is the deadline policy with the forward-simulation
-// predictor always on: selecting it (cluster.ByName("predictive") or
-// aimt-serve -route predictive) makes Serve attach the predictor even
-// when the rest of the control plane is off. Each routing decision
-// simulates the candidate chips' recent workload plus the request on
-// the real machine model and picks the chip whose simulation finishes
-// the request soonest.
-type Predictive struct{}
+// predictor attached: selecting it (cluster.ByName("predictive") or
+// aimt-serve -route predictive) is what makes Serve build the
+// predictor, with or without the rest of the control plane. Each
+// routing decision then simulates the candidate chips' recent workload
+// plus the request on the real machine model and picks the chip whose
+// simulation finishes the request soonest.
+type Predictive struct{ Deadline }
 
 // Name implements Policy.
 func (Predictive) Name() string { return "predictive" }
-
-// Pick implements Policy.
-func (Predictive) Pick(v *View, r Request) int {
-	best := 0
-	bestETA := v.PredictETA(0, r)
-	for c := 1; c < v.Chips(); c++ {
-		if eta := v.PredictETA(c, r); eta < bestETA {
-			best, bestETA = c, eta
-		}
-	}
-	return best
-}
 
 // Spec names a routing policy and builds a fresh instance per dispatch
 // pass (policies may carry cursor state).

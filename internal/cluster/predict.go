@@ -11,7 +11,7 @@ import (
 // predictor replaces the dispatcher's static drain-then-serve ETA
 // arithmetic with a bounded forward simulation: for an ETA query it
 // takes the chip's most recently routed requests (a sliding window of
-// PredictWindow entries), adds the candidate, and runs the actual
+// predictWindow entries), adds the candidate, and runs the actual
 // machine model over those networks from their true arrival cycles.
 // The candidate's simulated finish cycle is the prediction.
 //
@@ -28,12 +28,11 @@ import (
 // back to the static estimate, so prediction can degrade but never
 // fail a dispatch.
 type predictor struct {
-	cfg    arch.Config
-	s      *serve.Stream
-	window int
+	cfg arch.Config
+	s   *serve.Stream
 
-	// recent holds, per chip, the indices of the last window entries
-	// routed there (oldest first).
+	// recent holds, per chip, the indices of the last predictWindow
+	// entries routed there (oldest first).
 	recent [][]int
 
 	// Scratch for assembling each query's sub-workload.
@@ -41,27 +40,21 @@ type predictor struct {
 	arrivals []arch.Cycles
 }
 
-// defaultPredictWindow is the forward-simulation window when
-// Control.PredictWindow is unset.
-const defaultPredictWindow = 8
+// predictWindow bounds each prediction to the chip's most recent
+// routed requests. It is what keeps a per-request simulation cheap and
+// is also the model's horizon: requests older than the window are
+// assumed drained.
+const predictWindow = 8
 
-func newPredictor(cfg arch.Config, s *serve.Stream, chips, window int) *predictor {
-	if window <= 0 {
-		window = defaultPredictWindow
-	}
-	return &predictor{
-		cfg:    cfg,
-		s:      s,
-		window: window,
-		recent: make([][]int, chips),
-	}
+func newPredictor(cfg arch.Config, s *serve.Stream, chips int) *predictor {
+	return &predictor{cfg: cfg, s: s, recent: make([][]int, chips)}
 }
 
 // record notes that entry idx was routed to chip, sliding the chip's
 // window.
 func (p *predictor) record(chip, idx int) {
 	h := p.recent[chip]
-	if len(h) == p.window {
+	if len(h) == predictWindow {
 		copy(h, h[1:])
 		h[len(h)-1] = idx
 	} else {

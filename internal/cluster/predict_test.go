@@ -21,12 +21,9 @@ func TestPredictETAStaticFallbacks(t *testing.T) {
 	if got, want := v.PredictETA(0, r), v.ETA(0, r); got != want {
 		t.Errorf("no predictor: PredictETA %d != static ETA %d", got, want)
 	}
-	v.pred = newPredictor(cfg, s, 2, 0)
+	v.pred = newPredictor(cfg, s, 2)
 	if got, want := v.PredictETA(1, r), v.ETA(1, r); got != want {
 		t.Errorf("empty history: PredictETA %d != static ETA %d", got, want)
-	}
-	if v.pred.window != defaultPredictWindow {
-		t.Errorf("unset window defaulted to %d, want %d", v.pred.window, defaultPredictWindow)
 	}
 }
 
@@ -44,7 +41,7 @@ func TestPredictiveDeadlineDiffersFromStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, _, _, err := dispatchControlled(cfg, s, Deadline{}, 2, Control{Predictive: true}, nil, nil)
+	pred, _, _, err := dispatch(s, Deadline{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +61,11 @@ func TestPredictiveDeadlineDiffersFromStatic(t *testing.T) {
 func TestPredictiveDispatchDeterministic(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 150, 5, 3.0, 2)
-	a, _, _, err := dispatchControlled(cfg, s, Predictive{}, 2, Control{Predictive: true}, nil, nil)
+	a, _, _, err := dispatch(s, Predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, err := dispatchControlled(cfg, s, Predictive{}, 2, Control{Predictive: true}, nil, nil)
+	b, _, _, err := dispatch(s, Predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +123,15 @@ func TestPredictiveByName(t *testing.T) {
 }
 
 // TestPredictorWindowSlides: the per-chip history is bounded by the
-// window, oldest-out.
+// predictWindow constant, oldest-out.
 func TestPredictorWindowSlides(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 20, 3, 1.0, 1)
-	p := newPredictor(cfg, s, 1, 4)
-	for i := 0; i < 10; i++ {
+	p := newPredictor(cfg, s, 1)
+	for i := 0; i < 20; i++ {
 		p.record(0, i)
 	}
-	want := []int{6, 7, 8, 9}
+	want := []int{12, 13, 14, 15, 16, 17, 18, 19}
 	if !reflect.DeepEqual(p.recent[0], want) {
 		t.Errorf("window holds %v, want %v", p.recent[0], want)
 	}

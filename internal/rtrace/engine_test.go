@@ -94,7 +94,10 @@ func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 		col, ref := rtrace.NewCollector(n), rtrace.NewRefCollector(n)
 		merged := &sim.Result{NetArrive: make([]arch.Cycles, n), NetFinish: make([]arch.Cycles, n)}
 		for c, idx := range perChip {
-			sub := s.SubStream(fmt.Sprintf("chip%d", c), idx)
+			sub, err := s.SubStream(fmt.Sprintf("chip%d", c), idx)
+			if err != nil {
+				t.Fatal(err)
+			}
 			tr := tee{rtrace.NewCollector(len(sub.Nets)), rtrace.NewRefCollector(len(sub.Nets))}
 			res, err := sim.Run(cfg, sub.Nets, spec.New(cfg, sub), sim.Options{Arrivals: sub.Arrivals, ChainAfter: sub.ChainAfter, Tracer: tr})
 			if err != nil {

@@ -363,11 +363,11 @@ func (s *Stream) EntryService(i int) arch.Cycles {
 // front-door stream into per-chip streams. For streams with phases the
 // indices must be request-closed: every decode entry's predecessor
 // must be included too (a dispatcher routes whole requests), and
-// SubStream panics otherwise. Class metadata, MeanService and MeanGap
+// SubStream returns an error otherwise. Class metadata, MeanService and MeanGap
 // are inherited from the parent; per-entry slices are fresh copies
 // (ReqOf keeps the parent's request ids; ChainAfter is remapped to
 // local indices).
-func (s *Stream) SubStream(name string, indices []int) *Stream {
+func (s *Stream) SubStream(name string, indices []int) (*Stream, error) {
 	sub := &Stream{
 		Name:               name,
 		Classes:            s.Classes,
@@ -402,7 +402,7 @@ func (s *Stream) SubStream(name string, indices []int) *Stream {
 			if p := s.ChainAfter[gi]; p >= 0 {
 				lp, ok := local[p]
 				if !ok {
-					panic(fmt.Sprintf("serve: SubStream %q: entry %d chained after %d, which is not included", name, gi, p))
+					return nil, fmt.Errorf("serve: SubStream %q: entry %d chained after %d, which is not included", name, gi, p)
 				}
 				sub.ChainAfter[i] = lp
 			} else {
@@ -411,7 +411,7 @@ func (s *Stream) SubStream(name string, indices []int) *Stream {
 			}
 		}
 	}
-	return sub
+	return sub, nil
 }
 
 // serviceEstimate approximates a request's isolated latency: the

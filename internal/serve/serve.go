@@ -437,17 +437,18 @@ func LoadCurve(cfg arch.Config, classes []Class, schedulers []SchedulerSpec, opt
 				Nets:      s.Nets,
 				New:       func() sim.Scheduler { return spec.New(cfg, s) },
 				Opts: sim.Options{
-					Arrivals:   s.Arrivals,
-					ChainAfter: s.ChainAfter,
-					Metrics:    opts.Metrics,
-					Ledger:     opts.Ledger,
-					NetClasses: netClasses,
-					Tracer:     tracer,
+					Arrivals:        s.Arrivals,
+					ChainAfter:      s.ChainAfter,
+					CheckInvariants: opts.CheckInvariants,
+					Metrics:         opts.Metrics,
+					Ledger:          opts.Ledger,
+					NetClasses:      netClasses,
+					Tracer:          tracer,
 				},
 			})
 		}
 	}
-	outs := sweep.Run(jobs, sweep.Options{Workers: opts.Workers, CheckInvariants: opts.CheckInvariants})
+	outs := sweep.Run(jobs, sweep.Options{Workers: opts.Workers})
 	if err := sweep.FirstError(outs); err != nil {
 		return nil, err
 	}

@@ -270,7 +270,14 @@ func TestSubStream(t *testing.T) {
 			odd = append(odd, i)
 		}
 	}
-	se, so := s.SubStream("even", even), s.SubStream("odd", odd)
+	se, err := s.SubStream("even", even)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so, err := s.SubStream("odd", odd)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(se.Nets)+len(so.Nets) != len(s.Nets) {
 		t.Fatalf("partition sizes %d+%d != %d", len(se.Nets), len(so.Nets), len(s.Nets))
 	}
@@ -289,6 +296,40 @@ func TestSubStream(t *testing.T) {
 	// A sub-stream must be servable as-is.
 	if _, err := Serve(cfg, so, sched.NewFIFO(), sim.Options{CheckInvariants: true}); err != nil {
 		t.Fatalf("serving sub-stream: %v", err)
+	}
+}
+
+// TestSubStreamRejectsOrphanedDecode: a sub-stream that keeps a
+// decode entry but drops the entry it is chained after is not
+// request-closed, so SubStream reports an error instead of panicking.
+func TestSubStreamRejectsOrphanedDecode(t *testing.T) {
+	cfg := testConfig(t)
+	s, err := NewStream(cfg, TransformerClasses(), StreamOptions{Requests: 12, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := -1
+	for i, p := range s.ChainAfter {
+		if p >= 0 {
+			orphan = i
+			break
+		}
+	}
+	if orphan < 0 {
+		t.Fatal("test premise broken: stream has no decode entry")
+	}
+	var keep []int
+	for i := range s.Nets {
+		if i != s.ChainAfter[orphan] {
+			keep = append(keep, i)
+		}
+	}
+	sub, err := s.SubStream("orphan", keep)
+	if err == nil {
+		t.Fatalf("SubStream kept decode entry %d without its predecessor %d and returned no error", orphan, s.ChainAfter[orphan])
+	}
+	if sub != nil {
+		t.Error("SubStream returned a stream alongside its error")
 	}
 }
 

@@ -62,10 +62,6 @@ type Outcome struct {
 type Options struct {
 	// Workers caps the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-
-	// CheckInvariants forces the machine-model invariant checker on
-	// for every job, regardless of each job's own Opts.
-	CheckInvariants bool
 }
 
 // Run executes every job and returns their outcomes in job order.
@@ -91,11 +87,7 @@ func Run(jobs []Job, opts Options) []Outcome {
 			if o.Scheduler == "" {
 				o.Scheduler = s.Name()
 			}
-			sopts := j.Opts
-			if opts.CheckInvariants {
-				sopts.CheckInvariants = true
-			}
-			o.Res, o.Err = sim.Run(j.Cfg, j.Nets, s, sopts)
+			o.Res, o.Err = sim.Run(j.Cfg, j.Nets, s, j.Opts)
 		}
 		out[i] = o
 	}

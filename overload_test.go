@@ -3,6 +3,8 @@ package aimt
 import (
 	"reflect"
 	"testing"
+
+	"aimt/internal/cluster"
 )
 
 // overloadStream builds the two-band overload mix at the given offered
@@ -103,7 +105,7 @@ func TestAdmissionProperties(t *testing.T) {
 		}
 		for _, spec := range schedulers {
 			for _, pspec := range ClusterPolicies() {
-				res, err := ClusterServe(cfg, s, spec, pspec.New(), ClusterOptions{
+				res, err := cluster.Serve(cfg, s, spec, pspec.New(), ClusterOptions{
 					Chips:   2,
 					Control: ClusterControl{Admission: true, Autoscale: true},
 				})
@@ -190,7 +192,7 @@ func TestControlPlaneOffDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pspec := range ClusterPolicies() {
-		cres, err := ClusterServe(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{Chips: 1})
+		cres, err := cluster.Serve(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{Chips: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", pspec.Name, err)
 		}
@@ -203,11 +205,11 @@ func TestControlPlaneOffDifferential(t *testing.T) {
 	// off, autoscaler pinned at MinChips == Chips) must match the
 	// control-plane-off run field for field.
 	for _, pspec := range ClusterPolicies() {
-		off, err := ClusterServe(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{Chips: 2})
+		off, err := cluster.Serve(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{Chips: 2})
 		if err != nil {
 			t.Fatalf("%s off: %v", pspec.Name, err)
 		}
-		pin, err := ClusterServe(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{
+		pin, err := cluster.Serve(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{
 			Chips:   2,
 			Control: ClusterControl{Autoscale: true, MinChips: 2},
 		})

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"aimt/internal/cluster"
 	"aimt/internal/trace"
 )
 
@@ -151,7 +152,7 @@ func TestClusterSpansReconcile(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := NewRequestTraceStore(RequestTraceOptions{SampleEvery: 1})
-				res, err := ClusterServe(cfg, s, serveSpec(t, "AI-MT+Prio"), pol.New(), ClusterOptions{
+				res, err := cluster.Serve(cfg, s, serveSpec(t, "AI-MT+Prio"), pol.New(), ClusterOptions{
 					Chips:   2,
 					Control: ctl,
 					Trace:   st,

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"aimt/internal/cluster"
 )
 
 // Transformer serving battery: multi-phase conservation across every
@@ -33,7 +35,7 @@ func transformerClusterStream(t *testing.T, requests int, load float64) *ServeSt
 // chip (or are shed together), that no decode phase starts before its
 // predecessor finishes, and that each chip executed exactly the block
 // multiset of the networks routed to it.
-func checkPhaseConservation(t *testing.T, label string, s *ServeStream, classes []ServeClass, res *ClusterResult) {
+func checkPhaseConservation(t *testing.T, label string, s *ServeStream, classes []ServeClass, res *cluster.Result) {
 	t.Helper()
 	shed := func(i int) bool { return res.Shed != nil && res.Shed[i] }
 
@@ -141,7 +143,7 @@ func TestTransformerPhaseConservation(t *testing.T) {
 				{Admission: true, Autoscale: true, MinChips: 1},
 			} {
 				label := fmt.Sprintf("%s/%s/admission=%v", spec.Name, pol.Name, ctl.Admission)
-				res, err := ClusterServe(cfg, s, spec, pol.New(), ClusterOptions{
+				res, err := cluster.Serve(cfg, s, spec, pol.New(), ClusterOptions{
 					Chips:           chips,
 					CheckInvariants: true,
 					Control:         ctl,
