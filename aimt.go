@@ -89,16 +89,6 @@ func PaperConfig() Config {
 	return cfg
 }
 
-// TPUv2Config returns the unscaled two-array 16-bit baseline the
-// paper's hardware is derived from (§II-B).
-func TPUv2Config() Config {
-	cfg := arch.TPUv2Config()
-	if err := cfg.Validate(); err != nil {
-		panic(err) // the built-in preset is always valid
-	}
-	return cfg
-}
-
 // NewNetwork starts a custom network with the given input shape.
 func NewNetwork(name string, inC, inH, inW int) *NetworkBuilder {
 	return nn.NewBuilder(name, inC, inH, inW)
@@ -120,17 +110,6 @@ var (
 	NetworkByName = nn.ByName
 )
 
-// TransformerConfig shapes a decoder-style transformer stack; see
-// nn.TransformerConfig.
-type TransformerConfig = nn.TransformerConfig
-
-// Transformer zoo (extension): attention-based networks whose blocks
-// lower to QKV/score/softmax/context/projection/MLP sub-layer chains.
-var (
-	// Transformer builds a transformer from an explicit config.
-	Transformer = nn.Transformer
-)
-
 // Compile lowers a network onto the hardware at the given batch size,
 // producing its sub-layer scheduling table.
 func Compile(net *Network, cfg Config, batch int) (*Compiled, error) {
@@ -141,22 +120,6 @@ func Compile(net *Network, cfg Config, batch int) (*Compiled, error) {
 // under the scheduler; all networks arrive at cycle zero.
 func Run(cfg Config, nets []*Compiled, s Scheduler, opts RunOptions) (*Result, error) {
 	return sim.Run(cfg, nets, s, opts)
-}
-
-// Engine is a simulation in progress that the caller can drive in
-// bounded increments (StepUntil), fork with O(state) Snapshot/Restore
-// and run to completion — the substrate of speculative lookahead
-// scheduling and predictive cluster dispatch; see sim.Engine.
-type Engine = sim.Engine
-
-// EngineSnapshot is a point-in-time copy of an Engine's mutable
-// machine state; see sim.Snapshot.
-type EngineSnapshot = sim.Snapshot
-
-// NewEngine returns an engine primed over the given workload, ready
-// to be stepped, snapshotted and run; see sim.NewEngine.
-func NewEngine(cfg Config, nets []*Compiled, s Scheduler, opts RunOptions) (*Engine, error) {
-	return sim.NewEngine(cfg, nets, s, opts)
 }
 
 // ErrInvariant wraps every violation the opt-in machine-model
@@ -214,11 +177,6 @@ type SchedulerEntry = sched.Entry
 // sched.Input.
 type SchedulerInput = sched.Input
 
-// Schedulers returns every registered scheduler — the paper's
-// baselines, PREMA, the AI-MT ablation and the serving extensions — in
-// comparison order.
-func Schedulers() []SchedulerEntry { return sched.Registry() }
-
 // SchedulerNames lists the registered scheduler names.
 func SchedulerNames() []string { return sched.Names() }
 
@@ -233,20 +191,12 @@ func SchedulerByName(name string) (SchedulerEntry, error) { return sched.ByName(
 // serve.Class.
 type ServeClass = serve.Class
 
-// ServeStream is a generated open-loop request stream; see
-// serve.Stream.
-type ServeStream = serve.Stream
-
 // ServeStreamOptions tunes stream generation; see serve.StreamOptions.
 type ServeStreamOptions = serve.StreamOptions
 
 // ServeReport summarizes one scheduler's run over a stream with
 // streaming (bounded-memory) latency quantiles; see serve.Report.
 type ServeReport = serve.Report
-
-// ServeClassStats is one class's row in a serving report; see
-// serve.ClassStats.
-type ServeClassStats = serve.ClassStats
 
 // ServeCurvePoint is one offered-load point of a load sweep; see
 // serve.CurvePoint.
@@ -277,20 +227,6 @@ func DefaultServingClasses() []ServeClass { return serve.DefaultClasses() }
 // iterations) alongside the default CNN class.
 func TransformerServingClasses() []ServeClass { return serve.TransformerClasses() }
 
-// TransformerChatServeClass returns a small chat-style transformer
-// class with the given decode iteration count and per-request batch
-// size (concurrent sequences sharing each decode step's weight fetch).
-func TransformerChatServeClass(decode, batch int) ServeClass {
-	return serve.TransformerChatClass(decode, batch)
-}
-
-// NewServeStream generates a reproducible open-loop request stream
-// with weighted class picks, Poisson or bursty arrivals, and
-// per-request deadlines.
-func NewServeStream(cfg Config, classes []ServeClass, opts ServeStreamOptions) (*ServeStream, error) {
-	return serve.NewStream(cfg, classes, opts)
-}
-
 // ServeStandardSchedulers returns the serving comparison set: FIFO,
 // PREMA, AI-MT and EDF.
 func ServeStandardSchedulers() []SchedulerSpec { return serve.StandardSchedulers() }
@@ -306,21 +242,12 @@ func ServeGaps(cfg Config, classes []ServeClass, loads ...float64) ([]Cycles, er
 	return serve.Gaps(cfg, classes, loads...)
 }
 
-// ServeRun simulates one stream under one scheduler and reports SLA
-// attainment and tail latency.
-func ServeRun(cfg Config, s *ServeStream, sch Scheduler, opts RunOptions) (*ServeReport, error) {
-	return serve.Serve(cfg, s, sch, opts)
-}
-
 // ServeLoadCurve sweeps offered load from light traffic to saturation,
 // running every scheduler on identical request sequences, and returns
 // a latency-vs-throughput curve per scheduler.
 func ServeLoadCurve(cfg Config, classes []ServeClass, schedulers []SchedulerSpec, opts ServeCurveOptions) ([]ServeCurvePoint, error) {
 	return serve.LoadCurve(cfg, classes, schedulers, opts)
 }
-
-// ServeProcess selects a stream's arrival process; see serve.Process.
-type ServeProcess = serve.Process
 
 // Arrival processes for ServeStreamOptions.Process.
 const (
@@ -455,32 +382,12 @@ type RequestTraceStore = rtrace.Store
 // RequestTraceOptions bounds a RequestTraceStore; see rtrace.Options.
 type RequestTraceOptions = rtrace.Options
 
-// RequestSpan is one request's end-to-end attributed trace; its
-// segments sum exactly to its latency; see rtrace.RequestSpan.
-type RequestSpan = rtrace.RequestSpan
-
 // RequestAttribution is one row of the latency-attribution report;
 // see rtrace.Attribution.
 type RequestAttribution = rtrace.Attribution
 
-// RequestTraceCollector logs engine occupancy events by network
-// instance for span attribution; attach it via RunOptions.Tracer; see
-// rtrace.Collector.
-type RequestTraceCollector = rtrace.Collector
-
 // NewRequestTraceStore returns a bounded request-trace store.
 func NewRequestTraceStore(opt RequestTraceOptions) *RequestTraceStore { return rtrace.NewStore(opt) }
-
-// NewRequestTraceCollector sizes a collector for a stream of nets
-// instances.
-func NewRequestTraceCollector(nets int) *RequestTraceCollector { return rtrace.NewCollector(nets) }
-
-// BuildRequestSpans attributes every request of a finished run: the
-// collector must have been the run's Tracer over the stream's nets.
-// run labels the spans (e.g. "AI-MT@0.80").
-func BuildRequestSpans(s *ServeStream, res *Result, run string, col *RequestTraceCollector) []RequestSpan {
-	return rtrace.Build(serve.TraceInput(s, res, run), col)
-}
 
 // AttachRequestTraces registers the /requests JSON endpoint (the
 // attribution report, tail exemplars and sampled recent spans) on an

@@ -2,13 +2,19 @@ package aimt
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"aimt/internal/analysis"
+	"aimt/internal/arch"
 	"aimt/internal/core"
 	"aimt/internal/metrics"
 	"aimt/internal/nn"
+	"aimt/internal/obs"
 	"aimt/internal/power"
+	"aimt/internal/rtrace"
+	"aimt/internal/serve"
+	"aimt/internal/sim"
 	"aimt/internal/workload"
 )
 
@@ -360,12 +366,16 @@ func BenchmarkAblationSchedulerLatency(b *testing.B) {
 // it derives from (§II-B): AI-MT's relative win depends on the
 // compute/bandwidth balance of the machine underneath.
 func BenchmarkAblationHardwareScale(b *testing.B) {
+	tpuv2 := arch.TPUv2Config()
+	if err := tpuv2.Validate(); err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"paper-16x8bit-450GBs", PaperConfig()},
-		{"tpuv2-2x16bit-300GBs", TPUv2Config()},
+		{"tpuv2-2x16bit-300GBs", tpuv2},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			mix, err := BuildMix(tc.cfg, PaperMixes()[0], 1)
@@ -518,7 +528,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // binding constraint (see the frontier tracking in internal/sim).
 func BenchmarkServeStream(b *testing.B) {
 	cfg := PaperConfig()
-	stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: 10_000,
 		Seed:     7,
 	})
@@ -545,7 +555,7 @@ func BenchmarkServeStream(b *testing.B) {
 // every checked test run pay.
 func BenchmarkServeStreamChecked(b *testing.B) {
 	cfg := PaperConfig()
-	stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: 10_000,
 		Seed:     7,
 	})
@@ -571,7 +581,7 @@ func BenchmarkServeStreamChecked(b *testing.B) {
 // of explaining every request's latency.
 func BenchmarkServeStreamTraced(b *testing.B) {
 	cfg := PaperConfig()
-	stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: 10_000,
 		Seed:     7,
 	})
@@ -582,17 +592,60 @@ func BenchmarkServeStreamTraced(b *testing.B) {
 	var spans int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := NewRequestTraceCollector(len(stream.Nets))
+		col := rtrace.NewCollector(len(stream.Nets))
 		res, err := Run(cfg, stream.Nets, NewAIMT(cfg, AllMechanisms()),
 			RunOptions{Arrivals: stream.Arrivals, Tracer: col})
 		if err != nil {
 			b.Fatal(err)
 		}
-		sp := BuildRequestSpans(stream, res, "bench", col)
+		sp := rtrace.Build(serve.TraceInput(stream, res, "bench"), col)
 		st.AddRun(sp)
 		spans = len(sp)
 	}
 	b.ReportMetric(float64(spans), "spans/op")
+}
+
+// BenchmarkServeStreamObserved runs the admin daemon's shape in
+// process, as the serve-rtrace harness workload does: the 10k-request
+// stream at offered load 0.9 with the request tracer, a registry
+// labelling nets by class and a decision ledger attached, then span
+// building, store aggregation, both publishes and one Prometheus
+// scrape. It is what observation costs end to end.
+func BenchmarkServeStreamObserved(b *testing.B) {
+	cfg := PaperConfig()
+	classes := serve.DefaultClasses()
+	gaps, err := serve.Gaps(cfg, classes, 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: 10_000, MeanGap: gaps[0], Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var blocks int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col := rtrace.NewCollector(len(s.Nets))
+		reg, led := obs.NewRegistry(), obs.NewLedger(obs.DefaultLedgerCap)
+		store := rtrace.NewStore(rtrace.Options{})
+		res, err := sim.Run(cfg, s.Nets, core.New(cfg, core.All()), sim.Options{
+			Arrivals: s.Arrivals, ChainAfter: s.ChainAfter, Tracer: col,
+			Metrics: reg, Ledger: led, NetClasses: s.NetClasses(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep := serve.BuildReport(s, res)
+		store.AddRun(rtrace.Build(serve.TraceInput(s, res, "AI-MT"), col))
+		rep.Publish(reg)
+		store.Publish(reg)
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		blocks = res.MBCount + res.CBCount
+	}
+	b.ReportMetric(float64(blocks), "blocks/op")
 }
 
 // BenchmarkCompile measures sub-layer table generation for the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aimt/internal/cluster"
+	"aimt/internal/serve"
 )
 
 // TestClusterN1BitIdentical is the cluster model's correctness anchor:
@@ -17,8 +18,8 @@ import (
 func TestClusterN1BitIdentical(t *testing.T) {
 	cfg := PaperConfig()
 	classes := DefaultServingClasses()
-	for _, process := range []ServeProcess{ServePoisson, ServeBursty} {
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{
+	for _, process := range []serve.Process{ServePoisson, ServeBursty} {
+		stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{
 			Requests: 150,
 			Process:  process,
 			Seed:     13,
@@ -33,7 +34,7 @@ func TestClusterN1BitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s reference: %v", process, spec.Name, err)
 			}
-			refRep, err := ServeRun(cfg, stream, spec.New(cfg, stream), RunOptions{})
+			refRep, err := serve.Serve(cfg, stream, spec.New(cfg, stream), RunOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s reference report: %v", process, spec.Name, err)
 			}

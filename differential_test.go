@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"aimt/internal/analysis"
+	"aimt/internal/serve"
 )
 
 // Differential tests: the simulator against closed-form timing. With
@@ -76,8 +77,8 @@ func TestDifferentialSerializedBound(t *testing.T) {
 func TestFrontierDifferentialServeStream(t *testing.T) {
 	cfg := PaperConfig()
 	classes := DefaultServingClasses()
-	for _, process := range []ServeProcess{ServePoisson, ServeBursty} {
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{
+	for _, process := range []serve.Process{ServePoisson, ServeBursty} {
+		stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{
 			Requests: 100,
 			Process:  process,
 			Seed:     11,
@@ -86,7 +87,7 @@ func TestFrontierDifferentialServeStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, spec := range registrySpecs() {
-			rep, err := ServeRun(cfg, stream, spec.New(cfg, stream), RunOptions{CheckInvariants: true})
+			rep, err := serve.Serve(cfg, stream, spec.New(cfg, stream), RunOptions{CheckInvariants: true})
 			if err != nil {
 				t.Errorf("%s/%s: %v", process, spec.Name, err)
 				continue

@@ -1,7 +1,14 @@
 package aimt
 
 import (
+	"errors"
 	"testing"
+
+	"aimt/internal/arch"
+	"aimt/internal/compiler"
+	"aimt/internal/nn"
+	"aimt/internal/serve"
+	"aimt/internal/sim"
 )
 
 // Edge-case sweep: every scheduling policy is driven through the
@@ -149,6 +156,46 @@ func TestEdgeCaseLateArrivalIdles(t *testing.T) {
 		if res.NetFinish[i] != base.NetFinish[i] {
 			t.Errorf("early net %d finish moved from %d to %d because of an unarrived network",
 				i, base.NetFinish[i], res.NetFinish[i])
+		}
+	}
+}
+
+// TestBrokenConfigIsAnError hands the compiler, the stream generator
+// and the simulator configurations whose cycle arithmetic would divide
+// by zero. Each must come back as the arch error naming the field,
+// never as a panic. The simulator gets networks compiled for a sound
+// configuration, so its own check is what answers.
+func TestBrokenConfigIsAnError(t *testing.T) {
+	good := PaperConfig()
+	cn, err := compiler.Compile(nn.ResNet34(), good, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		breakCfg func(*arch.Config)
+		want     error
+	}{
+		{"zero config", func(c *arch.Config) { *c = arch.Config{} }, arch.ErrBadPEDim},
+		{"zero PEDim", func(c *arch.Config) { c.PEDim = 0 }, arch.ErrBadPEDim},
+		{"negative NumArrays", func(c *arch.Config) { c.NumArrays = -1 }, arch.ErrBadArrays},
+		{"zero NumArrays", func(c *arch.Config) { c.NumArrays = 0 }, arch.ErrBadArrays},
+		{"zero FreqHz", func(c *arch.Config) { c.FreqHz = 0 }, arch.ErrBadFreq},
+		{"zero MemBandwidth", func(c *arch.Config) { c.MemBandwidth = 0 }, arch.ErrBadBandwidth},
+		{"sub-byte MemBandwidth", func(c *arch.Config) { c.MemBandwidth = c.FreqHz / 2 }, arch.ErrBadBandwidth},
+		{"zero WeightBytes", func(c *arch.Config) { c.WeightBytes = 0 }, arch.ErrBadWeight},
+		{"sub-byte HostBandwidth", func(c *arch.Config) { c.HostBandwidth = c.FreqHz / 2 }, arch.ErrBadHostLink},
+	} {
+		cfg := good
+		tc.breakCfg(&cfg)
+		if _, err := compiler.Compile(nn.ResNet34(), cfg, 1); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Compile error %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := serve.NewStream(cfg, serve.DefaultClasses(), serve.StreamOptions{Requests: 4}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: serve.NewStream error %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := sim.Run(cfg, []*compiler.CompiledNetwork{cn}, NewFIFO(), sim.Options{}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: sim.Run error %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

@@ -557,7 +557,7 @@ func ClusterScaleData(cfg Config) ([]ClusterScalePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 320, MeanGap: gaps[0], Seed: 7})
+	stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: 320, MeanGap: gaps[0], Seed: 7})
 	if err != nil {
 		return nil, err
 	}
@@ -681,7 +681,7 @@ func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
 	}
 	var out []OverloadPoint
 	for i, load := range OverloadLoads {
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 300, MeanGap: gaps[i], Seed: 7})
+		stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: 300, MeanGap: gaps[i], Seed: 7})
 		if err != nil {
 			return nil, err
 		}
@@ -788,16 +788,16 @@ func DecodeBatchCurveData(cfg Config) ([]DecodeBatchPoint, error) {
 	}
 	var out []DecodeBatchPoint
 	for _, batch := range DecodeBatchSizes {
-		classes := []ServeClass{TransformerChatServeClass(8, batch)}
+		classes := []ServeClass{serve.TransformerChatClass(8, batch)}
 		gaps, err := serve.Gaps(cfg, classes, DecodeBatchLoad)
 		if err != nil {
 			return nil, err
 		}
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 96, MeanGap: gaps[0], Seed: 7})
+		stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: 96, MeanGap: gaps[0], Seed: 7})
 		if err != nil {
 			return nil, err
 		}
-		rep, err := ServeRun(cfg, stream, spec.New(cfg, stream), RunOptions{})
+		rep, err := serve.Serve(cfg, stream, spec.New(cfg, stream), RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("decodebatch batch %d: %w", batch, err)
 		}

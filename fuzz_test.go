@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"aimt/internal/cluster"
+	"aimt/internal/nn"
 	"aimt/internal/sched"
+	"aimt/internal/serve"
 )
 
 // Native fuzz targets. `go test` always replays the seed corpus under
@@ -139,7 +141,7 @@ func FuzzTransformerCompile(f *testing.F) {
 		// Whole-stack path: raw values through the transformer config;
 		// invalid shapes (zero dims, Hidden not divisible by Heads,
 		// Context < SeqLen) must error, never panic.
-		net, err := Transformer(TransformerConfig{
+		net, err := nn.Transformer(nn.TransformerConfig{
 			Name:    "fuzz-tf",
 			Blocks:  int(blocks % 4),
 			Hidden:  int(hidden),
@@ -260,7 +262,7 @@ func FuzzAdmission(f *testing.F) {
 		if pick(4)%2 == 1 {
 			process = ServeBursty
 		}
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{
+		stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{
 			Requests: int(pick(5)%48) + 8,
 			MeanGap:  Cycles(pick(6)%200) + 1,
 			Process:  process,

@@ -3,6 +3,7 @@ package aimt
 import (
 	"testing"
 
+	"aimt/internal/serve"
 	"aimt/internal/workload"
 )
 
@@ -241,7 +242,7 @@ func TestIteratedMixInvariants(t *testing.T) {
 // request may start before it arrives, and every request completes.
 func TestArrivalStreamUnderAIMT(t *testing.T) {
 	cfg := PaperConfig()
-	stream, err := NewServeStream(cfg, []ServeClass{{Net: MobileNet()}, {Net: GNMT()}},
+	stream, err := serve.NewStream(cfg, []ServeClass{{Net: MobileNet()}, {Net: GNMT()}},
 		ServeStreamOptions{Requests: 8, MeanGap: 30_000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)

@@ -113,11 +113,15 @@ var (
 	ErrBadBandwidth = errors.New("arch: MemBandwidth must be positive")
 	ErrBadSRAM      = errors.New("arch: WeightSRAM must hold at least one weight block")
 	ErrBadWeight    = errors.New("arch: WeightBytes must be positive")
+	ErrBadHostLink  = errors.New("arch: HostBandwidth must be zero (instant) or at least one byte per cycle")
 )
 
-// Validate checks the configuration for consistency and fills derived
-// defaults (FillLatency). It returns the first problem found.
-func (c *Config) Validate() error {
+// CheckDivisors returns the first field the cycle arithmetic would
+// divide by zero with: a non-positive PEDim, NumArrays, FreqHz or
+// WeightBytes, or an HBM or host link below one byte per cycle. Unlike
+// Validate it fills no defaults, so the compiler and the simulator run
+// it on whatever configuration they are handed.
+func (c Config) CheckDivisors() error {
 	if c.PEDim <= 0 {
 		return ErrBadPEDim
 	}
@@ -130,8 +134,23 @@ func (c *Config) Validate() error {
 	if c.MemBandwidth <= 0 {
 		return ErrBadBandwidth
 	}
+	if c.BytesPerCycle() < 1 {
+		return fmt.Errorf("%w: %d B/s at %d Hz is below one byte per cycle", ErrBadBandwidth, c.MemBandwidth, c.FreqHz)
+	}
 	if c.WeightBytes <= 0 {
 		return ErrBadWeight
+	}
+	if c.HostBandwidth > 0 && c.HostBytesPerCycle() < 1 {
+		return fmt.Errorf("%w: %d B/s at %d Hz", ErrBadHostLink, c.HostBandwidth, c.FreqHz)
+	}
+	return nil
+}
+
+// Validate checks the configuration for consistency and fills derived
+// defaults (FillLatency). It returns the first problem found.
+func (c *Config) Validate() error {
+	if err := c.CheckDivisors(); err != nil {
+		return err
 	}
 	if c.FillLatency == 0 {
 		c.FillLatency = Cycles(2 * c.PEDim)

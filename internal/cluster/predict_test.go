@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aimt/internal/arch"
+	"aimt/internal/serve"
 )
 
 // TestPredictETAStaticFallbacks: PredictETA equals the static ETA
@@ -134,5 +135,32 @@ func TestPredictorWindowSlides(t *testing.T) {
 	want := []int{12, 13, 14, 15, 16, 17, 18, 19}
 	if !reflect.DeepEqual(p.recent[0], want) {
 		t.Errorf("window holds %v, want %v", p.recent[0], want)
+	}
+}
+
+// TestPredictorCarriesBacklog routes far more back-to-back requests to
+// one chip than the predictor's window holds. Every request routed
+// before the N-th is still unfinished when it arrives, so the N-th
+// ETA can be no earlier than the time the machine needs to drain
+// them: their total HBM or PE work, whichever is larger, after the
+// first arrival. A window that forgot its older entries would plateau
+// near predictWindow requests' worth of work instead.
+func TestPredictorCarriesBacklog(t *testing.T) {
+	cfg := testConfig(t)
+	s, err := serve.NewStream(cfg, serve.DefaultClasses(), serve.StreamOptions{Requests: 40, MeanGap: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPredictor(cfg, s, 1)
+	var mb, cb arch.Cycles
+	for i := range s.Nets {
+		r := Request{Index: i, Arrival: s.Arrivals[i], Service: s.EntryService(i)}
+		eta := p.eta(0, r, r.Arrival+r.Service)
+		if drain := s.Arrivals[0] + max(mb, cb); eta < drain {
+			t.Fatalf("request %d: ETA %d below the drain time %d of the %d requests ahead of it", i, eta, drain, i)
+		}
+		p.record(0, i)
+		st := s.Nets[i].Stats()
+		mb, cb = mb+st.MBCycles, cb+st.CBCycles
 	}
 }

@@ -160,6 +160,9 @@ func Compile(net *nn.Network, cfg arch.Config, batch int) (*CompiledNetwork, err
 	if batch <= 0 {
 		return nil, ErrBadBatch
 	}
+	if err := cfg.CheckDivisors(); err != nil {
+		return nil, err
+	}
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}

@@ -109,12 +109,13 @@ type Decision struct {
 // the sequence number follows from the ring position. A Decision is
 // built only on read, by Each, Tail and WriteJSONL.
 type Ledger struct {
-	mu      sync.Mutex
-	buf     []entry
-	next    int // ring write position
-	total   int64
-	byKind  tally
-	byStall tally
+	mu       sync.Mutex
+	buf      []entry
+	next     int // ring write position
+	capacity int // cap(buf), immutable, so a Log can read it unlocked
+	total    int64
+	byKind   tally
+	byStall  tally
 }
 
 // entry is one retained decision: a Decision without its sequence
@@ -127,11 +128,41 @@ type entry struct {
 }
 
 // The closed vocabularies Record counts into fixed slots, most
-// frequent first.
+// frequent first. The engine's kinds lead, in KindSlot order, and the
+// stalls follow StallSlot order, so a Log's per-slot tallies fold
+// straight into the ledger's.
 var (
 	ledgerKinds = []string{KindMBPrefetch, KindCBMerge, KindEarlyEvict, KindCBSplit,
 		KindPreempt, KindLookahead, KindShed, KindScaleUp, KindScaleDown}
 	ledgerStalls = []string{StallHBM, StallPE, StallNone, ""}
+)
+
+// KindSlot is an engine decision kind as its slot in the closed kind
+// vocabulary: the typed form of a Kind* name that a Log records
+// without comparing strings.
+type KindSlot uint8
+
+// The engine's decision kinds, in vocabulary order.
+const (
+	SlotMBPrefetch KindSlot = iota // KindMBPrefetch
+	SlotCBMerge                    // KindCBMerge
+	SlotEarlyEvict                 // KindEarlyEvict
+	SlotCBSplit                    // KindCBSplit
+	SlotPreempt                    // KindPreempt
+	SlotLookahead                  // KindLookahead
+	numKindSlots
+)
+
+// StallSlot is a stall cause as its slot in the closed stall
+// vocabulary.
+type StallSlot uint8
+
+// The stall causes, in vocabulary order.
+const (
+	SlotHBM  StallSlot = iota // StallHBM
+	SlotPE                    // StallPE
+	SlotNone                  // StallNone
+	numStallSlots
 )
 
 // tally counts names in slots: the vocabulary's first, then each name
@@ -219,22 +250,16 @@ func NewLedger(capacity int) *Ledger {
 		capacity = DefaultLedgerCap
 	}
 	return &Ledger{
-		buf:     make([]entry, 0, capacity),
-		byKind:  newTally(ledgerKinds),
-		byStall: newTally(ledgerStalls),
+		buf:      make([]entry, 0, capacity),
+		capacity: capacity,
+		byKind:   newTally(ledgerKinds),
+		byStall:  newTally(ledgerStalls),
 	}
 }
 
 // Record appends one decision, assigning its sequence number (d.Seq
 // is ignored).
 func (l *Ledger) Record(d Decision) {
-	l.Note(d.Kind, d.Stall, d.Cycle, d.Net, d.Layer, d.Iter, d.SRAMUsed, d.SRAMTotal, d.AvailCB, d.Detail, d.Horizon)
-}
-
-// Note appends one decision given field by field, the fields of
-// Decision in order, for emitters that would otherwise build a
-// Decision only to have it copied into the ring.
-func (l *Ledger) Note(kind, stall string, cycle arch.Cycles, net, layer, iter, sramUsed, sramTotal int, availCB, detail, horizon arch.Cycles) {
 	l.mu.Lock()
 	var e *entry
 	if len(l.buf) < cap(l.buf) {
@@ -249,17 +274,106 @@ func (l *Ledger) Note(kind, stall string, cycle arch.Cycles, net, layer, iter, s
 	}
 	// Field by field: a composite literal would be built aside and
 	// block-copied into the ring.
-	e.cycle, e.availCB, e.detail, e.horizon = cycle, availCB, detail, horizon
-	e.net, e.layer, e.iter = net, layer, iter
-	e.sramUsed, e.sramTotal = sramUsed, sramTotal
-	if e.kind = l.byKind.addKnown(kind); e.kind < 0 {
-		e.kind = l.byKind.addOther(kind)
+	e.cycle, e.availCB, e.detail, e.horizon = d.Cycle, d.AvailCB, d.Detail, d.Horizon
+	e.net, e.layer, e.iter = d.Net, d.Layer, d.Iter
+	e.sramUsed, e.sramTotal = d.SRAMUsed, d.SRAMTotal
+	if e.kind = l.byKind.addKnown(d.Kind); e.kind < 0 {
+		e.kind = l.byKind.addOther(d.Kind)
 	}
-	if e.stall = l.byStall.addKnown(stall); e.stall < 0 {
-		e.stall = l.byStall.addOther(stall)
+	if e.stall = l.byStall.addKnown(d.Stall); e.stall < 0 {
+		e.stall = l.byStall.addOther(d.Stall)
 	}
 	l.total++
 	l.mu.Unlock()
+}
+
+// Log is a run-local decision buffer: one engine fills it without
+// locks or string comparisons while it runs, and Fold publishes it
+// into its ledger in one step. It holds ring entries, so folding is a
+// block copy, and retains at most the ledger's capacity of the newest
+// decisions (older ones could never survive the fold) while tallying
+// every decision by slot. Its storage grows to that bound on first use
+// and is reused by every later Reset, so a pooled engine allocates for
+// it once.
+type Log struct {
+	buf       []entry
+	next      int // write position once buf holds limit entries
+	limit     int
+	sramTotal int
+	total     int64
+	kinds     [numKindSlots]int64
+	stalls    [numStallSlots]int64
+}
+
+// Reset empties g for a run whose decisions fold into l, on a machine
+// of sramTotal weight blocks, keeping g's storage.
+func (g *Log) Reset(l *Ledger, sramTotal int) {
+	*g = Log{buf: g.buf[:0], limit: l.capacity, sramTotal: sramTotal}
+}
+
+// Note logs one decision, the fields of Decision in order, less the
+// sequence number and SRAM capacity.
+func (g *Log) Note(kind KindSlot, stall StallSlot, cycle arch.Cycles, net, layer, iter, sramUsed int, availCB, detail, horizon arch.Cycles) {
+	var e *entry
+	if len(g.buf) < g.limit {
+		g.buf = append(g.buf, entry{})
+		e = &g.buf[len(g.buf)-1]
+	} else {
+		e = &g.buf[g.next]
+		g.next++
+		if g.next == len(g.buf) {
+			g.next = 0
+		}
+	}
+	// Field by field: a composite literal would be built aside and
+	// block-copied into the buffer.
+	e.cycle, e.availCB, e.detail, e.horizon = cycle, availCB, detail, horizon
+	e.net, e.layer, e.iter = net, layer, iter
+	e.sramUsed, e.sramTotal = sramUsed, g.sramTotal
+	e.kind, e.stall = int32(kind), int32(stall)
+	g.kinds[kind]++
+	g.stalls[stall]++
+	g.total++
+}
+
+// Fold appends g's decisions to the ledger, oldest first, under one
+// lock: the ledger then reads exactly as if each had been recorded in
+// turn. g is left empty for further logging.
+func (l *Ledger) Fold(g *Log) {
+	if g.total == 0 {
+		return
+	}
+	l.mu.Lock()
+	l.appendEntries(g.buf[g.next:])
+	l.appendEntries(g.buf[:g.next])
+	for k, n := range g.kinds {
+		l.byKind.slots[k] += n
+	}
+	for s, n := range g.stalls {
+		l.byStall.slots[s] += n
+	}
+	l.total += g.total
+	l.mu.Unlock()
+	g.buf, g.next, g.total = g.buf[:0], 0, 0
+	g.kinds, g.stalls = [numKindSlots]int64{}, [numStallSlots]int64{}
+}
+
+// appendEntries pushes src into the ring, oldest first, in at most a
+// few block copies. The caller holds the lock.
+func (l *Ledger) appendEntries(src []entry) {
+	for len(src) > 0 {
+		var n int
+		if free := cap(l.buf) - len(l.buf); free > 0 {
+			n = min(free, len(src))
+			l.buf = append(l.buf, src[:n]...)
+		} else {
+			n = copy(l.buf[l.next:], src)
+			if l.next += n; l.next == len(l.buf) {
+				l.next = 0
+			}
+		}
+		src = src[n:]
+	}
 }
 
 // decision rebuilds the i-th retained decision, oldest first. The

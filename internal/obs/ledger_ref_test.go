@@ -70,24 +70,48 @@ func randomDecision(rng *rand.Rand) Decision {
 	}
 }
 
+// slotOf returns name's position in vocab.
+func slotOf(vocab []string, name string) (int, bool) {
+	for i, n := range vocab {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // TestLedgerMatchesReference is the ledger's differential test: over
 // random decision streams, across ring wrap and capacity 1, the ledger
 // reads back exactly what the reference ring of plain Decisions holds —
 // Each, Tail, the WriteJSONL bytes, Summary and the lifetime counters.
+// Decisions of the engine's kinds and stalls go, at random, through a
+// run-local Log (itself wrapping) folded in at random points, between
+// directly recorded ones.
 func TestLedgerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var g Log
 	for trial := 0; trial < 300; trial++ {
 		capacity := []int{1, 2, 3, 7, 64}[trial%5]
 		l, ref := NewLedger(capacity), newRefLedger(capacity)
+		sramTotal := rng.Intn(1000)
+		g.Reset(l, sramTotal)
 		for i, steps := 0, rng.Intn(4*capacity+10); i < steps; i++ {
 			d := randomDecision(rng)
-			if rng.Intn(2) == 0 {
-				l.Record(d)
+			kind, kok := slotOf(ledgerKinds[:numKindSlots], d.Kind)
+			stall, sok := slotOf(ledgerStalls[:numStallSlots], d.Stall)
+			if kok && sok && rng.Intn(2) == 0 {
+				d.SRAMTotal = sramTotal
+				g.Note(KindSlot(kind), StallSlot(stall), d.Cycle, d.Net, d.Layer, d.Iter, d.SRAMUsed, d.AvailCB, d.Detail, d.Horizon)
 			} else {
-				l.Note(d.Kind, d.Stall, d.Cycle, d.Net, d.Layer, d.Iter, d.SRAMUsed, d.SRAMTotal, d.AvailCB, d.Detail, d.Horizon)
+				l.Fold(&g)
+				l.Record(d)
 			}
 			ref.record(d)
+			if rng.Intn(5) == 0 {
+				l.Fold(&g)
+			}
 		}
+		l.Fold(&g)
 
 		want := ref.retained()
 		var got []Decision
@@ -133,6 +157,31 @@ func TestLedgerMatchesReference(t *testing.T) {
 			if got := l.CountStall(k); got != ref.byStall[k] {
 				t.Fatalf("trial %d: CountStall(%q) = %d, want %d", trial, k, got, ref.byStall[k])
 			}
+		}
+	}
+}
+
+// TestSlotsMatchVocabularies pins the typed slots to the names they
+// stand for: Fold adds a Log's slot tallies to the ledger's by
+// position.
+func TestSlotsMatchVocabularies(t *testing.T) {
+	kinds := map[KindSlot]string{SlotMBPrefetch: KindMBPrefetch, SlotCBMerge: KindCBMerge,
+		SlotEarlyEvict: KindEarlyEvict, SlotCBSplit: KindCBSplit, SlotPreempt: KindPreempt, SlotLookahead: KindLookahead}
+	if len(kinds) != int(numKindSlots) {
+		t.Fatalf("%d kind slots named, want %d", len(kinds), numKindSlots)
+	}
+	for slot, name := range kinds {
+		if ledgerKinds[slot] != name {
+			t.Errorf("kind slot %d is %q, want %q", slot, ledgerKinds[slot], name)
+		}
+	}
+	stalls := map[StallSlot]string{SlotHBM: StallHBM, SlotPE: StallPE, SlotNone: StallNone}
+	if len(stalls) != int(numStallSlots) {
+		t.Fatalf("%d stall slots named, want %d", len(stalls), numStallSlots)
+	}
+	for slot, name := range stalls {
+		if ledgerStalls[slot] != name {
+			t.Errorf("stall slot %d is %q, want %q", slot, ledgerStalls[slot], name)
 		}
 	}
 }

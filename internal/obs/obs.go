@@ -10,9 +10,10 @@
 // paths thread a *Registry and *Ledger behind nil-check guards, so a
 // run without observability pays nothing — no allocations, no atomic
 // traffic, no locks. With observability on, counters and gauges are
-// single atomic operations and ledger appends are one short critical
-// section into a fixed ring, so even saturation sweeps stay within
-// the benchcheck gate.
+// single atomic operations and a ledger append is one short critical
+// section into a fixed ring. The simulator calls neither per event:
+// it gathers a run's series and decisions run-local (a Log for the
+// ledger) and publishes them whenever its event loop returns.
 //
 // Series names are opaque keys that may carry Prometheus-style
 // labels inline, e.g. "aimt_serve_requests_total{class=\"cnn\"}".

@@ -57,17 +57,21 @@ type Options struct {
 	// Metrics, when non-nil, receives live engine telemetry: block
 	// and split counters, per-engine busy-cycle totals, SRAM
 	// occupancy, the AVL_CB level, in-flight population and
-	// utilization gauges (aimt_sim_* series). Handles are resolved
-	// once at Run start, so emission is a few atomic operations per
-	// event; nil keeps the hot loop allocation-free and atomic-free.
-	// Runs sharing a registry aggregate their counters; gauges show
-	// the most recent writer.
+	// utilization gauges (aimt_sim_* series). The engine gathers them
+	// in plain run-local state and publishes them whenever Run or
+	// StepUntil returns, so a scrape during a call sees the state of
+	// the previous return; nil keeps the hot loop to a nil check per
+	// site. Runs sharing a registry aggregate their counters; gauges
+	// show the most recent publisher.
 	Metrics *obs.Registry
 
 	// Ledger, when non-nil, records every scheduler decision — MB
 	// prefetches, ahead-of-execution CB claims (merges), early-
 	// eviction capacity reservations and CB splits — with its cycle,
-	// block, SRAM occupancy and stall attribution.
+	// block, SRAM occupancy and stall attribution. Decisions are
+	// logged run-local and folded in, in order, whenever Run or
+	// StepUntil returns, so runs sharing a ledger land contiguously
+	// per call.
 	Ledger *obs.Ledger
 
 	// NetClasses, when set alongside Metrics, labels each network
@@ -201,10 +205,6 @@ type Engine struct {
 	chk      *checker
 	chkState checker
 
-	// obsState is the pooled storage of View.om, the run's metric
-	// handles when Options.Metrics is set.
-	obsState simObs
-
 	// mbScratch and cbScratch are reused by the deadlock-diagnosis
 	// path so it allocates nothing.
 	mbScratch []MBRef
@@ -223,6 +223,13 @@ type Engine struct {
 	spill  netTemplate
 
 	res Result
+
+	// obsState and logState are the pooled storage of View.om and
+	// View.log, the run's metric state when Options.Metrics is set and
+	// its decision log when Options.Ledger is. They come last: an
+	// unobserved run never touches them.
+	obsState simObs
+	logState obs.Log
 }
 
 // EngineAware is implemented by schedulers that forward-simulate: the
@@ -285,6 +292,9 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	if len(nets) == 0 {
 		return errors.New("sim: no networks")
 	}
+	if err := cfg.CheckDivisors(); err != nil {
+		return err
+	}
 	e.tables = e.tables[:0]
 	totalLayers, spillLayers, subLayers := 0, 0, 0
 	var cbTotal, mbTotal arch.Cycles
@@ -344,12 +354,18 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 			return err
 		}
 	}
-	v.led = opts.Ledger
+	if opts.Ledger != nil {
+		e.logState.Reset(opts.Ledger, v.total)
+		v.log = &e.logState
+	}
 	if opts.Metrics != nil {
 		e.obsState.reset(opts.Metrics, opts.NetClasses, len(nets))
 		v.om = &e.obsState
-		v.om.sramTotal.Set(float64(cfg.WeightBlocks()))
+		v.om.setGauge(gSRAMTotal, v.total)
 	}
+	// The arrivals at cycle zero below are observed like any event:
+	// publish them when init returns.
+	defer e.flushObs()
 
 	e.res = Result{
 		Scheduler:  sch.Name(),
@@ -494,7 +510,7 @@ func (e *Engine) release() {
 	}
 	e.sch = nil
 	e.opts = Options{}
-	e.view.led = nil
+	e.view.log = nil
 	e.view.om = nil
 	e.obsState.drop()
 	e.chainSucc = nil
@@ -594,21 +610,32 @@ func (e *Engine) Progress() arch.Cycles {
 // leave no trace in the run's observability; the machine state the
 // speculation mutates is unwound separately by Snapshot/Restore.
 func (e *Engine) Quiesce() (restore func()) {
-	om, led, tr := e.v.om, e.v.led, e.opts.Tracer
-	e.v.om, e.v.led, e.opts.Tracer = nil, nil, nil
+	om, log, tr := e.v.om, e.v.log, e.opts.Tracer
+	e.v.om, e.v.log, e.opts.Tracer = nil, nil, nil
 	return func() {
-		e.v.om, e.v.led, e.opts.Tracer = om, led, tr
+		e.v.om, e.v.log, e.opts.Tracer = om, log, tr
+	}
+}
+
+// flushObs publishes the run-local metrics and decision log into the
+// shared registry and ledger, in one step each.
+func (e *Engine) flushObs() {
+	if e.v.om != nil {
+		e.v.om.flush()
+	}
+	if e.v.log != nil {
+		e.opts.Ledger.Fold(e.v.log)
 	}
 }
 
 // loop is the event loop: schedule onto idle engines, advance to the
 // earliest completion or arrival, apply completions. limit >= 0 stops
 // before advancing past it (see StepUntil); limit < 0 runs to
-// completion.
+// completion. The run's observers see its events when loop returns.
 func (e *Engine) loop(limit arch.Cycles) (done bool, err error) {
 	v := e.v
-	if v.om != nil {
-		defer v.om.flush()
+	if v.om != nil || v.log != nil {
+		defer e.flushObs()
 	}
 	for {
 		if err := e.scheduleAll(); err != nil {
@@ -649,8 +676,8 @@ func (e *Engine) loop(limit arch.Cycles) (done bool, err error) {
 		}
 		v.now = next
 		if v.om != nil {
-			v.om.now.Set(float64(next))
-			v.om.hostQ.Set(float64(len(e.hostQ) - e.hostHead))
+			v.om.setGauge(gNow, int(next))
+			v.om.setGauge(gHostQ, len(e.hostQ)-e.hostHead)
 		}
 
 		if v.memBusy && v.memEnd == v.now {
@@ -769,12 +796,12 @@ func (e *Engine) issueMB(r MBRef) error {
 	v.curMB = r
 	v.memEnd = v.now + e.opts.SchedulerLatency + h.mbCycles
 	if v.om != nil {
-		v.om.prefetches.Inc()
-		v.om.sramUsed.Set(float64(v.used))
-		v.om.sramPeak.Set(float64(e.res.SRAMPeakBlocks))
+		v.om.counts[cPrefetches]++
+		v.om.setGauge(gSRAMUsed, v.used)
+		v.om.setGauge(gSRAMPeak, e.res.SRAMPeakBlocks)
 	}
-	if v.led != nil {
-		v.note(obs.KindMBPrefetch, r.Net, r.Layer, r.Iter, v.stallCause(0), h.mbCycles)
+	if v.log != nil {
+		v.note(obs.SlotMBPrefetch, r.Net, r.Layer, r.Iter, v.stallCause(0), h.mbCycles)
 	}
 	if e.chk != nil {
 		if err := e.chk.mbIssue(r, h.mbBlocks); err != nil {
@@ -799,11 +826,12 @@ func (e *Engine) completeMB() error {
 	if e.opts.Tracer != nil {
 		e.trace("mem", compiler.LabelMB, r.Net, r.Layer, r.Iter, start, v.now)
 	}
-	if v.om != nil {
-		v.om.mbDone.Inc()
-		v.om.memBusyC.Add(int64(h.mbCycles))
-		v.om.memUtil.Set(ratio(e.res.MemBusy, v.now))
-		v.om.mbRun.Record(h.mbCycles)
+	if o := v.om; o != nil {
+		o.counts[cMBDone]++
+		o.counts[cMemBusy] += int64(h.mbCycles)
+		o.memBusy, o.memAt = e.res.MemBusy, v.now
+		o.set |= 1 << gMemUtil
+		o.mbRun.Record(h.mbCycles)
 	}
 	if e.chk != nil {
 		if err := e.chk.mbDone(r, start, v.now); err != nil {
@@ -835,7 +863,7 @@ func (e *Engine) completeMB() error {
 		}
 	}
 	if v.om != nil {
-		v.om.availCB.Set(float64(v.availCB))
+		v.om.setGauge(gAvailCB, int(v.availCB))
 	}
 	e.sch.OnMBDone(v, r)
 	return nil
@@ -884,12 +912,13 @@ func (e *Engine) completeCB() error {
 			r, sram.ErrUnderflow, h.mbBlocks, resident*h.mbBlocks)
 	}
 	v.used -= h.mbBlocks
-	if v.om != nil {
-		v.om.cbDone.Inc()
-		v.om.peBusyC.Add(int64(v.curCBWork))
-		v.om.peUtil.Set(ratio(e.res.PEBusy, v.now))
-		v.om.cbRun.Record(v.curCBWork)
-		v.om.sramUsed.Set(float64(v.used))
+	if o := v.om; o != nil {
+		o.counts[cCBDone]++
+		o.counts[cPEBusy] += int64(v.curCBWork)
+		o.peBusy, o.peAt = e.res.PEBusy, v.now
+		o.set |= 1 << gPEUtil
+		o.cbRun.Record(v.curCBWork)
+		o.setGauge(gSRAMUsed, v.used)
 	}
 	if e.chk != nil {
 		if err := e.chk.cbDone(r, v.cbStart, v.now, h.mbBlocks); err != nil {
@@ -931,7 +960,7 @@ func (e *Engine) completeCB() error {
 		}
 	}
 	if v.om != nil {
-		v.om.availCB.Set(float64(v.availCB))
+		v.om.setGauge(gAvailCB, int(v.availCB))
 	}
 	e.sch.OnCBDone(v, r)
 	return nil
@@ -976,16 +1005,16 @@ func (e *Engine) applySplit() error {
 			return err
 		}
 	}
-	if v.om != nil {
-		v.om.splits.Inc()
-		v.om.peBusyC.Add(int64(executed))
-		v.om.availCB.Set(float64(v.availCB))
+	if o := v.om; o != nil {
+		o.counts[cSplits]++
+		o.counts[cPEBusy] += int64(executed)
+		o.setGauge(gAvailCB, int(v.availCB))
 	}
-	if v.led != nil {
+	if v.log != nil {
 		// A split is by construction a capacity-recovery decision:
 		// the scheduler is clearing the PE so small compute blocks
 		// can free SRAM for a blocked capacity-critical fetch.
-		v.note(obs.KindCBSplit, r.Net, r.Layer, r.Iter, obs.StallPE, remaining)
+		v.note(obs.SlotCBSplit, r.Net, r.Layer, r.Iter, obs.SlotPE, remaining)
 	}
 	e.sch.OnCBSplit(v, r, remaining)
 	return nil
@@ -1014,7 +1043,7 @@ func (e *Engine) completeHost() error {
 		e.opts.Tracer.Event("host", name, x.net, -1, -1, e.hostEnd-x.cycles, v.now)
 	}
 	if v.om != nil {
-		v.om.hostBusyC.Add(int64(x.cycles))
+		v.om.counts[cHostBusy] += int64(x.cycles)
 	}
 	if x.output {
 		return e.finishNet(x.net)

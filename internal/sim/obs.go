@@ -8,114 +8,192 @@ import (
 	"aimt/internal/obs"
 )
 
-// simObs bundles the engine's pre-resolved metric handles. The engine
-// resolves every series once at Run start, so hot-loop emission is a
-// handful of atomic operations — no map lookups, no allocations, no
-// locks: the block-size distributions fill run-local histograms that
-// flush folds into the registry's when each event-loop call returns.
-// A nil *simObs (no Options.Metrics) disables metric emission
-// entirely; the decision ledger is gated separately by View.led.
+// simObs is the engine's view of the run's metrics registry. While
+// the event loop runs it writes nothing shared: counters accumulate in
+// plain run-local integers, gauges keep the last value the engine set,
+// in-flight classes keep per-class deltas and the block sizes fill
+// run-local histograms. flush publishes all of it into the registry
+// in one step whenever the event loop returns, so observing a run
+// costs O(loop returns), not O(events). A nil *simObs (no
+// Options.Metrics) disables metric emission entirely; the decision
+// log is gated separately by View.log.
 type simObs struct {
-	// Lifetime counters. With several runs sharing one registry (a
-	// parallel sweep, a multi-chip cluster), counters aggregate across
-	// runs; gauges reflect the most recent writer.
-	prefetches *obs.Counter // MBs issued to the HBM channel
-	merges     *obs.Counter // CBs claimed ahead of execution
-	evictions  *obs.Counter // early-eviction capacity reservations
-	splits     *obs.Counter // halted compute blocks
-	preempts   *obs.Counter // priority preemption split requests
-	lookaheads *obs.Counter // committed speculative lookahead decisions
-	mbDone     *obs.Counter
-	cbDone     *obs.Counter
-	netsDone   *obs.Counter
-	memBusyC   *obs.Counter // busy cycles per engine
-	peBusyC    *obs.Counter
-	hostBusyC  *obs.Counter
+	// Lifetime counters: the registry's handles and the run-local
+	// counts flush adds to them. With several runs sharing one
+	// registry (a parallel sweep, a multi-chip cluster), counters
+	// aggregate across runs; gauges reflect the most recent flush.
+	counters [numCounters]*obs.Counter
+	counts   [numCounters]int64
 
-	// Live machine state.
-	now        *obs.Gauge
-	activeNets *obs.Gauge
-	sramUsed   *obs.Gauge
-	sramTotal  *obs.Gauge
-	sramPeak   *obs.Gauge
-	availCB    *obs.Gauge
-	hostQ      *obs.Gauge
-	memUtil    *obs.Gauge
-	peUtil     *obs.Gauge
+	// Live machine state: the registry's handles, the values last set
+	// in this loop call and which of them were set. The utilization
+	// gauges keep the busy total and cycle of the last completion and
+	// divide at flush.
+	gauges         [numGauges]*obs.Gauge
+	values         [numGauges]int64
+	set            uint16 // bit g: gauge g was written since the last flush
+	memBusy, memAt arch.Cycles
+	peBusy, peAt   arch.Cycles
 
 	// Block-size distributions: the registry's, and the run-local ones
 	// the engine records into until the next flush.
 	mbHist, cbHist *obs.Histogram
 	mbRun, cbRun   hdr.Histogram
 
-	// classGauge, when Options.NetClasses is set, maps each net index
-	// to its class's in-flight gauge (nets of one class share a
-	// handle). Nil entries mean the net is unlabeled.
+	// With Options.NetClasses set, classOf maps each net to its class
+	// (-1 for an unlabeled net), classGauge holds each class's
+	// in-flight gauge and classDelta the in-flight change since the
+	// last flush.
+	classOf    []int32
+	classNames []string
 	classGauge []*obs.Gauge
+	classDelta []int64
 }
 
-// reset resolves o's handles against reg for a run of numNets nets,
-// keeping the run-local histograms' and class gauges' storage.
+// Counter slots, named by counterNames.
+const (
+	cPrefetches = iota // MBs issued to the HBM channel
+	cMerges            // CBs claimed ahead of execution
+	cEvictions         // early-eviction capacity reservations
+	cSplits            // halted compute blocks
+	cPreempts          // priority preemption split requests
+	cLookaheads        // committed speculative lookahead decisions
+	cMBDone
+	cCBDone
+	cNetsDone
+	cMemBusy // busy cycles per engine
+	cPEBusy
+	cHostBusy
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	"aimt_sim_mb_prefetch_total", "aimt_sim_cb_merge_total", "aimt_sim_evictions_total",
+	"aimt_sim_cb_splits_total", "aimt_sim_preempt_total", "aimt_sim_lookahead_total",
+	"aimt_sim_mb_completed_total", "aimt_sim_cb_completed_total", "aimt_sim_nets_finished_total",
+	"aimt_sim_mem_busy_cycles_total", "aimt_sim_pe_busy_cycles_total", "aimt_sim_host_busy_cycles_total",
+}
+
+// Gauge slots, named by gaugeNames. The utilization gauges are set
+// from memBusy/memAt and peBusy/peAt rather than values.
+const (
+	gNow = iota
+	gActiveNets
+	gSRAMUsed
+	gSRAMTotal
+	gSRAMPeak
+	gAvailCB
+	gHostQ
+	gMemUtil
+	gPEUtil
+	numGauges
+)
+
+var gaugeNames = [numGauges]string{
+	"aimt_sim_now_cycles", "aimt_sim_active_nets", "aimt_sim_sram_used_blocks",
+	"aimt_sim_sram_total_blocks", "aimt_sim_sram_peak_blocks", "aimt_sim_avail_cb_cycles",
+	"aimt_sim_host_queue_depth", "aimt_sim_mem_util", "aimt_sim_pe_util",
+}
+
+// reset resolves o's handles against reg for a run of numNets nets
+// labelled by classes, keeping the run-local histograms' and class
+// tables' storage.
 func (o *simObs) reset(reg *obs.Registry, classes []string, numNets int) {
-	mbRun, cbRun, classGauge := o.mbRun, o.cbRun, o.classGauge[:0]
+	mbRun, cbRun := o.mbRun, o.cbRun
 	mbRun.Reset()
 	cbRun.Reset()
 	*o = simObs{
-		prefetches: reg.Counter("aimt_sim_mb_prefetch_total"),
-		merges:     reg.Counter("aimt_sim_cb_merge_total"),
-		evictions:  reg.Counter("aimt_sim_evictions_total"),
-		splits:     reg.Counter("aimt_sim_cb_splits_total"),
-		preempts:   reg.Counter("aimt_sim_preempt_total"),
-		lookaheads: reg.Counter("aimt_sim_lookahead_total"),
-		mbDone:     reg.Counter("aimt_sim_mb_completed_total"),
-		cbDone:     reg.Counter("aimt_sim_cb_completed_total"),
-		netsDone:   reg.Counter("aimt_sim_nets_finished_total"),
-		memBusyC:   reg.Counter("aimt_sim_mem_busy_cycles_total"),
-		peBusyC:    reg.Counter("aimt_sim_pe_busy_cycles_total"),
-		hostBusyC:  reg.Counter("aimt_sim_host_busy_cycles_total"),
-		now:        reg.Gauge("aimt_sim_now_cycles"),
-		activeNets: reg.Gauge("aimt_sim_active_nets"),
-		sramUsed:   reg.Gauge("aimt_sim_sram_used_blocks"),
-		sramTotal:  reg.Gauge("aimt_sim_sram_total_blocks"),
-		sramPeak:   reg.Gauge("aimt_sim_sram_peak_blocks"),
-		availCB:    reg.Gauge("aimt_sim_avail_cb_cycles"),
-		hostQ:      reg.Gauge("aimt_sim_host_queue_depth"),
-		memUtil:    reg.Gauge("aimt_sim_mem_util"),
-		peUtil:     reg.Gauge("aimt_sim_pe_util"),
-		mbHist:     reg.Histogram("aimt_sim_mb_cycles"),
-		cbHist:     reg.Histogram("aimt_sim_cb_cycles"),
-		mbRun:      mbRun,
-		cbRun:      cbRun,
+		mbHist: reg.Histogram("aimt_sim_mb_cycles"),
+		cbHist: reg.Histogram("aimt_sim_cb_cycles"),
+		mbRun:  mbRun, cbRun: cbRun,
+		classOf: o.classOf[:0], classNames: o.classNames[:0],
+		classGauge: o.classGauge[:0], classDelta: o.classDelta[:0],
 	}
-	if len(classes) > 0 {
-		byName := make(map[string]*obs.Gauge, 4)
-		if cap(classGauge) < numNets {
-			classGauge = make([]*obs.Gauge, numNets)
+	for i, name := range counterNames {
+		o.counters[i] = reg.Counter(name)
+	}
+	for i, name := range gaugeNames {
+		o.gauges[i] = reg.Gauge(name)
+	}
+	if len(classes) == 0 {
+		return
+	}
+	// Nets of one class share its name, so a short scan of the
+	// distinct names (usually a handful) resolves each net; the
+	// registry is asked once per class.
+	for i := 0; i < numNets; i++ {
+		c := int32(-1)
+		if i < len(classes) {
+			c = o.classIndex(reg, classes[i])
 		}
-		o.classGauge = classGauge[:numNets]
-		clear(o.classGauge)
-		for i := 0; i < numNets && i < len(classes); i++ {
-			name := classes[i]
-			g := byName[name]
-			if g == nil {
-				g = reg.Gauge("aimt_sim_inflight{class=" + strconv.Quote(name) + "}")
-				byName[name] = g
-			}
-			o.classGauge[i] = g
-		}
+		o.classOf = append(o.classOf, c)
 	}
 }
 
-// drop releases every registry handle, keeping the storage reset
-// reuses.
+// classIndex returns the class slot of name, resolving its in-flight
+// gauge on first sight.
+func (o *simObs) classIndex(reg *obs.Registry, name string) int32 {
+	for c, n := range o.classNames {
+		if n == name {
+			return int32(c)
+		}
+	}
+	o.classNames = append(o.classNames, name)
+	o.classGauge = append(o.classGauge, reg.Gauge("aimt_sim_inflight{class="+strconv.Quote(name)+"}"))
+	o.classDelta = append(o.classDelta, 0)
+	return int32(len(o.classNames) - 1)
+}
+
+// drop releases every registry handle and class name, keeping the
+// storage reset reuses.
 func (o *simObs) drop() {
+	clear(o.classNames)
 	clear(o.classGauge)
-	*o = simObs{mbRun: o.mbRun, cbRun: o.cbRun, classGauge: o.classGauge[:0]}
+	*o = simObs{
+		mbRun: o.mbRun, cbRun: o.cbRun,
+		classOf: o.classOf[:0], classNames: o.classNames[:0],
+		classGauge: o.classGauge[:0], classDelta: o.classDelta[:0],
+	}
 }
 
-// flush folds the run-local block-size histograms into the registry's
-// and empties them.
+// setGauge records gauge g's latest value for the next flush.
+func (o *simObs) setGauge(g int, v int) {
+	o.values[g] = int64(v)
+	o.set |= 1 << g
+}
+
+// flush publishes everything accumulated since the last flush into
+// the registry and empties the run-local state: counts are added,
+// gauges written since the last flush are set to their latest value,
+// class deltas are added to the in-flight gauges and the block-size
+// histograms are merged.
 func (o *simObs) flush() {
+	for i, n := range o.counts {
+		if n != 0 {
+			o.counters[i].Add(n)
+			o.counts[i] = 0
+		}
+	}
+	for g := 0; g < numGauges; g++ {
+		if o.set&(1<<g) == 0 {
+			continue
+		}
+		switch g {
+		case gMemUtil:
+			o.gauges[g].Set(ratio(o.memBusy, o.memAt))
+		case gPEUtil:
+			o.gauges[g].Set(ratio(o.peBusy, o.peAt))
+		default:
+			o.gauges[g].Set(float64(o.values[g]))
+		}
+	}
+	o.set = 0
+	for c, d := range o.classDelta {
+		if d != 0 {
+			o.classGauge[c].Add(float64(d))
+			o.classDelta[c] = 0
+		}
+	}
 	if o.mbRun.Count() > 0 {
 		o.mbHist.Merge(&o.mbRun)
 		o.mbRun.Reset()
@@ -128,18 +206,22 @@ func (o *simObs) flush() {
 
 // arrive notes a network entering the in-flight population.
 func (o *simObs) arrive(net, active int) {
-	o.activeNets.Set(float64(active))
-	if net < len(o.classGauge) && o.classGauge[net] != nil {
-		o.classGauge[net].Add(1)
+	o.setGauge(gActiveNets, active)
+	if net < len(o.classOf) {
+		if c := o.classOf[net]; c >= 0 {
+			o.classDelta[c]++
+		}
 	}
 }
 
 // finish notes a network completing.
 func (o *simObs) finish(net, active int) {
-	o.netsDone.Inc()
-	o.activeNets.Set(float64(active))
-	if net < len(o.classGauge) && o.classGauge[net] != nil {
-		o.classGauge[net].Add(-1)
+	o.counts[cNetsDone]++
+	o.setGauge(gActiveNets, active)
+	if net < len(o.classOf) {
+		if c := o.classOf[net]; c >= 0 {
+			o.classDelta[c]--
+		}
 	}
 }
 
@@ -149,22 +231,22 @@ func (o *simObs) finish(net, active int) {
 // resident unconsumed compute exists (the PE complex waits on
 // memory), none otherwise. need <= 0 asks only whether SRAM is
 // completely full.
-func (v *View) stallCause(need int) string {
+func (v *View) stallCause(need int) obs.StallSlot {
 	if free := v.FreeBlocks(); free == 0 || free < need {
-		return obs.StallPE
+		return obs.SlotPE
 	}
 	if v.availCB == 0 {
-		return obs.StallHBM
+		return obs.SlotHBM
 	}
-	return obs.StallNone
+	return obs.SlotNone
 }
 
-// note appends one decision to the run's ledger. Callers must have
-// checked v.led != nil; stall is a Stall* constant, usually from
-// stallCause (splits pass StallPE directly — a split is by
-// construction a capacity-recovery decision).
-func (v *View) note(kind string, net, layer, iter int, stall string, detail arch.Cycles) {
-	v.led.Note(kind, stall, v.now, net, layer, iter, v.used, v.total, v.availCB, detail, 0)
+// note logs one decision for the run's ledger. Callers must have
+// checked v.log != nil; stall usually comes from stallCause (splits
+// pass SlotPE directly — a split is by construction a
+// capacity-recovery decision).
+func (v *View) note(kind obs.KindSlot, net, layer, iter int, stall obs.StallSlot, detail arch.Cycles) {
+	v.log.Note(kind, stall, v.now, net, layer, iter, v.used, v.availCB, detail, 0)
 }
 
 // NoteEviction records an early-eviction capacity reservation in the
@@ -175,13 +257,13 @@ func (v *View) note(kind string, net, layer, iter int, stall string, detail arch
 // a no-op when the run has no ledger or registry attached.
 func (v *View) NoteEviction(r MBRef) {
 	if v.om != nil {
-		v.om.evictions.Inc()
+		v.om.counts[cEvictions]++
 	}
-	if v.led == nil {
+	if v.log == nil {
 		return
 	}
 	h := &v.nets[r.Net].hot[r.Layer]
-	v.note(obs.KindEarlyEvict, r.Net, r.Layer, r.Iter, v.stallCause(h.mbBlocks), h.mbCycles)
+	v.note(obs.SlotEarlyEvict, r.Net, r.Layer, r.Iter, v.stallCause(h.mbBlocks), h.mbCycles)
 }
 
 // NotePreemption records a priority preemption in the run's decision
@@ -194,16 +276,16 @@ func (v *View) NoteEviction(r MBRef) {
 // no ledger or registry attached.
 func (v *View) NotePreemption(r CBRef) {
 	if v.om != nil {
-		v.om.preempts.Inc()
+		v.om.counts[cPreempts]++
 	}
-	if v.led == nil {
+	if v.log == nil {
 		return
 	}
 	var rem arch.Cycles
 	if cur, remaining, ok := v.ExecutingCB(); ok && cur == r {
 		rem = remaining
 	}
-	v.note(obs.KindPreempt, r.Net, r.Layer, r.Iter, v.stallCause(0), rem)
+	v.note(obs.SlotPreempt, r.Net, r.Layer, r.Iter, v.stallCause(0), rem)
 }
 
 // NoteLookahead records a committed speculative scheduling decision in
@@ -216,12 +298,12 @@ func (v *View) NotePreemption(r CBRef) {
 // trace). A no-op when the run has no ledger or registry attached.
 func (v *View) NoteLookahead(r MBRef, horizon, delta arch.Cycles) {
 	if v.om != nil {
-		v.om.lookaheads.Inc()
+		v.om.counts[cLookaheads]++
 	}
-	if v.led == nil {
+	if v.log == nil {
 		return
 	}
 	// Detail carries the predicted progress delta; the horizon is
 	// encoded in the free-form field so both survive the ring.
-	v.led.Note(obs.KindLookahead, v.stallCause(0), v.now, r.Net, r.Layer, r.Iter, v.used, v.total, v.availCB, delta, horizon)
+	v.log.Note(obs.SlotLookahead, v.stallCause(0), v.now, r.Net, r.Layer, r.Iter, v.used, v.availCB, delta, horizon)
 }

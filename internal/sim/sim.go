@@ -309,11 +309,12 @@ type View struct {
 
 	now arch.Cycles
 
-	// led and om are the run's observability hooks (Options.Ledger
-	// and Options.Metrics): nil unless the run opted in, and every
-	// emission site guards on that, so the disabled path costs
-	// nothing.
-	led *obs.Ledger
+	// log and om are the run's observability hooks: the run-local
+	// decision log folded into Options.Ledger and the metric state
+	// flushed into Options.Metrics at every event-loop return. Both
+	// are nil unless the run opted in, and every emission site guards
+	// on that, so the disabled path costs nothing.
+	log *obs.Log
 	om  *simObs
 
 	// HBM channel occupancy.
@@ -621,10 +622,10 @@ func (v *View) SelectCB(r CBRef) error {
 	}
 	s.cbSelected[r.Layer]++
 	if v.om != nil {
-		v.om.merges.Inc()
+		v.om.counts[cMerges]++
 	}
-	if v.led != nil {
-		v.note(obs.KindCBMerge, r.Net, r.Layer, r.Iter, v.stallCause(0), v.CBCycles(r))
+	if v.log != nil {
+		v.note(obs.SlotCBMerge, r.Net, r.Layer, r.Iter, v.stallCause(0), v.CBCycles(r))
 	}
 	return nil
 }

@@ -6,16 +6,17 @@ import (
 
 	"aimt/internal/obs"
 	"aimt/internal/sched"
+	"aimt/internal/serve"
 )
 
 // lookaheadStream is a contended serving mix: the default classes mix
 // compute-heavy CNN requests with memory-intensive RNN requests, so
 // both block classes are regularly issuable at once — exactly the
 // decisions Lookahead resolves by forward simulation.
-func lookaheadStream(t *testing.T, requests int) (*ServeStream, RunOptions) {
+func lookaheadStream(t *testing.T, requests int) (*serve.Stream, RunOptions) {
 	t.Helper()
 	cfg := PaperConfig()
-	stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: requests,
 		Process:  ServePoisson,
 		Seed:     5,

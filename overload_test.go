@@ -5,18 +5,19 @@ import (
 	"testing"
 
 	"aimt/internal/cluster"
+	"aimt/internal/serve"
 )
 
 // overloadStream builds the two-band overload mix at the given offered
 // load in full-cluster capacities (the overloadcurve pattern), with an
 // optional uniform-priority variant for differential runs.
-func overloadStream(t *testing.T, cfg Config, classes []ServeClass, requests int, seed int64, load float64, chips int) *ServeStream {
+func overloadStream(t *testing.T, cfg Config, classes []ServeClass, requests int, seed int64, load float64, chips int) *serve.Stream {
 	t.Helper()
 	gaps, err := ServeGaps(cfg, classes, load*float64(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: requests, MeanGap: gaps[0], Seed: seed})
+	s, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: requests, MeanGap: gaps[0], Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestOverloadDegradation(t *testing.T) {
 	prevShed := -1
 	baseMiss := -1.0
 	for _, p := range pts {
-		var premium, batch *ServeClassStats
+		var premium, batch *serve.ClassStats
 		for i := range p.Res.Agg.PerClass {
 			cs := &p.Res.Agg.PerClass[i]
 			switch cs.Class {

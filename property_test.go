@@ -1,6 +1,7 @@
 package aimt
 
 import (
+	"aimt/internal/sched"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -60,7 +61,7 @@ type namedPolicy struct {
 func allPolicies(cfg Config, nets int) []namedPolicy {
 	in := propertyInput(nets)
 	var out []namedPolicy
-	for _, e := range Schedulers() {
+	for _, e := range sched.Registry() {
 		out = append(out, namedPolicy{e.Name, func() Scheduler { return e.New(cfg, in) }})
 	}
 	return append(out, namedPolicy{"AI-MT+EDF", func() Scheduler {
@@ -89,7 +90,7 @@ func propertyInput(nets int) SchedulerInput {
 // registrySpecs returns every registered scheduler as a serving spec.
 func registrySpecs() []SchedulerSpec {
 	var out []SchedulerSpec
-	for _, e := range Schedulers() {
+	for _, e := range sched.Registry() {
 		out = append(out, ServeSpec(e))
 	}
 	return out

@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	"aimt/internal/cluster"
+	"aimt/internal/rtrace"
+	"aimt/internal/sched"
+	"aimt/internal/serve"
 	"aimt/internal/trace"
 )
 
@@ -19,7 +22,7 @@ import (
 // every entry's segments partition [Arrive, Finish) exactly, the
 // entry intervals tile the same window contiguously, and the
 // request-level totals sum exactly to the end-to-end latency.
-func assertSpanReconciles(t *testing.T, sp RequestSpan) {
+func assertSpanReconciles(t *testing.T, sp rtrace.RequestSpan) {
 	t.Helper()
 	if sp.Shed {
 		if len(sp.Entries) != 0 || sp.Latency != 0 || sp.Chip != -1 {
@@ -94,14 +97,14 @@ func TestRequestSpansReconcile(t *testing.T) {
 		{"transformer", TransformerServingClasses()},
 	}
 	for _, mix := range mixes {
-		s, err := NewServeStream(cfg, mix.classes, ServeStreamOptions{Requests: 120, Seed: 13})
+		s, err := serve.NewStream(cfg, mix.classes, ServeStreamOptions{Requests: 120, Seed: 13})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, spec := range registrySpecs() {
 			spec := spec
 			t.Run(mix.name+"/"+spec.Name, func(t *testing.T) {
-				col := NewRequestTraceCollector(len(s.Nets))
+				col := rtrace.NewCollector(len(s.Nets))
 				res, err := Run(cfg, s.Nets, spec.New(cfg, s), RunOptions{
 					Arrivals:   s.Arrivals,
 					ChainAfter: s.ChainAfter,
@@ -110,7 +113,7 @@ func TestRequestSpansReconcile(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				spans := BuildRequestSpans(s, res, spec.Name, col)
+				spans := rtrace.Build(serve.TraceInput(s, res, spec.Name), col)
 				if len(spans) != s.Requests {
 					t.Fatalf("%d spans for %d requests", len(spans), s.Requests)
 				}
@@ -135,7 +138,7 @@ func TestClusterSpansReconcile(t *testing.T) {
 	cfg := PaperConfig()
 	classes := DefaultServingClasses()
 	classes[0].Priority = 1
-	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 150, MeanGap: 400, Seed: 17})
+	s, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: 150, MeanGap: 400, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +311,7 @@ func (r *rawTracer) Event(engine, name string, net, layer, iter int, start, end 
 // teeTracer hands each event to the collector under test and to the
 // raw reference.
 type teeTracer struct {
-	col *RequestTraceCollector
+	col *rtrace.Collector
 	raw *rawTracer
 }
 
@@ -330,7 +333,7 @@ func TestCollectorEventsMatchEngine(t *testing.T) {
 	seen := map[string]int{}
 	check := func(t *testing.T, nets []*Compiled, run func(teeTracer) error) {
 		t.Helper()
-		col := NewRequestTraceCollector(len(nets))
+		col := rtrace.NewCollector(len(nets))
 		raw := &rawTracer{}
 		if err := run(teeTracer{col, raw}); err != nil {
 			t.Fatal(err)
@@ -361,7 +364,7 @@ func TestCollectorEventsMatchEngine(t *testing.T) {
 			}
 			in := propertyInput(len(mix.Nets))
 			in.MemHeavy = mix.MemHeavy
-			for _, e := range Schedulers() {
+			for _, e := range sched.Registry() {
 				t.Run(fmt.Sprintf("%s/b%d/%s", spec.Name, batch, e.Name), func(t *testing.T) {
 					check(t, mix.Nets, func(tr teeTracer) error {
 						_, err := Run(cfg, mix.Nets, e.New(cfg, in), RunOptions{Tracer: tr})
@@ -379,7 +382,7 @@ func TestCollectorEventsMatchEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 150, MeanGap: gaps[0], Seed: 5})
+	s, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: 150, MeanGap: gaps[0], Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,11 @@
 package aimt
 
-import "testing"
+import (
+	"testing"
+
+	"aimt/internal/rtrace"
+	"aimt/internal/serve"
+)
 
 // TestServeStreamAllocsFlatAt8x pins the allocation-free engine core
 // on the serving path: growing a serve stream's request count 8x must
@@ -12,8 +17,8 @@ import "testing"
 func TestServeStreamAllocsFlatAt8x(t *testing.T) {
 	cfg := PaperConfig()
 	classes := DefaultServingClasses()
-	build := func(requests int) *ServeStream {
-		s, err := NewServeStream(cfg, classes, ServeStreamOptions{
+	build := func(requests int) *serve.Stream {
+		s, err := serve.NewStream(cfg, classes, ServeStreamOptions{
 			Requests: requests,
 			Process:  ServePoisson,
 			Seed:     11,
@@ -23,7 +28,7 @@ func TestServeStreamAllocsFlatAt8x(t *testing.T) {
 		}
 		return s
 	}
-	run := func(s *ServeStream) float64 {
+	run := func(s *serve.Stream) float64 {
 		opts := RunOptions{Arrivals: s.Arrivals, ChainAfter: s.ChainAfter}
 		once := func() {
 			if _, err := Run(cfg, s.Nets, NewAIMT(cfg, AllMechanisms()), opts); err != nil {
@@ -52,7 +57,7 @@ func TestServeStreamTracingDisabledAllocFree(t *testing.T) {
 		t.Skip("the race detector perturbs allocation counts")
 	}
 	cfg := PaperConfig()
-	s, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+	s, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: 200,
 		Process:  ServePoisson,
 		Seed:     11,
@@ -89,7 +94,7 @@ func TestServeStreamTracedAllocsFlatAt8x(t *testing.T) {
 	}
 	cfg := PaperConfig()
 	run := func(requests int) float64 {
-		s, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+		s, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 			Requests: requests,
 			Process:  ServePoisson,
 			Seed:     11,
@@ -98,13 +103,13 @@ func TestServeStreamTracedAllocsFlatAt8x(t *testing.T) {
 			t.Fatal(err)
 		}
 		once := func() {
-			col := NewRequestTraceCollector(len(s.Nets))
+			col := rtrace.NewCollector(len(s.Nets))
 			res, err := Run(cfg, s.Nets, NewAIMT(cfg, AllMechanisms()),
 				RunOptions{Arrivals: s.Arrivals, ChainAfter: s.ChainAfter, Tracer: col})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if spans := BuildRequestSpans(s, res, "pin", col); len(spans) != requests {
+			if spans := rtrace.Build(serve.TraceInput(s, res, "pin"), col); len(spans) != requests {
 				t.Fatalf("%d spans for %d requests", len(spans), requests)
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"aimt/internal/sched"
+	"aimt/internal/serve"
+	"aimt/internal/sim"
 )
 
 // snapshotSchedulers is the scheduler battery for the snapshot/restore
@@ -19,13 +21,13 @@ func snapshotSchedulers() []SchedulerSpec {
 	return append(registrySpecs(),
 		SchedulerSpec{
 			Name: "Lookahead(AI-MT)",
-			New: func(cfg Config, _ *ServeStream) Scheduler {
+			New: func(cfg Config, _ *serve.Stream) Scheduler {
 				return sched.NewLookahead(NewAIMT(cfg, AllMechanisms()), 2048)
 			},
 		},
 		SchedulerSpec{
 			Name: "Lookahead(FIFO)",
-			New: func(Config, *ServeStream) Scheduler {
+			New: func(Config, *serve.Stream) Scheduler {
 				return sched.NewLookahead(NewFIFO(), 1024)
 			},
 		})
@@ -34,9 +36,9 @@ func snapshotSchedulers() []SchedulerSpec {
 // runToProbe builds a fresh engine, steps it to the probe cycle, and
 // returns it. probe < 0 means "do not step at all" (snapshot the
 // initial state).
-func runToProbe(t *testing.T, cfg Config, stream *ServeStream, sch Scheduler, opts RunOptions, probe Cycles) *Engine {
+func runToProbe(t *testing.T, cfg Config, stream *serve.Stream, sch Scheduler, opts RunOptions, probe Cycles) *sim.Engine {
 	t.Helper()
-	eng, err := NewEngine(cfg, stream.Nets, sch, opts)
+	eng, err := sim.NewEngine(cfg, stream.Nets, sch, opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -56,7 +58,7 @@ func runToProbe(t *testing.T, cfg Config, stream *ServeStream, sch Scheduler, op
 // checker on, so the replay also revalidates every invariant family.
 func TestSnapshotReplayAllSchedulers(t *testing.T) {
 	cfg := PaperConfig()
-	stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: 60,
 		Process:  ServePoisson,
 		Seed:     11,
@@ -119,7 +121,7 @@ func TestSnapshotReplayAllSchedulers(t *testing.T) {
 // would skew the replay.
 func TestSnapshotRandomProbes(t *testing.T) {
 	cfg := PaperConfig()
-	stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: 40,
 		Process:  ServeBursty,
 		Seed:     7,
@@ -149,7 +151,7 @@ func TestSnapshotRandomProbes(t *testing.T) {
 				t.Fatalf("reference run: %v", err)
 			}
 			rng := rand.New(rand.NewSource(42))
-			var snap *EngineSnapshot // reused across probes
+			var snap *sim.Snapshot // reused across probes
 			for trial := 0; trial < 6; trial++ {
 				probe := Cycles(rng.Int63n(int64(ref.Makespan) + 1))
 				eng := runToProbe(t, cfg, stream, spec.mk(), opts, probe)
@@ -180,7 +182,7 @@ func TestSnapshotRandomProbes(t *testing.T) {
 // must fail loudly instead.
 func TestSnapshotStaleRejected(t *testing.T) {
 	cfg := PaperConfig()
-	stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
 		Requests: 8,
 		Process:  ServePoisson,
 		Seed:     3,
@@ -190,11 +192,11 @@ func TestSnapshotStaleRejected(t *testing.T) {
 	}
 	opts := RunOptions{Arrivals: stream.Arrivals, ChainAfter: stream.ChainAfter}
 
-	engA, err := NewEngine(cfg, stream.Nets, NewFIFO(), opts)
+	engA, err := sim.NewEngine(cfg, stream.Nets, NewFIFO(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engB, err := NewEngine(cfg, stream.Nets, NewFIFO(), opts)
+	engB, err := sim.NewEngine(cfg, stream.Nets, NewFIFO(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aimt/internal/cluster"
+	"aimt/internal/serve"
 )
 
 // Transformer serving battery: multi-phase conservation across every
@@ -14,7 +15,7 @@ import (
 
 // transformerClusterStream builds a mixed transformer/CNN stream whose
 // offered load is `load` single-chip capacities.
-func transformerClusterStream(t *testing.T, requests int, load float64) *ServeStream {
+func transformerClusterStream(t *testing.T, requests int, load float64) *serve.Stream {
 	t.Helper()
 	cfg := PaperConfig()
 	classes := TransformerServingClasses()
@@ -22,7 +23,7 @@ func transformerClusterStream(t *testing.T, requests int, load float64) *ServeSt
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: requests, MeanGap: gaps[0], Seed: 11})
+	s, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: requests, MeanGap: gaps[0], Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func transformerClusterStream(t *testing.T, requests int, load float64) *ServeSt
 // chip (or are shed together), that no decode phase starts before its
 // predecessor finishes, and that each chip executed exactly the block
 // multiset of the networks routed to it.
-func checkPhaseConservation(t *testing.T, label string, s *ServeStream, classes []ServeClass, res *cluster.Result) {
+func checkPhaseConservation(t *testing.T, label string, s *serve.Stream, classes []ServeClass, res *cluster.Result) {
 	t.Helper()
 	shed := func(i int) bool { return res.Shed != nil && res.Shed[i] }
 
@@ -164,16 +165,16 @@ func TestTransformerPhaseConservation(t *testing.T) {
 // through the untouched single-phase path.
 func TestZeroDecodeDifferential(t *testing.T) {
 	cfg := PaperConfig()
-	phased := TransformerChatServeClass(0, 1)
-	plain := TransformerChatServeClass(0, 1)
+	phased := serve.TransformerChatClass(0, 1)
+	plain := serve.TransformerChatClass(0, 1)
 	plain.DecodeNet = nil
 
 	opts := ServeStreamOptions{Requests: 24, MeanGap: 150_000, Seed: 9}
-	sp, err := NewServeStream(cfg, []ServeClass{phased}, opts)
+	sp, err := serve.NewStream(cfg, []ServeClass{phased}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := NewServeStream(cfg, []ServeClass{plain}, opts)
+	ss, err := serve.NewStream(cfg, []ServeClass{plain}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestZeroDecodeDifferential(t *testing.T) {
 
 	// The phased report still carries phase rows (all-prefill), but its
 	// headline statistics must match the single-phase report exactly.
-	pr, err := ServeRun(cfg, sp, NewAIMT(cfg, AllMechanisms()), RunOptions{})
+	pr, err := serve.Serve(cfg, sp, NewAIMT(cfg, AllMechanisms()), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := ServeRun(cfg, ss, NewAIMT(cfg, AllMechanisms()), RunOptions{})
+	sr, err := serve.Serve(cfg, ss, NewAIMT(cfg, AllMechanisms()), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
