@@ -9,10 +9,11 @@ GO ?= go
 # observability layer: Disabled is the instrumented-but-off path that
 # must stay free, Enabled the full emission cost. Build (span
 # attribution) and LedgerRecord (one decision-ledger append) are the
-# request-tracing and ledger layers on their own, and
+# request-tracing and ledger layers on their own,
 # ServeStreamObserved is the admin daemon's fully observed serving
-# unit end to end.
-BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkServeStreamObserved|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkBuild|BenchmarkLedgerRecord
+# unit end to end, and Cluster8 is one cluster.Serve call over 8 chips
+# with deadline routing and admission.
+BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkServeStreamObserved|BenchmarkCluster8|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkBuild|BenchmarkLedgerRecord
 
 .PHONY: check build test race vet benchmod lint fuzz-short bench benchall benchcheck bench-compare profile golden
 

@@ -198,13 +198,6 @@ type ServeStreamOptions = serve.StreamOptions
 // streaming (bounded-memory) latency quantiles; see serve.Report.
 type ServeReport = serve.Report
 
-// ServeCurvePoint is one offered-load point of a load sweep; see
-// serve.CurvePoint.
-type ServeCurvePoint = serve.CurvePoint
-
-// ServeCurveOptions tunes a load sweep; see serve.CurveOptions.
-type ServeCurveOptions = serve.CurveOptions
-
 // SchedulerSpec names a serving scheduler and builds fresh instances
 // per run; see serve.SchedulerSpec.
 type SchedulerSpec = serve.SchedulerSpec
@@ -242,24 +235,11 @@ func ServeGaps(cfg Config, classes []ServeClass, loads ...float64) ([]Cycles, er
 	return serve.Gaps(cfg, classes, loads...)
 }
 
-// ServeLoadCurve sweeps offered load from light traffic to saturation,
-// running every scheduler on identical request sequences, and returns
-// a latency-vs-throughput curve per scheduler.
-func ServeLoadCurve(cfg Config, classes []ServeClass, schedulers []SchedulerSpec, opts ServeCurveOptions) ([]ServeCurvePoint, error) {
-	return serve.LoadCurve(cfg, classes, schedulers, opts)
-}
-
 // Arrival processes for ServeStreamOptions.Process.
 const (
 	ServePoisson = serve.Poisson
 	ServeBursty  = serve.Bursty
 )
-
-// PrintServeCurve renders a load sweep as one table per offered-load
-// point.
-func PrintServeCurve(w io.Writer, points []ServeCurvePoint) error {
-	return serve.PrintCurve(w, points)
-}
 
 // Cluster serving (extension): N independent chip engines behind a
 // request dispatcher with pluggable routing policies; see the
@@ -271,10 +251,6 @@ type ClusterPolicySpec = cluster.Spec
 
 // ClusterOptions tunes one cluster serving run; see cluster.Options.
 type ClusterOptions = cluster.Options
-
-// ClusterCurveOptions tunes a cluster load sweep; see
-// cluster.CurveOptions.
-type ClusterCurveOptions = cluster.CurveOptions
 
 // ClusterControl configures the cluster's overload control plane:
 // SLO-aware admission shedding and elastic autoscaling with
@@ -293,16 +269,40 @@ func ClusterPolicyNames() []string { return cluster.Names() }
 // ignoring case.
 func ClusterPolicyByName(name string) (ClusterPolicySpec, error) { return cluster.ByName(name) }
 
-// ClusterLoadCurve sweeps offered load against a cluster, routing the
-// identical request sequence under every policy at each point.
-func ClusterLoadCurve(cfg Config, classes []ServeClass, spec SchedulerSpec, policies []ClusterPolicySpec, opts ClusterCurveOptions) ([]cluster.CurvePoint, error) {
-	return cluster.LoadCurve(cfg, classes, spec, policies, opts)
+// Load sweeps (extension): one planner runs load points × schedulers ×
+// routes, where an unrouted run is the single-chip serve path; see
+// cluster.Sweep.
+
+// ServeSweepOptions tunes a load sweep: stream shape, gaps, routes and
+// the run-wide options; see cluster.SweepOptions.
+type ServeSweepOptions = cluster.SweepOptions
+
+// ClusterRoute is one cluster shape of a sweep, a routing policy over
+// a chip count; see cluster.Route.
+type ClusterRoute = cluster.Route
+
+// ServeCurvePoint is one offered-load point of a sweep; see
+// cluster.CurvePoint.
+type ServeCurvePoint = cluster.CurvePoint
+
+// ServeSweep runs every scheduler under every route (unrouted on one
+// chip when opts.Routes is empty) on identical request sequences at
+// each offered-load point, from light traffic to saturation by
+// default.
+func ServeSweep(cfg Config, classes []ServeClass, schedulers []SchedulerSpec, opts ServeSweepOptions) ([]ServeCurvePoint, error) {
+	return cluster.Sweep(cfg, classes, schedulers, opts)
 }
 
-// PrintClusterCurve renders a cluster load sweep as one aggregate
-// table per offered-load point.
-func PrintClusterCurve(w io.Writer, points []cluster.CurvePoint) error {
+// PrintServeCurve renders a sweep as one table per offered-load point.
+func PrintServeCurve(w io.Writer, points []ServeCurvePoint) error {
 	return cluster.PrintCurve(w, points)
+}
+
+// RecordServeCurve appends one run per (load point, result) of a sweep
+// to the store: "serve" runs for unrouted results, "cluster" runs for
+// routed ones; see cluster.RecordCurve.
+func RecordServeCurve(st *RunStore, mix, process, commit string, points []ServeCurvePoint) ([]StoredRun, error) {
+	return cluster.RecordCurve(st, mix, process, commit, points)
 }
 
 // PrintClusterChips renders one cluster result's per-chip breakdown.
@@ -410,16 +410,4 @@ type ClusterTraceRun = cluster.TraceRun
 // exemplar request tracks); see cluster.TraceRequests.
 func ClusterTraceRequests(cfg Config, classes []ServeClass, spec SchedulerSpec, requests, chips int, load float64, seed int64) (*ClusterTraceRun, error) {
 	return cluster.TraceRequests(cfg, classes, spec, requests, chips, load, seed)
-}
-
-// RecordServeCurve appends one run per (load point, scheduler) of a
-// serving load sweep to the store; see serve.RecordCurve.
-func RecordServeCurve(st *RunStore, mix, process, commit string, points []ServeCurvePoint) ([]StoredRun, error) {
-	return serve.RecordCurve(st, mix, process, commit, points)
-}
-
-// RecordClusterCurve appends one run per (load point, routing policy)
-// of a cluster sweep to the store; see cluster.RecordCurve.
-func RecordClusterCurve(st *RunStore, mix, process, commit string, points []cluster.CurvePoint) ([]StoredRun, error) {
-	return cluster.RecordCurve(st, mix, process, commit, points)
 }

@@ -7,6 +7,7 @@ import (
 
 	"aimt/internal/analysis"
 	"aimt/internal/arch"
+	"aimt/internal/cluster"
 	"aimt/internal/core"
 	"aimt/internal/metrics"
 	"aimt/internal/nn"
@@ -644,6 +645,49 @@ func BenchmarkServeStreamObserved(b *testing.B) {
 			b.Fatal(err)
 		}
 		blocks = res.MBCount + res.CBCount
+	}
+	b.ReportMetric(float64(blocks), "blocks/op")
+}
+
+// BenchmarkCluster8 is the cluster8-transformer harness unit in
+// process: a 4000-request transformer/CNN stream at per-chip offered
+// load 1.2 over 8 chips, deadline routing with admission control, AI-MT
+// on every chip and the chip engines on the default sweep pool. It
+// gates cluster.Serve's per-call cost: dispatch, sub-streams, the chip
+// simulations and the report fold.
+func BenchmarkCluster8(b *testing.B) {
+	cfg := PaperConfig()
+	classes := serve.TransformerClasses()
+	const chips = 8
+	gaps, err := serve.Gaps(cfg, classes, 1.2*chips)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: 4000, MeanGap: gaps[0], Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := serve.SpecByName("AI-MT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var blocks int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := cluster.Serve(cfg, s, spec, cluster.Deadline{}, cluster.Options{
+			Chips:   chips,
+			Control: cluster.Control{Admission: true},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks = 0
+		for _, res := range r.ChipResults {
+			if res != nil {
+				blocks += res.MBCount + res.CBCount
+			}
+		}
 	}
 	b.ReportMetric(float64(blocks), "blocks/op")
 }

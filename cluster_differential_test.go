@@ -1,6 +1,7 @@
 package aimt
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,67 +9,81 @@ import (
 	"aimt/internal/serve"
 )
 
-// TestClusterN1BitIdentical is the cluster model's correctness anchor:
-// a one-chip cluster, under every routing policy and every registered
-// scheduler, must produce exactly the schedule of the existing
-// single-engine serve path — the same raw simulation result (makespan,
-// per-request finish cycles, block counts, busy totals) and the same
-// report, bit for bit. Any divergence means the dispatcher perturbed
-// the stream it was supposed to pass through untouched.
+// TestClusterN1BitIdentical is the serving planner's correctness
+// anchor: at one chip, unrouted and under every routing policy, for
+// every registered scheduler, the planner must produce exactly the
+// schedule of a direct engine run over the stream — the same raw
+// simulation result (makespan, per-request finish cycles, block
+// counts, busy totals) and the same report as serve.BuildReport over
+// it, bit for bit, with zero imbalance. Any divergence means the
+// planner or the dispatcher perturbed the stream it was supposed to
+// pass through untouched.
 func TestClusterN1BitIdentical(t *testing.T) {
 	cfg := PaperConfig()
 	classes := DefaultServingClasses()
+	gaps, err := ServeGaps(cfg, classes, 0.6, 1.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routed []ClusterRoute
+	for _, p := range ClusterPolicies() {
+		routed = append(routed, ClusterRoute{Policy: p, Chips: 1})
+	}
+	specs := registrySpecs()
 	for _, process := range []serve.Process{ServePoisson, ServeBursty} {
-		stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{
-			Requests: 150,
-			Process:  process,
-			Seed:     13,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, spec := range registrySpecs() {
-			// The single-engine reference: the exact call serve.Serve
-			// makes.
-			ref, err := Run(cfg, stream.Nets, spec.New(cfg, stream), RunOptions{Arrivals: stream.Arrivals})
+		sopts := ServeStreamOptions{Requests: 150, Process: process, Seed: 13}
+		for _, routes := range [][]ClusterRoute{nil, routed} {
+			points, err := ServeSweep(cfg, classes, specs, ServeSweepOptions{Stream: sopts, Gaps: gaps, Routes: routes})
 			if err != nil {
-				t.Fatalf("%s/%s reference: %v", process, spec.Name, err)
+				t.Fatalf("%s: %v", process, err)
 			}
-			refRep, err := serve.Serve(cfg, stream, spec.New(cfg, stream), RunOptions{})
-			if err != nil {
-				t.Fatalf("%s/%s reference report: %v", process, spec.Name, err)
-			}
-			for _, pspec := range ClusterPolicies() {
-				cres, err := cluster.Serve(cfg, stream, spec, pspec.New(), ClusterOptions{Chips: 1})
+			per := max(len(routes), 1)
+			for gi, pt := range points {
+				sopts.MeanGap = gaps[gi]
+				stream, err := serve.NewStream(cfg, classes, sopts)
 				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", process, spec.Name, pspec.Name, err)
+					t.Fatal(err)
 				}
-				got := cres.ChipResults[0]
-				if got == nil {
-					t.Fatalf("%s/%s/%s: one-chip cluster produced no chip result", process, spec.Name, pspec.Name)
+				if len(pt.Results) != len(specs)*per {
+					t.Fatalf("%s gap %d: %d results, want %d", process, gaps[gi], len(pt.Results), len(specs)*per)
 				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s/%s/%s: chip-0 result differs from the single-engine run\n"+
-						"makespan %d vs %d, MBs %d vs %d, CBs %d vs %d, splits %d vs %d",
-						process, spec.Name, pspec.Name,
-						got.Makespan, ref.Makespan, got.MBCount, ref.MBCount,
-						got.CBCount, ref.CBCount, got.Splits, ref.Splits)
-				}
-				// The aggregate report must match the serve-path report
-				// too; only the scheduler label may differ (the cluster
-				// stamps the spec name, the engine the scheduler's own).
-				agg := *cres.Agg
-				agg.Scheduler = refRep.Scheduler
-				if !reflect.DeepEqual(&agg, refRep) {
-					t.Errorf("%s/%s/%s: aggregate report differs from the single-engine report\n"+
-						"p50 %d vs %d, p99 %d vs %d, misses %d vs %d, throughput %v vs %v, PE util %v vs %v",
-						process, spec.Name, pspec.Name,
-						agg.P50, refRep.P50, agg.P99, refRep.P99,
-						agg.Misses, refRep.Misses, agg.Throughput, refRep.Throughput,
-						agg.PEUtil, refRep.PEUtil)
-				}
-				if cres.Imbalance != 0 {
-					t.Errorf("%s/%s/%s: one-chip imbalance %v, want 0", process, spec.Name, pspec.Name, cres.Imbalance)
+				for si, spec := range specs {
+					// The reference: the engine over the stream, then the
+					// report fold, with the spec's name as the label.
+					ref, err := Run(cfg, stream.Nets, spec.New(cfg, stream),
+						RunOptions{Arrivals: stream.Arrivals, ChainAfter: stream.ChainAfter})
+					if err != nil {
+						t.Fatalf("%s/%s reference: %v", process, spec.Name, err)
+					}
+					refRep := serve.BuildReport(stream, ref)
+					refRep.Scheduler = spec.Name
+					for k := 0; k < per; k++ {
+						r := pt.Results[si*per+k]
+						cell := fmt.Sprintf("%s/gap %d/%s/%q", process, gaps[gi], spec.Name, r.Policy)
+						if r.Scheduler != spec.Name || r.Chips != 1 || len(r.ChipResults) != 1 {
+							t.Fatalf("%s: scheduler %s over %d chips with %d chip results", cell, r.Scheduler, r.Chips, len(r.ChipResults))
+						}
+						if routes != nil && r.Policy != routes[k].Policy.Name {
+							t.Fatalf("%s: policy %q, want %q", cell, r.Policy, routes[k].Policy.Name)
+						}
+						got := r.ChipResults[0]
+						if !reflect.DeepEqual(got, ref) {
+							t.Errorf("%s: chip-0 result differs from the single-engine run\n"+
+								"makespan %d vs %d, MBs %d vs %d, CBs %d vs %d, splits %d vs %d",
+								cell, got.Makespan, ref.Makespan, got.MBCount, ref.MBCount,
+								got.CBCount, ref.CBCount, got.Splits, ref.Splits)
+						}
+						if !reflect.DeepEqual(r.Agg, refRep) {
+							t.Errorf("%s: aggregate report differs from the single-engine report\n"+
+								"p50 %d vs %d, p99 %d vs %d, misses %d vs %d, throughput %v vs %v, PE util %v vs %v",
+								cell, r.Agg.P50, refRep.P50, r.Agg.P99, refRep.P99,
+								r.Agg.Misses, refRep.Misses, r.Agg.Throughput, refRep.Throughput,
+								r.Agg.PEUtil, refRep.PEUtil)
+						}
+						if r.Imbalance != 0 {
+							t.Errorf("%s: one-chip imbalance %v, want 0", cell, r.Imbalance)
+						}
+					}
 				}
 			}
 		}
@@ -85,10 +100,10 @@ func TestClusterScaleThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPolicy := map[string]map[int]ClusterScalePoint{}
+	byPolicy := map[string]map[int]*cluster.Result{}
 	for _, p := range pts {
 		if byPolicy[p.Policy] == nil {
-			byPolicy[p.Policy] = map[int]ClusterScalePoint{}
+			byPolicy[p.Policy] = map[int]*cluster.Result{}
 		}
 		byPolicy[p.Policy][p.Chips] = p
 	}

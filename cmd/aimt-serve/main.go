@@ -17,10 +17,12 @@
 //
 // With -chips N (or -route) the sweep runs against a simulated
 // multi-chip cluster: a dispatcher routes each request to one of N
-// independent chip engines, and offered loads are per chip:
+// independent chip engines, and offered loads are per chip. Every
+// -sched scheduler runs under every -route policy:
 //
 //	aimt-serve -chips 4 -route least-work   # 4-chip cluster, one policy
 //	aimt-serve -chips 8                     # compare the default policies
+//	aimt-serve -chips 2 -sched FIFO,AI-MT   # both schedulers x every policy
 //	aimt-serve -chips 4 -route predictive   # opt-in forward-simulated routing
 //	aimt-serve -chips 4 -perchip            # include per-chip breakdowns
 //
@@ -42,7 +44,9 @@
 //	aimt-serve -admin :8080            # /metrics, /healthz, /runs,
 //	                                   # /requests, /debug/snapshot,
 //	                                   # /debug/pprof/
-//	aimt-serve -admin :8080 -hold 1m   # keep serving 1m after the sweep
+//	aimt-serve -admin :8080 -hold 1m   # keep serving 1m after the sweep;
+//	                                   # SIGINT/SIGTERM ends the hold and
+//	                                   # shuts the server down cleanly
 //	aimt-serve -ledger dec.jsonl       # dump the decision ledger
 //
 // Request tracing auto-enables with -admin (1-in-16 sampling plus the
@@ -80,14 +84,17 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"aimt"
@@ -98,12 +105,14 @@ import (
 // can hold a connection, and the goroutine serving it: one that never
 // finishes its headers is dropped after adminReadHeaderTimeout.
 // WriteTimeout bounds a whole response, so it outlasts the 30 s CPU
-// profile /debug/pprof/profile takes by default.
+// profile /debug/pprof/profile takes by default. A clean shutdown
+// waits at most adminShutdownTimeout for in-flight responses.
 const (
 	adminReadHeaderTimeout = 5 * time.Second
 	adminReadTimeout       = 10 * time.Second
 	adminWriteTimeout      = 90 * time.Second
 	adminIdleTimeout       = 120 * time.Second
+	adminShutdownTimeout   = 5 * time.Second
 )
 
 // adminServer builds the admin endpoint server around its mux.
@@ -150,7 +159,7 @@ func main() {
 	flag.IntVar(&opts.requests, "requests", 10_000, "requests per load point")
 	flag.StringVar(&opts.process, "process", "poisson", "arrival process: poisson or bursty")
 	flag.StringVar(&opts.loads, "loads", "", "comma-separated offered loads (empty = default sweep)")
-	flag.StringVar(&opts.scheds, "sched", "", "comma-separated schedulers in run order (empty = FIFO,PREMA,AI-MT,EDF; cluster mode runs the first, default AI-MT): "+strings.Join(aimt.SchedulerNames(), ", "))
+	flag.StringVar(&opts.scheds, "sched", "", "comma-separated schedulers in run order (empty = FIFO,PREMA,AI-MT,EDF; cluster mode runs each under every route, default AI-MT): "+strings.Join(aimt.SchedulerNames(), ", "))
 	flag.Int64Var(&opts.seed, "seed", 7, "stream seed")
 	flag.IntVar(&opts.parallel, "parallel", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&opts.check, "check", false, "run the machine-model invariant checker on every simulation")
@@ -189,17 +198,14 @@ func main() {
 type plan struct {
 	// loads are the parsed -loads factors (nil = default sweep).
 	loads []float64
-	// schedulers are the -sched selection in the order given; in
-	// cluster mode the first one runs on every chip.
+	// schedulers are the -sched selection in the order given; every
+	// one runs under every route.
 	schedulers []aimt.SchedulerSpec
-	// policies are the -route selection (nil = default comparison set).
-	policies []aimt.ClusterPolicySpec
-}
-
-// clusterMode reports whether the sweep runs against a multi-chip
-// cluster: -chips above 1, -route, or any control-plane flag.
-func clusterMode(opts options) bool {
-	return opts.chips > 1 || opts.route != "" || opts.admission || opts.prios || opts.autoscale
+	// routes are the -route selection (every default policy when
+	// -route is empty) over -chips chips in cluster mode: -chips above
+	// 1, -route, or any control-plane flag. Nil runs every scheduler
+	// unrouted on one chip.
+	routes []aimt.ClusterRoute
 }
 
 // validate rejects bad flag combinations before any simulation work.
@@ -228,8 +234,9 @@ func validate(opts options) (plan, error) {
 			p.loads = append(p.loads, load)
 		}
 	}
+	cluster := opts.chips > 1 || opts.route != "" || opts.admission || opts.prios || opts.autoscale
 	scheds := opts.scheds
-	if scheds == "" && clusterMode(opts) {
+	if scheds == "" && cluster {
 		// Cluster mode compares routing policies under AI-MT, or under
 		// preemptive AI-MT with -priorities so the premium band can
 		// displace executing batch work.
@@ -254,13 +261,20 @@ func validate(opts options) (plan, error) {
 			p.schedulers = append(p.schedulers, aimt.ServeSpec(e))
 		}
 	}
-	if opts.route != "" {
-		for _, n := range strings.Split(opts.route, ",") {
-			pspec, err := aimt.ClusterPolicyByName(n)
-			if err != nil {
-				return p, fmt.Errorf("-route: %w", err)
+	if cluster {
+		policies := aimt.ClusterPolicies()
+		if opts.route != "" {
+			policies = nil
+			for _, n := range strings.Split(opts.route, ",") {
+				pspec, err := aimt.ClusterPolicyByName(n)
+				if err != nil {
+					return p, fmt.Errorf("-route: %w", err)
+				}
+				policies = append(policies, pspec)
 			}
-			p.policies = append(p.policies, pspec)
+		}
+		for _, pspec := range policies {
+			p.routes = append(p.routes, aimt.ClusterRoute{Policy: pspec, Chips: opts.chips})
 		}
 	}
 	if opts.hold < 0 {
@@ -366,7 +380,9 @@ func run(opts options) error {
 			return fmt.Errorf("-admin: %w", err)
 		}
 		defer ln.Close()
-		go func() { _ = adminServer(mux).Serve(ln) }()
+		srv := adminServer(mux)
+		go func() { _ = srv.Serve(ln) }()
+		defer shutdownAdmin(srv)
 		fmt.Printf("admin: serving /metrics, /healthz, /runs, /debug/snapshot, /debug/pprof/ on %s\n", ln.Addr())
 	}
 
@@ -384,30 +400,51 @@ func run(opts options) error {
 		}
 	}
 
-	if clusterMode(opts) {
-		err = runCluster(cfg, classes, p.schedulers[0], p.policies, gaps, sopts, reg, led, store, rstore, mixName, opts)
-	} else {
-		copts := aimt.ServeCurveOptions{
-			Stream: sopts, Gaps: gaps, Workers: opts.parallel,
-			CheckInvariants: opts.check, Metrics: reg, Ledger: led,
-			Trace: rstore,
-		}
-		var points []aimt.ServeCurvePoint
-		points, err = aimt.ServeLoadCurve(cfg, classes, p.schedulers, copts)
-		if err == nil {
-			fmt.Printf("Serving load sweep: %s mix, %d requests per point, %s arrivals\n\n", mixName, opts.requests, opts.process)
-			err = aimt.PrintServeCurve(os.Stdout, points)
-		}
-		if err == nil && store != nil {
-			stored, rerr := aimt.RecordServeCurve(store, mixName, strings.ToLower(opts.process), aimt.CurrentCommit(), points)
-			if rerr != nil {
-				return rerr
-			}
-			fmt.Printf("runstore: appended %d runs to %s\n", len(stored), opts.runstore)
-		}
-	}
+	points, err := aimt.ServeSweep(cfg, classes, p.schedulers, aimt.ServeSweepOptions{
+		Options: aimt.ClusterOptions{
+			Workers:         opts.parallel,
+			CheckInvariants: opts.check,
+			Metrics:         reg,
+			Ledger:          led,
+			Trace:           rstore,
+			Control:         aimt.ClusterControl{Admission: opts.admission, Autoscale: opts.autoscale},
+		},
+		Stream: sopts,
+		Gaps:   gaps,
+		Routes: p.routes,
+	})
 	if err != nil {
 		return err
+	}
+	if p.routes != nil {
+		names := make([]string, len(p.schedulers))
+		for i, spec := range p.schedulers {
+			names[i] = spec.Name
+		}
+		fmt.Printf("Cluster load sweep: %s mix, %d chips x %s per chip, %d requests per point, %s arrivals\n\n",
+			mixName, opts.chips, strings.Join(names, ","), opts.requests, opts.process)
+	} else {
+		fmt.Printf("Serving load sweep: %s mix, %d requests per point, %s arrivals\n\n", mixName, opts.requests, opts.process)
+	}
+	if err := aimt.PrintServeCurve(os.Stdout, points); err != nil {
+		return err
+	}
+	if store != nil {
+		stored, err := aimt.RecordServeCurve(store, mixName, strings.ToLower(opts.process), aimt.CurrentCommit(), points)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("runstore: appended %d runs to %s\n", len(stored), opts.runstore)
+	}
+	if opts.perchip && p.routes != nil {
+		for _, pt := range points {
+			for _, r := range pt.Results {
+				fmt.Printf("\nper-chip, %s/%s at per-chip load %.2f:\n", r.Scheduler, r.Policy, pt.OfferedLoad/float64(r.Chips))
+				if err := aimt.PrintClusterChips(os.Stdout, r); err != nil {
+					return err
+				}
+			}
+		}
 	}
 
 	if rstore != nil {
@@ -437,60 +474,39 @@ func run(opts options) error {
 		fmt.Printf("ledger: wrote %d of %d decisions to %s\n", led.Len(), led.Total(), opts.ledgerOut)
 	}
 	if opts.admin != "" && opts.hold > 0 {
+		// Listen before announcing the hold, so a signal sent once the
+		// line is out always ends the hold cleanly.
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
 		fmt.Printf("admin: holding for %v (ctrl-c to stop)\n", opts.hold)
-		time.Sleep(opts.hold)
+		if s := holdAdmin(opts.hold, sig); s != nil {
+			fmt.Printf("admin: %v, shutting down\n", s)
+		}
 	}
 	return nil
 }
 
-// runCluster sweeps offered load against a simulated multi-chip
-// cluster. Every chip runs the given scheduler (the first of the
-// -sched selection, AI-MT by default); -route narrows the routing
-// policies under comparison.
-func runCluster(cfg aimt.Config, classes []aimt.ServeClass, spec aimt.SchedulerSpec, policies []aimt.ClusterPolicySpec, gaps []aimt.Cycles, sopts aimt.ServeStreamOptions, reg *aimt.ObsRegistry, led *aimt.ObsLedger, store *aimt.RunStore, rstore *aimt.RequestTraceStore, mixName string, opts options) error {
-	if len(policies) == 0 {
-		policies = aimt.ClusterPolicies()
+// holdAdmin keeps the admin server up for d, or until a signal arrives
+// on sig, which it returns (nil when the hold ran out).
+func holdAdmin(d time.Duration, sig <-chan os.Signal) os.Signal {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case s := <-sig:
+		return s
 	}
-	points, err := aimt.ClusterLoadCurve(cfg, classes, spec, policies, aimt.ClusterCurveOptions{
-		Options: aimt.ClusterOptions{
-			Chips:           opts.chips,
-			Workers:         opts.parallel,
-			CheckInvariants: opts.check,
-			Metrics:         reg,
-			Ledger:          led,
-			Trace:           rstore,
-			Control: aimt.ClusterControl{
-				Admission: opts.admission,
-				Autoscale: opts.autoscale,
-			},
-		},
-		Stream: sopts,
-		Gaps:   gaps,
-	})
-	if err != nil {
-		return err
+}
+
+// shutdownAdmin stops the admin server: it closes the listener, lets
+// in-flight requests finish for up to adminShutdownTimeout, then drops
+// what is left.
+func shutdownAdmin(srv *http.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), adminShutdownTimeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		_ = srv.Close()
 	}
-	fmt.Printf("Cluster load sweep: %s mix, %d chips x %s per chip, %d requests per point, %s arrivals\n\n",
-		mixName, opts.chips, spec.Name, opts.requests, opts.process)
-	if err := aimt.PrintClusterCurve(os.Stdout, points); err != nil {
-		return err
-	}
-	if store != nil {
-		stored, err := aimt.RecordClusterCurve(store, mixName, strings.ToLower(opts.process), aimt.CurrentCommit(), points)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("runstore: appended %d runs to %s\n", len(stored), opts.runstore)
-	}
-	if opts.perchip {
-		for _, pt := range points {
-			for _, r := range pt.Results {
-				fmt.Printf("\nper-chip, %s at per-chip load %.2f:\n", r.Policy, pt.ChipLoad)
-				if err := aimt.PrintClusterChips(os.Stdout, r); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -2,9 +2,13 @@ package main
 
 import (
 	"net/http"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"aimt"
 )
 
 // baseOptions mirrors the flag defaults with a short stream.
@@ -102,8 +106,24 @@ func TestValidateRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.policies) != 2 || p.policies[0].Name != "predictive" || p.policies[1].Name != "least-work" {
-		t.Errorf("-route %q resolved to %+v", opts.route, p.policies)
+	if len(p.routes) != 2 || p.routes[0].Policy.Name != "predictive" || p.routes[1].Policy.Name != "least-work" {
+		t.Errorf("-route %q resolved to %+v", opts.route, p.routes)
+	}
+	for _, r := range p.routes {
+		if r.Chips != 1 {
+			t.Errorf("-route without -chips routes over %d chips, want 1", r.Chips)
+		}
+	}
+	opts.route, opts.chips = "", 3
+	if p, err = validate(opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.routes) != 4 || p.routes[0].Chips != 3 {
+		t.Errorf("-chips 3 without -route resolved to %+v, want the 4 default policies over 3 chips", p.routes)
+	}
+	opts.chips = 1
+	if p, err = validate(opts); err != nil || p.routes != nil {
+		t.Errorf("single-chip sweep resolved to routes %+v (err %v), want none", p.routes, err)
 	}
 	opts.route = "least-work,teleport"
 	if _, err := validate(opts); err == nil || !strings.Contains(err.Error(), "predictive") {
@@ -127,6 +147,61 @@ func TestRunSmoke(t *testing.T) {
 	opts.route = "predictive"
 	if err := run(opts); err != nil {
 		t.Fatalf("predictive cluster sweep: %v", err)
+	}
+}
+
+// TestClusterRunsEveryScheduler: in cluster mode every -sched
+// scheduler runs under every -route policy at every load, and each
+// (scheduler, policy, load) lands in the run store as one cluster run.
+func TestClusterRunsEveryScheduler(t *testing.T) {
+	opts := baseOptions()
+	opts.loads = "0.8,2"
+	opts.chips = 2
+	opts.scheds = "FIFO,AI-MT"
+	opts.route = "least-work,round-robin"
+	opts.runstore = t.TempDir()
+	if err := run(opts); err != nil {
+		t.Fatal(err)
+	}
+	st, err := aimt.OpenRunStore(opts.runstore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, r := range st.Runs() {
+		if r.Source != "cluster" || r.Label("chips") != "2" {
+			t.Errorf("run %s: source %q, chips %q, want a 2-chip cluster run", r.ID, r.Source, r.Label("chips"))
+		}
+		got[r.Label("sched")+"/"+r.Label("policy")+"@"+r.Label("load")]++
+	}
+	for _, sched := range []string{"FIFO", "AI-MT"} {
+		for _, pol := range []string{"least-work", "round-robin"} {
+			for _, load := range []string{"0.80", "2.00"} {
+				if key := sched + "/" + pol + "@" + load; got[key] != 1 {
+					t.Errorf("%s recorded %d times, want once (runs %v)", key, got[key], got)
+				}
+			}
+		}
+	}
+	if len(st.Runs()) != 8 {
+		t.Errorf("%d runs recorded, want 2 schedulers x 2 policies x 2 loads = 8", len(st.Runs()))
+	}
+}
+
+// TestHoldEndsOnSignal: a signal ends the admin hold early and is
+// reported; without one the hold runs out.
+func TestHoldEndsOnSignal(t *testing.T) {
+	sig := make(chan os.Signal, 1)
+	sig <- syscall.SIGTERM
+	start := time.Now()
+	if got := holdAdmin(time.Minute, sig); got != syscall.SIGTERM {
+		t.Errorf("hold ended with %v, want SIGTERM", got)
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Errorf("signalled hold lasted %v", waited)
+	}
+	if got := holdAdmin(time.Millisecond, make(chan os.Signal)); got != nil {
+		t.Errorf("unsignalled hold ended with %v, want nil", got)
 	}
 }
 

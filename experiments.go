@@ -471,15 +471,19 @@ func ServingData(cfg Config) ([]*ServeReport, error) {
 		}
 		specs = append(specs, spec)
 	}
-	points, err := serve.LoadCurve(cfg, classes, specs, serve.CurveOptions{
-		Stream:  serve.StreamOptions{Requests: 24, Seed: 7},
+	points, err := ServeSweep(cfg, classes, specs, ServeSweepOptions{
+		Options: ClusterOptions{Workers: SweepParallelism()},
+		Stream:  ServeStreamOptions{Requests: 24, Seed: 7},
 		Gaps:    []Cycles{50_000},
-		Workers: SweepParallelism(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return points[0].Reports, nil
+	reports := make([]*ServeReport, len(points[0].Results))
+	for i, r := range points[0].Results {
+		reports[i] = r.Agg
+	}
+	return reports, nil
 }
 
 // PrintServing renders the open-loop serving comparison.
@@ -502,11 +506,10 @@ func PrintServing(w io.Writer, cfg Config) error {
 // The request count is kept modest so the experiment regenerates
 // quickly; see cmd/aimt-serve for production-scale sweeps.
 func LoadCurveData(cfg Config) ([]ServeCurvePoint, error) {
-	return ServeLoadCurve(cfg, DefaultServingClasses(), ServeStandardSchedulers(),
-		ServeCurveOptions{
-			Stream:  ServeStreamOptions{Requests: 300, Seed: 7},
-			Workers: SweepParallelism(),
-		})
+	return ServeSweep(cfg, DefaultServingClasses(), ServeStandardSchedulers(), ServeSweepOptions{
+		Options: ClusterOptions{Workers: SweepParallelism()},
+		Stream:  ServeStreamOptions{Requests: 300, Seed: 7},
+	})
 }
 
 // PrintLoadCurve renders the serving load sweep.
@@ -518,7 +521,7 @@ func PrintLoadCurve(w io.Writer, cfg Config) error {
 	if _, err := fmt.Fprintf(w, "Load curve (extension): mixed CNN/RNN serving, 300 requests per point\n"); err != nil {
 		return err
 	}
-	return serve.PrintCurve(w, points)
+	return PrintServeCurve(w, points)
 }
 
 // ClusterScaleChips are the chip counts swept by the clusterscale
@@ -531,33 +534,17 @@ var ClusterScaleChips = []int{1, 2, 4, 8}
 // while 4 and 8 chips have headroom.
 const ClusterScaleLoad = 2.5
 
-// ClusterScalePoint is one (policy, chip count) cell of the
-// clusterscale experiment.
-type ClusterScalePoint struct {
-	// Policy is the routing policy name.
-	Policy string
-	// Chips is the cluster size.
-	Chips int
-	// Agg is the aggregate report over every request.
-	Agg *ServeReport
-	// Imbalance is the PE-load imbalance across chips.
-	Imbalance float64
-}
-
 // ClusterScaleData holds offered load fixed at ClusterScaleLoad
 // single-chip capacities and sweeps the cluster size under every
 // routing policy (AI-MT on every chip): aggregate throughput must grow
 // with the chip count while tail latency and SLA misses collapse once
 // the cluster absorbs the load. The same request sequence (same seed)
 // is routed at every cell, so cells differ only in cluster shape and
-// policy.
-func ClusterScaleData(cfg Config) ([]ClusterScalePoint, error) {
+// policy. It returns one result per (policy, chip count) cell,
+// policies outermost.
+func ClusterScaleData(cfg Config) ([]*cluster.Result, error) {
 	classes := DefaultServingClasses()
 	gaps, err := serve.Gaps(cfg, classes, ClusterScaleLoad)
-	if err != nil {
-		return nil, err
-	}
-	stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: 320, MeanGap: gaps[0], Seed: 7})
 	if err != nil {
 		return nil, err
 	}
@@ -565,25 +552,22 @@ func ClusterScaleData(cfg Config) ([]ClusterScalePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []ClusterScalePoint
+	var routes []ClusterRoute
 	for _, pol := range ClusterPolicies() {
 		for _, chips := range ClusterScaleChips {
-			res, err := cluster.Serve(cfg, stream, spec, pol.New(), ClusterOptions{
-				Chips:   chips,
-				Workers: SweepParallelism(),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("clusterscale %s x%d: %w", pol.Name, chips, err)
-			}
-			out = append(out, ClusterScalePoint{
-				Policy:    pol.Name,
-				Chips:     chips,
-				Agg:       res.Agg,
-				Imbalance: res.Imbalance,
-			})
+			routes = append(routes, ClusterRoute{Policy: pol, Chips: chips})
 		}
 	}
-	return out, nil
+	points, err := ServeSweep(cfg, classes, []SchedulerSpec{spec}, ServeSweepOptions{
+		Options: ClusterOptions{Workers: SweepParallelism()},
+		Stream:  ServeStreamOptions{Requests: 320, Seed: 7},
+		Gaps:    gaps,
+		Routes:  routes,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("clusterscale: %w", err)
+	}
+	return points[0].Results, nil
 }
 
 // PrintClusterScale renders the clusterscale experiment: one table per
@@ -679,21 +663,21 @@ func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []OverloadPoint
-	for i, load := range OverloadLoads {
-		stream, err := serve.NewStream(cfg, classes, ServeStreamOptions{Requests: 300, MeanGap: gaps[i], Seed: 7})
-		if err != nil {
-			return nil, err
-		}
-		res, err := cluster.Serve(cfg, stream, spec, pol.New(), ClusterOptions{
-			Chips:   OverloadChips,
+	points, err := ServeSweep(cfg, classes, []SchedulerSpec{spec}, ServeSweepOptions{
+		Options: ClusterOptions{
 			Workers: SweepParallelism(),
 			Control: ClusterControl{Admission: true, Autoscale: true},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("overloadcurve load %.1f: %w", load, err)
-		}
-		out = append(out, OverloadPoint{Load: load, Res: res})
+		},
+		Stream: ServeStreamOptions{Requests: 300, Seed: 7},
+		Gaps:   gaps,
+		Routes: []ClusterRoute{{Policy: pol, Chips: OverloadChips}},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("overloadcurve: %w", err)
+	}
+	out := make([]OverloadPoint, len(points))
+	for i, pt := range points {
+		out[i] = OverloadPoint{Load: OverloadLoads[i], Res: pt.Results[0]}
 	}
 	return out, nil
 }
@@ -738,11 +722,10 @@ func PrintOverloadCurve(w io.Writer, cfg Config) error {
 // that overlap the two phases across requests win on both tail
 // latency and tokens per megacycle.
 func TransformerMixData(cfg Config) ([]ServeCurvePoint, error) {
-	return ServeLoadCurve(cfg, TransformerServingClasses(), ServeStandardSchedulers(),
-		ServeCurveOptions{
-			Stream:  ServeStreamOptions{Requests: 120, Seed: 7},
-			Workers: SweepParallelism(),
-		})
+	return ServeSweep(cfg, TransformerServingClasses(), ServeStandardSchedulers(), ServeSweepOptions{
+		Options: ClusterOptions{Workers: SweepParallelism()},
+		Stream:  ServeStreamOptions{Requests: 120, Seed: 7},
+	})
 }
 
 // PrintTransformerMix renders the transformer/CNN mix load sweep with
@@ -755,7 +738,7 @@ func PrintTransformerMix(w io.Writer, cfg Config) error {
 	if _, err := fmt.Fprintf(w, "Transformer mix (extension): chat (prefill + 8 decode tokens) vs CNN, 120 requests per point\n"); err != nil {
 		return err
 	}
-	return serve.PrintCurve(w, points)
+	return PrintServeCurve(w, points)
 }
 
 // DecodeBatchSizes are the decode batch sizes swept by the decodebatch

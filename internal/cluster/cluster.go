@@ -12,16 +12,20 @@
 // single-chip engine over the chip's sub-stream; chips share nothing,
 // so the per-chip simulations fan out over the sweep worker pool.
 //
-// A one-chip cluster is, by construction, the single-engine serve
-// path: every policy routes all requests to chip 0, the sub-stream is
-// the stream, and the chip simulation is the same sim.Run call —
-// enforced bit-for-bit by the differential tests.
+// The package also holds the one serving sweep driver (Sweep): load
+// points × schedulers × routes, where an unrouted run is the
+// single-chip serve path on the stream itself. Serve is its one-run
+// case. A one-chip cluster is, by construction, the single-engine
+// serve path: every policy routes all requests to chip 0, the
+// sub-stream is the stream, and the chip simulation is the same
+// sim.Run call — enforced bit-for-bit by the differential tests.
 package cluster
 
 import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"aimt/internal/arch"
 	"aimt/internal/metrics"
@@ -69,17 +73,19 @@ type Options struct {
 	Trace *rtrace.Store
 }
 
-// Result is one policy's cluster serving outcome.
+// Result is one run's serving outcome: one scheduler over one stream,
+// routed across a cluster or unrouted on a single chip.
 type Result struct {
 	// Policy and Scheduler label the routing policy and the per-chip
-	// scheduler.
+	// scheduler. Policy is empty for an unrouted run.
 	Policy    string
 	Scheduler string
 
-	// Chips is the cluster size.
+	// Chips is the cluster size (1 for an unrouted run).
 	Chips int
 
-	// Assignment maps each request index to its chip.
+	// Assignment maps each request index to its chip; nil for an
+	// unrouted run.
 	Assignment []int
 
 	// PerChip holds one report per chip over that chip's sub-stream;
@@ -114,8 +120,9 @@ type Result struct {
 	ScaleUps, ScaleDowns int
 	ActiveChips          int
 
-	// Spans holds the attributed per-request traces when Options.Trace
-	// was set (request-granular, stream request ids); nil otherwise.
+	// Spans holds the attributed per-request traces of a routed run
+	// when Options.Trace was set (request-granular, stream request
+	// ids); nil otherwise.
 	Spans []rtrace.RequestSpan
 }
 
@@ -135,57 +142,81 @@ func Dispatch(s *serve.Stream, pol Policy, chips int) ([]int, error) {
 // Serve routes the stream across the cluster under the policy, runs
 // every chip's sub-stream on its own engine (one scheduler instance
 // per chip, built by spec), and merges per-chip and aggregate reports.
+// It is the one-run case of Sweep: one dispatch, one sweep.Run, one
+// fold.
 func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Policy, opts Options) (*Result, error) {
-	res, _, err := serveChips(cfg, s, spec, pol, opts)
+	res, _, err := serveRun(cfg, s, spec, pol, opts)
 	return res, err
 }
 
-// serveChips is Serve that also returns each chip's occupancy log in
+// serveRun is Serve that also returns each chip's occupancy log in
 // chip-local instance coordinates (nil for chips that served nothing,
 // and all nil unless opts.Trace is set), for exports that render the
 // chips' engine timelines. The logs are not kept on Result: a load
 // sweep retains every Result, and the logs are O(events).
-func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Policy, opts Options) (*Result, []*rtrace.Collector, error) {
-	chips := opts.Chips
-	if chips <= 0 {
-		chips = 1
-	}
-	var pred *predictor
-	if pol.Name() == "predictive" {
-		// The predictive policy is meaningless without the predictor;
-		// selecting it is the one switch that attaches it.
-		pred = newPredictor(cfg, s, chips)
-	}
-	var etas []arch.Cycles
-	if opts.Trace != nil {
-		etas = make([]arch.Cycles, len(s.Nets))
-	}
-	assign, shed, st, err := dispatch(s, pol, chips, opts.Control, pred, opts.Ledger, etas)
+func serveRun(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Policy, opts Options) (*Result, []*rtrace.Collector, error) {
+	r := &run{s: s, spec: spec, pol: pol, chips: max(opts.Chips, 1)}
+	jobs, err := r.plan(cfg, &opts, make([]sweep.Job, 0, r.chips))
 	if err != nil {
 		return nil, nil, err
 	}
-
-	perChip := make([][]int, chips)
-	for i, c := range assign {
-		if c < 0 {
-			continue // shed at the front door, never reached a chip
-		}
-		perChip[c] = append(perChip[c], i)
+	outs := sweep.Run(jobs, sweep.Options{Workers: opts.Workers})
+	if err := sweep.FirstError(outs); err != nil {
+		return nil, nil, err
 	}
+	res := r.fold(outs, &opts)
+	opts.Trace.Publish(opts.Metrics)
+	return res, r.cols, nil
+}
 
-	subs := make([]*serve.Stream, chips)
-	cols := make([]*rtrace.Collector, chips)
-	var jobs []sweep.Job
-	var jobChip []int
-	for c := 0; c < chips; c++ {
-		if len(perChip[c]) == 0 {
+// run is one cell of a sweep: one stream served under one scheduler,
+// either unrouted on a single chip (pol nil) or routed across chips by
+// pol. plan dispatches it and appends its chip jobs to the sweep; fold
+// turns the jobs' outcomes into its Result.
+type run struct {
+	s     *serve.Stream
+	spec  serve.SchedulerSpec
+	pol   Policy
+	chips int
+
+	// Set by plan. subs holds each chip's stream (the stream itself
+	// for an unrouted run, nil for chips that serve nothing), and the
+	// run's jobs are outs[first:], one per non-nil sub, in chip order.
+	assign  []int
+	shed    []bool
+	st      ctlStats
+	etas    []arch.Cycles
+	perChip [][]int
+	subs    []*serve.Stream
+	cols    []*rtrace.Collector
+	first   int
+
+	// notes holds the control plane's shed and scale decisions until
+	// the first of the run's jobs starts, so in the ledger a run's
+	// front-door decisions precede its chips' engine decisions even
+	// though every run of a sweep is dispatched before any chip runs.
+	notes []obs.Decision
+	led   *obs.Ledger
+	noted sync.Once
+}
+
+// plan dispatches the run (routed runs only) and appends one sweep job
+// per chip that serves requests.
+func (r *run) plan(cfg arch.Config, opts *Options, jobs []sweep.Job) ([]sweep.Job, error) {
+	r.first = len(jobs)
+	if r.pol == nil {
+		// Unrouted: the one chip runs the stream itself, no sub-stream.
+		r.subs = []*serve.Stream{r.s}
+	} else if err := r.route(cfg, opts); err != nil {
+		return nil, err
+	}
+	if opts.Trace != nil {
+		r.cols = make([]*rtrace.Collector, len(r.subs))
+	}
+	for c, sub := range r.subs {
+		if sub == nil {
 			continue
 		}
-		sub, err := s.SubStream(fmt.Sprintf("%s-chip%d", s.Name, c), perChip[c])
-		if err != nil {
-			return nil, nil, err
-		}
-		subs[c] = sub
 		var netClasses []string
 		if opts.Metrics != nil {
 			netClasses = sub.NetClasses()
@@ -193,16 +224,19 @@ func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol 
 		// The tracer is assigned only when there is a collector, so an
 		// untraced chip never gets a non-nil Tracer wrapping a nil one.
 		var tracer sim.Tracer
-		if opts.Trace != nil {
-			cols[c] = rtrace.NewCollector(len(sub.Nets))
-			tracer = cols[c]
+		if r.cols != nil {
+			r.cols[c] = rtrace.NewCollector(len(sub.Nets))
+			tracer = r.cols[c]
 		}
 		jobs = append(jobs, sweep.Job{
 			Mix:       sub.Name,
-			Scheduler: spec.Name,
+			Scheduler: r.spec.Name,
 			Cfg:       cfg,
 			Nets:      sub.Nets,
-			New:       func() sim.Scheduler { return spec.New(cfg, sub) },
+			New: func() sim.Scheduler {
+				r.flushNotes()
+				return r.spec.New(cfg, sub)
+			},
 			Opts: sim.Options{
 				Arrivals:        sub.Arrivals,
 				ChainAfter:      sub.ChainAfter,
@@ -213,25 +247,101 @@ func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol 
 				Tracer:          tracer,
 			},
 		})
-		jobChip = append(jobChip, c)
 	}
-	outs := sweep.Run(jobs, sweep.Options{Workers: opts.Workers})
-	if err := sweep.FirstError(outs); err != nil {
-		return nil, nil, err
+	return jobs, nil
+}
+
+// route runs the front door over the stream and cuts one sub-stream
+// per chip that received requests.
+func (r *run) route(cfg arch.Config, opts *Options) error {
+	var pred *predictor
+	if r.pol.Name() == "predictive" {
+		// The predictive policy is meaningless without the predictor;
+		// selecting it is the one switch that attaches it.
+		pred = newPredictor(cfg, r.s, r.chips)
+	}
+	if opts.Trace != nil {
+		r.etas = make([]arch.Cycles, len(r.s.Nets))
+	}
+	var notes *[]obs.Decision
+	if opts.Ledger != nil {
+		r.led, notes = opts.Ledger, &r.notes
+	}
+	var err error
+	r.assign, r.shed, r.st, err = dispatch(r.s, r.pol, r.chips, opts.Control, pred, notes, r.etas)
+	if err != nil {
+		return err
+	}
+	r.perChip = make([][]int, r.chips)
+	for i, c := range r.assign {
+		if c < 0 {
+			continue // shed at the front door, never reached a chip
+		}
+		r.perChip[c] = append(r.perChip[c], i)
+	}
+	r.subs = make([]*serve.Stream, r.chips)
+	for c, idx := range r.perChip {
+		if len(idx) == 0 {
+			continue
+		}
+		if r.subs[c], err = r.s.SubStream(fmt.Sprintf("%s-chip%d", r.s.Name, c), idx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flushNotes records the run's control-plane decisions in the ledger,
+// once, whichever of its jobs starts first.
+func (r *run) flushNotes() {
+	if r.notes == nil {
+		return
+	}
+	r.noted.Do(func() {
+		for _, d := range r.notes {
+			r.led.Record(d)
+		}
+	})
+}
+
+// fold builds the run's Result from the sweep outcomes (all of them;
+// the run reads its own slots) and publishes it.
+func (r *run) fold(outs []sweep.Outcome, opts *Options) *Result {
+	r.flushNotes() // a run whose every request was shed has no job
+	outs = outs[r.first:]
+	name := r.spec.Name
+	if r.pol == nil {
+		res := outs[0].Res
+		rep := serve.BuildReport(r.s, res)
+		rep.Scheduler = name
+		rep.Publish(opts.Metrics)
+		if opts.Trace != nil {
+			in := serve.TraceInput(r.s, res, fmt.Sprintf("%s@%.2f", name, r.s.OfferedLoad()))
+			opts.Trace.AddRun(rtrace.Build(in, r.cols[0]))
+		}
+		return &Result{
+			Scheduler:   name,
+			Chips:       1,
+			PerChip:     []*serve.Report{rep},
+			ChipResults: []*sim.Result{res},
+			Agg:         rep,
+			ActiveChips: 1,
+		}
 	}
 
+	s, chips := r.s, r.chips
 	res := &Result{
-		Policy:      pol.Name(),
-		Scheduler:   spec.Name,
+		Policy:      r.pol.Name(),
+		Scheduler:   name,
 		Chips:       chips,
-		Assignment:  assign,
+		Assignment:  r.assign,
 		PerChip:     make([]*serve.Report, chips),
 		ChipResults: make([]*sim.Result, chips),
-		Shed:        shed,
-		ShedCount:   st.shedCount,
-		ScaleUps:    st.scaleUps,
-		ScaleDowns:  st.scaleDowns,
-		ActiveChips: st.active,
+		Shed:        r.shed,
+		ShedCount:   r.st.shedCount,
+		ScaleUps:    r.st.scaleUps,
+		ScaleDowns:  r.st.scaleDowns,
+		ActiveChips: r.st.active,
 	}
 
 	// Merge the chip results into one stream-indexed result so the
@@ -239,39 +349,40 @@ func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol 
 	// path. The merged engine-busy totals are sums over chips; the
 	// cluster makespan is the latest chip makespan.
 	merged := &sim.Result{
-		Scheduler: spec.Name,
+		Scheduler: name,
 		NetNames:  make([]string, len(s.Nets)),
 		NetArrive: append([]arch.Cycles(nil), s.Arrivals...),
 		NetFinish: make([]arch.Cycles, len(s.Nets)),
 	}
-	for ji, o := range outs {
-		c := jobChip[ji]
-		res.ChipResults[c] = o.Res
-		rep := serve.BuildReport(subs[c], o.Res)
-		rep.Scheduler = spec.Name
-		res.PerChip[c] = rep
-		if o.Res.Makespan > merged.Makespan {
-			merged.Makespan = o.Res.Makespan
+	ji := 0
+	for c, sub := range r.subs {
+		if sub == nil {
+			res.PerChip[c] = &serve.Report{Scheduler: name}
+			continue
 		}
-		merged.MemBusy += o.Res.MemBusy
-		merged.PEBusy += o.Res.PEBusy
-		merged.HostBusy += o.Res.HostBusy
-		merged.MBCount += o.Res.MBCount
-		merged.CBCount += o.Res.CBCount
-		merged.Splits += o.Res.Splits
-		for li, gi := range perChip[c] {
-			merged.NetFinish[gi] = o.Res.NetFinish[li]
+		o := outs[ji].Res
+		ji++
+		res.ChipResults[c] = o
+		rep := serve.BuildReport(sub, o)
+		rep.Scheduler = name
+		res.PerChip[c] = rep
+		if o.Makespan > merged.Makespan {
+			merged.Makespan = o.Makespan
+		}
+		merged.MemBusy += o.MemBusy
+		merged.PEBusy += o.PEBusy
+		merged.HostBusy += o.HostBusy
+		merged.MBCount += o.MBCount
+		merged.CBCount += o.CBCount
+		merged.Splits += o.Splits
+		for li, gi := range r.perChip[c] {
+			merged.NetFinish[gi] = o.NetFinish[li]
 			// The chip result's arrival is the effective one (a decode
 			// phase arrives when its predecessor finishes); for unchained
 			// entries it equals the stream arrival, so this copy is an
 			// identity on single-phase streams.
-			merged.NetArrive[gi] = o.Res.NetArrive[li]
-			merged.NetNames[gi] = o.Res.NetNames[li]
-		}
-	}
-	for c := 0; c < chips; c++ {
-		if res.PerChip[c] == nil {
-			res.PerChip[c] = &serve.Report{Scheduler: spec.Name}
+			merged.NetArrive[gi] = o.NetArrive[li]
+			merged.NetNames[gi] = o.NetNames[li]
 		}
 	}
 
@@ -280,22 +391,21 @@ func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol 
 		// attribute every request against the merged result; shed
 		// requests keep their failed admission prediction as the ETA.
 		gcol := rtrace.NewCollector(len(s.Nets))
-		for c, col := range cols {
+		for c, col := range r.cols {
 			if col != nil {
-				gcol.Merge(col, perChip[c])
+				gcol.Merge(col, r.perChip[c])
 			}
 		}
-		in := serve.TraceInput(s, merged, fmt.Sprintf("%s/%s", spec.Name, pol.Name()))
-		in.Chip = assign
-		in.ETA = etas
-		in.Shed = shed
+		in := serve.TraceInput(s, merged, fmt.Sprintf("%s/%s", name, res.Policy))
+		in.Chip = r.assign
+		in.ETA = r.etas
+		in.Shed = r.shed
 		res.Spans = rtrace.Build(in, gcol)
 		opts.Trace.AddRun(res.Spans)
-		opts.Trace.Publish(opts.Metrics)
 	}
 
-	agg := serve.BuildReportShed(s, merged, shed)
-	agg.Scheduler = spec.Name
+	agg := serve.BuildReportShed(s, merged, r.shed)
+	agg.Scheduler = name
 	if merged.Makespan > 0 {
 		// Aggregate utilization is total busy work over chips x cluster
 		// makespan, so an idle chip drags the average down. With one
@@ -307,13 +417,13 @@ func serveChips(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol 
 
 	utils := make([]float64, chips)
 	for c := 0; c < chips; c++ {
-		if r := res.ChipResults[c]; r != nil && merged.Makespan > 0 {
-			utils[c] = float64(r.PEBusy) / float64(merged.Makespan)
+		if o := res.ChipResults[c]; o != nil && merged.Makespan > 0 {
+			utils[c] = float64(o.PEBusy) / float64(merged.Makespan)
 		}
 	}
 	res.Imbalance = metrics.Imbalance(utils)
 	res.publish(opts.Metrics, utils)
-	return res, cols, nil
+	return res
 }
 
 // publish folds the cluster outcome into an observability registry:
@@ -347,106 +457,6 @@ func (r *Result) publish(reg *obs.Registry, utils []float64) {
 			reg.Gauge(ch("aimt_cluster_chip_pe_util")).Set(utils[c])
 		}
 	}
-}
-
-// CurveOptions tune a cluster load sweep.
-type CurveOptions struct {
-	// Options configures every cluster run of the sweep; see Options.
-	Options
-
-	// Stream is the per-point stream shape; its MeanGap field is
-	// ignored in favor of Gaps.
-	Stream serve.StreamOptions
-
-	// Gaps lists the mean inter-arrival times to sweep; empty means
-	// serve.DefaultGapFactors interpreted as per-chip offered loads
-	// (the cluster absorbs chips x the single-chip rate at the same
-	// factor).
-	Gaps []arch.Cycles
-}
-
-// CurvePoint is one offered-load point of a cluster load sweep: the
-// same request sequence routed and simulated under every policy.
-type CurvePoint struct {
-	// MeanGap is the mean inter-arrival time at this point.
-	MeanGap arch.Cycles
-
-	// ChipLoad is the per-chip offered load: the stream's aggregate
-	// demand divided by the chip count. Past ~1 the whole cluster is
-	// oversubscribed.
-	ChipLoad float64
-
-	// Results holds one cluster result per routing policy, in policy
-	// order.
-	Results []*Result
-}
-
-// LoadCurve sweeps offered load against the cluster: at each gap the
-// identical request sequence (same seed) is routed under every policy
-// and simulated, so points and policies are directly comparable.
-func LoadCurve(cfg arch.Config, classes []serve.Class, spec serve.SchedulerSpec, policies []Spec, opts CurveOptions) ([]CurvePoint, error) {
-	chips := opts.Chips
-	if chips <= 0 {
-		chips = 1
-	}
-	if len(policies) == 0 {
-		policies = Policies()
-	}
-	gaps := opts.Gaps
-	if len(gaps) == 0 {
-		loads := make([]float64, len(serve.DefaultGapFactors))
-		for i, f := range serve.DefaultGapFactors {
-			loads[i] = f * float64(chips)
-		}
-		var err error
-		if gaps, err = serve.Gaps(cfg, classes, loads...); err != nil {
-			return nil, err
-		}
-	}
-
-	points := make([]CurvePoint, 0, len(gaps))
-	for _, gap := range gaps {
-		sopts := opts.Stream
-		sopts.MeanGap = gap
-		s, err := serve.NewStream(cfg, classes, sopts)
-		if err != nil {
-			return nil, err
-		}
-		pt := CurvePoint{MeanGap: gap, ChipLoad: s.OfferedLoad() / float64(chips)}
-		for _, pspec := range policies {
-			r, err := Serve(cfg, s, spec, pspec.New(), opts.Options)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: %s at gap %d: %w", pspec.Name, gap, err)
-			}
-			pt.Results = append(pt.Results, r)
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
-// PrintCurve renders a cluster load sweep as one aggregate table per
-// offered-load point: tail latency, SLA miss rate, cluster throughput
-// and load imbalance per routing policy.
-func PrintCurve(w io.Writer, points []CurvePoint) error {
-	for _, pt := range points {
-		t := metrics.NewTable("policy", "p50", "p99", "p99.9", "miss rate", "req/Mcyc", "PE util", "imbalance")
-		for _, r := range pt.Results {
-			t.AddRow(r.Policy,
-				fmt.Sprint(r.Agg.P50), fmt.Sprint(r.Agg.P99), fmt.Sprint(r.Agg.P999),
-				metrics.Pct(r.Agg.MissRate), metrics.F(r.Agg.Throughput),
-				metrics.Pct(r.Agg.PEUtil), metrics.F(r.Imbalance))
-		}
-		chips := 1
-		if len(pt.Results) > 0 {
-			chips = pt.Results[0].Chips
-		}
-		if _, err := fmt.Fprintf(w, "chips %d, per-chip offered load %.2f (mean gap %d)\n%s\n",
-			chips, pt.ChipLoad, pt.MeanGap, t); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PrintChips renders one cluster result's per-chip breakdown.

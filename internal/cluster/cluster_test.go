@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -125,7 +124,7 @@ func TestServeConservesRequests(t *testing.T) {
 	// More chips than requests: the tail chips stay empty but the
 	// cluster still serves everything.
 	small := testStream(t, cfg, 5, 9)
-	res, err := Serve(cfg, small, aimtSpec(), &RoundRobin{}, Options{Chips: 8})
+	res, err := Serve(cfg, small, aimtSpec(), &roundRobin{}, Options{Chips: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestClassAffinityPinsClasses(t *testing.T) {
 	s := testStream(t, cfg, 80, 5)
 	classes := len(s.Classes)
 	for _, chips := range []int{classes, 2 * classes} {
-		assign, err := Dispatch(s, ClassAffinity{}, chips)
+		assign, err := Dispatch(s, classAffinity{}, chips)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +176,7 @@ func TestLeastWorkBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := Dispatch(s, LeastWork{}, 4)
+	assign, err := Dispatch(s, leastWork{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,47 +191,6 @@ func TestLeastWorkBalances(t *testing.T) {
 	}
 }
 
-// TestLoadCurveShapes runs a small cluster sweep end to end and checks
-// its dimensions and rendering.
-func TestLoadCurveShapes(t *testing.T) {
-	cfg := testConfig(t)
-	points, err := LoadCurve(cfg, serve.DefaultClasses(), aimtSpec(), nil, CurveOptions{
-		Options: Options{Chips: 3},
-		Stream:  serve.StreamOptions{Requests: 40, Seed: 1},
-		Gaps:    []arch.Cycles{4000, 1000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	for _, pt := range points {
-		if len(pt.Results) != len(Policies()) {
-			t.Errorf("gap %d: %d results, want %d", pt.MeanGap, len(pt.Results), len(Policies()))
-		}
-		for _, r := range pt.Results {
-			if r.Chips != 3 || len(r.PerChip) != 3 {
-				t.Errorf("gap %d %s: chips %d, per-chip reports %d", pt.MeanGap, r.Policy, r.Chips, len(r.PerChip))
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := PrintCurve(&buf, points); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("PrintCurve produced no output")
-	}
-	buf.Reset()
-	if err := PrintChips(&buf, points[0].Results[0]); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("PrintChips produced no output")
-	}
-}
-
 // TestDispatchRejectsBadPolicy covers the dispatcher's guard against a
 // policy returning an out-of-range chip.
 func TestDispatchRejectsBadPolicy(t *testing.T) {
@@ -241,7 +199,7 @@ func TestDispatchRejectsBadPolicy(t *testing.T) {
 	if _, err := Dispatch(s, badPolicy{}, 2); err == nil {
 		t.Error("out-of-range pick accepted")
 	}
-	if _, err := Dispatch(s, LeastWork{}, 0); err == nil {
+	if _, err := Dispatch(s, leastWork{}, 0); err == nil {
 		t.Error("zero-chip cluster accepted")
 	}
 }
@@ -249,7 +207,7 @@ func TestDispatchRejectsBadPolicy(t *testing.T) {
 type badPolicy struct{}
 
 func (badPolicy) Name() string                { return "bad" }
-func (badPolicy) Pick(v *View, _ Request) int { return v.Chips() }
+func (badPolicy) Pick(v *View, _ Request) int { return v.chips }
 
 // TestPolicyNamesResolve keeps ByName, Names and Policies in sync:
 // every table entry, the opt-in predictive policy included, resolves
@@ -278,7 +236,7 @@ func TestPolicyNamesResolve(t *testing.T) {
 		t.Error("unknown policy name accepted")
 	}
 	// Stateful policies must come out fresh per dispatch pass.
-	a, b := Policies()[0].New().(*RoundRobin), Policies()[0].New().(*RoundRobin)
+	a, b := Policies()[0].New().(*roundRobin), Policies()[0].New().(*roundRobin)
 	if a == b {
 		t.Error("round-robin spec returned the same instance twice")
 	}

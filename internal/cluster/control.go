@@ -58,14 +58,14 @@ type ctlStats struct {
 	active     int // active chip count at end of dispatch
 }
 
-// note records one control-plane decision in the ledger (nil ledger is
-// a no-op). The dispatcher has no SRAM or AVL_CB context, so those
+// ctlNote appends one control-plane decision to notes (nil notes is a
+// no-op). The dispatcher has no SRAM or AVL_CB context, so those
 // fields stay zero; Cycle is the arrival the decision fired at.
-func ctlNote(led *obs.Ledger, cycle arch.Cycles, kind string, net int, detail arch.Cycles) {
-	if led == nil {
+func ctlNote(notes *[]obs.Decision, cycle arch.Cycles, kind string, net int, detail arch.Cycles) {
+	if notes == nil {
 		return
 	}
-	led.Record(obs.Decision{
+	*notes = append(*notes, obs.Decision{
 		Cycle:  cycle,
 		Kind:   kind,
 		Net:    net,
@@ -80,15 +80,16 @@ func ctlNote(led *obs.Ledger, cycle arch.Cycles, kind string, net int, detail ar
 // arrival it first lets the autoscaler adjust the active chip set,
 // then applies admission control, then routes via the policy within
 // the active set. pred, when non-nil, replaces the static ETA
-// arithmetic behind View.PredictETA with forward simulation. etas,
+// arithmetic behind View.predictETA with forward simulation. etas,
 // when non-nil (and stream-length), receives each entry's dispatcher
-// completion estimate at routing time for the request tracer.
+// completion estimate at routing time for the request tracer. notes,
+// when non-nil, receives the shed and scale decisions in order.
 //
 // It returns the assignment (-1 for shed requests), the shed mask and
 // the control-plane stats. The mask is nil exactly when admission,
 // autoscaling and the predictor are all off, which is what tells
 // Result.publish the control plane was idle.
-func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predictor, led *obs.Ledger, etas []arch.Cycles) ([]int, []bool, ctlStats, error) {
+func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predictor, notes *[]obs.Decision, etas []arch.Cycles) ([]int, []bool, ctlStats, error) {
 	if chips <= 0 {
 		return nil, nil, ctlStats{}, fmt.Errorf("cluster: chips must be positive, got %d", chips)
 	}
@@ -127,7 +128,6 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 		chips:   active,
 		classes: len(s.Classes),
 		freeAt:  make([]arch.Cycles, chips),
-		counts:  make([]int, chips),
 		pred:    pred,
 	}
 	assign := make([]int, len(s.Nets))
@@ -165,7 +165,7 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 			c := assign[p]
 			assign[i] = c
 			if etas != nil {
-				etas[i] = v.ETA(c, r)
+				etas[i] = v.eta(c, r)
 			}
 			v.route(c, r)
 			continue
@@ -174,7 +174,7 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 		if ctl.Autoscale && s.MeanService > 0 {
 			var backlog arch.Cycles
 			for c := 0; c < active; c++ {
-				backlog += v.Backlog(c, r.Arrival)
+				backlog += v.backlog(c, r.Arrival)
 			}
 			depth := float64(backlog) / (float64(active) * s.MeanService)
 			switch {
@@ -191,24 +191,24 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 				active++
 				upRun, downRun = 0, 0
 				st.scaleUps++
-				ctlNote(led, r.Arrival, obs.KindScaleUp, -1, arch.Cycles(active))
+				ctlNote(notes, r.Arrival, obs.KindScaleUp, -1, arch.Cycles(active))
 			} else if downRun >= patience && active > minChips {
 				active--
 				upRun, downRun = 0, 0
 				st.scaleDowns++
-				ctlNote(led, r.Arrival, obs.KindScaleDown, -1, arch.Cycles(active))
+				ctlNote(notes, r.Arrival, obs.KindScaleDown, -1, arch.Cycles(active))
 			}
 			v.chips = active
 		}
 
 		if ctl.Admission && r.Priority == minPrio {
-			// The admission check reads the PredictETA seam: static
+			// The admission check reads the predictETA seam: static
 			// arithmetic normally, the forward-simulated completion
 			// under the predictive policy — shedding decisions then see
 			// the multi-tenant overlap the serial sum cannot.
-			best := v.PredictETA(0, r)
+			best := v.predictETA(0, r)
 			for c := 1; c < active; c++ {
-				if eta := v.PredictETA(c, r); eta < best {
+				if eta := v.predictETA(c, r); eta < best {
 					best = eta
 				}
 			}
@@ -219,7 +219,7 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 				if etas != nil {
 					etas[i] = best // the prediction that broke the deadline
 				}
-				ctlNote(led, r.Arrival, obs.KindShed, i, best-r.Deadline)
+				ctlNote(notes, r.Arrival, obs.KindShed, i, best-r.Deadline)
 				continue
 			}
 		}
@@ -230,7 +230,7 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 		}
 		assign[i] = c
 		if etas != nil {
-			etas[i] = v.ETA(c, r)
+			etas[i] = v.eta(c, r)
 		}
 		v.route(c, r)
 	}

@@ -43,7 +43,6 @@ type View struct {
 	chips   int
 	classes int
 	freeAt  []arch.Cycles // estimated cycle each chip drains its queue
-	counts  []int         // requests routed to each chip so far
 
 	// pred, attached under the predictive policy, refines ETA queries
 	// by bounded forward simulation of the chip's recent workload on
@@ -51,25 +50,19 @@ type View struct {
 	pred *predictor
 }
 
-// Chips returns the cluster size.
-func (v *View) Chips() int { return v.chips }
-
-// Classes returns the number of request classes in the stream.
-func (v *View) Classes() int { return v.classes }
-
-// Backlog returns chip's estimated outstanding work at cycle now: the
+// backlog returns chip's estimated outstanding work at cycle now: the
 // service estimates of its routed, not-yet-drained requests.
-func (v *View) Backlog(chip int, now arch.Cycles) arch.Cycles {
+func (v *View) backlog(chip int, now arch.Cycles) arch.Cycles {
 	if b := v.freeAt[chip] - now; b > 0 {
 		return b
 	}
 	return 0
 }
 
-// ETA returns the estimated completion cycle of r if routed to chip:
+// eta returns the estimated completion cycle of r if routed to chip:
 // the chip drains its backlog (or the request arrives, whichever is
 // later), then serves the request.
-func (v *View) ETA(chip int, r Request) arch.Cycles {
+func (v *View) eta(chip int, r Request) arch.Cycles {
 	start := v.freeAt[chip]
 	if r.Arrival > start {
 		start = r.Arrival
@@ -77,22 +70,19 @@ func (v *View) ETA(chip int, r Request) arch.Cycles {
 	return start + r.Service
 }
 
-// PredictETA returns the best completion estimate available for
+// predictETA returns the best completion estimate available for
 // routing r to chip: the static drain-then-serve arithmetic when the
 // dispatcher has no predictor, or the bounded forward simulation of
 // the chip's recent workload plus r under the predictive policy. The
 // deadline policy and admission control query this seam, so turning
 // prediction on upgrades both without changing their logic.
-func (v *View) PredictETA(chip int, r Request) arch.Cycles {
-	static := v.ETA(chip, r)
+func (v *View) predictETA(chip int, r Request) arch.Cycles {
+	static := v.eta(chip, r)
 	if v.pred == nil {
 		return static
 	}
 	return v.pred.eta(chip, r, static)
 }
-
-// Routed returns how many requests chip has received so far.
-func (v *View) Routed(chip int) int { return v.counts[chip] }
 
 // route records the dispatch of r to chip.
 func (v *View) route(chip int, r Request) {
@@ -101,7 +91,6 @@ func (v *View) route(chip int, r Request) {
 		start = r.Arrival
 	}
 	v.freeAt[chip] = start + r.Service
-	v.counts[chip]++
 	if v.pred != nil {
 		v.pred.record(chip, r.Index)
 	}
@@ -115,67 +104,67 @@ type Policy interface {
 	// Name labels the policy in results and flags.
 	Name() string
 
-	// Pick returns the chip for r, in [0, v.Chips()).
+	// Pick returns the chip for r, one of the view's active chips.
 	Pick(v *View, r Request) int
 }
 
-// RoundRobin cycles through the chips in request order, ignoring load.
-type RoundRobin struct{ next int }
+// roundRobin cycles through the chips in request order, ignoring load.
+type roundRobin struct{ next int }
 
 // Name implements Policy.
-func (p *RoundRobin) Name() string { return "round-robin" }
+func (p *roundRobin) Name() string { return "round-robin" }
 
 // Pick implements Policy.
-func (p *RoundRobin) Pick(v *View, _ Request) int {
-	c := p.next % v.Chips()
+func (p *roundRobin) Pick(v *View, _ Request) int {
+	c := p.next % v.chips
 	p.next++
 	return c
 }
 
-// LeastWork routes to the chip with the smallest estimated backlog at
+// leastWork routes to the chip with the smallest estimated backlog at
 // the request's arrival; ties resolve to the lowest chip index.
-type LeastWork struct{}
+type leastWork struct{}
 
 // Name implements Policy.
-func (LeastWork) Name() string { return "least-work" }
+func (leastWork) Name() string { return "least-work" }
 
 // Pick implements Policy.
-func (LeastWork) Pick(v *View, r Request) int {
+func (leastWork) Pick(v *View, r Request) int {
 	best := 0
-	bestB := v.Backlog(0, r.Arrival)
-	for c := 1; c < v.Chips(); c++ {
-		if b := v.Backlog(c, r.Arrival); b < bestB {
+	bestB := v.backlog(0, r.Arrival)
+	for c := 1; c < v.chips; c++ {
+		if b := v.backlog(c, r.Arrival); b < bestB {
 			best, bestB = c, b
 		}
 	}
 	return best
 }
 
-// ClassAffinity pins each request class to a chip subset — the CNN /
+// classAffinity pins each request class to a chip subset — the CNN /
 // RNN partitioning that keeps one class's weight working set hot on
 // its chips. Class k owns the chips whose index is congruent to k
 // modulo the class count (so with 4 chips and 2 classes, chips 0 and 2
 // serve class 0). When the cluster is smaller than the class count the
 // class folds onto chip k mod chips. Within its subset a request is
 // routed by least backlog.
-type ClassAffinity struct{}
+type classAffinity struct{}
 
 // Name implements Policy.
-func (ClassAffinity) Name() string { return "class-affinity" }
+func (classAffinity) Name() string { return "class-affinity" }
 
 // Pick implements Policy.
-func (ClassAffinity) Pick(v *View, r Request) int {
-	classes := v.Classes()
-	if classes <= 0 || v.Chips() <= classes {
+func (classAffinity) Pick(v *View, r Request) int {
+	classes := v.classes
+	if classes <= 0 || v.chips <= classes {
 		// Degenerate partitions: one chip per class at most.
 		if classes <= 0 {
 			return 0
 		}
-		return r.Class % v.Chips()
+		return r.Class % v.chips
 	}
 	best, bestB := -1, arch.Cycles(0)
-	for c := r.Class; c < v.Chips(); c += classes {
-		if b := v.Backlog(c, r.Arrival); best < 0 || b < bestB {
+	for c := r.Class; c < v.chips; c += classes {
+		if b := v.backlog(c, r.Arrival); best < 0 || b < bestB {
 			best, bestB = c, b
 		}
 	}
@@ -191,32 +180,32 @@ type Deadline struct{}
 // Name implements Policy.
 func (Deadline) Name() string { return "deadline" }
 
-// Pick implements Policy. It routes through the PredictETA seam, so
+// Pick implements Policy. It routes through the predictETA seam, so
 // with the predictor attached (the predictive policy) the "earliest
 // feasible completion" is a forward-simulated one; without it the
 // estimate is the static one.
 func (Deadline) Pick(v *View, r Request) int {
 	best := 0
-	bestETA := v.PredictETA(0, r)
-	for c := 1; c < v.Chips(); c++ {
-		if eta := v.PredictETA(c, r); eta < bestETA {
+	bestETA := v.predictETA(0, r)
+	for c := 1; c < v.chips; c++ {
+		if eta := v.predictETA(c, r); eta < bestETA {
 			best, bestETA = c, eta
 		}
 	}
 	return best
 }
 
-// Predictive is the deadline policy with the forward-simulation
+// predictive is the deadline policy with the forward-simulation
 // predictor attached: selecting it (cluster.ByName("predictive") or
 // aimt-serve -route predictive) is what makes Serve build the
 // predictor, with or without the rest of the control plane. Each
 // routing decision then simulates the candidate chips' recent workload
 // plus the request on the real machine model and picks the chip whose
 // simulation finishes the request soonest.
-type Predictive struct{ Deadline }
+type predictive struct{ Deadline }
 
 // Name implements Policy.
-func (Predictive) Name() string { return "predictive" }
+func (predictive) Name() string { return "predictive" }
 
 // Spec names a routing policy and builds a fresh instance per dispatch
 // pass (policies may carry cursor state).
@@ -235,11 +224,11 @@ var policies = []struct {
 	Spec
 	optIn bool
 }{
-	{Spec: Spec{Name: "round-robin", New: func() Policy { return &RoundRobin{} }}},
-	{Spec: Spec{Name: "least-work", New: func() Policy { return LeastWork{} }}},
-	{Spec: Spec{Name: "class-affinity", New: func() Policy { return ClassAffinity{} }}},
+	{Spec: Spec{Name: "round-robin", New: func() Policy { return &roundRobin{} }}},
+	{Spec: Spec{Name: "least-work", New: func() Policy { return leastWork{} }}},
+	{Spec: Spec{Name: "class-affinity", New: func() Policy { return classAffinity{} }}},
 	{Spec: Spec{Name: "deadline", New: func() Policy { return Deadline{} }}},
-	{Spec: Spec{Name: "predictive", New: func() Policy { return Predictive{} }}, optIn: true},
+	{Spec: Spec{Name: "predictive", New: func() Policy { return predictive{} }}, optIn: true},
 }
 
 // Policies returns the routing policies compared by default, in

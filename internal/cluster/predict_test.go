@@ -8,7 +8,7 @@ import (
 	"aimt/internal/serve"
 )
 
-// TestPredictETAStaticFallbacks: PredictETA equals the static ETA
+// TestPredictETAStaticFallbacks: predictETA equals the static ETA
 // exactly both when no predictor is attached (the legacy dispatcher —
 // this is what keeps the pre-predictive paths bit-identical) and when
 // the predictor exists but the chip has no routed history to simulate
@@ -17,14 +17,14 @@ func TestPredictETAStaticFallbacks(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 50, 9, 2.0, 2)
 	r := Request{Index: 3, Class: s.ClassOf[3], Arrival: s.Arrivals[3], Service: s.EntryService(3)}
-	v := &View{chips: 2, classes: len(s.Classes), freeAt: make([]arch.Cycles, 2), counts: make([]int, 2)}
+	v := &View{chips: 2, classes: len(s.Classes), freeAt: make([]arch.Cycles, 2)}
 	v.freeAt[0] = r.Arrival + 500
-	if got, want := v.PredictETA(0, r), v.ETA(0, r); got != want {
-		t.Errorf("no predictor: PredictETA %d != static ETA %d", got, want)
+	if got, want := v.predictETA(0, r), v.eta(0, r); got != want {
+		t.Errorf("no predictor: predictETA %d != static ETA %d", got, want)
 	}
 	v.pred = newPredictor(cfg, s, 2)
-	if got, want := v.PredictETA(1, r), v.ETA(1, r); got != want {
-		t.Errorf("empty history: PredictETA %d != static ETA %d", got, want)
+	if got, want := v.predictETA(1, r), v.eta(1, r); got != want {
+		t.Errorf("empty history: predictETA %d != static ETA %d", got, want)
 	}
 }
 
@@ -62,11 +62,11 @@ func TestPredictiveDeadlineDiffersFromStatic(t *testing.T) {
 func TestPredictiveDispatchDeterministic(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 150, 5, 3.0, 2)
-	a, _, _, err := dispatch(s, Predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
+	a, _, _, err := dispatch(s, predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, err := dispatch(s, Predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
+	b, _, _, err := dispatch(s, predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPredictiveDispatchDeterministic(t *testing.T) {
 func TestPredictivePolicyServes(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 120, 7, 2.0, 2)
-	res, err := Serve(cfg, s, aimtSpec(), Predictive{}, Options{Chips: 2, CheckInvariants: true})
+	res, err := Serve(cfg, s, aimtSpec(), predictive{}, Options{Chips: 2, CheckInvariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TraceRequests(cfg arch.Config, classes []serve.Class, spec serve.SchedulerS
 		return nil, err
 	}
 	st := rtrace.NewStore(rtrace.Options{SampleEvery: 1, WorstN: 4})
-	res, cols, err := serveChips(cfg, s, spec, pol.New(), Options{Chips: chips, Trace: st})
+	res, cols, err := serveRun(cfg, s, spec, pol.New(), Options{Chips: chips, Trace: st})
 	if err != nil {
 		return nil, err
 	}

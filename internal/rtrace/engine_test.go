@@ -83,7 +83,11 @@ func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 
 	t.Run("cluster", func(t *testing.T) {
 		const chips = 2
-		assign, err := cluster.Dispatch(s, &cluster.RoundRobin{}, chips)
+		rr, err := cluster.ByName("round-robin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign, err := cluster.Dispatch(s, rr.New(), chips)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +126,7 @@ func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 
 		// The same spans, dispatcher estimates aside, as the cluster's own
 		// traced run: the logs above are the cluster's.
-		cres, err := cluster.Serve(cfg, s, spec, &cluster.RoundRobin{}, cluster.Options{Chips: chips, Trace: rtrace.NewStore(rtrace.Options{})})
+		cres, err := cluster.Serve(cfg, s, spec, rr.New(), cluster.Options{Chips: chips, Trace: rtrace.NewStore(rtrace.Options{})})
 		if err != nil {
 			t.Fatal(err)
 		}

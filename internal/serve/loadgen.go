@@ -85,7 +85,7 @@ type Class struct {
 
 	// Slack scales the class's deadline: a request arriving at cycle t
 	// must finish by t + Slack x (isolated service estimate). Zero or
-	// negative means DefaultSlack.
+	// negative means defaultSlack.
 	Slack float64
 
 	// Batch is the per-request batch size; zero means 1.
@@ -100,9 +100,9 @@ type Class struct {
 	Priority int
 }
 
-// DefaultSlack is the deadline multiplier applied to a class's
+// defaultSlack is the deadline multiplier applied to a class's
 // isolated service estimate when the class does not set its own.
-const DefaultSlack = 8
+const defaultSlack = 8
 
 // DefaultClasses returns the default mixed CNN/RNN serving mix: a
 // small convolutional vision model (three requests out of four, tight
@@ -328,10 +328,10 @@ func (s *Stream) NetClasses() []string {
 	return out
 }
 
-// NetPriorities returns the per-request class priorities, indexed like
+// netPriorities returns the per-request class priorities, indexed like
 // Nets — the shape core.AIMT.SetPreemptPriorities expects for
 // cross-request preemption.
-func (s *Stream) NetPriorities() []int {
+func (s *Stream) netPriorities() []int {
 	out := make([]int, len(s.ClassOf))
 	for i, ci := range s.ClassOf {
 		if ci < len(s.ClassPriority) {
@@ -464,7 +464,7 @@ func compileClasses(cfg arch.Config, classes []Class) (*compiledMix, error) {
 			cc.name = c.Net.Name
 		}
 		if cc.slack <= 0 {
-			cc.slack = DefaultSlack
+			cc.slack = defaultSlack
 		}
 		cc.service = serviceEstimate(cfg, cn)
 		if c.DecodeNet != nil {

@@ -1,17 +1,12 @@
 package serve
 
 import (
-	"fmt"
-	"io"
-
 	"aimt/internal/arch"
 	"aimt/internal/hdr"
-	"aimt/internal/metrics"
 	"aimt/internal/obs"
 	"aimt/internal/rtrace"
 	"aimt/internal/sched"
 	"aimt/internal/sim"
-	"aimt/internal/sweep"
 )
 
 // ClassStats aggregates one request class's outcomes within a report.
@@ -107,10 +102,6 @@ type Report struct {
 	Tokens          int
 	TokensPerMcycle float64
 }
-
-// Attainment returns the SLA attainment: the fraction of requests that
-// met their deadline.
-func (r *Report) Attainment() float64 { return 1 - r.MissRate }
 
 // BuildReport folds a simulation result into a Report without
 // materializing a latency slice. res must come from a run over s's
@@ -307,7 +298,7 @@ type SchedulerSpec struct {
 // factory reads the stream's deadlines and class priorities.
 func Spec(e sched.Entry) SchedulerSpec {
 	return SchedulerSpec{Name: e.Name, New: func(cfg arch.Config, s *Stream) sim.Scheduler {
-		return e.New(cfg, sched.Input{Deadlines: s.Deadlines, Priorities: s.NetPriorities()})
+		return e.New(cfg, sched.Input{Deadlines: s.Deadlines, Priorities: s.netPriorities()})
 	}}
 }
 
@@ -335,145 +326,6 @@ func StandardSchedulers() []SchedulerSpec {
 	return out
 }
 
-// CurvePoint is one offered-load point of a load sweep: the same
-// request sequence at one inter-arrival scale, under every scheduler.
-type CurvePoint struct {
-	// MeanGap is the mean inter-arrival time at this point.
-	MeanGap arch.Cycles
-
-	// OfferedLoad is mean service estimate / MeanGap; >~1 means the
-	// bottleneck engine is oversubscribed.
-	OfferedLoad float64
-
-	// Reports holds one report per scheduler, in scheduler order.
-	Reports []*Report
-}
-
-// CurveOptions tune LoadCurve.
-type CurveOptions struct {
-	// Stream is the per-point stream shape; its MeanGap field is
-	// ignored in favor of Gaps.
-	Stream StreamOptions
-
-	// Gaps lists the mean inter-arrival times to sweep, typically
-	// descending (load ascending); empty means DefaultGaps applied to
-	// the mix's mean service estimate.
-	Gaps []arch.Cycles
-
-	// Workers caps sweep parallelism; <= 0 means GOMAXPROCS.
-	Workers int
-
-	// CheckInvariants turns the machine-model invariant checker on for
-	// every run.
-	CheckInvariants bool
-
-	// Metrics, when non-nil, receives live engine series from every
-	// run of the sweep plus the published per-scheduler reports.
-	// Counters aggregate across the whole sweep; gauges are
-	// last-writer-wins across the parallel runs.
-	Metrics *obs.Registry
-
-	// Ledger, when non-nil, records every scheduler decision of every
-	// run of the sweep (interleaved across parallel runs; entries
-	// carry per-run network indices).
-	Ledger *obs.Ledger
-
-	// Trace, when non-nil, receives attributed per-request spans from
-	// every run of the sweep: each run gets its own rtrace.Collector
-	// as the engine tracer, and its spans (labelled "scheduler@load")
-	// are folded into the store in job order after the sweep. Nil
-	// attaches no tracer, keeping the hot path allocation-free.
-	Trace *rtrace.Store
-}
-
-// DefaultGapFactors are the offered loads walked when CurveOptions
-// does not list explicit gaps: from light traffic to past saturation.
-var DefaultGapFactors = []float64{0.2, 0.5, 0.8, 1.1, 1.5}
-
-// LoadCurve sweeps offered load over the given gaps, running every
-// scheduler on an identical request sequence at each point (same seed;
-// only the arrival gaps scale), and returns one CurvePoint per gap in
-// ascending-load (descending-gap) order as listed.
-func LoadCurve(cfg arch.Config, classes []Class, schedulers []SchedulerSpec, opts CurveOptions) ([]CurvePoint, error) {
-	if len(schedulers) == 0 {
-		schedulers = StandardSchedulers()
-	}
-	gaps := opts.Gaps
-	if len(gaps) == 0 {
-		var err error
-		if gaps, err = Gaps(cfg, classes, DefaultGapFactors...); err != nil {
-			return nil, err
-		}
-	}
-
-	streams := make([]*Stream, len(gaps))
-	var jobs []sweep.Job
-	var cols []*rtrace.Collector // parallel to jobs when tracing
-	for gi, gap := range gaps {
-		sopts := opts.Stream
-		sopts.MeanGap = gap
-		s, err := NewStream(cfg, classes, sopts)
-		if err != nil {
-			return nil, err
-		}
-		streams[gi] = s
-		var netClasses []string
-		if opts.Metrics != nil {
-			netClasses = s.NetClasses()
-		}
-		for _, spec := range schedulers {
-			spec := spec
-			s := s
-			var tracer sim.Tracer
-			if opts.Trace != nil {
-				col := rtrace.NewCollector(len(s.Nets))
-				cols = append(cols, col)
-				tracer = col
-			}
-			jobs = append(jobs, sweep.Job{
-				Mix:       s.Name,
-				Scheduler: spec.Name,
-				Cfg:       cfg,
-				Nets:      s.Nets,
-				New:       func() sim.Scheduler { return spec.New(cfg, s) },
-				Opts: sim.Options{
-					Arrivals:        s.Arrivals,
-					ChainAfter:      s.ChainAfter,
-					CheckInvariants: opts.CheckInvariants,
-					Metrics:         opts.Metrics,
-					Ledger:          opts.Ledger,
-					NetClasses:      netClasses,
-					Tracer:          tracer,
-				},
-			})
-		}
-	}
-	outs := sweep.Run(jobs, sweep.Options{Workers: opts.Workers})
-	if err := sweep.FirstError(outs); err != nil {
-		return nil, err
-	}
-
-	points := make([]CurvePoint, len(gaps))
-	for gi, gap := range gaps {
-		points[gi] = CurvePoint{MeanGap: gap, OfferedLoad: streams[gi].OfferedLoad()}
-	}
-	for _, o := range outs {
-		gi := o.Index / len(schedulers)
-		rep := BuildReport(streams[gi], o.Res)
-		rep.Scheduler = o.Scheduler
-		rep.Publish(opts.Metrics)
-		points[gi].Reports = append(points[gi].Reports, rep)
-		if opts.Trace != nil {
-			run := fmt.Sprintf("%s@%.2f", o.Scheduler, points[gi].OfferedLoad)
-			opts.Trace.AddRun(rtrace.Build(TraceInput(streams[gi], o.Res, run), cols[o.Index]))
-		}
-	}
-	if opts.Trace != nil {
-		opts.Trace.Publish(opts.Metrics)
-	}
-	return points, nil
-}
-
 // TraceInput adapts a stream plus its finished result to the
 // request-span builder (rtrace.Build). The caller fills the cluster
 // fields (Chip, ETA, Shed) when they apply.
@@ -496,47 +348,4 @@ func TraceInput(s *Stream, res *sim.Result, run string) rtrace.Input {
 		in.Phases = ph
 	}
 	return in
-}
-
-// PrintCurve renders a load sweep as one table per offered-load point.
-// Points whose reports carry phase rows (transformer mixes) get
-// per-phase p99/miss and tokens-per-Mcycle columns; single-phase
-// sweeps render exactly as before.
-func PrintCurve(w io.Writer, points []CurvePoint) error {
-	for _, pt := range points {
-		phased := false
-		for _, r := range pt.Reports {
-			if r.PerPhase != nil {
-				phased = true
-			}
-		}
-		var t *metrics.Table
-		if phased {
-			t = metrics.NewTable("scheduler", "p50", "p99", "miss rate",
-				"prefill p99", "prefill miss", "decode p99", "decode miss", "tok/Mcyc", "PE util")
-		} else {
-			t = metrics.NewTable("scheduler", "p50", "p99", "p99.9", "miss rate", "req/Mcyc", "PE util")
-		}
-		for _, r := range pt.Reports {
-			if phased {
-				var pre, dec PhaseStats
-				if len(r.PerPhase) == 2 {
-					pre, dec = r.PerPhase[0], r.PerPhase[1]
-				}
-				t.AddRow(r.Scheduler,
-					fmt.Sprint(r.P50), fmt.Sprint(r.P99), metrics.Pct(r.MissRate),
-					fmt.Sprint(pre.P99), metrics.Pct(pre.MissRate),
-					fmt.Sprint(dec.P99), metrics.Pct(dec.MissRate),
-					metrics.F(r.TokensPerMcycle), metrics.Pct(r.PEUtil))
-			} else {
-				t.AddRow(r.Scheduler,
-					fmt.Sprint(r.P50), fmt.Sprint(r.P99), fmt.Sprint(r.P999),
-					metrics.Pct(r.MissRate), metrics.F(r.Throughput), metrics.Pct(r.PEUtil))
-			}
-		}
-		if _, err := fmt.Fprintf(w, "offered load %.2f (mean gap %d)\n%s\n", pt.OfferedLoad, pt.MeanGap, t); err != nil {
-			return err
-		}
-	}
-	return nil
 }
