@@ -8,12 +8,13 @@ GO ?= go
 # and testdata/bench_baseline.json). The EngineObs pair measures the
 # observability layer: Disabled is the instrumented-but-off path that
 # must stay free, Enabled the full emission cost. Build (span
-# attribution) and LedgerRecord (one decision-ledger append) are the
-# request-tracing and ledger layers on their own,
-# ServeStreamObserved is the admin daemon's fully observed serving
-# unit end to end, and Cluster8 is one cluster.Serve call over 8 chips
-# with deadline routing and admission.
-BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkServeStreamObserved|BenchmarkCluster8|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkBuild|BenchmarkLedgerRecord
+# attribution) and LedgerNote (one decision noted into a run-local log,
+# with its share of the fold into the ledger) are the request-tracing
+# and ledger layers on their own, ServeStreamObserved is the admin
+# daemon's fully observed serving unit end to end, and Cluster8 is one
+# cluster.Serve call over 8 chips with least-work routing (the
+# cluster.Deadline type) and admission.
+BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkServeStreamObserved|BenchmarkCluster8|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkBuild|BenchmarkLedgerNote
 
 .PHONY: check build test race vet benchmod lint fuzz-short bench benchall benchcheck bench-compare profile golden
 

@@ -258,15 +258,17 @@ type ClusterOptions = cluster.Options
 type ClusterControl = cluster.Control
 
 // ClusterPolicies returns the routing policies compared by default:
-// round-robin, least-work, class-affinity and deadline.
+// round-robin, least-work and class-affinity.
 func ClusterPolicies() []ClusterPolicySpec { return cluster.Policies() }
 
-// ClusterPolicyNames lists every routing policy name, the opt-in
-// predictive policy included.
+// ClusterPolicyNames lists every routing policy name, one per routing
+// behaviour, the opt-in predictive policy included. Aliases such as
+// deadline (least-work) resolve through ClusterPolicyByName but are
+// not listed.
 func ClusterPolicyNames() []string { return cluster.Names() }
 
-// ClusterPolicyByName resolves any routing policy spec from its name,
-// ignoring case.
+// ClusterPolicyByName resolves any routing policy spec from its name
+// or an alias, ignoring case.
 func ClusterPolicyByName(name string) (ClusterPolicySpec, error) { return cluster.ByName(name) }
 
 // Load sweeps (extension): one planner runs load points × schedulers ×

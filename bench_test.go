@@ -651,8 +651,9 @@ func BenchmarkServeStreamObserved(b *testing.B) {
 
 // BenchmarkCluster8 is the cluster8-transformer harness unit in
 // process: a 4000-request transformer/CNN stream at per-chip offered
-// load 1.2 over 8 chips, deadline routing with admission control, AI-MT
-// on every chip and the chip engines on the default sweep pool. It
+// load 1.2 over 8 chips, cluster.Deadline (least-work) routing with
+// admission control, AI-MT on every chip and the chip engines on the
+// default sweep pool. It
 // gates cluster.Serve's per-call cost: dispatch, sub-streams, the chip
 // simulations and the report fold.
 func BenchmarkCluster8(b *testing.B) {

@@ -24,6 +24,7 @@
 //	aimt-serve -chips 8                     # compare the default policies
 //	aimt-serve -chips 2 -sched FIFO,AI-MT   # both schedulers x every policy
 //	aimt-serve -chips 4 -route predictive   # opt-in forward-simulated routing
+//	aimt-serve -chips 2 -route deadline     # alias: runs and prints as least-work
 //	aimt-serve -chips 4 -perchip            # include per-chip breakdowns
 //
 // The overload control plane rides on cluster mode (any of these flags
@@ -164,7 +165,7 @@ func main() {
 	flag.IntVar(&opts.parallel, "parallel", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&opts.check, "check", false, "run the machine-model invariant checker on every simulation")
 	flag.IntVar(&opts.chips, "chips", 1, "simulated cluster size; >1 routes the stream across independent chips")
-	flag.StringVar(&opts.route, "route", "", "comma-separated routing policies for cluster mode (empty = all but predictive): "+strings.Join(aimt.ClusterPolicyNames(), ", "))
+	flag.StringVar(&opts.route, "route", "", "comma-separated routing policies for cluster mode (empty = all but predictive; deadline is an alias of least-work; predictive forward-simulates every pick at over 1000x least-work's host time and, with -admission, gains goodput only far past saturation and loses it near saturation): "+strings.Join(aimt.ClusterPolicyNames(), ", "))
 	flag.BoolVar(&opts.perchip, "perchip", false, "in cluster mode, print per-chip breakdowns for every result")
 	flag.BoolVar(&opts.admission, "admission", false, "SLO-aware admission control: shed lowest-priority requests predicted to miss their deadline (implies cluster mode)")
 	flag.BoolVar(&opts.prios, "priorities", false, "two-band priority mix (CNN premium) with preemptive AI-MT per chip (implies cluster mode)")
@@ -265,11 +266,16 @@ func validate(opts options) (plan, error) {
 		policies := aimt.ClusterPolicies()
 		if opts.route != "" {
 			policies = nil
+			seen := map[string]bool{}
 			for _, n := range strings.Split(opts.route, ",") {
 				pspec, err := aimt.ClusterPolicyByName(n)
 				if err != nil {
 					return p, fmt.Errorf("-route: %w", err)
 				}
+				if seen[pspec.Name] {
+					return p, fmt.Errorf("-route: %s listed twice", pspec.Name)
+				}
+				seen[pspec.Name] = true
 				policies = append(policies, pspec)
 			}
 		}

@@ -118,8 +118,8 @@ func TestValidateRoutes(t *testing.T) {
 	if p, err = validate(opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.routes) != 4 || p.routes[0].Chips != 3 {
-		t.Errorf("-chips 3 without -route resolved to %+v, want the 4 default policies over 3 chips", p.routes)
+	if len(p.routes) != 3 || p.routes[0].Chips != 3 {
+		t.Errorf("-chips 3 without -route resolved to %+v, want the 3 default policies over 3 chips", p.routes)
 	}
 	opts.chips = 1
 	if p, err = validate(opts); err != nil || p.routes != nil {
@@ -128,6 +128,28 @@ func TestValidateRoutes(t *testing.T) {
 	opts.route = "least-work,teleport"
 	if _, err := validate(opts); err == nil || !strings.Contains(err.Error(), "predictive") {
 		t.Errorf("unknown -route: got %v, want an error listing the policies", err)
+	}
+}
+
+// TestValidateRouteAliasesAndDuplicates: an alias resolves to the
+// policy it names and runs under that name, and a policy listed twice,
+// in any spelling or through an alias, is rejected like a -sched
+// duplicate instead of running (and publishing) twice.
+func TestValidateRouteAliasesAndDuplicates(t *testing.T) {
+	opts := baseOptions()
+	opts.route = "deadline"
+	p, err := validate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.routes) != 1 || p.routes[0].Policy.Name != "least-work" {
+		t.Errorf("-route deadline resolved to %+v, want least-work", p.routes)
+	}
+	for _, dup := range []string{"least-work,LEAST-WORK", "deadline,least-work", "predictive,round-robin,Predictive"} {
+		opts.route = dup
+		if _, err := validate(opts); err == nil || !strings.Contains(err.Error(), "listed twice") {
+			t.Errorf("-route %q: got %v, want a listed-twice error", dup, err)
+		}
 	}
 }
 

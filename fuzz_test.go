@@ -280,8 +280,6 @@ func FuzzAdmission(f *testing.F) {
 			Control: ClusterControl{
 				Admission: true,
 				Autoscale: pick(8)%2 == 1,
-				MinChips:  int(pick(9)) % (chips + 1),
-				Patience:  int(pick(10) % 16),
 			},
 		})
 		if err != nil {

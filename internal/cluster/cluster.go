@@ -191,11 +191,12 @@ type run struct {
 	cols    []*rtrace.Collector
 	first   int
 
-	// notes holds the control plane's shed and scale decisions until
+	// notes logs the control plane's shed and scale decisions until
 	// the first of the run's jobs starts, so in the ledger a run's
 	// front-door decisions precede its chips' engine decisions even
 	// though every run of a sweep is dispatched before any chip runs.
-	notes []obs.Decision
+	// led is nil when the run has no ledger.
+	notes obs.Log
 	led   *obs.Ledger
 	noted sync.Once
 }
@@ -263,9 +264,10 @@ func (r *run) route(cfg arch.Config, opts *Options) error {
 	if opts.Trace != nil {
 		r.etas = make([]arch.Cycles, len(r.s.Nets))
 	}
-	var notes *[]obs.Decision
+	var notes *obs.Log
 	if opts.Ledger != nil {
 		r.led, notes = opts.Ledger, &r.notes
+		notes.Reset(r.led, 0)
 	}
 	var err error
 	r.assign, r.shed, r.st, err = dispatch(r.s, r.pol, r.chips, opts.Control, pred, notes, r.etas)
@@ -291,17 +293,13 @@ func (r *run) route(cfg arch.Config, opts *Options) error {
 	return nil
 }
 
-// flushNotes records the run's control-plane decisions in the ledger,
+// flushNotes folds the run's control-plane decisions into the ledger,
 // once, whichever of its jobs starts first.
 func (r *run) flushNotes() {
-	if r.notes == nil {
+	if r.led == nil {
 		return
 	}
-	r.noted.Do(func() {
-		for _, d := range r.notes {
-			r.led.Record(d)
-		}
-	})
+	r.noted.Do(func() { r.led.Fold(&r.notes) })
 }
 
 // fold builds the run's Result from the sweep outcomes (all of them;

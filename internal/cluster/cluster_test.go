@@ -211,7 +211,9 @@ func (badPolicy) Pick(v *View, _ Request) int { return v.chips }
 
 // TestPolicyNamesResolve keeps ByName, Names and Policies in sync:
 // every table entry, the opt-in predictive policy included, resolves
-// in any case and builds the policy it names.
+// in any case and builds the policy it names, and every alias resolves
+// to its entry ("deadline" to least-work, which the Deadline type
+// routes as).
 func TestPolicyNamesResolve(t *testing.T) {
 	names := Names()
 	if names[len(names)-1] != "predictive" {
@@ -228,6 +230,19 @@ func TestPolicyNamesResolve(t *testing.T) {
 				t.Errorf("ByName(%q) = spec %q building policy %q", spelling, got.Name, got.New().Name())
 			}
 		}
+	}
+	for _, p := range policies {
+		for _, alias := range p.Aliases {
+			for _, spelling := range []string{alias, strings.ToUpper(alias), " " + alias + " "} {
+				if got, err := ByName(spelling); err != nil || got.Name != p.Name {
+					t.Errorf("alias ByName(%q) = %q, %v; want %s", spelling, got.Name, err, p.Name)
+				}
+			}
+		}
+	}
+	if got, err := ByName("deadline"); err != nil || got.New().Name() != "least-work" || (Deadline{}).Name() != "least-work" {
+		t.Errorf("deadline resolves to %q (%v) and Deadline names itself %q, want least-work for both",
+			got.Name, err, (Deadline{}).Name())
 	}
 	if len(Policies()) != len(names)-1 {
 		t.Errorf("Policies() has %d entries, want every name but predictive", len(Policies()))

@@ -24,29 +24,23 @@ type Control struct {
 	Admission bool
 
 	// Autoscale enables elastic sizing of the active chip set: the
-	// dispatcher starts at MinChips and grows toward Options.Chips
+	// dispatcher starts at one chip and grows toward Options.Chips
 	// when the mean backlog depth per active chip stays above
-	// scaleUpDepth for Patience consecutive arrivals, shrinking
-	// symmetrically below scaleDownDepth. Hysteresis comes from the
-	// gap between the two thresholds plus the patience run length.
+	// scaleUpDepth for scalePatience consecutive arrivals, shrinking
+	// symmetrically below scaleDownDepth (never below one chip).
+	// Hysteresis comes from the gap between the two thresholds plus
+	// the patience run length.
 	Autoscale bool
-
-	// MinChips is the autoscaler's floor; <= 0 means 1. It is clamped
-	// to Options.Chips, so MinChips == Chips pins the active set (the
-	// autoscaler becomes a recorded no-op).
-	MinChips int
-
-	// Patience is how many consecutive arrivals must cross a threshold
-	// before the active set changes; <= 0 means 8.
-	Patience int
 }
 
 // The autoscaler's thresholds, as backlog depths in units of mean
 // request service per active chip: grow above scaleUpDepth, shrink
-// below scaleDownDepth.
+// below scaleDownDepth, each after scalePatience consecutive arrivals
+// past the threshold.
 const (
 	scaleUpDepth   = 3
 	scaleDownDepth = 0.5
+	scalePatience  = 8
 )
 
 // ctlStats carries the dispatch-time control-plane outcome into the
@@ -58,22 +52,13 @@ type ctlStats struct {
 	active     int // active chip count at end of dispatch
 }
 
-// ctlNote appends one control-plane decision to notes (nil notes is a
-// no-op). The dispatcher has no SRAM or AVL_CB context, so those
-// fields stay zero; Cycle is the arrival the decision fired at.
-func ctlNote(notes *[]obs.Decision, cycle arch.Cycles, kind string, net int, detail arch.Cycles) {
-	if notes == nil {
-		return
+// ctlNote logs one control-plane decision (a nil log is a no-op). The
+// dispatcher has no SRAM or AVL_CB context, so those fields stay zero;
+// cycle is the arrival the decision fired at.
+func ctlNote(log *obs.Log, kind obs.KindSlot, cycle arch.Cycles, net int, detail arch.Cycles) {
+	if log != nil {
+		log.Note(kind, obs.SlotNone, cycle, net, -1, -1, 0, 0, detail, 0)
 	}
-	*notes = append(*notes, obs.Decision{
-		Cycle:  cycle,
-		Kind:   kind,
-		Net:    net,
-		Layer:  -1,
-		Iter:   -1,
-		Stall:  obs.StallNone,
-		Detail: detail,
-	})
 }
 
 // dispatch routes every request of the stream in arrival order. Per
@@ -83,31 +68,19 @@ func ctlNote(notes *[]obs.Decision, cycle arch.Cycles, kind string, net int, det
 // arithmetic behind View.predictETA with forward simulation. etas,
 // when non-nil (and stream-length), receives each entry's dispatcher
 // completion estimate at routing time for the request tracer. notes,
-// when non-nil, receives the shed and scale decisions in order.
+// when non-nil, logs the shed and scale decisions in order.
 //
 // It returns the assignment (-1 for shed requests), the shed mask and
 // the control-plane stats. The mask is nil exactly when admission,
 // autoscaling and the predictor are all off, which is what tells
 // Result.publish the control plane was idle.
-func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predictor, notes *[]obs.Decision, etas []arch.Cycles) ([]int, []bool, ctlStats, error) {
+func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predictor, notes *obs.Log, etas []arch.Cycles) ([]int, []bool, ctlStats, error) {
 	if chips <= 0 {
 		return nil, nil, ctlStats{}, fmt.Errorf("cluster: chips must be positive, got %d", chips)
 	}
-	minChips := ctl.MinChips
-	if minChips <= 0 {
-		minChips = 1
-	}
-	if minChips > chips {
-		minChips = chips
-	}
-	patience := ctl.Patience
-	if patience <= 0 {
-		patience = 8
-	}
-
 	active := chips
 	if ctl.Autoscale {
-		active = minChips
+		active = 1
 	}
 
 	// The lowest priority band is the only sheddable one. With uniform
@@ -187,16 +160,16 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 			default:
 				upRun, downRun = 0, 0
 			}
-			if upRun >= patience && active < chips {
+			if upRun >= scalePatience && active < chips {
 				active++
 				upRun, downRun = 0, 0
 				st.scaleUps++
-				ctlNote(notes, r.Arrival, obs.KindScaleUp, -1, arch.Cycles(active))
-			} else if downRun >= patience && active > minChips {
+				ctlNote(notes, obs.SlotScaleUp, r.Arrival, -1, arch.Cycles(active))
+			} else if downRun >= scalePatience && active > 1 {
 				active--
 				upRun, downRun = 0, 0
 				st.scaleDowns++
-				ctlNote(notes, r.Arrival, obs.KindScaleDown, -1, arch.Cycles(active))
+				ctlNote(notes, obs.SlotScaleDown, r.Arrival, -1, arch.Cycles(active))
 			}
 			v.chips = active
 		}
@@ -219,7 +192,7 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 				if etas != nil {
 					etas[i] = best // the prediction that broke the deadline
 				}
-				ctlNote(notes, r.Arrival, obs.KindShed, i, best-r.Deadline)
+				ctlNote(notes, obs.SlotShed, r.Arrival, i, best-r.Deadline)
 				continue
 			}
 		}

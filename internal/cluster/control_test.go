@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"reflect"
 	"testing"
 
 	"aimt/internal/arch"
@@ -61,31 +60,29 @@ func TestAdmissionShedsOnlyLowestClass(t *testing.T) {
 }
 
 // TestAutoscalerHysteresis: sustained overload grows the active set
-// (recorded in the ledger), light load never leaves the floor, and a
-// pinned autoscaler (MinChips == Chips) routes identically to the
-// plain dispatcher with zero scale events.
+// (logged for the ledger) and light load never leaves the one-chip
+// floor.
 func TestAutoscalerHysteresis(t *testing.T) {
 	cfg := testConfig(t)
 	hot := prioStream(t, cfg, 300, 9, 4.0, 4)
-	var notes []obs.Decision
+	led := obs.NewLedger(0)
+	var notes obs.Log
+	notes.Reset(led, 0)
 	_, _, st, err := dispatch(hot, leastWork{}, 4, Control{Autoscale: true}, nil, &notes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	led.Fold(&notes)
 	if st.scaleUps == 0 {
 		t.Error("no scale-ups under sustained 4x overload")
 	}
 	if st.active < 1 || st.active > 4 {
 		t.Errorf("active chips %d out of [1,4]", st.active)
 	}
-	kinds := map[string]int{}
-	for _, d := range notes {
-		kinds[d.Kind]++
-	}
-	if got := kinds[obs.KindScaleUp]; got != st.scaleUps {
+	if got := led.CountKind(obs.KindScaleUp); got != int64(st.scaleUps) {
 		t.Errorf("noted scale-ups %d != stats %d", got, st.scaleUps)
 	}
-	if got := kinds[obs.KindScaleDown]; got != st.scaleDowns {
+	if got := led.CountKind(obs.KindScaleDown); got != int64(st.scaleDowns) {
 		t.Errorf("noted scale-downs %d != stats %d", got, st.scaleDowns)
 	}
 
@@ -96,26 +93,6 @@ func TestAutoscalerHysteresis(t *testing.T) {
 	}
 	if lst.scaleUps != 0 || lst.active != 1 {
 		t.Errorf("light load scaled: %d ups, %d active, want 0 and 1", lst.scaleUps, lst.active)
-	}
-
-	ref, err := Dispatch(hot, leastWork{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin, pinShed, pst, err := dispatch(hot, leastWork{}, 4, Control{Autoscale: true, MinChips: 4}, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pst.scaleUps != 0 || pst.scaleDowns != 0 || pst.active != 4 {
-		t.Errorf("pinned autoscaler moved: %+v", pst)
-	}
-	if !reflect.DeepEqual(pin, ref) {
-		t.Error("pinned autoscaler routed differently from plain Dispatch")
-	}
-	for i, sh := range pinShed {
-		if sh {
-			t.Fatalf("pinned autoscaler shed request %d with admission off", i)
-		}
 	}
 }
 

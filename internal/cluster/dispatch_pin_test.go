@@ -31,13 +31,12 @@ func TestDispatchPinned(t *testing.T) {
 	cfg := testConfig(t)
 	controls := []struct {
 		name string
-		ctl  func(chips int) Control
+		ctl  Control
 	}{
-		{"off", func(int) Control { return Control{} }},
-		{"admission", func(int) Control { return Control{Admission: true} }},
-		{"autoscale", func(int) Control { return Control{Autoscale: true} }},
-		{"admission+autoscale", func(int) Control { return Control{Admission: true, Autoscale: true} }},
-		{"autoscale-pinned", func(chips int) Control { return Control{Autoscale: true, MinChips: chips} }},
+		{"off", Control{}},
+		{"admission", Control{Admission: true}},
+		{"autoscale", Control{Autoscale: true}},
+		{"admission+autoscale", Control{Admission: true, Autoscale: true}},
 	}
 	twoBand := serve.DefaultClasses()
 	twoBand[0].Priority = 1
@@ -69,7 +68,7 @@ func TestDispatchPinned(t *testing.T) {
 				for _, c := range controls {
 					res, err := Serve(cfg, s, aimtSpec(), pspec.New(), Options{
 						Chips:   chips,
-						Control: c.ctl(chips),
+						Control: c.ctl,
 						Trace:   rtrace.NewStore(rtrace.Options{}),
 					})
 					if err != nil {

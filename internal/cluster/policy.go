@@ -74,7 +74,7 @@ func (v *View) eta(chip int, r Request) arch.Cycles {
 // routing r to chip: the static drain-then-serve arithmetic when the
 // dispatcher has no predictor, or the bounded forward simulation of
 // the chip's recent workload plus r under the predictive policy. The
-// deadline policy and admission control query this seam, so turning
+// predictive policy and admission control query this seam, so turning
 // prediction on upgrades both without changing their logic.
 func (v *View) predictETA(chip int, r Request) arch.Cycles {
 	static := v.eta(chip, r)
@@ -171,20 +171,41 @@ func (classAffinity) Pick(v *View, r Request) int {
 	return best
 }
 
-// Deadline routes to the chip with the earliest feasible completion:
-// the one whose backlog-drain-then-serve estimate finishes soonest,
-// which is also the chip most likely to meet the request's deadline.
-// Ties resolve to the lowest chip index.
-type Deadline struct{}
+// Deadline is least-work under the name the deadline policy had: it
+// routed to the chip whose drain-then-serve estimate,
+// max(freeAt, arrival) + service, finishes soonest. A request's
+// service estimate is the same on every chip, so that is the chip
+// with the least backlog at arrival, with the same lowest-index
+// tie-break. The routing table resolves "deadline" as an alias of
+// "least-work".
+type Deadline = leastWork
+
+// predictive routes to the chip whose forward simulation finishes the
+// request soonest: selecting it (cluster.ByName("predictive") or
+// aimt-serve -route predictive) is what makes Serve build the
+// predictor, with or without the rest of the control plane. Each
+// routing decision then simulates the candidate chips' recent workload
+// plus the request on the real machine model, and admission control
+// sheds on the simulated completion instead of the static one.
+//
+// The trade, measured over 2/4/8 chips, per-chip loads 0.5–3, three
+// mixes and three seeds (EXPERIMENTS.md, "Predictive routing"): with
+// admission on and the cluster far past saturation (per-chip load 3,
+// CNN/RNN mix) it raises goodput over least-work by 6.4–7.4 points at
+// 2 chips and about 1 point at 4 and 8. At loads 0.9 and 1.5 with
+// admission on it loses in every mix — up to 6.8 points on CNN/RNN;
+// without admission it stays within the seed spread. Each routed
+// request costs 46–261 µs of host time, against least-work's
+// 0.02–0.08 µs.
+type predictive struct{}
 
 // Name implements Policy.
-func (Deadline) Name() string { return "deadline" }
+func (predictive) Name() string { return "predictive" }
 
-// Pick implements Policy. It routes through the predictETA seam, so
-// with the predictor attached (the predictive policy) the "earliest
-// feasible completion" is a forward-simulated one; without it the
-// estimate is the static one.
-func (Deadline) Pick(v *View, r Request) int {
+// Pick implements Policy: the chip with the earliest predicted
+// completion, ties to the lowest index. Without the predictor attached
+// (Dispatch) the prediction is the static drain-then-serve estimate.
+func (predictive) Pick(v *View, r Request) int {
 	best := 0
 	bestETA := v.predictETA(0, r)
 	for c := 1; c < v.chips; c++ {
@@ -195,39 +216,29 @@ func (Deadline) Pick(v *View, r Request) int {
 	return best
 }
 
-// predictive is the deadline policy with the forward-simulation
-// predictor attached: selecting it (cluster.ByName("predictive") or
-// aimt-serve -route predictive) is what makes Serve build the
-// predictor, with or without the rest of the control plane. Each
-// routing decision then simulates the candidate chips' recent workload
-// plus the request on the real machine model and picks the chip whose
-// simulation finishes the request soonest.
-type predictive struct{ Deadline }
-
-// Name implements Policy.
-func (predictive) Name() string { return "predictive" }
-
 // Spec names a routing policy and builds a fresh instance per dispatch
 // pass (policies may carry cursor state).
 type Spec struct {
 	// Name labels the policy.
 	Name string
+	// Aliases are further spellings ByName accepts.
+	Aliases []string
 	// New constructs a fresh policy value.
 	New func() Policy
 }
 
-// policies is the one name→factory table for routing. Policies lists
-// the comparison set and ByName resolves every entry. The predictive
-// policy is opt-in: each of its routing decisions costs chip-count
-// forward simulations, so it is compared only when asked for.
+// policies is the one name→factory table for routing, one entry per
+// routing behaviour. Policies lists the comparison set and ByName
+// resolves every entry by name or alias. The predictive policy is
+// opt-in: each of its routing decisions costs chip-count forward
+// simulations, so it is compared only when asked for.
 var policies = []struct {
 	Spec
 	optIn bool
 }{
 	{Spec: Spec{Name: "round-robin", New: func() Policy { return &roundRobin{} }}},
-	{Spec: Spec{Name: "least-work", New: func() Policy { return leastWork{} }}},
+	{Spec: Spec{Name: "least-work", Aliases: []string{"deadline"}, New: func() Policy { return leastWork{} }}},
 	{Spec: Spec{Name: "class-affinity", New: func() Policy { return classAffinity{} }}},
-	{Spec: Spec{Name: "deadline", New: func() Policy { return Deadline{} }}},
 	{Spec: Spec{Name: "predictive", New: func() Policy { return predictive{} }}, optIn: true},
 }
 
@@ -252,12 +263,18 @@ func Names() []string {
 	return out
 }
 
-// ByName resolves any routing policy spec from its name, ignoring case.
+// ByName resolves any routing policy spec from its name or one of its
+// aliases, ignoring case.
 func ByName(name string) (Spec, error) {
 	name = strings.TrimSpace(name)
 	for _, p := range policies {
 		if strings.EqualFold(p.Name, name) {
 			return p.Spec, nil
+		}
+		for _, a := range p.Aliases {
+			if strings.EqualFold(a, name) {
+				return p.Spec, nil
+			}
 		}
 	}
 	return Spec{}, fmt.Errorf("cluster: unknown routing policy %q (have %s)", name, strings.Join(Names(), ", "))

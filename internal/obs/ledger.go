@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"slices"
 	"sync"
 
 	"aimt/internal/arch"
@@ -12,7 +11,8 @@ import (
 // Decision kinds recorded in the ledger. The engine records prefetch,
 // merge-claim and split decisions at its state-transition funnels;
 // the AI-MT scheduler records eviction reservations through the
-// View.NoteEviction seam.
+// View.NoteEviction seam; the cluster dispatcher records shed and
+// scale decisions.
 const (
 	// KindMBPrefetch is one memory block handed to the HBM channel.
 	KindMBPrefetch = "mb-prefetch"
@@ -103,46 +103,38 @@ type Decision struct {
 // admin surface can reconcile against simulator results even for
 // streams far longer than the ring.
 //
-// The ring holds fixed-size, pointer-free entries, so the collector
-// never scans it: kind and stall are stored as slots of the counting
-// vocabularies (a name outside them gets a slot of its own, once), and
-// the sequence number follows from the ring position. A Decision is
-// built only on read, by Each, Tail and WriteJSONL.
+// Its one writer is Fold: decisions are noted into a run-local Log and
+// folded in. The ring holds fixed-size, pointer-free entries, so the
+// collector never scans it: kind and stall are stored as their slots,
+// and the sequence number follows from the ring position. A Decision
+// is built only on read, by Each, Tail and WriteJSONL.
 type Ledger struct {
 	mu       sync.Mutex
 	buf      []entry
 	next     int // ring write position
 	capacity int // cap(buf), immutable, so a Log can read it unlocked
 	total    int64
-	byKind   tally
-	byStall  tally
+	kinds    [numKindSlots]int64
+	stalls   [numStallSlots]int64
 }
 
 // entry is one retained decision: a Decision without its sequence
-// number, with kind and stall as tally slots.
+// number, with kind and stall as slots.
 type entry struct {
 	cycle, availCB, detail, horizon arch.Cycles
 	net, layer, iter                int
 	sramUsed, sramTotal             int
-	kind, stall                     int32
+	kind                            KindSlot
+	stall                           StallSlot
 }
 
-// The closed vocabularies Record counts into fixed slots, most
-// frequent first. The engine's kinds lead, in KindSlot order, and the
-// stalls follow StallSlot order, so a Log's per-slot tallies fold
-// straight into the ledger's.
-var (
-	ledgerKinds = []string{KindMBPrefetch, KindCBMerge, KindEarlyEvict, KindCBSplit,
-		KindPreempt, KindLookahead, KindShed, KindScaleUp, KindScaleDown}
-	ledgerStalls = []string{StallHBM, StallPE, StallNone, ""}
-)
-
-// KindSlot is an engine decision kind as its slot in the closed kind
+// KindSlot is a decision kind as its slot in the closed kind
 // vocabulary: the typed form of a Kind* name that a Log records
 // without comparing strings.
 type KindSlot uint8
 
-// The engine's decision kinds, in vocabulary order.
+// The decision kinds, in vocabulary order: the engine's first, then
+// the cluster dispatcher's.
 const (
 	SlotMBPrefetch KindSlot = iota // KindMBPrefetch
 	SlotCBMerge                    // KindCBMerge
@@ -150,6 +142,9 @@ const (
 	SlotCBSplit                    // KindCBSplit
 	SlotPreempt                    // KindPreempt
 	SlotLookahead                  // KindLookahead
+	SlotShed                       // KindShed
+	SlotScaleUp                    // KindScaleUp
+	SlotScaleDown                  // KindScaleDown
 	numKindSlots
 )
 
@@ -165,75 +160,30 @@ const (
 	numStallSlots
 )
 
-// tally counts names in slots: the vocabulary's first, then each name
-// outside it in order of first use, found through a lazily made
-// index. Counting a vocabulary name hashes nothing.
-type tally struct {
-	names []string
-	slots []int64
-	other map[string]int32 // slot of each name outside the vocabulary
-	vocab int
-}
+// The names of the slots, in slot order.
+var (
+	ledgerKinds = [numKindSlots]string{KindMBPrefetch, KindCBMerge, KindEarlyEvict, KindCBSplit,
+		KindPreempt, KindLookahead, KindShed, KindScaleUp, KindScaleDown}
+	ledgerStalls = [numStallSlots]string{StallHBM, StallPE, StallNone}
+)
 
-func newTally(vocab []string) tally {
-	return tally{names: slices.Clone(vocab), slots: make([]int64, len(vocab)), vocab: len(vocab)}
-}
-
-// slot returns name's slot, or -1 when it has none yet.
-func (t *tally) slot(name string) int32 {
-	for i, n := range t.names[:t.vocab] {
+// countOf returns name's count in tallies indexed like names, or 0 for
+// a name outside the vocabulary.
+func countOf(names []string, tallies []int64, name string) int64 {
+	for i, n := range names {
 		if n == name {
-			return int32(i)
+			return tallies[i]
 		}
-	}
-	if i, ok := t.other[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// addKnown counts one use of a vocabulary name and returns its slot,
-// or returns -1 for a name outside the vocabulary, which addOther then
-// counts. The split keeps addKnown small enough to inline.
-func (t *tally) addKnown(name string) int32 {
-	for i, n := range t.names[:t.vocab] {
-		if n == name {
-			t.slots[i]++
-			return int32(i)
-		}
-	}
-	return -1
-}
-
-// addOther counts one use of a name outside the vocabulary.
-func (t *tally) addOther(name string) int32 {
-	i, ok := t.other[name]
-	if !ok {
-		if t.other == nil {
-			t.other = make(map[string]int32)
-		}
-		i = int32(len(t.names))
-		t.other[name] = i
-		t.names = append(t.names, name)
-		t.slots = append(t.slots, 0)
-	}
-	t.slots[i]++
-	return i
-}
-
-func (t *tally) get(name string) int64 {
-	if i := t.slot(name); i >= 0 {
-		return t.slots[i]
 	}
 	return 0
 }
 
-// counts returns every recorded name's count.
-func (t *tally) counts() map[string]int64 {
-	m := make(map[string]int64, len(t.names))
-	for i, c := range t.slots {
+// countsOf returns every nonzero tally by name.
+func countsOf(names []string, tallies []int64) map[string]int64 {
+	m := make(map[string]int64, len(names))
+	for i, c := range tallies {
 		if c > 0 {
-			m[t.names[i]] = c
+			m[names[i]] = c
 		}
 	}
 	return m
@@ -249,48 +199,13 @@ func NewLedger(capacity int) *Ledger {
 	if capacity <= 0 {
 		capacity = DefaultLedgerCap
 	}
-	return &Ledger{
-		buf:      make([]entry, 0, capacity),
-		capacity: capacity,
-		byKind:   newTally(ledgerKinds),
-		byStall:  newTally(ledgerStalls),
-	}
+	return &Ledger{buf: make([]entry, 0, capacity), capacity: capacity}
 }
 
-// Record appends one decision, assigning its sequence number (d.Seq
-// is ignored).
-func (l *Ledger) Record(d Decision) {
-	l.mu.Lock()
-	var e *entry
-	if len(l.buf) < cap(l.buf) {
-		l.buf = l.buf[:len(l.buf)+1]
-		e = &l.buf[len(l.buf)-1]
-	} else {
-		e = &l.buf[l.next]
-		l.next++
-		if l.next == len(l.buf) {
-			l.next = 0
-		}
-	}
-	// Field by field: a composite literal would be built aside and
-	// block-copied into the ring.
-	e.cycle, e.availCB, e.detail, e.horizon = d.Cycle, d.AvailCB, d.Detail, d.Horizon
-	e.net, e.layer, e.iter = d.Net, d.Layer, d.Iter
-	e.sramUsed, e.sramTotal = d.SRAMUsed, d.SRAMTotal
-	if e.kind = l.byKind.addKnown(d.Kind); e.kind < 0 {
-		e.kind = l.byKind.addOther(d.Kind)
-	}
-	if e.stall = l.byStall.addKnown(d.Stall); e.stall < 0 {
-		e.stall = l.byStall.addOther(d.Stall)
-	}
-	l.total++
-	l.mu.Unlock()
-}
-
-// Log is a run-local decision buffer: one engine fills it without
-// locks or string comparisons while it runs, and Fold publishes it
-// into its ledger in one step. It holds ring entries, so folding is a
-// block copy, and retains at most the ledger's capacity of the newest
+// Log is a run-local decision buffer: one engine run or one dispatch
+// pass fills it without locks or string comparisons, and Fold
+// publishes it into its ledger in one step. It holds ring entries, so
+// folding is a block copy, and retains at most the ledger's capacity of the newest
 // decisions (older ones could never survive the fold) while tallying
 // every decision by slot. Its storage grows to that bound on first use
 // and is reused by every later Reset, so a pooled engine allocates for
@@ -330,7 +245,7 @@ func (g *Log) Note(kind KindSlot, stall StallSlot, cycle arch.Cycles, net, layer
 	e.cycle, e.availCB, e.detail, e.horizon = cycle, availCB, detail, horizon
 	e.net, e.layer, e.iter = net, layer, iter
 	e.sramUsed, e.sramTotal = sramUsed, g.sramTotal
-	e.kind, e.stall = int32(kind), int32(stall)
+	e.kind, e.stall = kind, stall
 	g.kinds[kind]++
 	g.stalls[stall]++
 	g.total++
@@ -347,10 +262,10 @@ func (l *Ledger) Fold(g *Log) {
 	l.appendEntries(g.buf[g.next:])
 	l.appendEntries(g.buf[:g.next])
 	for k, n := range g.kinds {
-		l.byKind.slots[k] += n
+		l.kinds[k] += n
 	}
 	for s, n := range g.stalls {
-		l.byStall.slots[s] += n
+		l.stalls[s] += n
 	}
 	l.total += g.total
 	l.mu.Unlock()
@@ -383,14 +298,14 @@ func (l *Ledger) decision(i int) Decision {
 	return Decision{
 		Seq:       l.total - int64(len(l.buf)) + int64(i),
 		Cycle:     e.cycle,
-		Kind:      l.byKind.names[e.kind],
+		Kind:      ledgerKinds[e.kind],
 		Net:       e.net,
 		Layer:     e.layer,
 		Iter:      e.iter,
 		SRAMUsed:  e.sramUsed,
 		SRAMTotal: e.sramTotal,
 		AvailCB:   e.availCB,
-		Stall:     l.byStall.names[e.stall],
+		Stall:     ledgerStalls[e.stall],
 		Detail:    e.detail,
 		Horizon:   e.horizon,
 	}
@@ -415,7 +330,7 @@ func (l *Ledger) Len() int {
 func (l *Ledger) CountKind(kind string) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.byKind.get(kind)
+	return countOf(ledgerKinds[:], l.kinds[:], kind)
 }
 
 // CountStall returns the lifetime count of decisions attributed to
@@ -423,7 +338,7 @@ func (l *Ledger) CountKind(kind string) int64 {
 func (l *Ledger) CountStall(stall string) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.byStall.get(stall)
+	return countOf(ledgerStalls[:], l.stalls[:], stall)
 }
 
 // Each calls fn on every retained decision, oldest first, stopping
@@ -471,8 +386,8 @@ func (l *Ledger) Summary() LedgerSummary {
 	return LedgerSummary{
 		Total:   l.total,
 		Dropped: l.total - int64(len(l.buf)),
-		ByKind:  l.byKind.counts(),
-		ByStall: l.byStall.counts(),
+		ByKind:  countsOf(ledgerKinds[:], l.kinds[:]),
+		ByStall: countsOf(ledgerStalls[:], l.stalls[:]),
 	}
 }
 

@@ -47,12 +47,10 @@ func (r *refLedger) summary() LedgerSummary {
 	return LedgerSummary{Total: r.total, Dropped: r.total - int64(len(r.buf)), ByKind: r.byKind, ByStall: r.byStall}
 }
 
-// randomDecision draws a decision whose names come from both
-// vocabularies, from outside them and the empty name, and whose
-// integers include the extremes.
-func randomDecision(rng *rand.Rand) Decision {
-	kinds := append(append([]string(nil), ledgerKinds...), "custom", "other-kind", "")
-	stalls := append(append([]string(nil), ledgerStalls...), "odd", "mb-prefetch")
+// randomDecision draws a decision of any kind and stall slot whose
+// integers include the extremes, with the slots it was drawn from.
+func randomDecision(rng *rand.Rand, sramTotal int) (Decision, KindSlot, StallSlot) {
+	kind, stall := KindSlot(rng.Intn(int(numKindSlots))), StallSlot(rng.Intn(int(numStallSlots)))
 	ints := []int{0, 1, -1, 42, math.MaxInt, math.MinInt, math.MaxInt32 + 1}
 	n := func() int {
 		if rng.Intn(3) == 0 {
@@ -62,31 +60,21 @@ func randomDecision(rng *rand.Rand) Decision {
 	}
 	c := func() arch.Cycles { return arch.Cycles(n()) }
 	return Decision{
-		Seq:   int64(n()), // Record assigns its own
-		Cycle: c(), Kind: kinds[rng.Intn(len(kinds))],
+		Cycle: c(), Kind: ledgerKinds[kind],
 		Net: n(), Layer: n(), Iter: n(),
-		SRAMUsed: n(), SRAMTotal: n(), AvailCB: c(),
-		Stall: stalls[rng.Intn(len(stalls))], Detail: c(), Horizon: c(),
-	}
-}
-
-// slotOf returns name's position in vocab.
-func slotOf(vocab []string, name string) (int, bool) {
-	for i, n := range vocab {
-		if n == name {
-			return i, true
-		}
-	}
-	return 0, false
+		SRAMUsed: n(), SRAMTotal: sramTotal, AvailCB: c(),
+		Stall: ledgerStalls[stall], Detail: c(), Horizon: c(),
+	}, kind, stall
 }
 
 // TestLedgerMatchesReference is the ledger's differential test: over
 // random decision streams, across ring wrap and capacity 1, the ledger
 // reads back exactly what the reference ring of plain Decisions holds —
 // Each, Tail, the WriteJSONL bytes, Summary and the lifetime counters.
-// Decisions of the engine's kinds and stalls go, at random, through a
-// run-local Log (itself wrapping) folded in at random points, between
-// directly recorded ones.
+// Every decision goes through a run-local Log (itself wrapping when
+// more than the ledger's capacity is noted between folds), folded in at
+// random points; the Log is reset at random points too, as each engine
+// run or dispatch pass resets its own, on a machine of its own size.
 func TestLedgerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var g Log
@@ -96,19 +84,16 @@ func TestLedgerMatchesReference(t *testing.T) {
 		sramTotal := rng.Intn(1000)
 		g.Reset(l, sramTotal)
 		for i, steps := 0, rng.Intn(4*capacity+10); i < steps; i++ {
-			d := randomDecision(rng)
-			kind, kok := slotOf(ledgerKinds[:numKindSlots], d.Kind)
-			stall, sok := slotOf(ledgerStalls[:numStallSlots], d.Stall)
-			if kok && sok && rng.Intn(2) == 0 {
-				d.SRAMTotal = sramTotal
-				g.Note(KindSlot(kind), StallSlot(stall), d.Cycle, d.Net, d.Layer, d.Iter, d.SRAMUsed, d.AvailCB, d.Detail, d.Horizon)
-			} else {
-				l.Fold(&g)
-				l.Record(d)
-			}
+			d, kind, stall := randomDecision(rng, sramTotal)
+			g.Note(kind, stall, d.Cycle, d.Net, d.Layer, d.Iter, d.SRAMUsed, d.AvailCB, d.Detail, d.Horizon)
 			ref.record(d)
-			if rng.Intn(5) == 0 {
+			switch rng.Intn(8) {
+			case 0:
 				l.Fold(&g)
+			case 1:
+				l.Fold(&g)
+				sramTotal = rng.Intn(1000)
+				g.Reset(l, sramTotal)
 			}
 		}
 		l.Fold(&g)
@@ -150,7 +135,7 @@ func TestLedgerMatchesReference(t *testing.T) {
 		if l.Total() != ref.total || l.Len() != len(ref.buf) {
 			t.Fatalf("trial %d: total/len %d/%d, want %d/%d", trial, l.Total(), l.Len(), ref.total, len(ref.buf))
 		}
-		for _, k := range []string{KindMBPrefetch, KindShed, "custom", "", "never"} {
+		for _, k := range []string{KindMBPrefetch, KindShed, KindScaleDown, StallPE, StallNone, "", "never"} {
 			if got := l.CountKind(k); got != ref.byKind[k] {
 				t.Fatalf("trial %d: CountKind(%q) = %d, want %d", trial, k, got, ref.byKind[k])
 			}
@@ -166,7 +151,8 @@ func TestLedgerMatchesReference(t *testing.T) {
 // position.
 func TestSlotsMatchVocabularies(t *testing.T) {
 	kinds := map[KindSlot]string{SlotMBPrefetch: KindMBPrefetch, SlotCBMerge: KindCBMerge,
-		SlotEarlyEvict: KindEarlyEvict, SlotCBSplit: KindCBSplit, SlotPreempt: KindPreempt, SlotLookahead: KindLookahead}
+		SlotEarlyEvict: KindEarlyEvict, SlotCBSplit: KindCBSplit, SlotPreempt: KindPreempt, SlotLookahead: KindLookahead,
+		SlotShed: KindShed, SlotScaleUp: KindScaleUp, SlotScaleDown: KindScaleDown}
 	if len(kinds) != int(numKindSlots) {
 		t.Fatalf("%d kind slots named, want %d", len(kinds), numKindSlots)
 	}

@@ -12,13 +12,19 @@ import (
 
 func TestLedgerRingEviction(t *testing.T) {
 	l := NewLedger(4)
+	var g Log
+	g.Reset(l, 0)
 	for i := 0; i < 10; i++ {
-		kind := KindMBPrefetch
+		kind := SlotMBPrefetch
 		if i%2 == 1 {
-			kind = KindCBMerge
+			kind = SlotCBMerge
 		}
-		l.Record(Decision{Cycle: arch.Cycles(100 * i), Kind: kind, Stall: StallNone})
+		g.Note(kind, SlotNone, arch.Cycles(100*i), 0, 0, 0, 0, 0, 0, 0)
+		if i%3 == 2 {
+			l.Fold(&g)
+		}
 	}
+	l.Fold(&g)
 	if dropped := l.Summary().Dropped; l.Len() != 4 || l.Total() != 10 || dropped != 6 {
 		t.Fatalf("len/total/dropped = %d/%d/%d, want 4/10/6", l.Len(), l.Total(), dropped)
 	}
@@ -61,17 +67,20 @@ func TestLedgerRingEviction(t *testing.T) {
 }
 
 // TestLedgerSummaryKeys pins the counting vocabulary: Summary lists
-// exactly the kinds and stalls that were recorded, known or not, and
-// the counters agree with it.
+// exactly the kinds and stalls that were recorded, the counters agree
+// with it, and a name outside the vocabulary counts zero.
 func TestLedgerSummaryKeys(t *testing.T) {
 	l := NewLedger(2)
-	l.Record(Decision{Kind: KindShed})
-	l.Record(Decision{Kind: KindCBSplit, Stall: StallPE})
-	l.Record(Decision{Kind: "custom", Stall: "odd"})
-	l.Record(Decision{Kind: "custom", Stall: StallPE})
+	var g Log
+	g.Reset(l, 0)
+	g.Note(SlotShed, SlotNone, 0, 0, 0, 0, 0, 0, 0, 0)
+	g.Note(SlotCBSplit, SlotPE, 0, 0, 0, 0, 0, 0, 0, 0)
+	g.Note(SlotScaleDown, SlotHBM, 0, 0, 0, 0, 0, 0, 0, 0)
+	g.Note(SlotScaleDown, SlotPE, 0, 0, 0, 0, 0, 0, 0, 0)
+	l.Fold(&g)
 	sum := l.Summary()
-	wantKind := map[string]int64{KindShed: 1, KindCBSplit: 1, "custom": 2}
-	wantStall := map[string]int64{"": 1, StallPE: 2, "odd": 1}
+	wantKind := map[string]int64{KindShed: 1, KindCBSplit: 1, KindScaleDown: 2}
+	wantStall := map[string]int64{StallNone: 1, StallPE: 2, StallHBM: 1}
 	if !reflect.DeepEqual(sum.ByKind, wantKind) || !reflect.DeepEqual(sum.ByStall, wantStall) {
 		t.Errorf("Summary by kind %v, by stall %v; want %v, %v", sum.ByKind, sum.ByStall, wantKind, wantStall)
 	}
@@ -85,7 +94,7 @@ func TestLedgerSummaryKeys(t *testing.T) {
 			t.Errorf("CountStall(%q) = %d, want %d", k, got, n)
 		}
 	}
-	if got := l.CountKind(KindMBPrefetch) + l.CountStall(StallHBM) + l.CountKind("never"); got != 0 {
+	if got := l.CountKind(KindMBPrefetch) + l.CountKind("never") + l.CountStall("") + l.CountStall(KindShed); got != 0 {
 		t.Errorf("unrecorded names count %d, want 0", got)
 	}
 	if got := NewLedger(1).Summary(); got.ByKind == nil || len(got.ByKind) != 0 || got.ByStall == nil || len(got.ByStall) != 0 {
@@ -95,9 +104,12 @@ func TestLedgerSummaryKeys(t *testing.T) {
 
 func TestLedgerEachEarlyStop(t *testing.T) {
 	l := NewLedger(8)
+	var g Log
+	g.Reset(l, 0)
 	for i := 0; i < 5; i++ {
-		l.Record(Decision{Kind: KindCBMerge, Stall: StallNone})
+		g.Note(SlotCBMerge, SlotNone, 0, 0, 0, 0, 0, 0, 0, 0)
 	}
+	l.Fold(&g)
 	seen := 0
 	l.Each(func(Decision) bool {
 		seen++

@@ -140,12 +140,13 @@ func fixedRegistry() (*Registry, *Ledger) {
 		h.Observe(v)
 	}
 	led := NewLedger(8)
-	led.Record(Decision{Cycle: 100, Kind: KindMBPrefetch, Net: 0, Layer: 1, Iter: 2,
-		SRAMUsed: 4, SRAMTotal: 8, AvailCB: 60, Stall: StallNone, Detail: 50})
-	led.Record(Decision{Cycle: 160, Kind: KindEarlyEvict, Net: 1, Layer: 0, Iter: 0,
-		SRAMUsed: 8, SRAMTotal: 8, AvailCB: 10, Stall: StallPE, Detail: 240})
-	led.Record(Decision{Cycle: 400, Kind: KindCBSplit, Net: 0, Layer: 1, Iter: 3,
-		SRAMUsed: 6, SRAMTotal: 8, Stall: StallPE, Detail: 1200})
+	var g Log
+	g.Reset(led, 8)
+	// kind, stall, cycle, net, layer, iter, SRAM used, AVL_CB, detail, horizon
+	g.Note(SlotMBPrefetch, SlotNone, 100, 0, 1, 2, 4, 60, 50, 0)
+	g.Note(SlotEarlyEvict, SlotPE, 160, 1, 0, 0, 8, 10, 240, 0)
+	g.Note(SlotCBSplit, SlotPE, 400, 0, 1, 3, 6, 0, 1200, 0)
+	led.Fold(&g)
 	return reg, led
 }
 

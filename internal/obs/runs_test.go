@@ -50,10 +50,13 @@ func dashboardFixture() ([]runstore.Run, *Ledger) {
 		serve("run-000004", "FIFO", "1.10", 240000, 0.31),
 	}
 	led := NewLedger(16)
-	led.Record(Decision{Cycle: 100, Kind: KindMBPrefetch, Detail: 64})
-	led.Record(Decision{Cycle: 220, Kind: KindCBMerge, Detail: 32})
-	led.Record(Decision{Cycle: 400, Kind: KindMBPrefetch, Detail: 64})
-	led.Record(Decision{Cycle: 950, Kind: KindCBSplit, Detail: 12})
+	var g Log
+	g.Reset(led, 0)
+	g.Note(SlotMBPrefetch, SlotNone, 100, 0, 0, 0, 0, 0, 64, 0)
+	g.Note(SlotCBMerge, SlotNone, 220, 0, 0, 0, 0, 0, 32, 0)
+	g.Note(SlotMBPrefetch, SlotNone, 400, 0, 0, 0, 0, 0, 64, 0)
+	g.Note(SlotCBSplit, SlotNone, 950, 0, 0, 0, 0, 0, 12, 0)
+	led.Fold(&g)
 	return runs, led
 }
 

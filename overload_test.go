@@ -175,11 +175,11 @@ func TestAdmissionProperties(t *testing.T) {
 	}
 }
 
-// TestControlPlaneOffDifferential extends the PR 4 one-chip anchor to
-// the control plane: with admission off, priorities uniform, and the
-// autoscaler pinned at the full cluster, the controlled serve path
-// must be bit-identical to the uncontrolled one — same raw chip
-// results, same assignment, same aggregate report.
+// TestControlPlaneOffDifferential extends the one-chip anchor to the
+// control plane: with admission off, priorities uniform, and an
+// autoscaler with no chip to add, the controlled serve path must be
+// bit-identical to the uncontrolled one — same raw chip results, same
+// assignment, same aggregate report.
 func TestControlPlaneOffDifferential(t *testing.T) {
 	cfg := PaperConfig()
 	classes := DefaultServingClasses() // uniform zero priorities
@@ -202,17 +202,18 @@ func TestControlPlaneOffDifferential(t *testing.T) {
 		}
 	}
 
-	// Full cluster: control plane present but neutralized (admission
-	// off, autoscaler pinned at MinChips == Chips) must match the
-	// control-plane-off run field for field.
+	// Control plane present but neutralized (admission off, the
+	// autoscaler on a one-chip cluster, which starts at its one-chip
+	// floor with nothing to grow into) must match the control-plane-off
+	// run field for field.
 	for _, pspec := range ClusterPolicies() {
-		off, err := cluster.Serve(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{Chips: 2})
+		off, err := cluster.Serve(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{Chips: 1})
 		if err != nil {
 			t.Fatalf("%s off: %v", pspec.Name, err)
 		}
 		pin, err := cluster.Serve(cfg, stream, serveSpec(t, "AI-MT+Prio"), pspec.New(), ClusterOptions{
-			Chips:   2,
-			Control: ClusterControl{Autoscale: true, MinChips: 2},
+			Chips:   1,
+			Control: ClusterControl{Autoscale: true},
 		})
 		if err != nil {
 			t.Fatalf("%s pinned: %v", pspec.Name, err)
@@ -230,8 +231,8 @@ func TestControlPlaneOffDifferential(t *testing.T) {
 			t.Errorf("%s: neutralized control plane acted: %d shed, %d ups, %d downs",
 				pspec.Name, pin.ShedCount, pin.ScaleUps, pin.ScaleDowns)
 		}
-		if pin.ActiveChips != 2 {
-			t.Errorf("%s: pinned active chips %d, want 2", pspec.Name, pin.ActiveChips)
+		if pin.ActiveChips != 1 {
+			t.Errorf("%s: pinned active chips %d, want 1", pspec.Name, pin.ActiveChips)
 		}
 	}
 }

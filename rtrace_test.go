@@ -142,6 +142,8 @@ func TestClusterSpansReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// "deadline" is least-work's alias: it resolves through the facade
+	// and must reconcile exactly as least-work does.
 	for _, polName := range []string{"least-work", "deadline"} {
 		for _, ctl := range []ClusterControl{{}, {Admission: true}} {
 			name := polName

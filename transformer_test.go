@@ -141,7 +141,7 @@ func TestTransformerPhaseConservation(t *testing.T) {
 		for _, pol := range ClusterPolicies() {
 			for _, ctl := range []ClusterControl{
 				{},
-				{Admission: true, Autoscale: true, MinChips: 1},
+				{Admission: true, Autoscale: true},
 			} {
 				label := fmt.Sprintf("%s/%s/admission=%v", spec.Name, pol.Name, ctl.Admission)
 				res, err := cluster.Serve(cfg, s, spec, pol.New(), ClusterOptions{
