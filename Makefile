@@ -13,8 +13,10 @@ GO ?= go
 # and ledger layers on their own, ServeStreamObserved is the admin
 # daemon's fully observed serving unit end to end, and Cluster8 is one
 # cluster.Serve call over 8 chips with least-work routing (the
-# cluster.Deadline type) and admission.
-BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkServeStreamObserved|BenchmarkCluster8|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkBuild|BenchmarkLedgerNote
+# cluster.Deadline type) and admission. NewStream is the stream layer
+# alone: compiling the classes and drawing Cluster8's 4000-request
+# transformer stream, the set-up every serving run starts from.
+BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkServeStreamObserved|BenchmarkCluster8|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkBuild|BenchmarkLedgerNote|BenchmarkNewStream
 
 .PHONY: check build test race vet benchmod lint fuzz-short bench benchall benchcheck bench-compare profile golden
 
@@ -68,7 +70,7 @@ fuzz-short:
 # so the BENCH_*.json series accumulates as run history for /runs.
 BENCH_OUT ?= BENCH_24.json
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . ./internal/sim ./internal/rtrace ./internal/obs | tee bench.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . ./internal/sim ./internal/rtrace ./internal/obs ./internal/serve | tee bench.txt
 	$(GO) run ./cmd/aimt-benchjson -in bench.txt -out $(BENCH_OUT)
 
 # Gate against the checked-in baseline; fails only on gross (2×)

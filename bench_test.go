@@ -523,19 +523,32 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(blocks), "blocks/op")
 }
 
-// BenchmarkServeStream measures serving-path engine speed: a
-// 10k-request open-loop stream near saturation under the full AI-MT
-// stack — the workload whose event count makes candidate-scan cost the
-// binding constraint (see the frontier tracking in internal/sim).
-func BenchmarkServeStream(b *testing.B) {
-	cfg := PaperConfig()
-	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
-		Requests: 10_000,
-		Seed:     7,
-	})
+// benchServeStream draws the serving benchmarks' stream: 10,000
+// DefaultClasses requests, Poisson arrivals at offered load 0.9, seed
+// 7 — the stream of the serve-poisson and serve-rtrace harness
+// workloads.
+func benchServeStream(b *testing.B, cfg Config) *serve.Stream {
+	b.Helper()
+	classes := serve.DefaultClasses()
+	gaps, err := serve.Gaps(cfg, classes, 0.9)
 	if err != nil {
 		b.Fatal(err)
 	}
+	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: 10_000, MeanGap: gaps[0], Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkServeStream measures serving-path engine speed: a
+// 10k-request open-loop stream near saturation (offered load 0.9)
+// under the full AI-MT stack — the workload whose event count makes
+// candidate-scan cost the binding constraint (see the frontier
+// tracking in internal/sim).
+func BenchmarkServeStream(b *testing.B) {
+	cfg := PaperConfig()
+	stream := benchServeStream(b, cfg)
 	var blocks int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -556,13 +569,7 @@ func BenchmarkServeStream(b *testing.B) {
 // every checked test run pay.
 func BenchmarkServeStreamChecked(b *testing.B) {
 	cfg := PaperConfig()
-	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
-		Requests: 10_000,
-		Seed:     7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	stream := benchServeStream(b, cfg)
 	var blocks int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -582,13 +589,7 @@ func BenchmarkServeStreamChecked(b *testing.B) {
 // of explaining every request's latency.
 func BenchmarkServeStreamTraced(b *testing.B) {
 	cfg := PaperConfig()
-	stream, err := serve.NewStream(cfg, DefaultServingClasses(), ServeStreamOptions{
-		Requests: 10_000,
-		Seed:     7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	stream := benchServeStream(b, cfg)
 	st := NewRequestTraceStore(RequestTraceOptions{SampleEvery: 16})
 	var spans int
 	b.ResetTimer()
@@ -614,15 +615,7 @@ func BenchmarkServeStreamTraced(b *testing.B) {
 // scrape. It is what observation costs end to end.
 func BenchmarkServeStreamObserved(b *testing.B) {
 	cfg := PaperConfig()
-	classes := serve.DefaultClasses()
-	gaps, err := serve.Gaps(cfg, classes, 0.9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: 10_000, MeanGap: gaps[0], Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := benchServeStream(b, cfg)
 	var blocks int
 	b.ReportAllocs()
 	b.ResetTimer()

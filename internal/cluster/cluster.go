@@ -274,12 +274,26 @@ func (r *run) route(cfg arch.Config, opts *Options) error {
 	if err != nil {
 		return err
 	}
-	r.perChip = make([][]int, r.chips)
-	for i, c := range r.assign {
-		if c < 0 {
-			continue // shed at the front door, never reached a chip
+	// Count each chip's entries, then cut every chip's index list from
+	// one backing array at its final length.
+	counts := make([]int, r.chips)
+	routed := 0
+	for _, c := range r.assign {
+		if c >= 0 { // c < 0: shed at the front door, never reached a chip
+			counts[c]++
+			routed++
 		}
-		r.perChip[c] = append(r.perChip[c], i)
+	}
+	r.perChip = make([][]int, r.chips)
+	flat, off := make([]int, routed), 0
+	for c, n := range counts {
+		r.perChip[c] = flat[off : off : off+n]
+		off += n
+	}
+	for i, c := range r.assign {
+		if c >= 0 {
+			r.perChip[c] = append(r.perChip[c], i)
+		}
 	}
 	r.subs = make([]*serve.Stream, r.chips)
 	for c, idx := range r.perChip {

@@ -16,6 +16,9 @@ import (
 // outside the timer.
 func BenchmarkBuild(b *testing.B) {
 	cfg := arch.PaperConfig()
+	if err := cfg.Validate(); err != nil {
+		b.Fatal(err)
+	}
 	s, err := serve.NewStream(cfg, serve.DefaultClasses(), serve.StreamOptions{Requests: 2000, Seed: 7})
 	if err != nil {
 		b.Fatal(err)

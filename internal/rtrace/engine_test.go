@@ -26,10 +26,12 @@ func (t tee) Event(engine, name string, net, layer, iter int, start, end arch.Cy
 
 // preemptingStream draws a stream that splits compute blocks: a
 // low-priority class of long convolutions and a premium class of small
-// fully connected requests, served by AI-MT with preemption.
+// fully connected requests, served by AI-MT with preemption. The
+// convolutions are 112x112 so that their compute blocks outlast
+// AI-MT's minimum split length of four pipeline fills.
 func preemptingStream(t *testing.T, cfg arch.Config) (*serve.Stream, serve.SchedulerSpec) {
 	t.Helper()
-	big := nn.NewBuilder("batch-conv", 64, 56, 56)
+	big := nn.NewBuilder("batch-conv", 64, 112, 112)
 	big.Conv("conv1", 64, 3, 1, 1)
 	big.Conv("conv2", 64, 3, 1, 1)
 	small := nn.NewBuilder("premium-fc", 256, 1, 1)
@@ -63,6 +65,9 @@ func preemptingStream(t *testing.T, cfg arch.Config) (*serve.Stream, serve.Sched
 // produce exactly the reference builder's spans.
 func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 	cfg := arch.PaperConfig()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	s, spec := preemptingStream(t, cfg)
 	n := len(s.Nets)
 

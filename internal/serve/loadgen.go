@@ -14,6 +14,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"aimt/internal/arch"
 	"aimt/internal/compiler"
@@ -366,7 +367,7 @@ func (s *Stream) EntryService(i int) arch.Cycles {
 // SubStream returns an error otherwise. Class metadata, MeanService and MeanGap
 // are inherited from the parent; per-entry slices are fresh copies
 // (ReqOf keeps the parent's request ids; ChainAfter is remapped to
-// local indices).
+// local indices: a predecessor must come before its decode entry).
 func (s *Stream) SubStream(name string, indices []int) (*Stream, error) {
 	sub := &Stream{
 		Name:               name,
@@ -394,14 +395,18 @@ func (s *Stream) SubStream(name string, indices []int) (*Stream, error) {
 		sub.PhaseOf = make([]Phase, len(indices))
 		sub.ChainAfter = make([]int, len(indices))
 		sub.Requests = 0
-		local := make(map[int]int, len(indices))
 		for i, gi := range indices {
-			local[gi] = i
 			sub.ReqOf[i] = s.ReqOf[gi]
 			sub.PhaseOf[i] = s.PhaseOf[gi]
 			if p := s.ChainAfter[gi]; p >= 0 {
-				lp, ok := local[p]
-				if !ok {
+				// NewStream lays a request's phases out contiguously, so
+				// the predecessor is almost always the previous index;
+				// a hand-built chain falls back to a binary search.
+				lp := i - 1
+				if lp < 0 || indices[lp] != p {
+					lp = sort.SearchInts(indices[:i], p)
+				}
+				if lp == i || indices[lp] != p {
 					return nil, fmt.Errorf("serve: SubStream %q: entry %d chained after %d, which is not included", name, gi, p)
 				}
 				sub.ChainAfter[i] = lp
@@ -440,11 +445,29 @@ type compiledMix struct {
 	phased bool
 }
 
+// checkValidated rejects a config that arch.Config.Validate would still
+// change or refuse. An unvalidated preset (FillLatency 0) compiles
+// without error but gives other service estimates, so every deadline
+// and every load-to-gap conversion would silently move.
+func checkValidated(cfg arch.Config) error {
+	v := cfg
+	if err := v.Validate(); err != nil {
+		return fmt.Errorf("serve: invalid config: %w", err)
+	}
+	if v != cfg {
+		return fmt.Errorf("serve: config not validated (FillLatency %d): call arch.Config.Validate first", cfg.FillLatency)
+	}
+	return nil
+}
+
 // compileClasses compiles every class for cfg and derives the mix's
 // mean service estimate.
 func compileClasses(cfg arch.Config, classes []Class) (*compiledMix, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("serve: empty class list")
+	}
+	if err := checkValidated(cfg); err != nil {
+		return nil, err
 	}
 	m := &compiledMix{classes: make([]compiledClass, 0, len(classes))}
 	for i, c := range classes {
@@ -501,6 +524,7 @@ func compileClasses(cfg arch.Config, classes []Class) (*compiledMix, error) {
 // offer them for a stream of these classes: the mix's mean service
 // estimate over each load, at least one cycle. Loads are in single-chip
 // capacities, so a cluster of N chips at per-chip load L passes L*N.
+// cfg must have been through arch.Config.Validate.
 func Gaps(cfg arch.Config, classes []Class, loads ...float64) ([]arch.Cycles, error) {
 	m, err := compileClasses(cfg, classes)
 	if err != nil {
@@ -518,12 +542,23 @@ func Gaps(cfg arch.Config, classes []Class, loads ...float64) ([]arch.Cycles, er
 
 // NewStream compiles the classes for cfg and draws a reproducible
 // open-loop request stream: weighted class picks, arrival gaps from
-// the chosen process, and per-request deadlines.
+// the chosen process, and per-request deadlines. cfg must have been
+// through arch.Config.Validate.
+//
+// Every per-entry slice is allocated once, at its final length: a
+// single-phase stream has exactly Requests entries, and a phased one
+// learns its entry count from a counting pass that replays the same
+// draws from a second generator with the same seed.
 func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, error) {
 	m, err := compileClasses(cfg, classes)
 	if err != nil {
 		return nil, err
 	}
+	return m.stream(opts), nil
+}
+
+// stream draws a stream from the compiled mix; see NewStream.
+func (m *compiledMix) stream(opts StreamOptions) *Stream {
 	if opts.Requests <= 0 {
 		opts.Requests = 1024
 	}
@@ -533,7 +568,6 @@ func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, e
 	if opts.BurstLen <= 0 {
 		opts.BurstLen = 8
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	s := &Stream{
 		Name:        fmt.Sprintf("%s-load%.2f", opts.Process, m.meanService/float64(opts.MeanGap)),
 		MeanService: m.meanService,
@@ -548,56 +582,91 @@ func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, e
 		s.ClassPriority = append(s.ClassPriority, cc.prio)
 	}
 
-	var t arch.Cycles
-	for i := 0; i < opts.Requests; i++ {
-		// Weighted class pick.
-		pick := rng.Float64() * m.totalW
-		ci := 0
-		for ci < len(m.weights)-1 && pick >= m.weights[ci] {
-			pick -= m.weights[ci]
-			ci++
+	n := opts.Requests
+	if m.phased {
+		n = 0
+		d := newDrawer(m, opts)
+		for range opts.Requests {
+			ci, _ := d.next()
+			n += 1 + m.classes[ci].decodeIters
 		}
-		cc := m.classes[ci]
-		head := len(s.Nets)
-		headDeadline := t + arch.Cycles(cc.slack*float64(cc.service))
-		s.Nets = append(s.Nets, cc.net)
-		s.Arrivals = append(s.Arrivals, t)
-		s.Deadlines = append(s.Deadlines, headDeadline)
-		s.ClassOf = append(s.ClassOf, ci)
-		if m.phased {
-			phase := PhaseSingle
-			if cc.decode != nil {
-				phase = PhasePrefill
-			}
-			s.ReqOf = append(s.ReqOf, i)
-			s.PhaseOf = append(s.PhaseOf, phase)
-			s.ChainAfter = append(s.ChainAfter, -1)
-			// Decode iterations share the request's arrival cycle; the
-			// simulator chains each one after its predecessor, and the
-			// deadline ladder gives every token its own budget on top of
-			// the prefill deadline.
-			for k := 1; k <= cc.decodeIters; k++ {
-				s.Nets = append(s.Nets, cc.decode)
-				s.Arrivals = append(s.Arrivals, t)
-				s.Deadlines = append(s.Deadlines, headDeadline+arch.Cycles(k)*cc.tokenBudget)
-				s.ClassOf = append(s.ClassOf, ci)
-				s.ReqOf = append(s.ReqOf, i)
-				s.PhaseOf = append(s.PhaseOf, PhaseDecode)
-				s.ChainAfter = append(s.ChainAfter, head+k-1)
-			}
-		}
+		s.ReqOf = make([]int, n)
+		s.PhaseOf = make([]Phase, n)
+		s.ChainAfter = make([]int, n)
+	}
+	s.Nets = make([]*compiler.CompiledNetwork, n)
+	s.Arrivals = make([]arch.Cycles, n)
+	s.Deadlines = make([]arch.Cycles, n)
+	s.ClassOf = make([]int, n)
 
-		// Next gap. Both processes have mean MeanGap so offered load is
-		// process-independent; Bursty concentrates it into geometric
-		// back-to-back trains separated by long silences.
-		switch opts.Process {
-		case Bursty:
-			if rng.Float64() < 1/float64(opts.BurstLen) {
-				t += arch.Cycles(rng.ExpFloat64() * float64(opts.MeanGap) * float64(opts.BurstLen))
-			}
-		default:
-			t += arch.Cycles(rng.ExpFloat64() * float64(opts.MeanGap))
+	d := newDrawer(m, opts)
+	e := 0 // next entry
+	for i := range opts.Requests {
+		ci, t := d.next()
+		cc := m.classes[ci]
+		head := e
+		headDeadline := t + arch.Cycles(cc.slack*float64(cc.service))
+		s.Nets[e], s.Arrivals[e], s.Deadlines[e], s.ClassOf[e] = cc.net, t, headDeadline, ci
+		e++
+		if !m.phased {
+			continue
+		}
+		s.ReqOf[head], s.ChainAfter[head] = i, -1
+		if cc.decode != nil {
+			s.PhaseOf[head] = PhasePrefill
+		}
+		// Decode iterations share the request's arrival cycle; the
+		// simulator chains each one after its predecessor, and the
+		// deadline ladder gives every token its own budget on top of
+		// the prefill deadline.
+		for k := 1; k <= cc.decodeIters; k++ {
+			s.Nets[e], s.Arrivals[e], s.ClassOf[e] = cc.decode, t, ci
+			s.Deadlines[e] = headDeadline + arch.Cycles(k)*cc.tokenBudget
+			s.ReqOf[e], s.PhaseOf[e], s.ChainAfter[e] = i, PhaseDecode, e-1
+			e++
 		}
 	}
-	return s, nil
+	return s
+}
+
+// drawer replays a stream's random draws in generation order: each
+// request's weighted class pick, then the gap to the next arrival.
+// NewStream's counting pass and its filling pass each run one from the
+// same seed, so both see the same requests.
+type drawer struct {
+	rng  *rand.Rand
+	m    *compiledMix
+	opts StreamOptions
+	t    arch.Cycles // arrival cycle of the next request
+}
+
+func newDrawer(m *compiledMix, opts StreamOptions) *drawer {
+	return &drawer{rng: rand.New(rand.NewSource(opts.Seed)), m: m, opts: opts}
+}
+
+// next draws one request: its class index and arrival cycle.
+func (d *drawer) next() (int, arch.Cycles) {
+	// Weighted class pick.
+	pick := d.rng.Float64() * d.m.totalW
+	ci := 0
+	for ci < len(d.m.weights)-1 && pick >= d.m.weights[ci] {
+		pick -= d.m.weights[ci]
+		ci++
+	}
+	t := d.t
+
+	// Next gap. Both processes have mean MeanGap so offered load is
+	// process-independent; Bursty concentrates it into geometric
+	// back-to-back trains separated by long silences.
+	gap := float64(d.opts.MeanGap)
+	switch d.opts.Process {
+	case Bursty:
+		burst := float64(d.opts.BurstLen)
+		if d.rng.Float64() < 1/burst {
+			d.t += arch.Cycles(d.rng.ExpFloat64() * gap * burst)
+		}
+	default:
+		d.t += arch.Cycles(d.rng.ExpFloat64() * gap)
+	}
+	return ci, t
 }

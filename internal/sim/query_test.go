@@ -151,6 +151,9 @@ func (p *queryProbe) check(v *sim.View) {
 // CB-frontier net index) on.
 func TestRotationQueriesMatchReference(t *testing.T) {
 	cfg := arch.PaperConfig()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	zoo := []string{"RN34", "RN50", "MN", "GNMT", "VGG16"}
 	compiled := map[string][]*compiler.CompiledNetwork{}
 	for _, name := range zoo {
