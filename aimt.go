@@ -17,8 +17,9 @@
 //	    aimt.NewAIMT(cfg, aimt.AllMechanisms()), aimt.RunOptions{})
 //	fmt.Println(res.Makespan, res.PEUtilization())
 //
-// The experiment drivers (Fig5Data ... Table3Rows) regenerate the
-// paper's evaluation; see EXPERIMENTS.md.
+// Experiments lists one entry per table and figure of the paper's
+// evaluation (and of the extensions), each rendering its rows for a
+// Config; see EXPERIMENTS.md.
 package aimt
 
 import (

@@ -53,10 +53,10 @@ func BenchmarkTable2_Workloads(b *testing.B) {
 // FC tail's memory fraction.
 func BenchmarkFig5_VGG16LatencyRatio(b *testing.B) {
 	cfg := PaperConfig()
-	var rows []LayerRatio
+	var rows []analysis.LayerRatio
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = Fig5Data(cfg)
+		rows, err = fig5Data(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,36 +69,36 @@ func BenchmarkFig5_VGG16LatencyRatio(b *testing.B) {
 // round-robin and reports the mean utilizations Fig 7 plots.
 func BenchmarkFig7_RRUtilization(b *testing.B) {
 	cfg := PaperConfig()
-	var rows []MixOutcome
+	var g figGrid
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = Fig7Data(cfg)
+		g, err = fig7Grid(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	var pe, mem float64
-	for _, r := range rows {
-		pe += r.PEUtil
-		mem += r.MemUtil
+	for r := range g.rows {
+		pe += g.out[r][0].Res.PEUtilization()
+		mem += g.out[r][0].Res.MemUtilization()
 	}
-	b.ReportMetric(pe/float64(len(rows)), "pe-util")
-	b.ReportMetric(mem/float64(len(rows)), "mem-util")
+	b.ReportMetric(pe/float64(len(g.rows)), "pe-util")
+	b.ReportMetric(mem/float64(len(g.rows)), "mem-util")
 }
 
 // BenchmarkFig8_BaselineSpeedup reports the geomean speedup of each
 // baseline policy over FIFO.
 func BenchmarkFig8_BaselineSpeedup(b *testing.B) {
 	cfg := PaperConfig()
-	var rows []MixOutcome
+	var g figGrid
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = Fig8Data(cfg)
+		g, err = fig8Grid(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportGeomeans(b, rows)
+	reportGeomeans(b, g)
 }
 
 // BenchmarkFig10_PrefetchSRAM reports the largest per-layer prefetch
@@ -108,7 +108,7 @@ func BenchmarkFig10_PrefetchSRAM(b *testing.B) {
 	var data map[string][]analysis.PrefetchDemand
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = Fig10Data(cfg)
+		data, err = fig10Data(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,28 +127,22 @@ func BenchmarkFig10_PrefetchSRAM(b *testing.B) {
 // ablation.
 func BenchmarkFig14_AIMTSpeedup(b *testing.B) {
 	cfg := PaperConfig()
-	var rows []MixOutcome
+	var g figGrid
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = Fig14Data(cfg)
+		g, err = fig14Grid(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportGeomeans(b, rows)
+	reportGeomeans(b, g)
 }
 
-func reportGeomeans(b *testing.B, rows []MixOutcome) {
-	bySched := map[string][]float64{}
-	var order []string
-	for _, r := range rows {
-		if _, ok := bySched[r.Scheduler]; !ok {
-			order = append(order, r.Scheduler)
-		}
-		bySched[r.Scheduler] = append(bySched[r.Scheduler], r.Speedup)
-	}
-	for _, s := range order {
-		b.ReportMetric(metrics.GeoMean(bySched[s]), s+"-speedup")
+// reportGeomeans reports each scheduler column's geomean speedup over
+// the grid's baseline column.
+func reportGeomeans(b *testing.B, g figGrid) {
+	for c, o := range g.out[0][1:] {
+		b.ReportMetric(g.geomean(c+1), o.Scheduler+"-speedup")
 	}
 }
 
@@ -156,20 +150,20 @@ func reportGeomeans(b *testing.B, rows []MixOutcome) {
 // and reports the full design's speedup over FIFO.
 func BenchmarkFig15_BatchSensitivity(b *testing.B) {
 	cfg := PaperConfig()
-	for _, batch := range Fig15Batches {
+	for _, batch := range fig15Batches {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			var pts []BatchPoint
+			var g figGrid
 			for i := 0; i < b.N; i++ {
 				var err error
-				pts, err = Fig15Data(cfg, []int{batch})
+				g, err = fig15Grid(cfg, []int{batch})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			var mg, all []float64
-			for _, p := range pts {
-				mg = append(mg, p.MergeSpeedup)
-				all = append(all, p.AllSpeedup)
+			for r := range g.rows {
+				mg = append(mg, g.speedup(r, 1))
+				all = append(all, g.speedup(r, 2))
 			}
 			b.ReportMetric(metrics.GeoMean(mg), "merge-speedup")
 			b.ReportMetric(metrics.GeoMean(all), "all-speedup")
@@ -181,18 +175,18 @@ func BenchmarkFig15_BatchSensitivity(b *testing.B) {
 // sub-benchmark and reports each policy's speedup over FIFO.
 func BenchmarkFig16_SRAMSensitivity(b *testing.B) {
 	cfg := PaperConfig()
-	for _, sz := range Fig16Sizes {
+	for _, sz := range fig16Sizes {
 		b.Run(fmt.Sprintf("sram=%dKiB", sz/KiB), func(b *testing.B) {
-			var pts []SRAMPoint
+			var g figGrid
 			for i := 0; i < b.N; i++ {
 				var err error
-				pts, err = Fig16Data(cfg, []Bytes{sz})
+				g, err = fig16Grid(cfg, []Bytes{sz})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			for k, v := range pts[0].Speedups {
-				b.ReportMetric(v, k+"-speedup")
+			for c, o := range g.out[0][1:] {
+				b.ReportMetric(g.speedup(0, c+1), o.Scheduler+"-speedup")
 			}
 		})
 	}
@@ -204,7 +198,7 @@ func BenchmarkTable3_PowerArea(b *testing.B) {
 	cfg := PaperConfig()
 	var rows []power.Row
 	for i := 0; i < b.N; i++ {
-		rows = Table3Rows(cfg, 5)
+		rows = power.Table3(cfg, 5)
 	}
 	b.ReportMetric(power.OverheadFraction(rows), "overhead-frac")
 	b.ReportMetric(rows[2].PowerMW, "sched-tables-mW")
@@ -495,7 +489,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			SetSweepParallelism(workers)
 			for i := 0; i < b.N; i++ {
-				if _, err := Fig14Data(cfg); err != nil {
+				if _, err := fig14Grid(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

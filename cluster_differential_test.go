@@ -96,7 +96,7 @@ func TestClusterN1BitIdentical(t *testing.T) {
 // and the 8-chip cluster stops missing deadlines that saturate a
 // single chip.
 func TestClusterScaleThroughput(t *testing.T) {
-	pts, err := ClusterScaleData(PaperConfig())
+	pts, err := clusterScaleData(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

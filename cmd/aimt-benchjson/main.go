@@ -34,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,7 +45,10 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 
 // parse converts `go test -bench` text into a report. BlocksPerSec is
 // derived from the blocks/op metric the simulator benchmarks report,
-// giving the headline engine-throughput number directly.
+// giving the headline engine-throughput number directly. Repeated
+// samples of one benchmark (`go test -count N`) fold into one row
+// holding the median of each field, so the gate and the diff judge
+// every sample, not the last one.
 func parse(r io.Reader) (*runstore.BenchReport, error) {
 	rep := &runstore.BenchReport{}
 	pkg := ""
@@ -108,7 +112,58 @@ func parse(r io.Reader) (*runstore.BenchReport, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found in input")
 	}
+	rep.Benchmarks = foldSamples(rep.Benchmarks)
 	return rep, nil
+}
+
+// foldSamples folds rows sharing one Key into one row, in first-seen
+// order, holding the median of each field over the samples. The
+// metric units are the first sample's: every sample of one benchmark
+// reports the same ones.
+func foldSamples(rows []runstore.BenchBenchmark) []runstore.BenchBenchmark {
+	slot := map[string]int{}
+	var groups [][]runstore.BenchBenchmark
+	for _, b := range rows {
+		i, ok := slot[b.Key()]
+		if !ok {
+			i = len(groups)
+			slot[b.Key()] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], b)
+	}
+	out := make([]runstore.BenchBenchmark, len(groups))
+	for i, g := range groups {
+		out[i] = g[0]
+		if len(g) == 1 {
+			continue
+		}
+		med := func(field func(runstore.BenchBenchmark) float64) float64 {
+			vals := make([]float64, len(g))
+			for j, b := range g {
+				vals[j] = field(b)
+			}
+			slices.Sort(vals)
+			n := len(vals)
+			if n%2 == 1 {
+				return vals[n/2]
+			}
+			return (vals[n/2-1] + vals[n/2]) / 2
+		}
+		b := &out[i]
+		b.Iterations = int64(med(func(b runstore.BenchBenchmark) float64 { return float64(b.Iterations) }))
+		b.NsPerOp = med(func(b runstore.BenchBenchmark) float64 { return b.NsPerOp })
+		b.BytesPerOp = med(func(b runstore.BenchBenchmark) float64 { return b.BytesPerOp })
+		b.AllocsPerOp = med(func(b runstore.BenchBenchmark) float64 { return b.AllocsPerOp })
+		b.BlocksPerSec = med(func(b runstore.BenchBenchmark) float64 { return b.BlocksPerSec })
+		if g[0].Metrics != nil {
+			b.Metrics = make(map[string]float64, len(g[0].Metrics))
+			for unit := range g[0].Metrics {
+				b.Metrics[unit] = med(func(b runstore.BenchBenchmark) float64 { return b.Metrics[unit] })
+			}
+		}
+	}
+	return out
 }
 
 // compare is the coarse CI gate (see -compare): missing benchmarks or

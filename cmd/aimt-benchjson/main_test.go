@@ -59,6 +59,33 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestCompareGatesMedianOfSamples: with `-count 3` the three samples
+// of one benchmark fold into their median, so a last sample under the
+// gate cannot hide a median over it, and the fold keeps one row per
+// benchmark in first-seen order.
+func TestCompareGatesMedianOfSamples(t *testing.T) {
+	const samples = `pkg: aimt
+BenchmarkServeStream-8   	10	300 ns/op	40 allocs/op
+BenchmarkCluster8-8      	10	100 ns/op	10 allocs/op
+BenchmarkServeStream-8   	10	250 ns/op	60 allocs/op
+BenchmarkServeStream-8   	10	150 ns/op	50 allocs/op
+`
+	cur, err := parse(strings.NewReader(samples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.Benchmarks) != 2 || cur.Benchmarks[0].Name != "ServeStream" || cur.Benchmarks[1].Name != "Cluster8" {
+		t.Fatalf("folded rows = %+v, want ServeStream then Cluster8", cur.Benchmarks)
+	}
+	if b := cur.Benchmarks[0]; b.NsPerOp != 250 || b.AllocsPerOp != 50 {
+		t.Errorf("folded ServeStream = %+v, want median 250 ns/op, 50 allocs/op", b)
+	}
+	base := &runstore.BenchReport{Benchmarks: []runstore.BenchBenchmark{{Pkg: "aimt", Name: "ServeStream", NsPerOp: 100}}}
+	if err := compare(cur, base, 2); err == nil || !strings.Contains(err.Error(), "250 ns/op") {
+		t.Errorf("median 250 ns/op over the 2x gate of 100 passed: err=%v", err)
+	}
+}
+
 // TestDiffSelfIsClean is the bench-compare contract's zero side: a
 // run diffed against itself must exit cleanly.
 func TestDiffSelfIsClean(t *testing.T) {

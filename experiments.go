@@ -18,10 +18,18 @@ import (
 	"aimt/internal/workload"
 )
 
-// sweepParallelism caps the worker pool the experiment drivers hand to
-// the sweep engine; 0 means GOMAXPROCS. cmd/aimt-bench's -parallel
-// flag lands here.
-var sweepParallelism atomic.Int64
+// This file contains the drivers that regenerate every table and
+// figure of the paper's evaluation (§V) and of the extensions, one
+// Experiment each. The simulated figures — Figs 7, 8, 14, 15 and 16
+// and the lookahead extension — share one shape: compiled mixes at the
+// points of an axis, each run under a few schedulers. Each is a grid
+// (which rows, which columns) that runGrid simulates as one sweep, plus
+// a printer that walks the grid in order.
+
+// parallelism caps the worker pool the experiment drivers hand to the
+// sweep engine; 0 means GOMAXPROCS. cmd/aimt-bench's -parallel flag
+// lands here.
+var parallelism atomic.Int64
 
 // SetSweepParallelism caps the worker pool used by the experiment
 // drivers' simulation sweeps. n == 1 forces serial execution; n <= 0
@@ -32,35 +40,93 @@ func SetSweepParallelism(n int) {
 	if n < 0 {
 		n = 0
 	}
-	sweepParallelism.Store(int64(n))
+	parallelism.Store(int64(n))
 }
 
-// SweepParallelism reports the current driver worker cap (0 =
+// sweepParallelism reports the current driver worker cap (0 =
 // GOMAXPROCS).
-func SweepParallelism() int { return int(sweepParallelism.Load()) }
+func sweepParallelism() int { return int(parallelism.Load()) }
 
-// runSweep fans the jobs over the configured worker pool and fails on
-// the first job error.
-func runSweep(jobs []sweep.Job) ([]sweep.Outcome, error) {
-	outs := sweep.Run(jobs, sweep.Options{Workers: SweepParallelism()})
-	if err := sweep.FirstError(outs); err != nil {
-		return nil, err
-	}
-	return outs, nil
+// gridRow is one compiled mix at one point of a figure's axis.
+type gridRow struct {
+	// label names the row in outcomes and error messages.
+	label string
+	cfg   Config
+	mix   *Mix
 }
 
-// This file contains the drivers that regenerate every table and
-// figure of the paper's evaluation (§V). Each FigNData/TableNRows
-// function returns structured results; the matching PrintFigN/
-// PrintTableN renders them as the rows/series the paper reports.
-// cmd/aimt-bench and bench_test.go are thin wrappers over these.
+// newRow compiles spec on cfg into a grid row labelled by the
+// annotated mix name plus suffix.
+func newRow(cfg Config, spec MixSpec, opts workload.BuildOptions, suffix string) (gridRow, error) {
+	mix, err := workload.Build(cfg, spec, opts)
+	if err != nil {
+		return gridRow{}, err
+	}
+	return gridRow{label: mix.Name + suffix, cfg: cfg, mix: mix}, nil
+}
 
-// LayerRatio re-exports analysis.LayerRatio for Fig 5 consumers.
-type LayerRatio = analysis.LayerRatio
+// gridCol is one scheduler column of a figure grid.
+type gridCol struct {
+	// label names the column in outcomes; "" takes the scheduler's own
+	// Name (e.g. "AI-MT(All)").
+	label string
+	// new builds a fresh scheduler for one row's run.
+	new func(cfg Config, mix *Mix) Scheduler
+}
 
-// Fig5Data returns VGG16's per-layer computation vs memory-prefetch
+// schedCols returns one unlabelled column per registered scheduler
+// name; each run's scheduler reads its row's memory-intensive flags.
+func schedCols(names ...string) ([]gridCol, error) {
+	cols := make([]gridCol, len(names))
+	for i, name := range names {
+		e, err := sched.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		cols[i].new = func(cfg Config, mix *Mix) Scheduler {
+			return e.New(cfg, sched.Input{MemHeavy: mix.MemHeavy})
+		}
+	}
+	return cols, nil
+}
+
+// figGrid is a figure's rows and their outcomes: out[row][col].
+type figGrid struct {
+	rows []gridRow
+	out  [][]sweep.Outcome
+}
+
+// runGrid simulates every row under every column as one sweep over the
+// configured worker pool (see SetSweepParallelism) and fails on the
+// first run error.
+func runGrid(rows []gridRow, cols []gridCol) (figGrid, error) {
+	jobs := make([]sweep.Job, 0, len(rows)*len(cols))
+	for _, r := range rows {
+		for _, c := range cols {
+			jobs = append(jobs, sweep.Job{Mix: r.label, Scheduler: c.label, Cfg: r.cfg, Nets: r.mix.Nets,
+				New: func() Scheduler { return c.new(r.cfg, r.mix) }})
+		}
+	}
+	outs := sweep.Run(jobs, sweep.Options{Workers: sweepParallelism()})
+	if err := sweep.FirstError(outs); err != nil {
+		return figGrid{}, err
+	}
+	g := figGrid{rows: rows, out: make([][]sweep.Outcome, len(rows))}
+	for i := range rows {
+		g.out[i] = outs[i*len(cols) : (i+1)*len(cols)]
+	}
+	return g, nil
+}
+
+// speedup is cell (r, c)'s makespan speedup over its row's first
+// column, the figure's baseline.
+func (g figGrid) speedup(r, c int) float64 {
+	return metrics.Speedup(g.out[r][0].Res, g.out[r][c].Res)
+}
+
+// fig5Data returns VGG16's per-layer computation vs memory-prefetch
 // latency split (paper Fig 5).
-func Fig5Data(cfg Config) ([]LayerRatio, error) {
+func fig5Data(cfg Config) ([]analysis.LayerRatio, error) {
 	cn, err := Compile(VGG16(), cfg, 1)
 	if err != nil {
 		return nil, err
@@ -68,9 +134,9 @@ func Fig5Data(cfg Config) ([]LayerRatio, error) {
 	return analysis.LatencyRatios(cn), nil
 }
 
-// PrintFig5 renders Fig 5.
-func PrintFig5(w io.Writer, cfg Config) error {
-	rows, err := Fig5Data(cfg)
+// printFig5 renders Fig 5.
+func printFig5(w io.Writer, cfg Config) error {
+	rows, err := fig5Data(cfg)
 	if err != nil {
 		return err
 	}
@@ -83,333 +149,196 @@ func PrintFig5(w io.Writer, cfg Config) error {
 	return err
 }
 
-// MixOutcome is one co-location mix's result under one scheduler.
-type MixOutcome struct {
-	// Mix is the annotated mix name (with replication factor).
-	Mix string
-	// Scheduler is the policy name.
-	Scheduler string
-	// Speedup is the makespan ratio over the FIFO baseline.
-	Speedup float64
-	// MemUtil and PEUtil are whole-run busy fractions.
-	MemUtil, PEUtil float64
-	// Splits counts compute-block halts.
-	Splits int
-}
-
-// entries resolves scheduler names through the registry.
-func entries(names ...string) ([]sched.Entry, error) {
-	out := make([]sched.Entry, len(names))
-	for i, name := range names {
-		e, err := sched.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = e
+// geomean is column c's geometric-mean speedup over the rows.
+func (g figGrid) geomean(c int) float64 {
+	vals := make([]float64, len(g.rows))
+	for r := range g.rows {
+		vals[r] = g.speedup(r, c)
 	}
-	return out, nil
+	return metrics.GeoMean(vals)
 }
 
-// mixJob is a sweep job running registry scheduler e over a compiled
-// mix. Its scheduler label is left empty, so outcomes carry the
-// scheduler's own name (e.g. "AI-MT(All)").
-func mixJob(cfg Config, label string, mix *workload.Mix, e sched.Entry) sweep.Job {
-	return sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-		New: func() Scheduler { return e.New(cfg, sched.Input{MemHeavy: mix.MemHeavy}) }}
-}
-
-// runMixes simulates every paper mix at the given batch under the named
-// schedulers and returns outcomes keyed in input order. The runs — one
-// FIFO baseline plus one per name, per mix — fan out over the sweep
-// engine's worker pool (see SetSweepParallelism).
-func runMixes(cfg Config, batch int, names ...string) ([]MixOutcome, error) {
-	scheds, err := entries(append([]string{"FIFO"}, names...)...)
+// paperMixGrid runs every paper mix at batch 1 under the named
+// schedulers.
+func paperMixGrid(cfg Config, scheds ...string) (figGrid, error) {
+	cols, err := schedCols(scheds...)
 	if err != nil {
-		return nil, err
+		return figGrid{}, err
 	}
-	var jobs []sweep.Job
+	var rows []gridRow
 	for _, spec := range PaperMixes() {
-		mix, err := BuildMix(cfg, spec, batch)
+		row, err := newRow(cfg, spec, workload.BuildOptions{Batch: 1}, "")
 		if err != nil {
-			return nil, err
+			return figGrid{}, err
 		}
-		for _, e := range scheds {
-			jobs = append(jobs, mixJob(cfg, mix.Name, mix, e))
-		}
+		rows = append(rows, row)
 	}
-	outs, err := runSweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	stride := len(scheds)
-	var out []MixOutcome
-	for i := 0; i < len(outs); i += stride {
-		base := outs[i].Res
-		for _, o := range outs[i+1 : i+stride] {
-			out = append(out, MixOutcome{
-				Mix:       o.Mix,
-				Scheduler: o.Scheduler,
-				Speedup:   metrics.Speedup(base, o.Res),
-				MemUtil:   o.Res.MemUtilization(),
-				PEUtil:    o.Res.PEUtilization(),
-				Splits:    o.Res.Splits,
-			})
-		}
-	}
-	return out, nil
+	return runGrid(rows, cols)
 }
 
-// Fig7Data returns compute and memory-bandwidth utilization under the
-// round-robin scheduler for every paper mix (paper Fig 7).
-func Fig7Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, "RR")
-}
+// fig7Grid runs every paper mix under round-robin (paper Fig 7).
+func fig7Grid(cfg Config) (figGrid, error) { return paperMixGrid(cfg, "RR") }
 
-// PrintFig7 renders Fig 7.
-func PrintFig7(w io.Writer, cfg Config) error {
-	rows, err := Fig7Data(cfg)
+// printFig7 renders Fig 7: compute and memory-bandwidth utilization
+// under round-robin.
+func printFig7(w io.Writer, cfg Config) error {
+	g, err := fig7Grid(cfg)
 	if err != nil {
 		return err
 	}
 	t := metrics.NewTable("mix", "compute util", "memory BW util")
-	for _, r := range rows {
-		t.AddRow(r.Mix, metrics.Pct(r.PEUtil), metrics.Pct(r.MemUtil))
+	for r, row := range g.rows {
+		res := g.out[r][0].Res
+		t.AddRow(row.label, metrics.Pct(res.PEUtilization()), metrics.Pct(res.MemUtilization()))
 	}
 	_, err = fmt.Fprintf(w, "Fig 7: utilization under sub-layer round-robin scheduling\n%s", t)
 	return err
 }
 
-// Fig8Data returns RR, Greedy and SJF speedups over sub-layer FIFO for
-// every paper mix (paper Fig 8).
-func Fig8Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, "RR", "Greedy", "SJF")
+// fig8Grid runs every paper mix under FIFO and the RR, Greedy and SJF
+// baselines (paper Fig 8).
+func fig8Grid(cfg Config) (figGrid, error) {
+	return paperMixGrid(cfg, "FIFO", "RR", "Greedy", "SJF")
 }
 
-// PrintFig8 renders Fig 8.
-func PrintFig8(w io.Writer, cfg Config) error {
-	rows, err := Fig8Data(cfg)
-	if err != nil {
-		return err
-	}
-	return printSpeedupTable(w, "Fig 8: baseline scheduling mechanisms, speedup over FIFO", rows)
+// fig14Grid runs the AI-MT ablation — prefetching, +merging, +eviction
+// — against FIFO on every paper mix at batch 1 (paper Fig 14).
+func fig14Grid(cfg Config) (figGrid, error) {
+	return paperMixGrid(cfg, "FIFO", "AI-MT(PF)", "AI-MT(PF+Merge)", "AI-MT")
 }
 
-// Fig14Data returns the AI-MT ablation — prefetching, +merging,
-// +eviction — as speedup over FIFO per mix at batch 1 (paper Fig 14).
-func Fig14Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, "AI-MT(PF)", "AI-MT(PF+Merge)", "AI-MT")
-}
-
-// PrintFig14 renders Fig 14.
-func PrintFig14(w io.Writer, cfg Config) error {
-	rows, err := Fig14Data(cfg)
-	if err != nil {
-		return err
-	}
-	return printSpeedupTable(w, "Fig 14: AI-MT speedup over network-serial execution (batch 1)", rows)
-}
-
-func printSpeedupTable(w io.Writer, title string, rows []MixOutcome) error {
-	scheds := orderedSchedulers(rows)
-	byMix := map[string]map[string]float64{}
-	var mixes []string
-	for _, r := range rows {
-		if byMix[r.Mix] == nil {
-			byMix[r.Mix] = map[string]float64{}
-			mixes = append(mixes, r.Mix)
+// speedupFigure renders a mix grid under title as each mix's speedups
+// over FIFO plus a geomean row.
+func speedupFigure(title string, grid func(Config) (figGrid, error)) func(io.Writer, Config) error {
+	return func(w io.Writer, cfg Config) error {
+		g, err := grid(cfg)
+		if err != nil {
+			return err
 		}
-		byMix[r.Mix][r.Scheduler] = r.Speedup
+		t := speedupTable(g, "mix", func(r gridRow) string { return r.label })
+		geo := []string{"geomean"}
+		for c := 1; c < len(g.out[0]); c++ {
+			geo = append(geo, metrics.F(g.geomean(c)))
+		}
+		t.AddRow(geo...)
+		_, err = fmt.Fprintf(w, "%s\n%s", title, t)
+		return err
 	}
-	t := metrics.NewTable(append([]string{"mix"}, scheds...)...)
-	for _, m := range mixes {
-		cells := []string{m}
-		for _, s := range scheds {
-			cells = append(cells, metrics.F(byMix[m][s]))
+}
+
+// speedupTable renders each row's speedups over its baseline, one
+// column per scheduler after the first, the row keyed by key under the
+// keyHead column.
+func speedupTable(g figGrid, keyHead string, key func(gridRow) string) *metrics.Table {
+	head := []string{keyHead}
+	for _, o := range g.out[0][1:] {
+		head = append(head, o.Scheduler)
+	}
+	t := metrics.NewTable(head...)
+	for r, row := range g.rows {
+		cells := []string{key(row)}
+		for c := 1; c < len(g.out[r]); c++ {
+			cells = append(cells, metrics.F(g.speedup(r, c)))
 		}
 		t.AddRow(cells...)
 	}
-	geo := []string{"geomean"}
-	for _, s := range scheds {
-		var vals []float64
-		for _, m := range mixes {
-			vals = append(vals, byMix[m][s])
-		}
-		geo = append(geo, metrics.F(metrics.GeoMean(vals)))
-	}
-	t.AddRow(geo...)
-	_, err := fmt.Fprintf(w, "%s\n%s", title, t)
-	return err
+	return t
 }
 
-func orderedSchedulers(rows []MixOutcome) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if !seen[r.Scheduler] {
-			seen[r.Scheduler] = true
-			out = append(out, r.Scheduler)
-		}
-	}
-	return out
-}
+// fig15Batches are the batch sizes swept by Fig 15.
+var fig15Batches = []int{1, 2, 4, 8, 16, 32}
 
-// BatchPoint is one point of the Fig 15 batch-size sensitivity study.
-type BatchPoint struct {
-	// Mix is the annotated mix name.
-	Mix string
-	// Batch is the batch size.
-	Batch int
-	// MergeSpeedup and AllSpeedup are PF+Merge and full AI-MT speedups
-	// over FIFO at this batch.
-	MergeSpeedup, AllSpeedup float64
-	// Splits counts halts in the full-AI-MT run.
-	Splits int
-}
-
-// Fig15Batches are the batch sizes swept by Fig 15.
-var Fig15Batches = []int{1, 2, 4, 8, 16, 32}
-
-// Fig15Data sweeps batch size for the CNN+GNMT mixes, comparing
-// prefetch+merge against the full design with early MB eviction
-// (paper Fig 15). The input/output SRAM is assumed large enough for
-// the features (paper §V-C), which the simulator models by not
+// fig15Grid runs the CNN+GNMT mixes at each batch size under FIFO,
+// prefetch+merge and the full design with early MB eviction (paper
+// Fig 15). Rows run mix-major: every batch of the first mix, then the
+// next mix. The input/output SRAM is assumed large enough for the
+// features (paper §V-C), which the simulator models by not
 // constraining feature residency.
-func Fig15Data(cfg Config, batches []int) ([]BatchPoint, error) {
-	if len(batches) == 0 {
-		batches = Fig15Batches
-	}
-	scheds, err := entries("FIFO", "AI-MT(PF+Merge)", "AI-MT")
+func fig15Grid(cfg Config, batches []int) (figGrid, error) {
+	cols, err := schedCols("FIFO", "AI-MT(PF+Merge)", "AI-MT")
 	if err != nil {
-		return nil, err
+		return figGrid{}, err
 	}
-	var jobs []sweep.Job
+	var rows []gridRow
 	for _, spec := range workload.GNMTMixes() {
 		for _, b := range batches {
-			mix, err := BuildMix(cfg, spec, b)
+			row, err := newRow(cfg, spec, workload.BuildOptions{Batch: b}, fmt.Sprintf("@batch%d", b))
 			if err != nil {
-				return nil, err
+				return figGrid{}, err
 			}
-			label := fmt.Sprintf("%s@batch%d", spec.Name, b)
-			for _, e := range scheds {
-				jobs = append(jobs, mixJob(cfg, label, mix, e))
-			}
+			rows = append(rows, row)
 		}
 	}
-	outs, err := runSweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	var out []BatchPoint
-	i := 0
-	for _, spec := range workload.GNMTMixes() {
-		for _, b := range batches {
-			base, mg, all := outs[i].Res, outs[i+1].Res, outs[i+2].Res
-			i += 3
-			out = append(out, BatchPoint{
-				Mix:          spec.Name,
-				Batch:        b,
-				MergeSpeedup: metrics.Speedup(base, mg),
-				AllSpeedup:   metrics.Speedup(base, all),
-				Splits:       all.Splits,
-			})
-		}
-	}
-	return out, nil
+	return runGrid(rows, cols)
 }
 
-// PrintFig15 renders Fig 15.
-func PrintFig15(w io.Writer, cfg Config) error {
-	pts, err := Fig15Data(cfg, nil)
+// printFig15 renders Fig 15.
+func printFig15(w io.Writer, cfg Config) error {
+	g, err := fig15Grid(cfg, fig15Batches)
 	if err != nil {
 		return err
 	}
 	t := metrics.NewTable("mix", "batch", "PF+Merge", "AI-MT (All)", "splits")
-	for _, p := range pts {
-		t.AddRow(p.Mix, fmt.Sprint(p.Batch), metrics.F(p.MergeSpeedup), metrics.F(p.AllSpeedup), fmt.Sprint(p.Splits))
+	r := 0
+	for _, spec := range workload.GNMTMixes() {
+		for _, b := range fig15Batches {
+			t.AddRow(spec.Name, fmt.Sprint(b), metrics.F(g.speedup(r, 1)), metrics.F(g.speedup(r, 2)),
+				fmt.Sprint(g.out[r][2].Res.Splits))
+			r++
+		}
 	}
 	_, err = fmt.Fprintf(w, "Fig 15: batch-size sensitivity, speedup over FIFO\n%s", t)
 	return err
 }
 
-// SRAMPoint is one point of the Fig 16 SRAM-capacity sensitivity study.
-type SRAMPoint struct {
-	// SRAM is the weight-buffer capacity.
-	SRAM Bytes
-	// Speedups keys scheduler name to speedup over FIFO at this size.
-	Speedups map[string]float64
-}
+// fig16Sizes are the weight-SRAM capacities swept by Fig 16.
+var fig16Sizes = []Bytes{256 * KiB, 512 * KiB, 1 * MiB, 2 * MiB, 4 * MiB, 16 * MiB, 64 * MiB, 256 * MiB, 1 * GiB, 4 * GiB}
 
-// Fig16Sizes are the weight-SRAM capacities swept by Fig 16.
-var Fig16Sizes = []Bytes{256 * KiB, 512 * KiB, 1 * MiB, 2 * MiB, 4 * MiB, 16 * MiB, 64 * MiB, 256 * MiB, 1 * GiB, 4 * GiB}
-
-// Fig16Data sweeps the weight-SRAM capacity for the combined
-// CNNs+GNMT mix executed iteratively (the continuous-arrival cloud
-// scenario), comparing the naive compute-first order and the greedy
-// mechanism — both with capacity-bounded prefetching — against full
-// AI-MT (paper Fig 16). Speedups are over FIFO at the same capacity.
-func Fig16Data(cfg Config, sizes []Bytes) ([]SRAMPoint, error) {
-	if len(sizes) == 0 {
-		sizes = Fig16Sizes
+// fig16Grid runs the combined CNNs+GNMT mix executed iteratively (the
+// continuous-arrival cloud scenario) at each weight-SRAM capacity under
+// FIFO, the naive compute-first order and the greedy mechanism — both
+// with capacity-bounded prefetching — and full AI-MT (paper Fig 16).
+// Columns are labelled by their registry names.
+func fig16Grid(cfg Config, sizes []Bytes) (figGrid, error) {
+	names := []string{"FIFO", "ComputeFirst+PF", "Greedy+PF", "AI-MT"}
+	cols, err := schedCols(names...)
+	if err != nil {
+		return figGrid{}, err
+	}
+	for i := range cols {
+		cols[i].label = names[i]
 	}
 	spec := PaperMixes()[3] // RN34+RN50+MN+GNMT
-	scheds, err := entries("FIFO", "ComputeFirst+PF", "Greedy+PF", "AI-MT")
-	if err != nil {
-		return nil, err
-	}
-	var jobs []sweep.Job
+	var rows []gridRow
 	for _, sz := range sizes {
 		c := cfg
 		c.WeightSRAM = sz
 		if err := c.Validate(); err != nil {
-			return nil, err
+			return figGrid{}, err
 		}
-		mix, err := workload.Build(c, spec, workload.BuildOptions{Batch: 8, Iterations: 2})
+		row, err := newRow(c, spec, workload.BuildOptions{Batch: 8, Iterations: 2}, "@"+arch.FormatBytes(sz))
 		if err != nil {
-			return nil, err
+			return figGrid{}, err
 		}
-		label := fmt.Sprintf("%s@%s", mix.Name, arch.FormatBytes(sz))
-		for _, e := range scheds {
-			j := mixJob(c, label, mix, e)
-			j.Scheduler = e.Name
-			jobs = append(jobs, j)
-		}
+		rows = append(rows, row)
 	}
-	outs, err := runSweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	var out []SRAMPoint
-	for i, sz := range sizes {
-		o := outs[i*len(scheds) : (i+1)*len(scheds)]
-		pt := SRAMPoint{SRAM: sz, Speedups: map[string]float64{}}
-		for _, r := range o[1:] {
-			pt.Speedups[r.Scheduler] = metrics.Speedup(o[0].Res, r.Res)
-		}
-		out = append(out, pt)
-	}
-	return out, nil
+	return runGrid(rows, cols)
 }
 
-// PrintFig16 renders Fig 16.
-func PrintFig16(w io.Writer, cfg Config) error {
-	pts, err := Fig16Data(cfg, nil)
+// printFig16 renders Fig 16.
+func printFig16(w io.Writer, cfg Config) error {
+	g, err := fig16Grid(cfg, fig16Sizes)
 	if err != nil {
 		return err
 	}
-	t := metrics.NewTable("weight SRAM", "ComputeFirst+PF", "Greedy+PF", "AI-MT")
-	for _, p := range pts {
-		t.AddRow(arch.FormatBytes(p.SRAM),
-			metrics.F(p.Speedups["ComputeFirst+PF"]),
-			metrics.F(p.Speedups["Greedy+PF"]),
-			metrics.F(p.Speedups["AI-MT"]))
-	}
+	t := speedupTable(g, "weight SRAM", func(r gridRow) string { return arch.FormatBytes(r.cfg.WeightSRAM) })
 	_, err = fmt.Fprintf(w, "Fig 16: SRAM-capacity sensitivity, speedup over FIFO (batch 8, iterated)\n%s", t)
 	return err
 }
 
-// Fig10Data returns, per network, the per-layer prefetch SRAM demand
+// fig10Data returns, per network, the per-layer prefetch SRAM demand
 // estimate (paper Fig 10).
-func Fig10Data(cfg Config) (map[string][]analysis.PrefetchDemand, error) {
+func fig10Data(cfg Config) (map[string][]analysis.PrefetchDemand, error) {
 	out := map[string][]analysis.PrefetchDemand{}
 	for name, net := range nn.Zoo() {
 		cn, err := Compile(net, cfg, 1)
@@ -421,10 +350,10 @@ func Fig10Data(cfg Config) (map[string][]analysis.PrefetchDemand, error) {
 	return out, nil
 }
 
-// PrintFig10 renders Fig 10 (per-network maxima plus the largest
+// printFig10 renders Fig 10 (per-network maxima plus the largest
 // individual layers).
-func PrintFig10(w io.Writer, cfg Config) error {
-	data, err := Fig10Data(cfg)
+func printFig10(w io.Writer, cfg Config) error {
+	data, err := fig10Data(cfg)
 	if err != nil {
 		return err
 	}
@@ -448,13 +377,13 @@ func PrintFig10(w io.Writer, cfg Config) error {
 	return err
 }
 
-// ServingData runs a reproducible open-loop request stream (equal
+// servingData runs a reproducible open-loop request stream (equal
 // shares of RN34, RN50, MN and GNMT requests, exponential
 // inter-arrival) under FIFO, PREMA and AI-MT — the cloud scenario the
 // paper's introduction motivates multi-tenancy with — and returns one
 // report per scheduler. Latencies stream into a bounded-memory
 // histogram rather than a per-request slice.
-func ServingData(cfg Config) ([]*ServeReport, error) {
+func servingData(cfg Config) ([]*ServeReport, error) {
 	var classes []ServeClass
 	for _, name := range []string{"RN34", "RN50", "MN", "GNMT"} {
 		net, err := nn.ByName(name)
@@ -472,7 +401,7 @@ func ServingData(cfg Config) ([]*ServeReport, error) {
 		specs = append(specs, spec)
 	}
 	points, err := ServeSweep(cfg, classes, specs, ServeSweepOptions{
-		Options: ClusterOptions{Workers: SweepParallelism()},
+		Options: ClusterOptions{Workers: sweepParallelism()},
 		Stream:  ServeStreamOptions{Requests: 24, Seed: 7},
 		Gaps:    []Cycles{50_000},
 	})
@@ -486,9 +415,9 @@ func ServingData(cfg Config) ([]*ServeReport, error) {
 	return reports, nil
 }
 
-// PrintServing renders the open-loop serving comparison.
-func PrintServing(w io.Writer, cfg Config) error {
-	pts, err := ServingData(cfg)
+// printServing renders the open-loop serving comparison.
+func printServing(w io.Writer, cfg Config) error {
+	pts, err := servingData(cfg)
 	if err != nil {
 		return err
 	}
@@ -500,41 +429,38 @@ func PrintServing(w io.Writer, cfg Config) error {
 	return err
 }
 
-// LoadCurveData sweeps offered load over the default mixed CNN/RNN
-// serving stream (Poisson arrivals, per-request deadlines) under
-// FIFO, PREMA, AI-MT and EDF, from light traffic to past saturation.
-// The request count is kept modest so the experiment regenerates
-// quickly; see cmd/aimt-serve for production-scale sweeps.
-func LoadCurveData(cfg Config) ([]ServeCurvePoint, error) {
-	return ServeSweep(cfg, DefaultServingClasses(), ServeStandardSchedulers(), ServeSweepOptions{
-		Options: ClusterOptions{Workers: SweepParallelism()},
-		Stream:  ServeStreamOptions{Requests: 300, Seed: 7},
-	})
+// loadSweepFigure sweeps offered load over a serving mix under FIFO,
+// PREMA, AI-MT and EDF, from light traffic to past saturation, and
+// renders one table per load point under title. Request counts are
+// kept modest so the experiments regenerate quickly; see cmd/aimt-serve
+// for production-scale sweeps.
+func loadSweepFigure(title string, classes func() []ServeClass, requests int) func(io.Writer, Config) error {
+	return func(w io.Writer, cfg Config) error {
+		points, err := ServeSweep(cfg, classes(), ServeStandardSchedulers(), ServeSweepOptions{
+			Options: ClusterOptions{Workers: sweepParallelism()},
+			Stream:  ServeStreamOptions{Requests: requests, Seed: 7},
+		})
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s, %d requests per point\n", title, requests); err != nil {
+			return err
+		}
+		return PrintServeCurve(w, points)
+	}
 }
 
-// PrintLoadCurve renders the serving load sweep.
-func PrintLoadCurve(w io.Writer, cfg Config) error {
-	points, err := LoadCurveData(cfg)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "Load curve (extension): mixed CNN/RNN serving, 300 requests per point\n"); err != nil {
-		return err
-	}
-	return PrintServeCurve(w, points)
-}
-
-// ClusterScaleChips are the chip counts swept by the clusterscale
+// clusterScaleChips are the chip counts swept by the clusterscale
 // experiment.
-var ClusterScaleChips = []int{1, 2, 4, 8}
+var clusterScaleChips = []int{1, 2, 4, 8}
 
-// ClusterScaleLoad is the clusterscale experiment's fixed offered load
+// clusterScaleLoad is the clusterscale experiment's fixed offered load
 // in single-chip capacities: 2.5 means the stream demands two and a
 // half chips' worth of service, so 1- and 2-chip clusters saturate
 // while 4 and 8 chips have headroom.
-const ClusterScaleLoad = 2.5
+const clusterScaleLoad = 2.5
 
-// ClusterScaleData holds offered load fixed at ClusterScaleLoad
+// clusterScaleData holds offered load fixed at clusterScaleLoad
 // single-chip capacities and sweeps the cluster size under every
 // routing policy (AI-MT on every chip): aggregate throughput must grow
 // with the chip count while tail latency and SLA misses collapse once
@@ -542,9 +468,9 @@ const ClusterScaleLoad = 2.5
 // is routed at every cell, so cells differ only in cluster shape and
 // policy. It returns one result per (policy, chip count) cell,
 // policies outermost.
-func ClusterScaleData(cfg Config) ([]*cluster.Result, error) {
+func clusterScaleData(cfg Config) ([]*cluster.Result, error) {
 	classes := DefaultServingClasses()
-	gaps, err := serve.Gaps(cfg, classes, ClusterScaleLoad)
+	gaps, err := serve.Gaps(cfg, classes, clusterScaleLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -554,12 +480,12 @@ func ClusterScaleData(cfg Config) ([]*cluster.Result, error) {
 	}
 	var routes []ClusterRoute
 	for _, pol := range ClusterPolicies() {
-		for _, chips := range ClusterScaleChips {
+		for _, chips := range clusterScaleChips {
 			routes = append(routes, ClusterRoute{Policy: pol, Chips: chips})
 		}
 	}
 	points, err := ServeSweep(cfg, classes, []SchedulerSpec{spec}, ServeSweepOptions{
-		Options: ClusterOptions{Workers: SweepParallelism()},
+		Options: ClusterOptions{Workers: sweepParallelism()},
 		Stream:  ServeStreamOptions{Requests: 320, Seed: 7},
 		Gaps:    gaps,
 		Routes:  routes,
@@ -570,15 +496,15 @@ func ClusterScaleData(cfg Config) ([]*cluster.Result, error) {
 	return points[0].Results, nil
 }
 
-// PrintClusterScale renders the clusterscale experiment: one table per
+// printClusterScale renders the clusterscale experiment: one table per
 // routing policy, chip count ascending.
-func PrintClusterScale(w io.Writer, cfg Config) error {
-	pts, err := ClusterScaleData(cfg)
+func printClusterScale(w io.Writer, cfg Config) error {
+	pts, err := clusterScaleData(cfg)
 	if err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "Cluster scaling (extension): %d requests at %.1f single-chip loads, AI-MT per chip\n",
-		320, ClusterScaleLoad); err != nil {
+		320, clusterScaleLoad); err != nil {
 		return err
 	}
 	var cur string
@@ -606,22 +532,22 @@ func PrintClusterScale(w io.Writer, cfg Config) error {
 	return flush()
 }
 
-// OverloadLoads are the offered loads swept by the overloadcurve
+// overloadLoads are the offered loads swept by the overloadcurve
 // experiment, in full-cluster capacities: 5.0 demands five times what
 // the whole cluster can serve.
-var OverloadLoads = []float64{0.8, 2.0, 3.5, 5.0}
+var overloadLoads = []float64{0.8, 2.0, 3.5, 5.0}
 
-// OverloadChips is the overloadcurve cluster size ceiling the
+// overloadChips is the overloadcurve cluster size ceiling the
 // autoscaler may grow into.
-const OverloadChips = 2
+const overloadChips = 2
 
-// OverloadClasses returns the two-band serving mix of the overload
+// overloadClasses returns the two-band serving mix of the overload
 // experiments: the CNN class is the premium band (priority 1, never
 // shed by admission control) and the RNN class is the batch band
 // (priority 0, sheddable). Weights keep premium a minority of the
 // offered work so that even at 5x saturation its demand fits within
 // the cluster once batch is shed.
-func OverloadClasses() []ServeClass {
+func overloadClasses() []ServeClass {
 	classes := DefaultServingClasses()
 	classes[0].Priority = 1
 	classes[0].Weight = 1
@@ -630,26 +556,26 @@ func OverloadClasses() []ServeClass {
 	return classes
 }
 
-// OverloadPoint is one load point of the overloadcurve experiment.
-type OverloadPoint struct {
+// overloadPoint is one load point of the overloadcurve experiment.
+type overloadPoint struct {
 	// Load is the offered load in full-cluster capacities.
 	Load float64
 	// Res is the controlled cluster serving outcome at this load.
 	Res *cluster.Result
 }
 
-// OverloadCurveData sweeps offered load from comfortable to 5x
+// overloadCurveData sweeps offered load from comfortable to 5x
 // saturation through the full control plane — priority preemption on
 // every chip, SLO-aware admission at the front door, elastic
-// autoscaling between 1 and OverloadChips chips — and returns one
+// autoscaling between 1 and overloadChips chips — and returns one
 // point per load. Graceful degradation means the premium band's SLA
 // miss rate stays flat across the sweep while the batch band is shed
 // in growing, predictable proportion.
-func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
-	classes := OverloadClasses()
-	loads := make([]float64, len(OverloadLoads))
-	for i, load := range OverloadLoads {
-		loads[i] = load * float64(OverloadChips)
+func overloadCurveData(cfg Config) ([]overloadPoint, error) {
+	classes := overloadClasses()
+	loads := make([]float64, len(overloadLoads))
+	for i, load := range overloadLoads {
+		loads[i] = load * float64(overloadChips)
 	}
 	gaps, err := serve.Gaps(cfg, classes, loads...)
 	if err != nil {
@@ -665,33 +591,33 @@ func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
 	}
 	points, err := ServeSweep(cfg, classes, []SchedulerSpec{spec}, ServeSweepOptions{
 		Options: ClusterOptions{
-			Workers: SweepParallelism(),
+			Workers: sweepParallelism(),
 			Control: ClusterControl{Admission: true, Autoscale: true},
 		},
 		Stream: ServeStreamOptions{Requests: 300, Seed: 7},
 		Gaps:   gaps,
-		Routes: []ClusterRoute{{Policy: pol, Chips: OverloadChips}},
+		Routes: []ClusterRoute{{Policy: pol, Chips: overloadChips}},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("overloadcurve: %w", err)
 	}
-	out := make([]OverloadPoint, len(points))
+	out := make([]overloadPoint, len(points))
 	for i, pt := range points {
-		out[i] = OverloadPoint{Load: OverloadLoads[i], Res: pt.Results[0]}
+		out[i] = overloadPoint{Load: overloadLoads[i], Res: pt.Results[0]}
 	}
 	return out, nil
 }
 
-// PrintOverloadCurve renders the overloadcurve experiment: one
+// printOverloadCurve renders the overloadcurve experiment: one
 // per-class degradation table per load point, plus the control-plane
 // event counts.
-func PrintOverloadCurve(w io.Writer, cfg Config) error {
-	pts, err := OverloadCurveData(cfg)
+func printOverloadCurve(w io.Writer, cfg Config) error {
+	pts, err := overloadCurveData(cfg)
 	if err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "Overload degradation (extension): admission + priorities + autoscale, %d requests per point, up to %d chips\n",
-		300, OverloadChips); err != nil {
+		300, overloadChips); err != nil {
 		return err
 	}
 	for _, p := range pts {
@@ -701,7 +627,7 @@ func PrintOverloadCurve(w io.Writer, cfg Config) error {
 		}
 		t := metrics.NewTable("class", "prio", "offered", "shed", "served", "miss rate", "p99")
 		for i, cs := range p.Res.Agg.PerClass {
-			t.AddRow(cs.Class, fmt.Sprint(OverloadClasses()[i].Priority),
+			t.AddRow(cs.Class, fmt.Sprint(overloadClasses()[i].Priority),
 				fmt.Sprint(cs.Requests), fmt.Sprint(cs.Shed),
 				fmt.Sprint(cs.Requests-cs.Shed),
 				metrics.Pct(cs.MissRate), fmt.Sprint(cs.P99))
@@ -713,45 +639,17 @@ func PrintOverloadCurve(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// TransformerMixData sweeps offered load over a mixed transformer/CNN
-// serving stream — each transformer request is one prefill burst plus
-// eight chained decode iterations with per-token deadlines — under
-// FIFO, PREMA, AI-MT and EDF. The phased points exercise the MB/CB
-// co-execution opportunity the paper targets: prefill entries are
-// compute-bound while decode entries are memory-bound, so schedulers
-// that overlap the two phases across requests win on both tail
-// latency and tokens per megacycle.
-func TransformerMixData(cfg Config) ([]ServeCurvePoint, error) {
-	return ServeSweep(cfg, TransformerServingClasses(), ServeStandardSchedulers(), ServeSweepOptions{
-		Options: ClusterOptions{Workers: SweepParallelism()},
-		Stream:  ServeStreamOptions{Requests: 120, Seed: 7},
-	})
-}
-
-// PrintTransformerMix renders the transformer/CNN mix load sweep with
-// the per-phase latency and token-throughput columns.
-func PrintTransformerMix(w io.Writer, cfg Config) error {
-	points, err := TransformerMixData(cfg)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "Transformer mix (extension): chat (prefill + 8 decode tokens) vs CNN, 120 requests per point\n"); err != nil {
-		return err
-	}
-	return PrintServeCurve(w, points)
-}
-
-// DecodeBatchSizes are the decode batch sizes swept by the decodebatch
+// decodeBatchSizes are the decode batch sizes swept by the decodebatch
 // experiment.
-var DecodeBatchSizes = []int{1, 4, 16}
+var decodeBatchSizes = []int{1, 4, 16}
 
-// DecodeBatchLoad is the decodebatch experiment's fixed offered load in
+// decodeBatchLoad is the decodebatch experiment's fixed offered load in
 // single-chip capacities.
-const DecodeBatchLoad = 0.7
+const decodeBatchLoad = 0.7
 
-// DecodeBatchPoint is one batch-size point of the decodebatch
+// decodeBatchPoint is one batch-size point of the decodebatch
 // experiment.
-type DecodeBatchPoint struct {
+type decodeBatchPoint struct {
 	// Batch is the per-request batch size (concurrent sequences whose
 	// decode steps share one weight fetch).
 	Batch int
@@ -759,20 +657,20 @@ type DecodeBatchPoint struct {
 	Rep *ServeReport
 }
 
-// DecodeBatchCurveData holds offered load fixed at DecodeBatchLoad and
+// decodeBatchCurveData holds offered load fixed at decodeBatchLoad and
 // sweeps the decode batch size under AI-MT: batching amortizes each
 // decode iteration's KV-cache and weight traffic over more tokens, so
 // tokens per megacycle must rise with the batch size while the
 // per-token deadline ladder keeps latency honest.
-func DecodeBatchCurveData(cfg Config) ([]DecodeBatchPoint, error) {
+func decodeBatchCurveData(cfg Config) ([]decodeBatchPoint, error) {
 	spec, err := serve.SpecByName("AI-MT")
 	if err != nil {
 		return nil, err
 	}
-	var out []DecodeBatchPoint
-	for _, batch := range DecodeBatchSizes {
+	var out []decodeBatchPoint
+	for _, batch := range decodeBatchSizes {
 		classes := []ServeClass{serve.TransformerChatClass(8, batch)}
-		gaps, err := serve.Gaps(cfg, classes, DecodeBatchLoad)
+		gaps, err := serve.Gaps(cfg, classes, decodeBatchLoad)
 		if err != nil {
 			return nil, err
 		}
@@ -785,21 +683,21 @@ func DecodeBatchCurveData(cfg Config) ([]DecodeBatchPoint, error) {
 			return nil, fmt.Errorf("decodebatch batch %d: %w", batch, err)
 		}
 		rep.Scheduler = spec.Name
-		out = append(out, DecodeBatchPoint{Batch: batch, Rep: rep})
+		out = append(out, decodeBatchPoint{Batch: batch, Rep: rep})
 	}
 	return out, nil
 }
 
-// PrintDecodeBatch renders the decode-batching curve: tokens per
+// printDecodeBatch renders the decode-batching curve: tokens per
 // megacycle (and per second per chip at the configured frequency)
 // against batch size, with the per-phase tails.
-func PrintDecodeBatch(w io.Writer, cfg Config) error {
-	pts, err := DecodeBatchCurveData(cfg)
+func printDecodeBatch(w io.Writer, cfg Config) error {
+	pts, err := decodeBatchCurveData(cfg)
 	if err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "Decode batching (extension): chat class, 8 decode tokens/request, AI-MT, load %.1f, 96 requests\n",
-		DecodeBatchLoad); err != nil {
+		decodeBatchLoad); err != nil {
 		return err
 	}
 	t := metrics.NewTable("batch", "tok/Mcyc", "tok/s/chip", "prefill p99", "decode p99", "decode miss", "PE util")
@@ -815,103 +713,57 @@ func PrintDecodeBatch(w io.Writer, cfg Config) error {
 	return err
 }
 
-// LookaheadHorizons are the speculation horizons swept by the
+// lookaheadHorizons are the speculation horizons swept by the
 // lookahead experiment, in cycles.
-var LookaheadHorizons = []Cycles{1024, 4096, 16384}
+var lookaheadHorizons = []Cycles{1024, 4096, 16384}
 
-// LookaheadBatches are the batch sizes swept by the lookahead
+// lookaheadBatches are the batch sizes swept by the lookahead
 // experiment.
-var LookaheadBatches = []int{1, 4}
+var lookaheadBatches = []int{1, 4}
 
-// LookaheadPoint is one (mix, batch, horizon) cell of the lookahead
-// experiment.
-type LookaheadPoint struct {
-	// Mix is the mix name annotated with the batch size.
-	Mix string
-	// Batch is the per-network batch size.
-	Batch int
-	// Horizon is the speculation depth in cycles.
-	Horizon Cycles
-	// AIMTMakespan and LookaheadMakespan are the exact completion
-	// cycles under plain AI-MT and under Lookahead(AI-MT).
-	AIMTMakespan, LookaheadMakespan Cycles
-	// Speedup is AIMTMakespan / LookaheadMakespan.
-	Speedup float64
-}
-
-// lookaheadMixSpecs returns the contended paper mixes — several
+// lookaheadGrid runs the contended paper mixes — several
 // compute-intensive networks racing one memory-intensive network for
-// block SRAM. These are the mixes where AI-MT's static issue
-// heuristics face genuinely ambiguous fetch decisions, so forward
-// simulation has room to improve on them; in the two-network mixes the
-// contested decisions are rare and short horizons can even mislead.
-func lookaheadMixSpecs() []workload.Spec {
-	var out []workload.Spec
-	for _, s := range PaperMixes() {
-		if len(s.Compute) > 1 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// LookaheadData runs the contended paper mixes under plain AI-MT and
-// under Lookahead(AI-MT) at every horizon, returning the exact
-// makespans. Lookahead commits a speculative decision only when the
-// forward simulation shows a strict progress win and otherwise defers
-// to the inner policy, so on these mixes its makespan is never worse
-// than AI-MT's and strictly better where speculation pays.
-func LookaheadData(cfg Config) ([]LookaheadPoint, error) {
-	aimt, err := sched.ByName("AI-MT")
+// block SRAM — at each batch size under plain AI-MT (column 0) and
+// under Lookahead(AI-MT) at each of lookaheadHorizons (columns 1…).
+// These are the mixes where AI-MT's static issue heuristics face
+// genuinely ambiguous fetch decisions, so forward simulation has room
+// to improve on them; in the two-network mixes the contested decisions
+// are rare and short horizons can even mislead. Lookahead commits a
+// speculative decision only when the forward simulation shows a strict
+// progress win and otherwise defers to the inner policy, so its
+// makespan is never worse than AI-MT's and strictly better where
+// speculation pays.
+func lookaheadGrid(cfg Config) (figGrid, error) {
+	cols, err := schedCols("AI-MT")
 	if err != nil {
-		return nil, err
+		return figGrid{}, err
 	}
-	var jobs []sweep.Job
-	for _, batch := range LookaheadBatches {
-		for _, spec := range lookaheadMixSpecs() {
-			mix, err := BuildMix(cfg, spec, batch)
+	aimt := cols[0].new
+	for _, h := range lookaheadHorizons {
+		cols = append(cols, gridCol{new: func(cfg Config, mix *Mix) Scheduler {
+			return sched.NewLookahead(aimt(cfg, mix), h)
+		}})
+	}
+	var rows []gridRow
+	for _, b := range lookaheadBatches {
+		for _, spec := range PaperMixes() {
+			if len(spec.Compute) == 1 {
+				continue
+			}
+			row, err := newRow(cfg, spec, workload.BuildOptions{Batch: b}, fmt.Sprintf("@batch%d", b))
 			if err != nil {
-				return nil, err
+				return figGrid{}, err
 			}
-			label := fmt.Sprintf("%s@batch%d", mix.Name, batch)
-			jobs = append(jobs, mixJob(cfg, label, mix, aimt))
-			for _, h := range LookaheadHorizons {
-				jobs = append(jobs, sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-					New: func() Scheduler { return sched.NewLookahead(aimt.New(cfg, sched.Input{}), h) }})
-			}
+			rows = append(rows, row)
 		}
 	}
-	outs, err := runSweep(jobs)
-	if err != nil {
-		return nil, err
-	}
-	stride := 1 + len(LookaheadHorizons)
-	var out []LookaheadPoint
-	i := 0
-	for _, batch := range LookaheadBatches {
-		for range lookaheadMixSpecs() {
-			base := outs[i].Res
-			for j, h := range LookaheadHorizons {
-				o := outs[i+1+j]
-				out = append(out, LookaheadPoint{
-					Mix:               o.Mix,
-					Batch:             batch,
-					Horizon:           h,
-					AIMTMakespan:      base.Makespan,
-					LookaheadMakespan: o.Res.Makespan,
-					Speedup:           metrics.Speedup(base, o.Res),
-				})
-			}
-			i += stride
-		}
-	}
-	return out, nil
+	return runGrid(rows, cols)
 }
 
-// PrintLookahead renders the lookahead experiment: exact makespans so
+// printLookahead renders the lookahead experiment: exact makespans so
 // the never-worse property is visible cycle by cycle.
-func PrintLookahead(w io.Writer, cfg Config) error {
-	pts, err := LookaheadData(cfg)
+func printLookahead(w io.Writer, cfg Config) error {
+	g, err := lookaheadGrid(cfg)
 	if err != nil {
 		return err
 	}
@@ -919,47 +771,37 @@ func PrintLookahead(w io.Writer, cfg Config) error {
 		return err
 	}
 	t := metrics.NewTable("mix", "horizon", "AI-MT makespan", "Lookahead makespan", "speedup")
-	for _, p := range pts {
-		t.AddRow(p.Mix, fmt.Sprint(p.Horizon),
-			fmt.Sprint(p.AIMTMakespan), fmt.Sprint(p.LookaheadMakespan),
-			metrics.F(p.Speedup))
+	for r, row := range g.rows {
+		for c, h := range lookaheadHorizons {
+			t.AddRow(row.label, fmt.Sprint(h),
+				fmt.Sprint(g.out[r][0].Res.Makespan), fmt.Sprint(g.out[r][c+1].Res.Makespan),
+				metrics.F(g.speedup(r, c+1)))
+		}
 	}
 	_, err = fmt.Fprintf(w, "%s", t)
 	return err
 }
 
-// SpatialData returns, per zoo network, the mean spatial MAC
+// printSpatial renders, per zoo network, the mean spatial MAC
 // utilization of the weight-stationary mapping — the §VI-B headroom a
 // spatial co-execution extension could reclaim.
-func SpatialData(cfg Config) (map[string]float64, error) {
-	out := map[string]float64{}
-	for name, net := range nn.Zoo() {
-		out[name] = analysis.MeanSpatialUtil(analysis.SpatialUtilization(net, cfg))
-	}
-	return out, nil
-}
-
-// PrintSpatial renders the spatial-utilization analysis.
-func PrintSpatial(w io.Writer, cfg Config) error {
-	data, err := SpatialData(cfg)
-	if err != nil {
-		return err
-	}
+func printSpatial(w io.Writer, cfg Config) error {
+	zoo := nn.Zoo()
 	var names []string
-	for n := range data {
+	for n := range zoo {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	t := metrics.NewTable("network", "mean spatial MAC utilization")
 	for _, n := range names {
-		t.AddRow(n, metrics.Pct(data[n]))
+		t.AddRow(n, metrics.Pct(analysis.MeanSpatialUtil(analysis.SpatialUtilization(zoo[n], cfg))))
 	}
-	_, err = fmt.Fprintf(w, "Spatial utilization (extension, paper SVI-B headroom)\n%s", t)
+	_, err := fmt.Fprintf(w, "Spatial utilization (extension, paper SVI-B headroom)\n%s", t)
 	return err
 }
 
-// PrintTable1 renders the hardware parameters (paper Table I).
-func PrintTable1(w io.Writer, cfg Config) error {
+// printTable1 renders the hardware parameters (paper Table I).
+func printTable1(w io.Writer, cfg Config) error {
 	t := metrics.NewTable("parameter", "value")
 	t.AddRow("Processing Element Dimension", fmt.Sprintf("%dx%d", cfg.PEDim, cfg.PEDim))
 	t.AddRow("# Processing Element Array", fmt.Sprint(cfg.NumArrays))
@@ -971,8 +813,8 @@ func PrintTable1(w io.Writer, cfg Config) error {
 	return err
 }
 
-// Table2Row is one workload row of the paper's Table II.
-type Table2Row struct {
+// table2Row is one workload row of the paper's Table II.
+type table2Row struct {
 	// Name is the network's short name.
 	Name string
 	// FC and Conv are the weight-layer counts (depthwise convolutions
@@ -982,16 +824,16 @@ type Table2Row struct {
 	Weights int64
 }
 
-// Table2Rows returns the workload configurations (paper Table II).
-func Table2Rows() []Table2Row {
-	var rows []Table2Row
+// table2Rows returns the workload configurations (paper Table II).
+func table2Rows() []table2Row {
+	var rows []table2Row
 	for _, name := range []string{"RN34", "RN50", "VGG16", "MN", "GNMT"} {
 		net, err := nn.ByName(name)
 		if err != nil {
 			panic(err) // zoo names are static
 		}
 		c := net.CountByType()
-		rows = append(rows, Table2Row{
+		rows = append(rows, table2Row{
 			Name:    net.Name,
 			FC:      c[nn.FC],
 			Conv:    c[nn.Conv] + c[nn.DWConv],
@@ -1001,26 +843,20 @@ func Table2Rows() []Table2Row {
 	return rows
 }
 
-// PrintTable2 renders Table II.
-func PrintTable2(w io.Writer) error {
+// printTable2 renders Table II.
+func printTable2(w io.Writer) error {
 	t := metrics.NewTable("name", "FC layers", "CONV layers", "weights", "batch")
-	for _, r := range Table2Rows() {
+	for _, r := range table2Rows() {
 		t.AddRow(r.Name, fmt.Sprint(r.FC), fmt.Sprint(r.Conv), fmt.Sprint(r.Weights), "1-32")
 	}
 	_, err := fmt.Fprintf(w, "Table II: neural network workloads\n%s", t)
 	return err
 }
 
-// Table3Rows returns the power/area estimates for the on-chip memory
-// blocks (paper Table III) assuming the given number of co-resident
-// networks (the paper uses five).
-func Table3Rows(cfg Config, networks int) []power.Row {
-	return power.Table3(cfg, networks)
-}
-
-// PrintTable3 renders Table III.
-func PrintTable3(w io.Writer, cfg Config) error {
-	rows := Table3Rows(cfg, 5)
+// printTable3 renders the power/area estimates for the on-chip memory
+// blocks with five co-resident networks, as the paper does (Table III).
+func printTable3(w io.Writer, cfg Config) error {
+	rows := power.Table3(cfg, 5)
 	if _, err := fmt.Fprintln(w, "Table III: power and area of on-chip memory blocks (CACTI-calibrated)"); err != nil {
 		return err
 	}
@@ -1048,24 +884,34 @@ type Experiment struct {
 // order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "table1", Title: "Hardware and architecture parameters", Run: func(w io.Writer, cfg Config) error { return PrintTable1(w, cfg) }},
-		{ID: "table2", Title: "Neural network workloads", Run: func(w io.Writer, _ Config) error { return PrintTable2(w) }},
-		{ID: "fig5", Title: "VGG16 compute vs memory latency per layer", Run: PrintFig5},
-		{ID: "fig7", Title: "Utilization under round-robin scheduling", Run: PrintFig7},
-		{ID: "fig8", Title: "Baseline scheduling speedups", Run: PrintFig8},
-		{ID: "fig10", Title: "Required prefetch SRAM per layer", Run: PrintFig10},
-		{ID: "fig14", Title: "AI-MT speedup ablation", Run: PrintFig14},
-		{ID: "fig15", Title: "Batch-size sensitivity", Run: PrintFig15},
-		{ID: "fig16", Title: "SRAM-capacity sensitivity", Run: PrintFig16},
-		{ID: "table3", Title: "Power and area overheads", Run: PrintTable3},
-		{ID: "serving", Title: "Open-loop serving latency (extension)", Run: PrintServing},
-		{ID: "loadcurve", Title: "Serving load sweep with SLA tracking (extension)", Run: PrintLoadCurve},
-		{ID: "clusterscale", Title: "Cluster scaling: throughput and tail latency vs chip count (extension)", Run: PrintClusterScale},
-		{ID: "overloadcurve", Title: "Overload degradation: admission, priorities and autoscaling under saturation (extension)", Run: PrintOverloadCurve},
-		{ID: "transformermix", Title: "Transformer/CNN mix: phase-aware serving load sweep (extension)", Run: PrintTransformerMix},
-		{ID: "decodebatch", Title: "Decode batching: tokens per megacycle vs batch size (extension)", Run: PrintDecodeBatch},
-		{ID: "lookahead", Title: "Speculative lookahead: forward-simulated contested fetches vs AI-MT (extension)", Run: PrintLookahead},
-		{ID: "spatial", Title: "Spatial PE utilization headroom (extension)", Run: PrintSpatial},
+		{ID: "table1", Title: "Hardware and architecture parameters", Run: printTable1},
+		{ID: "table2", Title: "Neural network workloads", Run: func(w io.Writer, _ Config) error { return printTable2(w) }},
+		{ID: "fig5", Title: "VGG16 compute vs memory latency per layer", Run: printFig5},
+		{ID: "fig7", Title: "Utilization under round-robin scheduling", Run: printFig7},
+		{ID: "fig8", Title: "Baseline scheduling speedups", Run: speedupFigure("Fig 8: baseline scheduling mechanisms, speedup over FIFO", fig8Grid)},
+		{ID: "fig10", Title: "Required prefetch SRAM per layer", Run: printFig10},
+		{ID: "fig14", Title: "AI-MT speedup ablation", Run: speedupFigure("Fig 14: AI-MT speedup over network-serial execution (batch 1)", fig14Grid)},
+		{ID: "fig15", Title: "Batch-size sensitivity", Run: printFig15},
+		{ID: "fig16", Title: "SRAM-capacity sensitivity", Run: printFig16},
+		{ID: "table3", Title: "Power and area overheads", Run: printTable3},
+		{ID: "serving", Title: "Open-loop serving latency (extension)", Run: printServing},
+		// The default mixed CNN/RNN stream: Poisson arrivals,
+		// per-request deadlines.
+		{ID: "loadcurve", Title: "Serving load sweep with SLA tracking (extension)",
+			Run: loadSweepFigure("Load curve (extension): mixed CNN/RNN serving", DefaultServingClasses, 300)},
+		{ID: "clusterscale", Title: "Cluster scaling: throughput and tail latency vs chip count (extension)", Run: printClusterScale},
+		{ID: "overloadcurve", Title: "Overload degradation: admission, priorities and autoscaling under saturation (extension)", Run: printOverloadCurve},
+		// Each transformer request is one prefill burst plus eight
+		// chained decode iterations with per-token deadlines. Prefill
+		// entries are compute-bound and decode entries memory-bound, the
+		// MB/CB co-execution opportunity the paper targets, so schedulers
+		// that overlap the two phases across requests win on both tail
+		// latency and tokens per megacycle.
+		{ID: "transformermix", Title: "Transformer/CNN mix: phase-aware serving load sweep (extension)",
+			Run: loadSweepFigure("Transformer mix (extension): chat (prefill + 8 decode tokens) vs CNN", TransformerServingClasses, 120)},
+		{ID: "decodebatch", Title: "Decode batching: tokens per megacycle vs batch size (extension)", Run: printDecodeBatch},
+		{ID: "lookahead", Title: "Speculative lookahead: forward-simulated contested fetches vs AI-MT (extension)", Run: printLookahead},
+		{ID: "spatial", Title: "Spatial PE utilization headroom (extension)", Run: printSpatial},
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // compared (our substrate is a simulator, not the authors' testbed).
 
 func TestFig5Shape(t *testing.T) {
-	rows, err := Fig5Data(PaperConfig())
+	rows, err := fig5Data(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,36 +36,40 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	rows, err := Fig7Data(PaperConfig())
+	g, err := fig7Grid(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 8 {
-		t.Fatalf("mixes = %d, want 8", len(rows))
+	if len(g.rows) != 8 {
+		t.Fatalf("mixes = %d, want 8", len(g.rows))
 	}
-	for _, r := range rows {
+	for r, row := range g.rows {
+		pe, mem := g.out[r][0].Res.PEUtilization(), g.out[r][0].Res.MemUtilization()
 		// The paper's point: RR leaves severe resource idleness.
-		if r.PEUtil > 0.95 && r.MemUtil > 0.95 {
-			t.Errorf("%s: RR fully utilized (%f/%f) — no idleness to recover", r.Mix, r.PEUtil, r.MemUtil)
+		if pe > 0.95 && mem > 0.95 {
+			t.Errorf("%s: RR fully utilized (%f/%f) — no idleness to recover", row.label, pe, mem)
 		}
-		if r.PEUtil <= 0 || r.PEUtil > 1 || r.MemUtil <= 0 || r.MemUtil > 1 {
-			t.Errorf("%s: utilization out of range %f/%f", r.Mix, r.PEUtil, r.MemUtil)
+		if pe <= 0 || pe > 1 || mem <= 0 || mem > 1 {
+			t.Errorf("%s: utilization out of range %f/%f", row.label, pe, mem)
 		}
 	}
 }
 
 func TestFig8Shape(t *testing.T) {
-	rows, err := Fig8Data(PaperConfig())
+	g, err := fig8Grid(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bySched := map[string][]float64{}
-	for _, r := range rows {
-		bySched[r.Scheduler] = append(bySched[r.Scheduler], r.Speedup)
-		// No baseline deviates wildly from FIFO (paper Fig 8: all
-		// within ~0.9-1.2 of the baseline).
-		if r.Speedup < 0.85 || r.Speedup > 1.3 {
-			t.Errorf("%s under %s: speedup %.3f outside the baseline band", r.Mix, r.Scheduler, r.Speedup)
+	for r, row := range g.rows {
+		for c, o := range g.out[r][1:] {
+			sp := g.speedup(r, c+1)
+			bySched[o.Scheduler] = append(bySched[o.Scheduler], sp)
+			// No baseline deviates wildly from FIFO (paper Fig 8: all
+			// within ~0.9-1.2 of the baseline).
+			if sp < 0.85 || sp > 1.3 {
+				t.Errorf("%s under %s: speedup %.3f outside the baseline band", row.label, o.Scheduler, sp)
+			}
 		}
 	}
 	for _, s := range []string{"RR", "Greedy", "SJF"} {
@@ -76,7 +80,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	data, err := Fig10Data(PaperConfig())
+	data, err := fig10Data(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +109,18 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	rows, err := Fig14Data(PaperConfig())
+	g, err := fig14Grid(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := map[string]map[string]float64{}
-	for _, r := range rows {
-		if sp[r.Scheduler] == nil {
-			sp[r.Scheduler] = map[string]float64{}
+	for r, row := range g.rows {
+		for c, o := range g.out[r][1:] {
+			if sp[o.Scheduler] == nil {
+				sp[o.Scheduler] = map[string]float64{}
+			}
+			sp[o.Scheduler][row.label] = g.speedup(r, c+1)
 		}
-		sp[r.Scheduler][r.Mix] = r.Speedup
 	}
 	geo := func(s string) float64 {
 		var vals []float64
@@ -165,7 +171,8 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	pts, err := Fig15Data(PaperConfig(), []int{1, 4, 16})
+	batches := []int{1, 4, 16}
+	g, err := fig15Grid(PaperConfig(), batches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +180,9 @@ func TestFig15Shape(t *testing.T) {
 	// (paper §V-C): at batch >= 4 the full design must lead clearly on
 	// the RN34+GNMT and RN50+GNMT mixes.
 	gap := map[int][]float64{}
-	for _, p := range pts {
-		gap[p.Batch] = append(gap[p.Batch], p.AllSpeedup-p.MergeSpeedup)
+	for r := range g.rows {
+		b := batches[r%len(batches)] // rows run mix-major
+		gap[b] = append(gap[b], g.speedup(r, 2)-g.speedup(r, 1))
 	}
 	mean := func(b int) float64 {
 		var s float64
@@ -186,22 +194,25 @@ func TestFig15Shape(t *testing.T) {
 	if mean(16) <= mean(1) {
 		t.Errorf("eviction gap at batch 16 (%.3f) not above batch 1 (%.3f)", mean(16), mean(1))
 	}
-	for _, p := range pts {
-		if p.AllSpeedup < 0.8 {
-			t.Errorf("%s batch %d: AI-MT speedup %.3f collapsed", p.Mix, p.Batch, p.AllSpeedup)
+	for r, row := range g.rows {
+		if all := g.speedup(r, 2); all < 0.8 {
+			t.Errorf("%s: AI-MT speedup %.3f collapsed", row.label, all)
 		}
 	}
 }
 
 func TestFig16Shape(t *testing.T) {
 	sizes := []Bytes{512 * KiB, 1 * MiB, 64 * MiB, 1 * GiB}
-	pts, err := Fig16Data(PaperConfig(), sizes)
+	g, err := fig16Grid(PaperConfig(), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bySize := map[Bytes]map[string]float64{}
-	for _, p := range pts {
-		bySize[p.SRAM] = p.Speedups
+	for r, row := range g.rows {
+		bySize[row.cfg.WeightSRAM] = map[string]float64{}
+		for c, o := range g.out[r][1:] {
+			bySize[row.cfg.WeightSRAM][o.Scheduler] = g.speedup(r, c+1)
+		}
 	}
 	// The headline (§V-D): AI-MT at 1 MB is within a few percent of
 	// every policy's best speedup at any capacity, while the naive and
@@ -224,7 +235,7 @@ func TestFig16Shape(t *testing.T) {
 // loop stream, AI-MT finishes first and keeps the PE array the busiest
 // of FIFO, PREMA and AI-MT.
 func TestServingShape(t *testing.T) {
-	pts, err := ServingData(PaperConfig())
+	pts, err := servingData(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +254,7 @@ func TestServingShape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows := Table2Rows()
+	rows := table2Rows()
 	want := map[string][2]int{
 		"ResNet34":  {1, 36},
 		"ResNet50":  {1, 53},
@@ -264,7 +275,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	rows := Table3Rows(PaperConfig(), 5)
+	rows := power.Table3(PaperConfig(), 5)
 	if f := power.OverheadFraction(rows); f > 0.005 {
 		t.Errorf("AI-MT structure overhead %.4f, want < 0.5%% (paper: negligible)", f)
 	}

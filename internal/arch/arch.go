@@ -114,13 +114,14 @@ var (
 	ErrBadSRAM      = errors.New("arch: WeightSRAM must hold at least one weight block")
 	ErrBadWeight    = errors.New("arch: WeightBytes must be positive")
 	ErrBadHostLink  = errors.New("arch: HostBandwidth must be zero (instant) or at least one byte per cycle")
+	ErrNotValidated = errors.New("arch: config not validated: call arch.Config.Validate first")
 )
 
 // CheckDivisors returns the first field the cycle arithmetic would
 // divide by zero with: a non-positive PEDim, NumArrays, FreqHz or
 // WeightBytes, or an HBM or host link below one byte per cycle. Unlike
-// Validate it fills no defaults, so the compiler and the simulator run
-// it on whatever configuration they are handed.
+// Validate it fills no defaults, so the compiler runs it on whatever
+// configuration it is handed.
 func (c Config) CheckDivisors() error {
 	if c.PEDim <= 0 {
 		return ErrBadPEDim
@@ -157,6 +158,22 @@ func (c *Config) Validate() error {
 	}
 	if c.WeightSRAM < c.BlockBytes() {
 		return fmt.Errorf("%w: have %d, need >= %d", ErrBadSRAM, c.WeightSRAM, c.BlockBytes())
+	}
+	return nil
+}
+
+// CheckValidated rejects a config that Validate would still change or
+// refuse. An unvalidated preset (FillLatency 0) compiles and simulates
+// without error but models another machine: AI-MT's minimum split
+// length and every service estimate derived from the fill latency
+// silently move. The simulator and the stream layer both run it.
+func (c Config) CheckValidated() error {
+	v := c
+	if err := v.Validate(); err != nil {
+		return err
+	}
+	if v != c {
+		return fmt.Errorf("%w (FillLatency %d)", ErrNotValidated, c.FillLatency)
 	}
 	return nil
 }

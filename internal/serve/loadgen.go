@@ -445,29 +445,16 @@ type compiledMix struct {
 	phased bool
 }
 
-// checkValidated rejects a config that arch.Config.Validate would still
-// change or refuse. An unvalidated preset (FillLatency 0) compiles
-// without error but gives other service estimates, so every deadline
-// and every load-to-gap conversion would silently move.
-func checkValidated(cfg arch.Config) error {
-	v := cfg
-	if err := v.Validate(); err != nil {
-		return fmt.Errorf("serve: invalid config: %w", err)
-	}
-	if v != cfg {
-		return fmt.Errorf("serve: config not validated (FillLatency %d): call arch.Config.Validate first", cfg.FillLatency)
-	}
-	return nil
-}
-
 // compileClasses compiles every class for cfg and derives the mix's
 // mean service estimate.
 func compileClasses(cfg arch.Config, classes []Class) (*compiledMix, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("serve: empty class list")
 	}
-	if err := checkValidated(cfg); err != nil {
-		return nil, err
+	// An unvalidated config gives other service estimates, so every
+	// deadline and every load-to-gap conversion would silently move.
+	if err := cfg.CheckValidated(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	m := &compiledMix{classes: make([]compiledClass, 0, len(classes))}
 	for i, c := range classes {

@@ -292,8 +292,8 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	if len(nets) == 0 {
 		return errors.New("sim: no networks")
 	}
-	if err := cfg.CheckDivisors(); err != nil {
-		return err
+	if err := cfg.CheckValidated(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	e.tables = e.tables[:0]
 	totalLayers, spillLayers, subLayers := 0, 0, 0

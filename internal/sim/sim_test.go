@@ -444,6 +444,28 @@ func TestRunRejectsEmptyAndInvalid(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnvalidatedConfig: the bare preset compiles, but Run
+// refuses it (its FillLatency 0 models another machine) and names
+// Validate; the same preset once validated runs.
+func TestRunRejectsUnvalidatedConfig(t *testing.T) {
+	bare := arch.PaperConfig()
+	cn, err := compiler.Compile(nn.Zoo()["MN"], bare, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := []*compiler.CompiledNetwork{cn}
+	if _, err := Run(bare, nets, serial{}, Options{}); !errors.Is(err, arch.ErrNotValidated) {
+		t.Errorf("bare preset: Run error %v, want %v", err, arch.ErrNotValidated)
+	}
+	cfg := bare
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(cfg, nets, serial{}, Options{}); err != nil {
+		t.Errorf("validated preset: %v", err)
+	}
+}
+
 // eventLog records tracer events for assertions.
 type eventLog struct{ events []traceEvent }
 
@@ -662,6 +684,9 @@ func checkInitState(t *testing.T, e *Engine, nets []*compiler.CompiledNetwork) {
 // each occurrence.
 func TestHotRowsMatchCompiledTable(t *testing.T) {
 	cfg := arch.PaperConfig()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	srcs := []*nn.Network{nn.GPT2Prefill(128), nn.GPT2Decode(128)}
 	for _, name := range []string{"RN34", "RN50", "VGG16", "MN", "GNMT"} {
 		srcs = append(srcs, nn.Zoo()[name])

@@ -102,21 +102,24 @@ func TestLookaheadSpeculationLeavesNoTrace(t *testing.T) {
 // the second half proves the speculation actually pays somewhere
 // rather than always deferring.
 func TestLookaheadNeverWorseOnContendedMixes(t *testing.T) {
-	pts, err := LookaheadData(PaperConfig())
+	g, err := lookaheadGrid(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) == 0 {
+	if len(g.rows) == 0 {
 		t.Fatal("lookahead experiment produced no points")
 	}
 	wins := 0
-	for _, p := range pts {
-		if p.LookaheadMakespan > p.AIMTMakespan {
-			t.Errorf("%s horizon %d: Lookahead makespan %d exceeds AI-MT's %d",
-				p.Mix, p.Horizon, p.LookaheadMakespan, p.AIMTMakespan)
-		}
-		if p.LookaheadMakespan < p.AIMTMakespan {
-			wins++
+	for r, row := range g.rows {
+		aimt := g.out[r][0].Res.Makespan
+		for c, h := range lookaheadHorizons {
+			la := g.out[r][c+1].Res.Makespan
+			if la > aimt {
+				t.Errorf("%s horizon %d: Lookahead makespan %d exceeds AI-MT's %d", row.label, h, la, aimt)
+			}
+			if la < aimt {
+				wins++
+			}
 		}
 	}
 	if wins == 0 {

@@ -30,12 +30,12 @@ func overloadStream(t *testing.T, cfg Config, classes []ServeClass, requests int
 // never shed and preempts batch work on chip) while the batch band is
 // shed in monotonically growing volume.
 func TestOverloadDegradation(t *testing.T) {
-	pts, err := OverloadCurveData(PaperConfig())
+	pts, err := overloadCurveData(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != len(OverloadLoads) {
-		t.Fatalf("got %d points, want %d", len(pts), len(OverloadLoads))
+	if len(pts) != len(overloadLoads) {
+		t.Fatalf("got %d points, want %d", len(pts), len(overloadLoads))
 	}
 	prevShed := -1
 	baseMiss := -1.0

@@ -232,16 +232,16 @@ func TestZeroDecodeDifferential(t *testing.T) {
 // tokens per megacycle must strictly improve from batch 1 to batch 16.
 // The exact table is pinned by the decodebatch golden.
 func TestDecodeBatchingCurve(t *testing.T) {
-	pts, err := DecodeBatchCurveData(PaperConfig())
+	pts, err := decodeBatchCurveData(PaperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != len(DecodeBatchSizes) {
-		t.Fatalf("points = %d, want %d", len(pts), len(DecodeBatchSizes))
+	if len(pts) != len(decodeBatchSizes) {
+		t.Fatalf("points = %d, want %d", len(pts), len(decodeBatchSizes))
 	}
 	for i, p := range pts {
-		if p.Batch != DecodeBatchSizes[i] {
-			t.Errorf("point %d batch = %d, want %d", i, p.Batch, DecodeBatchSizes[i])
+		if p.Batch != decodeBatchSizes[i] {
+			t.Errorf("point %d batch = %d, want %d", i, p.Batch, decodeBatchSizes[i])
 		}
 		if len(p.Rep.PerPhase) != 2 {
 			t.Fatalf("batch %d: %d phase rows, want 2", p.Batch, len(p.Rep.PerPhase))
