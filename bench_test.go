@@ -362,9 +362,6 @@ func BenchmarkAblationSchedulerLatency(b *testing.B) {
 // compute/bandwidth balance of the machine underneath.
 func BenchmarkAblationHardwareScale(b *testing.B) {
 	tpuv2 := arch.TPUv2Config()
-	if err := tpuv2.Validate(); err != nil {
-		b.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -636,37 +633,45 @@ func BenchmarkServeStreamObserved(b *testing.B) {
 	b.ReportMetric(float64(blocks), "blocks/op")
 }
 
-// BenchmarkCluster8 is the cluster8-transformer harness unit in
-// process: a 4000-request transformer/CNN stream at per-chip offered
-// load 1.2 over 8 chips, cluster.Deadline (least-work) routing with
-// admission control, AI-MT on every chip and the chip engines on the
-// default sweep pool. It
-// gates cluster.Serve's per-call cost: dispatch, sub-streams, the chip
-// simulations and the report fold.
-func BenchmarkCluster8(b *testing.B) {
+// cluster8Unit builds the cluster8-transformer harness unit in
+// process and returns one run of it: a 4000-request transformer/CNN
+// stream at per-chip offered load 1.2 over 8 chips, cluster.Deadline
+// (least-work) routing with admission control, AI-MT on every chip and
+// the chip engines on the default sweep pool.
+func cluster8Unit(tb testing.TB) func() (*cluster.Result, error) {
 	cfg := PaperConfig()
 	classes := serve.TransformerClasses()
 	const chips = 8
 	gaps, err := serve.Gaps(cfg, classes, 1.2*chips)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s, err := serve.NewStream(cfg, classes, serve.StreamOptions{Requests: 4000, MeanGap: gaps[0], Seed: 7})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	spec, err := serve.SpecByName("AI-MT")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return func() (*cluster.Result, error) {
+		return cluster.Serve(cfg, s, spec, cluster.Deadline{}, cluster.Options{
+			Chips:   chips,
+			Control: cluster.Control{Admission: true},
+		})
+	}
+}
+
+// BenchmarkCluster8 gates cluster.Serve's per-call cost on the
+// cluster8Unit: dispatch, sub-streams, the chip simulations and the
+// report fold.
+func BenchmarkCluster8(b *testing.B) {
+	serveOnce := cluster8Unit(b)
 	var blocks int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := cluster.Serve(cfg, s, spec, cluster.Deadline{}, cluster.Options{
-			Chips:   chips,
-			Control: cluster.Control{Admission: true},
-		})
+		r, err := serveOnce()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,9 +16,6 @@ import (
 func TestDifferentialSerializedBound(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.HostBandwidth = 0 // instant feature transfers: pure weight/compute timeline
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	serial, err := SchedulerByName("SerialFIFO")
 	if err != nil {
 		t.Fatal(err)

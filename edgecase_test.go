@@ -92,7 +92,7 @@ func TestEdgeCasesAllSchedulers(t *testing.T) {
 	for _, ec := range edgeCases() {
 		ec := ec
 		t.Run(ec.name, func(t *testing.T) {
-			cfg := scenarioConfig(t, ec.sram)
+			cfg := scenarioConfig(ec.sram)
 			nets, arrivals := ec.build(cfg)
 			for _, p := range allPolicies(cfg, len(nets)) {
 				res, err := Run(cfg, nets, p.mk(), RunOptions{
@@ -131,7 +131,7 @@ func TestEdgeCasesAllSchedulers(t *testing.T) {
 // timing: the makespan must extend past the straggler's arrival and
 // the early networks must not be delayed by its existence.
 func TestEdgeCaseLateArrivalIdles(t *testing.T) {
-	cfg := scenarioConfig(t, 8)
+	cfg := scenarioConfig(8)
 	early := []*Compiled{
 		block("early1", cfg, 4, 6, 2, 1),
 		block("early2", cfg, 6, 4, 2, 1),
@@ -161,9 +161,11 @@ func TestEdgeCaseLateArrivalIdles(t *testing.T) {
 }
 
 // TestBrokenConfigIsAnError hands the compiler, the stream generator
-// and the simulator configurations whose cycle arithmetic would divide
-// by zero. Each must come back as the arch error naming the field,
-// never as a panic. The simulator gets networks compiled for a sound
+// and the simulator configurations that describe no machine: cycle
+// arithmetic that would divide by zero, an array with no pipeline
+// fill, a weight SRAM below one block. Each must come back as the arch
+// error naming the field, never as a panic or a run of another
+// machine. The simulator gets networks compiled for a sound
 // configuration, so its own check is what answers.
 func TestBrokenConfigIsAnError(t *testing.T) {
 	good := PaperConfig()
@@ -185,6 +187,9 @@ func TestBrokenConfigIsAnError(t *testing.T) {
 		{"sub-byte MemBandwidth", func(c *arch.Config) { c.MemBandwidth = c.FreqHz / 2 }, arch.ErrBadBandwidth},
 		{"zero WeightBytes", func(c *arch.Config) { c.WeightBytes = 0 }, arch.ErrBadWeight},
 		{"sub-byte HostBandwidth", func(c *arch.Config) { c.HostBandwidth = c.FreqHz / 2 }, arch.ErrBadHostLink},
+		{"zero FillLatency", func(c *arch.Config) { c.FillLatency = 0 }, arch.ErrBadFill},
+		{"negative FillLatency", func(c *arch.Config) { c.FillLatency = -1 }, arch.ErrBadFill},
+		{"SRAM below one block", func(c *arch.Config) { c.WeightSRAM = c.BlockBytes() - 1 }, arch.ErrBadSRAM},
 	} {
 		cfg := good
 		tc.breakCfg(&cfg)

@@ -34,9 +34,6 @@ func main() {
 	for _, sz := range sizes {
 		cfg := base
 		cfg.WeightSRAM = sz
-		if err := cfg.Validate(); err != nil {
-			log.Fatal(err)
-		}
 		mix, err := workload.Build(cfg, spec, workload.BuildOptions{Batch: 8, Iterations: 2})
 		if err != nil {
 			log.Fatal(err)

@@ -313,9 +313,6 @@ func fig16Grid(cfg Config, sizes []Bytes) (figGrid, error) {
 	for _, sz := range sizes {
 		c := cfg
 		c.WeightSRAM = sz
-		if err := c.Validate(); err != nil {
-			return figGrid{}, err
-		}
 		row, err := newRow(c, spec, workload.BuildOptions{Batch: 8, Iterations: 2}, "@"+arch.FormatBytes(sz))
 		if err != nil {
 			return figGrid{}, err

@@ -181,7 +181,7 @@ func FuzzStream(f *testing.F) {
 		if len(picks) > 10 {
 			picks = picks[:10]
 		}
-		cfg := scenarioConfig(t, 8)
+		cfg := scenarioConfig(8)
 		protos := []*Compiled{
 			block("comp", cfg, 2, 9, 3, 1),
 			block("mem", cfg, 9, 2, 3, 2),
@@ -233,7 +233,7 @@ func FuzzAdmission(f *testing.F) {
 		if len(picks) == 0 {
 			return
 		}
-		cfg := scenarioConfig(t, 8)
+		cfg := scenarioConfig(8)
 		pick := func(i int) byte { return picks[i%len(picks)] }
 		an := NewNetwork("adm-hi", 1, 4, 4)
 		an.FC("f1", int(pick(0)%16)+1)

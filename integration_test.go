@@ -190,9 +190,6 @@ func TestBatchSweepCompletes(t *testing.T) {
 func TestTinySRAMCompletes(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.WeightSRAM = 256 * KiB // exactly one FC MB
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	mix, err := BuildMix(cfg, PaperMixes()[0], 1)
 	if err != nil {
 		t.Fatal(err)
@@ -269,9 +266,6 @@ func TestArrivalStreamUnderAIMT(t *testing.T) {
 func TestNoHostLink(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.HostBandwidth = 0
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	rn34, err := Compile(ResNet34(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -8,18 +8,9 @@ import (
 	"aimt/internal/nn"
 )
 
-func cfg(t *testing.T) arch.Config {
-	t.Helper()
-	c := arch.PaperConfig()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func compileVGG(t *testing.T) *compiler.CompiledNetwork {
 	t.Helper()
-	cn, err := compiler.Compile(nn.VGG16(), cfg(t), 1)
+	cn, err := compiler.Compile(nn.VGG16(), arch.PaperConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +53,7 @@ func TestComputeFractionBounds(t *testing.T) {
 // Fig 10's headline: single-batch layer execution can demand over
 // 10 MB of prefetch SRAM.
 func TestFig10ExceedsTenMB(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	found := false
 	for _, net := range []*nn.Network{nn.VGG16(), nn.ResNet50(), nn.ResNet34()} {
 		cn, err := compiler.Compile(net, c, 1)
@@ -79,7 +70,7 @@ func TestFig10ExceedsTenMB(t *testing.T) {
 }
 
 func TestPrefetchDemandsProperties(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	cn := compileVGG(t)
 	d := PrefetchDemands(cn, c)
 	if len(d) != len(cn.Layers) {
@@ -108,9 +99,9 @@ func TestPrefetchDemandsProperties(t *testing.T) {
 // monotone in bandwidth.
 func TestDemandGrowsWithBandwidth(t *testing.T) {
 	cn := compileVGG(t)
-	slow := cfg(t)
+	slow := arch.PaperConfig()
 	slow.MemBandwidth = 100_000_000_000
-	fast := cfg(t)
+	fast := arch.PaperConfig()
 	fast.MemBandwidth = 900_000_000_000
 	if MaxDemand(PrefetchDemands(cn, slow)) > MaxDemand(PrefetchDemands(cn, fast)) {
 		t.Error("demand not monotone in bandwidth")
@@ -149,7 +140,7 @@ func TestTileOccupancy(t *testing.T) {
 // arrays (their contraction depth is k*k = 9), so MobileNet's spatial
 // utilization must be far below the dense CNNs'.
 func TestSpatialUtilizationShape(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	mean := func(net *nn.Network) float64 {
 		return MeanSpatialUtil(SpatialUtilization(net, c))
 	}

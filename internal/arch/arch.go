@@ -27,9 +27,11 @@ const (
 	GiB Bytes = 1 << 30
 )
 
-// Config captures the hardware parameters of one accelerator core.
-// The zero value is not usable; construct via PaperConfig or fill every
-// field and call Validate.
+// Config captures the hardware parameters of one accelerator core. A
+// Config is a plain value describing one machine: no field is derived
+// later. The zero value is not usable; start from a preset
+// (PaperConfig, TPUv2Config) or fill every field. Compile and the
+// simulator check it with Validate.
 type Config struct {
 	// PEDim is the height and width of each square PE array
 	// (Table I: 128).
@@ -65,15 +67,17 @@ type Config struct {
 	HostBandwidth int64
 
 	// FillLatency is the pipeline fill time of one PE array: cycles from
-	// the first input injected until the first output emerges. If zero,
-	// Validate sets it to 2*PEDim (a diagonal wavefront must traverse
-	// the array twice: once down the rows, once across the columns).
+	// the first input injected until the first output emerges. It must
+	// be positive; the presets set 2*PEDim (a diagonal wavefront must
+	// traverse the array twice: once down the rows, once across the
+	// columns).
 	FillLatency Cycles
 }
 
 // PaperConfig returns the hardware configuration of Table I:
 // 16 PE arrays of 128x128 MACs at 1 GHz, 450 GB/s HBM, 1 MB weight
-// SRAM, 18 MB input/output SRAM, 8-bit weights, 16 GB/s host link.
+// SRAM, 18 MB input/output SRAM, 8-bit weights, 16 GB/s host link,
+// and a 2*PEDim = 256-cycle array fill.
 func PaperConfig() Config {
 	return Config{
 		PEDim:         128,
@@ -84,7 +88,7 @@ func PaperConfig() Config {
 		IOSRAM:        18 * MiB,
 		WeightBytes:   1,
 		HostBandwidth: 16_000_000_000,
-		FillLatency:   0, // derived: 2*PEDim
+		FillLatency:   2 * 128,
 	}
 }
 
@@ -102,6 +106,7 @@ func TPUv2Config() Config {
 		IOSRAM:        18 * MiB,
 		WeightBytes:   2,
 		HostBandwidth: 16_000_000_000,
+		FillLatency:   2 * 128,
 	}
 }
 
@@ -114,15 +119,15 @@ var (
 	ErrBadSRAM      = errors.New("arch: WeightSRAM must hold at least one weight block")
 	ErrBadWeight    = errors.New("arch: WeightBytes must be positive")
 	ErrBadHostLink  = errors.New("arch: HostBandwidth must be zero (instant) or at least one byte per cycle")
-	ErrNotValidated = errors.New("arch: config not validated: call arch.Config.Validate first")
+	ErrBadFill      = errors.New("arch: FillLatency must be positive")
 )
 
-// CheckDivisors returns the first field the cycle arithmetic would
-// divide by zero with: a non-positive PEDim, NumArrays, FreqHz or
-// WeightBytes, or an HBM or host link below one byte per cycle. Unlike
-// Validate it fills no defaults, so the compiler runs it on whatever
-// configuration it is handed.
-func (c Config) CheckDivisors() error {
+// Validate returns the first problem with the configuration: a field
+// the cycle arithmetic would divide by zero with (a non-positive PEDim,
+// NumArrays, FreqHz or WeightBytes, or an HBM or set host link below
+// one byte per cycle), a non-positive FillLatency, or a weight SRAM
+// that cannot hold one weight block. It never changes the config.
+func (c Config) Validate() error {
 	if c.PEDim <= 0 {
 		return ErrBadPEDim
 	}
@@ -144,36 +149,11 @@ func (c Config) CheckDivisors() error {
 	if c.HostBandwidth > 0 && c.HostBytesPerCycle() < 1 {
 		return fmt.Errorf("%w: %d B/s at %d Hz", ErrBadHostLink, c.HostBandwidth, c.FreqHz)
 	}
-	return nil
-}
-
-// Validate checks the configuration for consistency and fills derived
-// defaults (FillLatency). It returns the first problem found.
-func (c *Config) Validate() error {
-	if err := c.CheckDivisors(); err != nil {
-		return err
-	}
-	if c.FillLatency == 0 {
-		c.FillLatency = Cycles(2 * c.PEDim)
+	if c.FillLatency <= 0 {
+		return fmt.Errorf("%w: have %d", ErrBadFill, c.FillLatency)
 	}
 	if c.WeightSRAM < c.BlockBytes() {
 		return fmt.Errorf("%w: have %d, need >= %d", ErrBadSRAM, c.WeightSRAM, c.BlockBytes())
-	}
-	return nil
-}
-
-// CheckValidated rejects a config that Validate would still change or
-// refuse. An unvalidated preset (FillLatency 0) compiles and simulates
-// without error but models another machine: AI-MT's minimum split
-// length and every service estimate derived from the fill latency
-// silently move. The simulator and the stream layer both run it.
-func (c Config) CheckValidated() error {
-	v := c
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	if v != c {
-		return fmt.Errorf("%w (FillLatency %d)", ErrNotValidated, c.FillLatency)
 	}
 	return nil
 }

@@ -7,17 +7,8 @@ import (
 	"testing/quick"
 )
 
-func validPaper(t *testing.T) Config {
-	t.Helper()
-	cfg := PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("paper config invalid: %v", err)
-	}
-	return cfg
-}
-
 func TestPaperConfigMatchesTable1(t *testing.T) {
-	cfg := validPaper(t)
+	cfg := PaperConfig()
 	if cfg.PEDim != 128 {
 		t.Errorf("PEDim = %d, want 128", cfg.PEDim)
 	}
@@ -40,9 +31,6 @@ func TestPaperConfigMatchesTable1(t *testing.T) {
 
 func TestTPUv2Config(t *testing.T) {
 	cfg := TPUv2Config()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if cfg.NumArrays != 2 || cfg.WeightBytes != 2 || cfg.MemBandwidth != 300_000_000_000 {
 		t.Errorf("TPUv2 preset wrong: %+v", cfg)
 	}
@@ -55,19 +43,16 @@ func TestTPUv2Config(t *testing.T) {
 	}
 }
 
-func TestValidateDerivesFillLatency(t *testing.T) {
-	cfg := validPaper(t)
-	if want := Cycles(2 * 128); cfg.FillLatency != want {
-		t.Errorf("FillLatency = %d, want %d", cfg.FillLatency, want)
-	}
-	// An explicit value is preserved.
-	cfg2 := PaperConfig()
-	cfg2.FillLatency = 99
-	if err := cfg2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg2.FillLatency != 99 {
-		t.Errorf("explicit FillLatency overwritten to %d", cfg2.FillLatency)
+// TestPresetsSetFillLatency: each preset is one whole machine that
+// validates as it stands, its array fill stated as 2*PEDim.
+func TestPresetsSetFillLatency(t *testing.T) {
+	for name, cfg := range map[string]Config{"paper": PaperConfig(), "TPUv2": TPUv2Config()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if want := Cycles(2 * cfg.PEDim); cfg.FillLatency != want {
+			t.Errorf("%s: FillLatency = %d, want %d", name, cfg.FillLatency, want)
+		}
 	}
 }
 
@@ -82,6 +67,8 @@ func TestValidateRejections(t *testing.T) {
 		{"zero freq", func(c *Config) { c.FreqHz = 0 }, ErrBadFreq},
 		{"zero bandwidth", func(c *Config) { c.MemBandwidth = 0 }, ErrBadBandwidth},
 		{"zero weight bytes", func(c *Config) { c.WeightBytes = 0 }, ErrBadWeight},
+		{"zero fill", func(c *Config) { c.FillLatency = 0 }, ErrBadFill},
+		{"negative fill", func(c *Config) { c.FillLatency = -1 }, ErrBadFill},
 		{"SRAM below one block", func(c *Config) { c.WeightSRAM = 100 }, ErrBadSRAM},
 	}
 	for _, tc := range cases {
@@ -96,7 +83,7 @@ func TestValidateRejections(t *testing.T) {
 }
 
 func TestBlockBytes(t *testing.T) {
-	cfg := validPaper(t)
+	cfg := PaperConfig()
 	if want := Bytes(128 * 128); cfg.BlockBytes() != want {
 		t.Errorf("BlockBytes = %d, want %d (128x128 int8)", cfg.BlockBytes(), want)
 	}
@@ -107,7 +94,7 @@ func TestBlockBytes(t *testing.T) {
 }
 
 func TestReadCyclesPerArray(t *testing.T) {
-	cfg := validPaper(t)
+	cfg := PaperConfig()
 	// 16384 bytes at 450 B/cycle -> ceil = 37.
 	if got := cfg.ReadCyclesPerArray(); got != 37 {
 		t.Errorf("ReadCyclesPerArray = %d, want 37", got)
@@ -115,21 +102,21 @@ func TestReadCyclesPerArray(t *testing.T) {
 }
 
 func TestWeightBlocks(t *testing.T) {
-	cfg := validPaper(t)
+	cfg := PaperConfig()
 	if got := cfg.WeightBlocks(); got != 64 {
 		t.Errorf("WeightBlocks = %d, want 64 (1 MiB / 16 KiB)", got)
 	}
 }
 
 func TestTotalColumns(t *testing.T) {
-	cfg := validPaper(t)
+	cfg := PaperConfig()
 	if got := cfg.TotalColumns(); got != 2048 {
 		t.Errorf("TotalColumns = %d, want 2048", got)
 	}
 }
 
 func TestMemCycles(t *testing.T) {
-	cfg := validPaper(t)
+	cfg := PaperConfig()
 	cases := []struct {
 		bytes Bytes
 		want  Cycles
@@ -149,7 +136,7 @@ func TestMemCycles(t *testing.T) {
 }
 
 func TestHostCycles(t *testing.T) {
-	cfg := validPaper(t)
+	cfg := PaperConfig()
 	if got := cfg.HostCycles(16_000); got != 1000 {
 		t.Errorf("HostCycles(16000) = %d, want 1000 at 16 GB/s", got)
 	}
@@ -160,7 +147,7 @@ func TestHostCycles(t *testing.T) {
 }
 
 func TestMemCyclesMonotonic(t *testing.T) {
-	cfg := validPaper(t)
+	cfg := PaperConfig()
 	f := func(a, b uint32) bool {
 		x, y := Bytes(a), Bytes(b)
 		if x > y {
@@ -194,7 +181,7 @@ func TestFormatBytes(t *testing.T) {
 }
 
 func TestConfigString(t *testing.T) {
-	s := validPaper(t).String()
+	s := PaperConfig().String()
 	for _, want := range []string{"128x128", "x16", "450 GB/s", "1 MiB", "18 MiB"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Config.String() = %q, missing %q", s, want)

@@ -10,15 +10,6 @@ import (
 	"aimt/internal/sim"
 )
 
-func testConfig(t *testing.T) arch.Config {
-	t.Helper()
-	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg
-}
-
 func testStream(t *testing.T, cfg arch.Config, requests int, seed int64) *serve.Stream {
 	t.Helper()
 	s, err := serve.NewStream(cfg, serve.DefaultClasses(), serve.StreamOptions{
@@ -45,7 +36,7 @@ func aimtSpec() serve.SchedulerSpec {
 // per-chip sub-streams partition the stream with no drops and no
 // duplicates.
 func TestDispatchConservesRequests(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	for seed := int64(1); seed <= 4; seed++ {
 		s := testStream(t, cfg, 40+int(seed)*17, seed)
 		for _, chips := range []int{1, 2, 3, 5, 8, 64} {
@@ -84,7 +75,7 @@ func TestDispatchConservesRequests(t *testing.T) {
 // arrival, and the aggregate latency histogram holds one sample per
 // request. Cluster sizes above the request count exercise empty chips.
 func TestServeConservesRequests(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := testStream(t, cfg, 60, 3)
 	for _, chips := range []int{1, 2, 4, 7} {
 		for _, pspec := range Policies() {
@@ -146,7 +137,7 @@ func TestServeConservesRequests(t *testing.T) {
 // the chip count a multiple of the class count, every request lands on
 // a chip owned by its class.
 func TestClassAffinityPinsClasses(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := testStream(t, cfg, 80, 5)
 	classes := len(s.Classes)
 	for _, chips := range []int{classes, 2 * classes} {
@@ -167,7 +158,7 @@ func TestClassAffinityPinsClasses(t *testing.T) {
 // stream more evenly than a degenerate all-to-one assignment would:
 // no chip stays idle on a 4-chip cluster under heavy load.
 func TestLeastWorkBalances(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s, err := serve.NewStream(cfg, serve.DefaultClasses(), serve.StreamOptions{
 		Requests: 64,
 		MeanGap:  1, // everything arrives nearly at once: maximum pressure
@@ -194,7 +185,7 @@ func TestLeastWorkBalances(t *testing.T) {
 // TestDispatchRejectsBadPolicy covers the dispatcher's guard against a
 // policy returning an out-of-range chip.
 func TestDispatchRejectsBadPolicy(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := testStream(t, cfg, 4, 1)
 	if _, err := Dispatch(s, badPolicy{}, 2); err == nil {
 		t.Error("out-of-range pick accepted")

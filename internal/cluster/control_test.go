@@ -29,7 +29,7 @@ func prioStream(t *testing.T, cfg arch.Config, requests int, seed int64, load fl
 // admission check drops requests, every drop is in the lowest priority
 // band, and conservation (routed + shed == offered) holds.
 func TestAdmissionShedsOnlyLowestClass(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := prioStream(t, cfg, 300, 9, 4.0, 2)
 	assign, shed, st, err := dispatch(s, leastWork{}, 2, Control{Admission: true}, nil, nil, nil)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestAdmissionShedsOnlyLowestClass(t *testing.T) {
 // (logged for the ledger) and light load never leaves the one-chip
 // floor.
 func TestAutoscalerHysteresis(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	hot := prioStream(t, cfg, 300, 9, 4.0, 4)
 	led := obs.NewLedger(0)
 	var notes obs.Log
@@ -101,7 +101,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 // shed requests never reach a chip's completion set, the aggregate
 // report and the ledger agree with the dispatch stats.
 func TestControlledServeConservation(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	led := obs.NewLedger(0)
 	s := prioStream(t, cfg, 240, 11, 4.0, 2)
 	res, err := Serve(cfg, s, aimtSpec(), leastWork{}, Options{

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"aimt/internal/arch"
 	"aimt/internal/rtrace"
 	"aimt/internal/serve"
 )
@@ -28,7 +29,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 //
 //	go test -run TestDispatchPinned ./internal/cluster/ -update
 func TestDispatchPinned(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	controls := []struct {
 		name string
 		ctl  Control

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"aimt/internal/arch"
 	"aimt/internal/obs"
 	"aimt/internal/serve"
 )
@@ -23,7 +24,7 @@ import (
 //
 //	go test -run TestDispatchLedgerPinned ./internal/cluster/ -update
 func TestDispatchLedgerPinned(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	twoBand := serve.DefaultClasses()
 	twoBand[0].Priority = 1
 	mixes := []struct {

@@ -14,7 +14,7 @@ import (
 // the predictor exists but the chip has no routed history to simulate
 // against.
 func TestPredictETAStaticFallbacks(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := prioStream(t, cfg, 50, 9, 2.0, 2)
 	r := Request{Index: 3, Class: s.ClassOf[3], Arrival: s.Arrivals[3], Service: s.EntryService(3)}
 	v := &View{chips: 2, classes: len(s.Classes), freeAt: make([]arch.Cycles, 2)}
@@ -37,7 +37,7 @@ func TestPredictETAStaticFallbacks(t *testing.T) {
 // instead. Goodput — requests finished on time over requests offered —
 // must be at least 5 points above least-work's at every seed.
 func TestPredictiveWinsPastSaturation(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	classes := serve.DefaultClasses()
 	gaps, err := serve.Gaps(cfg, classes, 3.0*2)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestPredictiveWinsPastSaturation(t *testing.T) {
 // function of the dispatch state, so two controlled dispatches over
 // the same stream agree exactly.
 func TestPredictiveDispatchDeterministic(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := prioStream(t, cfg, 150, 5, 3.0, 2)
 	a, _, _, err := dispatch(s, predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
@@ -90,7 +90,7 @@ func TestPredictiveDispatchDeterministic(t *testing.T) {
 // without any explicit Control setting — and checks every request is
 // served and accounted.
 func TestPredictivePolicyServes(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := prioStream(t, cfg, 120, 7, 2.0, 2)
 	res, err := Serve(cfg, s, aimtSpec(), predictive{}, Options{Chips: 2, CheckInvariants: true})
 	if err != nil {
@@ -136,7 +136,7 @@ func TestPredictiveByName(t *testing.T) {
 // TestPredictorWindowSlides: the per-chip history is bounded by the
 // predictWindow constant, oldest-out.
 func TestPredictorWindowSlides(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := prioStream(t, cfg, 20, 3, 1.0, 1)
 	p := newPredictor(cfg, s, 1)
 	for i := 0; i < 20; i++ {
@@ -156,7 +156,7 @@ func TestPredictorWindowSlides(t *testing.T) {
 // first arrival. A window that forgot its older entries would plateau
 // near predictWindow requests' worth of work instead.
 func TestPredictorCarriesBacklog(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s, err := serve.NewStream(cfg, serve.DefaultClasses(), serve.StreamOptions{Requests: 40, MeanGap: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestLoadCurveAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-request saturation sweep")
 	}
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	gaps, err := serve.Gaps(cfg, serve.DefaultClasses(), 0.4, 1.3)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestLoadCurveAcceptance(t *testing.T) {
 // the sweep walks defaultGapFactors unrouted with the standard
 // scheduler set, and with routes the default loads are per chip.
 func TestLoadCurveDefaults(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	points, err := Sweep(cfg, serve.DefaultClasses(), nil, SweepOptions{
 		Options: Options{CheckInvariants: true},
 		Stream:  serve.StreamOptions{Requests: 50, Seed: 2},
@@ -126,7 +126,7 @@ func TestLoadCurveDefaults(t *testing.T) {
 // TestLoadCurveShapes runs a small cluster sweep end to end and checks
 // its dimensions, grid order and rendering.
 func TestLoadCurveShapes(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	var routes []Route
 	for _, p := range Policies() {
 		routes = append(routes, Route{Policy: p, Chips: 3})
@@ -183,7 +183,7 @@ func TestLoadCurveShapes(t *testing.T) {
 // stream — the planner's batching of all runs into one pool changes
 // no outcome — and the ledger holds the same decisions.
 func TestSweepMatchesServe(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	classes := serve.DefaultClasses()
 	classes[0].Priority = 1
 	gaps, err := serve.Gaps(cfg, classes, 1.0, 4.0)

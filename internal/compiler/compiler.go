@@ -154,13 +154,13 @@ var (
 	ErrBadBatch = errors.New("compiler: batch size must be positive")
 )
 
-// Compile lowers net onto cfg at the given batch size. cfg must have
-// been validated.
+// Compile lowers net onto cfg at the given batch size. It returns
+// cfg's Validate error for a configuration that describes no machine.
 func Compile(net *nn.Network, cfg arch.Config, batch int) (*CompiledNetwork, error) {
 	if batch <= 0 {
 		return nil, ErrBadBatch
 	}
-	if err := cfg.CheckDivisors(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := net.Validate(); err != nil {

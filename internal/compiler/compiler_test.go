@@ -10,18 +10,9 @@ import (
 	"aimt/internal/nn"
 )
 
-func cfg(t *testing.T) arch.Config {
-	t.Helper()
-	c := arch.PaperConfig()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func compile(t *testing.T, net *nn.Network, batch int) *CompiledNetwork {
 	t.Helper()
-	cn, err := Compile(net, cfg(t), batch)
+	cn, err := Compile(net, arch.PaperConfig(), batch)
 	if err != nil {
 		t.Fatalf("compile %s: %v", net.Name, err)
 	}
@@ -38,7 +29,7 @@ func TestEstimateConv(t *testing.T) {
 	cn := compile(t, b.MustBuild(), 1)
 	l := cn.Layers[0]
 
-	c := cfg(t)
+	c := arch.PaperConfig()
 	if l.MBCycles != c.ReadCyclesPerArray() {
 		t.Errorf("MB = %d, want read_cyc_per_array = %d", l.MBCycles, c.ReadCyclesPerArray())
 	}
@@ -62,7 +53,7 @@ func TestEstimateFC(t *testing.T) {
 	cn := compile(t, b.MustBuild(), 1)
 	l := cn.Layers[0]
 
-	c := cfg(t)
+	c := arch.PaperConfig()
 	if want := c.ReadCyclesPerArray() * arch.Cycles(c.NumArrays); l.MBCycles != want {
 		t.Errorf("MB = %d, want %d (all arrays hold distinct weights)", l.MBCycles, want)
 	}
@@ -106,7 +97,7 @@ func TestBatchScalesCBNotMB(t *testing.T) {
 		t.Error("iters changed with batch")
 	}
 	// CB = ceil(ow*oh/arrays)*batch + fill grows linearly in batch.
-	fill := cfg(t).FillLatency
+	fill := arch.PaperConfig().FillLatency
 	if got, want := eight.Layers[0].CBCycles-fill, 8*(one.Layers[0].CBCycles-fill); got != want {
 		t.Errorf("batch-8 CB work = %d, want %d", got, want)
 	}
@@ -160,7 +151,7 @@ func TestResidualDependencies(t *testing.T) {
 
 func TestWeightBytesMatchBlocks(t *testing.T) {
 	cn := compile(t, nn.ResNet50(), 1)
-	c := cfg(t)
+	c := arch.PaperConfig()
 	for _, l := range cn.Layers {
 		if l.MBBytes != c.BlockBytes()*arch.Bytes(l.MBBlocks) {
 			t.Errorf("%s: MBBytes %d != blocks %d * %d", l.Name, l.MBBytes, l.MBBlocks, c.BlockBytes())
@@ -221,16 +212,16 @@ func TestHostBytes(t *testing.T) {
 }
 
 func TestCompileRejects(t *testing.T) {
-	if _, err := Compile(nn.VGG16(), cfg(t), 0); !errors.Is(err, ErrBadBatch) {
+	if _, err := Compile(nn.VGG16(), arch.PaperConfig(), 0); !errors.Is(err, ErrBadBatch) {
 		t.Errorf("batch 0: %v", err)
 	}
 	bad := &nn.Network{Name: "bad"}
-	if _, err := Compile(bad, cfg(t), 1); err == nil {
+	if _, err := Compile(bad, arch.PaperConfig(), 1); err == nil {
 		t.Error("empty network compiled")
 	}
 	poolOnly := nn.NewBuilder("pool", 3, 8, 8)
 	poolOnly.Pool("p", 2, 2, 0)
-	if _, err := Compile(poolOnly.MustBuild(), cfg(t), 1); err == nil {
+	if _, err := Compile(poolOnly.MustBuild(), arch.PaperConfig(), 1); err == nil {
 		t.Error("weightless network compiled")
 	}
 }
@@ -267,7 +258,7 @@ func TestWeightTrafficCoversModel(t *testing.T) {
 // Property: sub-layer counts scale with layer dimensions as ceil
 // ratios — iters is monotone in OutC for CONV layers.
 func TestPropertyItersMonotoneInOutC(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	f := func(a, b uint8) bool {
 		oc1, oc2 := int(a)+1, int(b)+1
 		if oc1 > oc2 {

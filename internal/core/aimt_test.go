@@ -11,9 +11,8 @@ import (
 	"aimt/internal/sim"
 )
 
-func testConfig(t testing.TB) arch.Config {
-	t.Helper()
-	cfg := arch.Config{
+func testConfig() arch.Config {
+	return arch.Config{
 		PEDim:        4,
 		NumArrays:    4,
 		FreqHz:       1_000_000_000,
@@ -23,10 +22,6 @@ func testConfig(t testing.TB) arch.Config {
 		WeightBytes:  1,
 		FillLatency:  2,
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg
 }
 
 func oneLayer(name string, cfg arch.Config, mb, cb arch.Cycles, iters, blocks int) *compiler.CompiledNetwork {
@@ -61,7 +56,7 @@ func runWith(t *testing.T, cfg arch.Config, nets []*compiler.CompiledNetwork, s 
 }
 
 func TestNames(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cases := map[string]Mechanisms{
 		"AI-MT(PF)":       Prefetch(),
 		"AI-MT(PF+Merge)": PrefetchMerge(),
@@ -88,7 +83,7 @@ func TestMechanismPresets(t *testing.T) {
 }
 
 func TestAllVariantsCompleteAndRespectBound(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := mixedLoad(cfg)
 	var mb, cb arch.Cycles
 	for _, cn := range nets {
@@ -112,7 +107,7 @@ func TestAllVariantsCompleteAndRespectBound(t *testing.T) {
 }
 
 func TestPrefetchBeatsDoubleBuffering(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := mixedLoad(cfg)
 	pf := runWith(t, cfg, nets, New(cfg, Prefetch()))
 	// A depth-2 serial reference: same candidate order but bounded
@@ -163,7 +158,7 @@ func (d *depth2) OnCBStart(v *sim.View, r sim.CBRef) {
 }
 
 func TestMergeCoversFetches(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := mixedLoad(cfg)
 	pf := runWith(t, cfg, nets, New(cfg, Prefetch()))
 	// The decaying AVL_CB counter (the paper's accounting) trades a
@@ -182,7 +177,7 @@ func TestMergeCoversFetches(t *testing.T) {
 }
 
 func TestEvictionHelpsUnderCapacityPressure(t *testing.T) {
-	cfg := testConfig(t) // 8 blocks only
+	cfg := testConfig() // 8 blocks only
 	// Compute-bound mix with capacity-critical 4-block fetches: the
 	// memory net's blocks can only flow if windows are protected.
 	nets := []*compiler.CompiledNetwork{
@@ -197,7 +192,7 @@ func TestEvictionHelpsUnderCapacityPressure(t *testing.T) {
 }
 
 func TestAdaptiveEvictionDisabledWhenMemoryBound(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// Memory-bound mix: total MB 1200 >> total CB 300. Eviction must
 	// deactivate, making All behave like Merge.
 	nets := []*compiler.CompiledNetwork{
@@ -213,7 +208,7 @@ func TestAdaptiveEvictionDisabledWhenMemoryBound(t *testing.T) {
 }
 
 func TestSplitTriggersUnderPressure(t *testing.T) {
-	cfg := testConfig(t) // 8 blocks
+	cfg := testConfig() // 8 blocks
 	// One very long compute block holds the PE while the memory net's
 	// 4-block fetches need windows: without split the channel starves
 	// behind it.
@@ -232,7 +227,7 @@ func TestSplitTriggersUnderPressure(t *testing.T) {
 }
 
 func TestSettersChain(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	a := New(cfg, All()).SetMergeThreshold(123).SetPressureBlocks(7).SetExactAVL(false)
 	if a.mergeThreshold != 123 || a.pressureBlocks != 7 || a.avlMode != avlLeaky {
 		t.Errorf("setters did not apply: %+v", a)
@@ -244,7 +239,7 @@ func TestSettersChain(t *testing.T) {
 }
 
 func TestHostBlockedNetsDeprioritized(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.HostBandwidth = 1_000_000_000
 	// net0's input transfer takes 500 cycles; net1's is instant. With
 	// tiny SRAM, AI-MT must fetch net1's weights first even though
@@ -280,7 +275,7 @@ func (o *order) first(engine string) int {
 // high-weight network must finish earlier than an identical
 // low-weight peer, and overall throughput must not collapse.
 func TestWeightedPriorities(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	mk := func() []*compiler.CompiledNetwork {
 		return []*compiler.CompiledNetwork{
 			oneLayer("a", cfg, 5, 25, 12, 1),
@@ -306,7 +301,7 @@ func TestWeightedPriorities(t *testing.T) {
 // sooner than under fair rotation, while uniform priorities leave the
 // scheduler a strict no-op.
 func TestPreemptPriorities(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	mk := func() []*compiler.CompiledNetwork {
 		return []*compiler.CompiledNetwork{
 			oneLayer("low", cfg, 2, 2000, 4, 1),
@@ -355,7 +350,7 @@ func TestPreemptPriorities(t *testing.T) {
 // larger than half the buffer — checking completion, the makespan
 // lower bound, and SRAM invariants.
 func TestPropertyAIMTNeverDeadlocks(t *testing.T) {
-	cfg := testConfig(t) // 8 blocks
+	cfg := testConfig() // 8 blocks
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var nets []*compiler.CompiledNetwork
@@ -414,7 +409,7 @@ func TestPropertyAIMTNeverDeadlocks(t *testing.T) {
 // serial execution by a clear margin — the paper's qualitative claim
 // at miniature scale.
 func TestAIMTBeatsSerialOnMixedLoad(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := mixedLoad(cfg)
 	serial := runWith(t, cfg, nets, &depth2{})
 	all := runWith(t, cfg, nets, New(cfg, All()))

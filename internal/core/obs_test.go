@@ -14,7 +14,7 @@ import (
 // eviction the engine counted must appear in the ledger with a cycle
 // inside the run and a coherent stall attribution.
 func TestLedgerMatchesResult(t *testing.T) {
-	cfg := testConfig(t) // 8 SRAM blocks
+	cfg := testConfig() // 8 SRAM blocks
 	// The split-triggering mix from TestSplitTriggersUnderPressure:
 	// one long compute block holds the PE while 4-block fetches need
 	// protected windows, so evictions and splits both fire.
@@ -108,7 +108,7 @@ func TestLedgerMatchesResult(t *testing.T) {
 // cannot change scheduling: the same mix with and without a registry
 // and ledger produces identical results.
 func TestObsDisabledMatchesEnabled(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := mixedLoad(cfg)
 	plain, err := sim.Run(cfg, nets, New(cfg, All()), sim.Options{})
 	if err != nil {

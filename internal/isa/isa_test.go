@@ -15,9 +15,6 @@ import (
 func lowerVGG(t *testing.T, batch int) (*Program, *compiler.CompiledNetwork) {
 	t.Helper()
 	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	cn, err := compiler.Compile(nn.VGG16(), cfg, batch)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +186,6 @@ func TestPropertyRoundTrip(t *testing.T) {
 // encoding, decoding, and reconstruction — and simulates identically.
 func TestRoundTripToSimulator(t *testing.T) {
 	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"VGG16", "GNMT", "MN"} {
 		net, err := nn.ByName(name)
 		if err != nil {
@@ -246,9 +240,6 @@ func TestToCompiledNetworkRejects(t *testing.T) {
 
 func TestLowerAllZooPrograms(t *testing.T) {
 	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	for name, net := range nn.Zoo() {
 		cn, err := compiler.Compile(net, cfg, 1)
 		if err != nil {

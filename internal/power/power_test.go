@@ -59,9 +59,6 @@ func TestModelExtrapolates(t *testing.T) {
 
 func TestTable3Rows(t *testing.T) {
 	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	rows := Table3(cfg, 5)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
@@ -86,9 +83,6 @@ func TestTable3Rows(t *testing.T) {
 // on-chip memory power.
 func TestOverheadNegligible(t *testing.T) {
 	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	rows := Table3(cfg, 5)
 	if f := OverheadFraction(rows); f <= 0 || f > 0.01 {
 		t.Errorf("overhead fraction = %f, want (0, 1%%]", f)

@@ -65,9 +65,6 @@ func preemptingStream(t *testing.T, cfg arch.Config) (*serve.Stream, serve.Sched
 // produce exactly the reference builder's spans.
 func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	s, spec := preemptingStream(t, cfg)
 	n := len(s.Nets)
 

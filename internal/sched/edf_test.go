@@ -12,7 +12,7 @@ import (
 // deadlines, EDF must issue the tightest-deadline network's memory
 // blocks first, regardless of instance order.
 func TestEDFOrdersByDeadline(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("a", cfg, 10, 10, 3, 1),
 		oneLayer("b", cfg, 10, 10, 3, 1),
@@ -35,7 +35,7 @@ func TestEDFOrdersByDeadline(t *testing.T) {
 // network last equally, so candidate order (lowest net first) wins and
 // the run completes with the usual invariants.
 func TestEDFWithoutDeadlinesFallsBackToOrder(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("a", cfg, 10, 10, 2, 1),
 		oneLayer("b", cfg, 10, 10, 2, 1),
@@ -50,7 +50,7 @@ func TestEDFWithoutDeadlinesFallsBackToOrder(t *testing.T) {
 // capacity-bounded prefetching, so a single network's fetches must run
 // ahead of compute past the double-buffering depth of the baselines.
 func TestEDFPrefetchesBeyondDoubleBuffering(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// Short fetches, long computes: an unbounded prefetcher finishes
 	// all fetches while the first compute still runs.
 	nets := []*compiler.CompiledNetwork{oneLayer("a", cfg, 5, 500, 8, 1)}
@@ -69,7 +69,7 @@ func TestEDFPrefetchesBeyondDoubleBuffering(t *testing.T) {
 // TestEDFLateArrivalsRespectDeadlines: a late-arriving urgent request
 // takes priority over queued loose-deadline work as soon as it lands.
 func TestEDFLateArrivalsRespectDeadlines(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("slack", cfg, 20, 20, 8, 1),
 		oneLayer("urgent", cfg, 20, 20, 2, 1),

@@ -14,7 +14,7 @@ import (
 // scheduler, and every entry completes a small two-network mix with
 // staggered arrivals under the invariant checker.
 func TestRegistryEntries(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("a", cfg, 3, 20, 6, 1),
 		oneLayer("b", cfg, 25, 4, 6, 4),

@@ -46,7 +46,7 @@ func (r *rrReference) PickMB(v *sim.View) (sim.MBRef, bool) {
 // and requires the one-pass pick to produce exactly the reference
 // loop's Result.
 func TestRRMatchesReferenceOnStream(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	rng := rand.New(rand.NewSource(11))
 	var tables []*compiler.CompiledNetwork
 	var mean float64

@@ -8,9 +8,8 @@ import (
 	"aimt/internal/sim"
 )
 
-func testConfig(t testing.TB) arch.Config {
-	t.Helper()
-	cfg := arch.Config{
+func testConfig() arch.Config {
+	return arch.Config{
 		PEDim:        4,
 		NumArrays:    4,
 		FreqHz:       1_000_000_000,
@@ -20,10 +19,6 @@ func testConfig(t testing.TB) arch.Config {
 		WeightBytes:  1,
 		FillLatency:  2,
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg
 }
 
 // oneLayer builds a single-layer network with n sub-layers.
@@ -57,7 +52,7 @@ func run(t *testing.T, cfg arch.Config, nets []*compiler.CompiledNetwork, s sim.
 }
 
 func TestFIFOIsNetworkSerial(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("a", cfg, 10, 10, 3, 1),
 		oneLayer("b", cfg, 10, 10, 3, 1),
@@ -72,7 +67,7 @@ func TestFIFOIsNetworkSerial(t *testing.T) {
 }
 
 func TestRRAlternates(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("a", cfg, 10, 10, 3, 1),
 		oneLayer("b", cfg, 10, 10, 3, 1),
@@ -92,7 +87,7 @@ func TestRRAlternates(t *testing.T) {
 }
 
 func TestDoubleBufferingBoundsOutstanding(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// MBs are instant relative to CBs; depth-2 means the third MB
 	// waits for the first CB to finish. Observed via SRAM peak: at
 	// most 2 blocks resident.
@@ -104,7 +99,7 @@ func TestDoubleBufferingBoundsOutstanding(t *testing.T) {
 }
 
 func TestGreedyMatchesExecutingCB(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// Greedy sizes fetches against the executing compute block. The
 	// decision of interest happens at t=40, when net1's fetch ends
 	// mid-way through net0's 100-cycle CB (70 cycles remain): net2's
@@ -129,7 +124,7 @@ func TestGreedyMatchesExecutingCB(t *testing.T) {
 }
 
 func TestSJFPicksSmallestJob(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("big", cfg, 30, 60, 1, 1),
 		oneLayer("small", cfg, 20, 10, 1, 1),
@@ -146,7 +141,7 @@ func TestSJFPicksSmallestJob(t *testing.T) {
 }
 
 func TestComputeFirstDefersMemoryHeavy(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("mem", cfg, 50, 5, 2, 1),
 		oneLayer("comp", cfg, 5, 50, 2, 1),
@@ -162,7 +157,7 @@ func TestComputeFirstDefersMemoryHeavy(t *testing.T) {
 }
 
 func TestGreedyPrefetchUnbounded(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{oneLayer("a", cfg, 1, 50, 8, 1)}
 	res, _ := run(t, cfg, nets, NewGreedyPrefetch())
 	if res.SRAMPeakBlocks <= 2 {
@@ -187,7 +182,7 @@ func TestNames(t *testing.T) {
 }
 
 func TestPREMATimeMultiplexes(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("a", cfg, 10, 10, 2, 1),
 		oneLayer("b", cfg, 10, 10, 2, 1),
@@ -205,7 +200,7 @@ func TestPREMATimeMultiplexes(t *testing.T) {
 }
 
 func TestPREMAPriorityFavorsHighRate(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// Three equal networks; net 2 has 10x the token rate. After the
 	// opening election (tokens all zero, lowest index wins), net 2
 	// must run second — its tokens accrue fastest while waiting.
@@ -225,7 +220,7 @@ func TestPREMAPriorityFavorsHighRate(t *testing.T) {
 }
 
 func TestPREMACompletesMixedLoad(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("a", cfg, 3, 20, 6, 1),
 		oneLayer("b", cfg, 25, 4, 6, 4),
@@ -239,7 +234,7 @@ func TestPREMACompletesMixedLoad(t *testing.T) {
 // All baselines complete a mixed two-network workload and respect the
 // makespan lower bound.
 func TestAllBaselinesComplete(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		oneLayer("a", cfg, 3, 20, 6, 1),
 		oneLayer("b", cfg, 25, 4, 6, 4),

@@ -451,11 +451,6 @@ func compileClasses(cfg arch.Config, classes []Class) (*compiledMix, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("serve: empty class list")
 	}
-	// An unvalidated config gives other service estimates, so every
-	// deadline and every load-to-gap conversion would silently move.
-	if err := cfg.CheckValidated(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	m := &compiledMix{classes: make([]compiledClass, 0, len(classes))}
 	for i, c := range classes {
 		if c.Net == nil {
@@ -511,7 +506,7 @@ func compileClasses(cfg arch.Config, classes []Class) (*compiledMix, error) {
 // offer them for a stream of these classes: the mix's mean service
 // estimate over each load, at least one cycle. Loads are in single-chip
 // capacities, so a cluster of N chips at per-chip load L passes L*N.
-// cfg must have been through arch.Config.Validate.
+// A cfg that arch.Config.Validate rejects is an error.
 func Gaps(cfg arch.Config, classes []Class, loads ...float64) ([]arch.Cycles, error) {
 	m, err := compileClasses(cfg, classes)
 	if err != nil {
@@ -529,8 +524,8 @@ func Gaps(cfg arch.Config, classes []Class, loads ...float64) ([]arch.Cycles, er
 
 // NewStream compiles the classes for cfg and draws a reproducible
 // open-loop request stream: weighted class picks, arrival gaps from
-// the chosen process, and per-request deadlines. cfg must have been
-// through arch.Config.Validate.
+// the chosen process, and per-request deadlines. A cfg that
+// arch.Config.Validate rejects is an error.
 //
 // Every per-entry slice is allocated once, at its final length: a
 // single-phase stream has exactly Requests entries, and a phased one

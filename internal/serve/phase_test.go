@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"aimt/internal/arch"
 	"aimt/internal/core"
 	"aimt/internal/obs"
 	"aimt/internal/sim"
@@ -13,7 +14,7 @@ import (
 // phaseStream builds a small transformer stream for phase tests.
 func phaseStream(t *testing.T, decode, requests int) *Stream {
 	t.Helper()
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	classes := []Class{TransformerChatClass(decode, 1)}
 	s, err := NewStream(cfg, classes, StreamOptions{Requests: requests, MeanGap: 200_000, Seed: 3})
 	if err != nil {
@@ -67,7 +68,7 @@ func TestStreamPhases(t *testing.T) {
 // TestServePhaseReport runs a transformer stream end to end and checks
 // the phase rows and token metric of the report.
 func TestServePhaseReport(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	const decode, requests = 4, 16
 	s := phaseStream(t, decode, requests)
 	reg := obs.NewRegistry()
@@ -109,7 +110,7 @@ func TestServePhaseReport(t *testing.T) {
 // transformer class with zero decode iterations still reports a decode
 // row, zero-valued, with no NaN miss rate and zero tokens.
 func TestReportEmptyPhaseRegression(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s := phaseStream(t, 0, 8)
 	if len(s.Nets) != 8 {
 		t.Fatalf("entries = %d, want 8 (prefill only)", len(s.Nets))

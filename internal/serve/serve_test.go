@@ -10,21 +10,12 @@ import (
 	"aimt/internal/sim"
 )
 
-func testConfig(t testing.TB) arch.Config {
-	t.Helper()
-	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg
-}
-
 // TestStreamReproducible: identical options yield identical streams,
 // and changing only MeanGap preserves the request/class sequence while
 // scaling the gaps — the property that makes load-curve points
 // comparable.
 func TestStreamReproducible(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	opts := StreamOptions{Requests: 200, MeanGap: 10_000, Seed: 42}
 	a, err := NewStream(cfg, DefaultClasses(), opts)
 	if err != nil {
@@ -66,7 +57,7 @@ func TestStreamReproducible(t *testing.T) {
 // TestStreamShape: arrivals are non-decreasing, deadlines sit strictly
 // after arrivals, and the weighted mix is respected on average.
 func TestStreamShape(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s, err := NewStream(cfg, DefaultClasses(), StreamOptions{Requests: 2000, MeanGap: 5000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +82,7 @@ func TestStreamShape(t *testing.T) {
 // TestBurstyKeepsMeanRate: the bursty process must offer the same mean
 // load as Poisson at the same MeanGap, just less evenly.
 func TestBurstyKeepsMeanRate(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	base := StreamOptions{Requests: 5000, MeanGap: 10_000, Seed: 9}
 	pois, err := NewStream(cfg, DefaultClasses(), base)
 	if err != nil {
@@ -123,7 +114,7 @@ func TestBurstyKeepsMeanRate(t *testing.T) {
 // TestServeReportConsistency: a served report's counters must agree
 // with each other and with the stream, with invariants checked.
 func TestServeReportConsistency(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s, err := NewStream(cfg, DefaultClasses(), StreamOptions{Requests: 64, MeanGap: 30_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +150,7 @@ func TestServeReportConsistency(t *testing.T) {
 // arrival order and class metadata, and partitions reassemble the
 // parent exactly.
 func TestSubStream(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s, err := NewStream(cfg, DefaultClasses(), StreamOptions{Requests: 31, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +199,7 @@ func TestSubStream(t *testing.T) {
 // decode entry but drops the entry it is chained after is not
 // request-closed, so SubStream reports an error instead of panicking.
 func TestSubStreamRejectsOrphanedDecode(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s, err := NewStream(cfg, TransformerClasses(), StreamOptions{Requests: 12, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +235,7 @@ func TestSubStreamRejectsOrphanedDecode(t *testing.T) {
 // a zero served count), and shed requests must stay out of the latency
 // distribution while conservation (served + shed == offered) holds.
 func TestReportFullyShedClassZeroRow(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	s, err := NewStream(cfg, DefaultClasses(), StreamOptions{Requests: 64, MeanGap: 30_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +284,7 @@ func TestReportFullyShedClassZeroRow(t *testing.T) {
 // classes divided by the load, clamped to one cycle, so a stream drawn
 // at that gap offers the requested load.
 func TestGapsMatchStreamService(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	for _, classes := range [][]Class{DefaultClasses(), TransformerClasses()} {
 		s, err := NewStream(cfg, classes, StreamOptions{Requests: 1})
 		if err != nil {

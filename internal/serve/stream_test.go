@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
-	"strings"
 	"testing"
 
 	"aimt/internal/arch"
@@ -180,7 +179,7 @@ func checkExactCap(t *testing.T, s *Stream) {
 // compiled network), and every per-entry slice is allocated at exactly
 // its length.
 func TestNewStreamMatchesReference(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	mixes := map[string][]Class{
 		"default":      DefaultClasses(),
 		"transformer":  TransformerClasses(),
@@ -245,7 +244,7 @@ func requestClosedSubset(rng *rand.Rand, s *Stream, keep float64) []int {
 // hand-built chains whose predecessors are not adjacent, including one
 // chained forward, which both must reject.
 func TestSubStreamMatchesReference(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	rng := rand.New(rand.NewSource(11))
 	for _, classes := range [][]Class{DefaultClasses(), TransformerClasses(), mixedDecodeClasses()} {
 		s, err := NewStream(cfg, classes, StreamOptions{Requests: 300, MeanGap: 3000, Seed: 7})
@@ -318,7 +317,7 @@ func TestNewStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	cfg := testConfig(t)
+	cfg := arch.PaperConfig()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for name, classes := range map[string][]Class{"default": DefaultClasses(), "transformer": TransformerClasses()} {
 		allocs := func(n int) float64 {
@@ -334,42 +333,12 @@ func TestNewStreamAllocs(t *testing.T) {
 	}
 }
 
-// TestUnvalidatedConfigRejected: Gaps and NewStream refuse a config
-// that has not been through arch.Config.Validate (the bare preset
-// leaves FillLatency 0, which moves every service estimate and so every
-// load) and one that Validate rejects, and name Validate in the error.
-func TestUnvalidatedConfigRejected(t *testing.T) {
-	bare := arch.PaperConfig()
-	broken := testConfig(t)
-	broken.WeightSRAM = 1
-	for name, cfg := range map[string]arch.Config{"unvalidated": bare, "invalid": broken} {
-		for _, classes := range [][]Class{DefaultClasses(), TransformerClasses()} {
-			if _, err := Gaps(cfg, classes, 3*2); err == nil {
-				t.Errorf("%s: Gaps accepted the config", name)
-			} else if name == "unvalidated" && !strings.Contains(err.Error(), "Validate") {
-				t.Errorf("%s: Gaps error %q does not name Validate", name, err)
-			}
-			if _, err := NewStream(cfg, classes, StreamOptions{Requests: 4}); err == nil {
-				t.Errorf("%s: NewStream accepted the config", name)
-			} else if name == "unvalidated" && !strings.Contains(err.Error(), "Validate") {
-				t.Errorf("%s: NewStream error %q does not name Validate", name, err)
-			}
-		}
-	}
-	if err := bare.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Gaps(bare, DefaultClasses(), 3*2); err != nil {
-		t.Errorf("validated preset: %v", err)
-	}
-}
-
 // BenchmarkNewStream measures the stream layer on its own: compiling
 // the classes and drawing the cluster8-transformer stream (4000
 // TransformerClasses requests, 8 chips at per-chip load 1.2), the
 // set-up every cluster serving run starts from.
 func BenchmarkNewStream(b *testing.B) {
-	cfg := testConfig(b)
+	cfg := arch.PaperConfig()
 	classes := TransformerClasses()
 	const chips = 8
 	gaps, err := Gaps(cfg, classes, 1.2*chips)

@@ -12,7 +12,7 @@ import (
 // chained instance is invisible until its predecessor finishes, then
 // arrives exactly at the predecessor's finish cycle.
 func TestChainAfterSequencesPhases(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	mk := func(name string) *compiler.CompiledNetwork {
 		return chainNet(name, cfg, layerSpec{mb: 10, cb: 20, iters: 1, blocks: 1})
 	}
@@ -42,7 +42,7 @@ func TestChainAfterSequencesPhases(t *testing.T) {
 // chained phase whose static arrival lies beyond the predecessor's
 // finish: the effective arrival is the later of the two.
 func TestChainAfterRespectsStaticArrival(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	mk := func(name string) *compiler.CompiledNetwork {
 		return chainNet(name, cfg, layerSpec{mb: 10, cb: 20, iters: 1, blocks: 1})
 	}
@@ -63,7 +63,7 @@ func TestChainAfterRespectsStaticArrival(t *testing.T) {
 
 // TestChainAfterValidation rejects self and forward references.
 func TestChainAfterValidation(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 20, iters: 1, blocks: 1})
 	nets := []*compiler.CompiledNetwork{cn, cn}
 	for _, chain := range [][]int{{-1, 1}, {0, -1}, {-1, -2}} {
@@ -76,7 +76,7 @@ func TestChainAfterValidation(t *testing.T) {
 // TestChainAfterAllUnchainedIsIdentity pins the differential anchor:
 // an explicit all--1 chain slice is bit-identical to no chain slice.
 func TestChainAfterAllUnchainedIsIdentity(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	mk := func(name string) *compiler.CompiledNetwork {
 		return chainNet(name, cfg,
 			layerSpec{mb: 10, cb: 6, iters: 3, blocks: 1},

@@ -258,7 +258,7 @@ var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
 // Run simulates the co-located execution of the given compiled
 // networks under the scheduler. All networks arrive at cycle zero in
-// slice order. cfg must have been validated.
+// slice order. A cfg that Validate rejects is an error.
 func Run(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Scheduler, opts Options) (*Result, error) {
 	e := enginePool.Get().(*Engine)
 	res, err := func() (*Result, error) {
@@ -292,7 +292,7 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	if len(nets) == 0 {
 		return errors.New("sim: no networks")
 	}
-	if err := cfg.CheckValidated(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	e.tables = e.tables[:0]

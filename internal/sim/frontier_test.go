@@ -119,11 +119,8 @@ func (p *probe) OnCBSplit(v *View, r CBRef, remaining arch.Cycles) {
 // at every decision and every event (the run also has the invariant
 // checker's own per-event comparison enabled).
 func TestFrontierMatchesScanRandom(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.HostBandwidth = 2_000_000_000 // 2 B/cycle: host transfers take real time
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var nets []*compiler.CompiledNetwork
@@ -187,7 +184,7 @@ func (s *frontierSaboteur) PickCB(v *View) (CBRef, bool) {
 func (s *frontierSaboteur) OnMBDone(v *View, r MBRef) { s.corrupt(v) }
 
 func TestInvariantCatchesFrontierCorruption(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	for _, tc := range []struct {
 		name    string
 		corrupt func(v *View)
@@ -229,7 +226,7 @@ func TestInvariantCatchesFrontierCorruption(t *testing.T) {
 // and once listing a stale net (a late arrival with an empty CB
 // frontier); the checker's rescan of the index must catch both.
 func TestInvariantCatchesCBNetIndexCorruption(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	for _, tc := range []struct {
 		name    string
 		corrupt func(v *View)
@@ -300,7 +297,7 @@ func TestRestoreRebuildsCBNetIndex(t *testing.T) {
 // compute blocks at prog; the others still wait for its weights.
 func benchView(b *testing.B, nets, layers, resident int) *View {
 	b.Helper()
-	cfg := testConfig(b)
+	cfg := testConfig()
 	v := &View{cfg: cfg, total: cfg.WeightBlocks()}
 	for n := 0; n < nets; n++ {
 		specs := make([]layerSpec, layers)

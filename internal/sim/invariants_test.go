@@ -47,7 +47,7 @@ func (spoofResidency) OnMBDone(v *View, r MBRef) {
 }
 
 func TestInvariantCatchesCBBeforeMB(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 5, iters: 2, blocks: 1})
 	_, err := Run(cfg, []*compiler.CompiledNetwork{cn}, spoofResidency{}, Options{CheckInvariants: true})
 	if !errors.Is(err, ErrInvariant) {
@@ -97,7 +97,7 @@ func (w *workThief) OnCBSplit(v *View, r CBRef, remaining arch.Cycles) {
 }
 
 func TestInvariantCatchesSplitWorkLoss(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 5, cb: 50, iters: 3, blocks: 1})
 	for _, steal := range []arch.Cycles{7, -7} {
 		_, err := Run(cfg, []*compiler.CompiledNetwork{cn}, &workThief{steal: steal}, Options{CheckInvariants: true})
@@ -158,7 +158,7 @@ func (g *ghostResume) OnCBDone(v *View, r CBRef) {
 }
 
 func TestInvariantCatchesResumeWithoutHalt(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 50, iters: 3, blocks: 1})
 	_, err := Run(cfg, []*compiler.CompiledNetwork{cn}, &ghostResume{}, Options{CheckInvariants: true})
 	if !errors.Is(err, ErrInvariant) {
@@ -215,7 +215,7 @@ func (d *doubleResumer) OnCBDone(v *View, r CBRef) {
 }
 
 func TestInvariantCatchesDoubleResume(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 5, cb: 50, iters: 3, blocks: 1})
 	_, err := Run(cfg, []*compiler.CompiledNetwork{cn}, &doubleResumer{}, Options{CheckInvariants: true})
 	if !errors.Is(err, ErrInvariant) {
@@ -243,7 +243,7 @@ func (leakyConsumer) OnCBDone(v *View, r CBRef) {
 }
 
 func TestInvariantCatchesSRAMLeak(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 5, iters: 3, blocks: 1})
 	_, err := Run(cfg, []*compiler.CompiledNetwork{cn}, leakyConsumer{}, Options{CheckInvariants: true})
 	if !errors.Is(err, ErrInvariant) {
@@ -258,7 +258,7 @@ func TestInvariantCatchesSRAMLeak(t *testing.T) {
 // blocks only, so the planted block lies in no chain it sees and must
 // be reported as leaked.
 func TestInvariantCatchesBlockInIdleNetChain(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := []*compiler.CompiledNetwork{
 		chainNet("a", cfg, layerSpec{mb: 10, cb: 20, iters: 6, blocks: 1}),
 		chainNet("b", cfg, layerSpec{mb: 10, cb: 5, iters: 2, blocks: 1}),
@@ -288,7 +288,7 @@ func TestInvariantCatchesBlockInIdleNetChain(t *testing.T) {
 // currently produce, so regressions in future engine refactors are
 // still caught.
 func TestCheckerUnits(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 5, iters: 2, blocks: 1})
 	mkChecker := func() *checker {
 		v := &View{cfg: cfg, total: cfg.WeightBlocks()}

@@ -12,7 +12,7 @@ import (
 // engine's event loop (and therefore the instrumentation funnels)
 // hot.
 func obsBenchNets(b *testing.B) []*compiler.CompiledNetwork {
-	cfg := testConfig(b)
+	cfg := testConfig()
 	return []*compiler.CompiledNetwork{
 		chainNet("a", cfg,
 			layerSpec{mb: 4, cb: 16, iters: 64, blocks: 1},
@@ -26,7 +26,7 @@ func obsBenchNets(b *testing.B) []*compiler.CompiledNetwork {
 }
 
 func benchRun(b *testing.B, opts Options) {
-	cfg := testConfig(b)
+	cfg := testConfig()
 	nets := obsBenchNets(b)
 	sch := &scratchSerial{}
 	b.ReportAllocs()
@@ -87,7 +87,7 @@ func (s *scratchSerial) PickCB(v *View) (CBRef, bool) {
 // entries would). Only fixed setup (result slices, frontier state,
 // the event heap's high-water mark) may allocate.
 func TestDisabledObsAddsNoPerEventAllocations(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	run := func(iters int) float64 {
 		return testing.AllocsPerRun(20, func() {
 			cn := chainNet("n", cfg, layerSpec{mb: 2, cb: 4, iters: iters, blocks: 1})
@@ -110,7 +110,7 @@ func TestDisabledObsAddsNoPerEventAllocations(t *testing.T) {
 // decode instances chained behind it. Chain bookkeeping is O(nets)
 // setup; per-event cost must stay allocation-free.
 func TestDisabledObsAddsNoPerEventAllocationsChained(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	run := func(iters int) float64 {
 		chain := []int{-1, 0, 1, 2}
 		return testing.AllocsPerRun(20, func() {

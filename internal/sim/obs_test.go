@@ -15,7 +15,7 @@ import (
 // observation per completed block, and a stepped run ends with the
 // registry snapshot of an unstepped one.
 func TestBlockHistogramsFlushEveryLoop(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	nets := func() []*compiler.CompiledNetwork {
 		return []*compiler.CompiledNetwork{
 			chainNet("a", cfg, layerSpec{mb: 4, cb: 16, iters: 8, blocks: 1}, layerSpec{mb: 8, cb: 8, iters: 8, blocks: 2}),

@@ -346,9 +346,6 @@ func (v *View) NumNets() int { return len(v.nets) }
 // treat it as read-only and must not retain it across events.
 func (v *View) ActiveNets() []int { return v.active }
 
-// NetArrived reports whether network instance net has arrived.
-func (v *View) NetArrived(net int) bool { return v.nets[net].arrived }
-
 // activeAdd inserts net into the sorted active list.
 func (v *View) activeAdd(net int) {
 	i := len(v.active)
@@ -388,9 +385,6 @@ func (v *View) BlockCycles(net, layer int) (mb, cb arch.Cycles) {
 // longer than its compute blocks — the capacity-critical class early
 // MB eviction keys on.
 func (v *View) MemoryIntensive(net, layer int) bool { return v.nets[net].hot[layer].memIntensive }
-
-// NetName returns the name of network instance net.
-func (v *View) NetName(net int) string { return v.nets[net].cn.Name }
 
 // NetFinished reports whether network instance net has completed.
 func (v *View) NetFinished(net int) bool { return v.nets[net].finished }

@@ -15,9 +15,8 @@ import (
 
 // testConfig returns a small machine: 4 arrays of 4x4 PEs, 1 B/cycle
 // HBM (so MB cycles equal bytes/1), 8-block weight SRAM, no host link.
-func testConfig(t testing.TB) arch.Config {
-	t.Helper()
-	cfg := arch.Config{
+func testConfig() arch.Config {
+	return arch.Config{
 		PEDim:        4,
 		NumArrays:    4,
 		FreqHz:       1_000_000_000,
@@ -27,10 +26,6 @@ func testConfig(t testing.TB) arch.Config {
 		WeightBytes:  1,
 		FillLatency:  2,
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg
 }
 
 // chainNet builds a linear compiled network with the given per-layer
@@ -86,7 +81,7 @@ func (serial) PickCB(v *View) (CBRef, bool) {
 }
 
 func TestSingleLayerTimeline(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// One layer, one sub-layer: MB 10 cycles, CB 20 cycles.
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 20, iters: 1, blocks: 1})
 	res, err := Run(cfg, []*compiler.CompiledNetwork{cn}, serial{}, Options{CheckInvariants: true})
@@ -105,7 +100,7 @@ func TestSingleLayerTimeline(t *testing.T) {
 }
 
 func TestPipeliningOverlapsFetchAndCompute(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// Four sub-layers: MB 10, CB 10. With prefetching the steady state
 	// overlaps: makespan = 10 (first MB) + 4*10 (CBs) = 50.
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 10, iters: 4, blocks: 1})
@@ -119,7 +114,7 @@ func TestPipeliningOverlapsFetchAndCompute(t *testing.T) {
 }
 
 func TestSRAMCapacityBoundsPrefetch(t *testing.T) {
-	cfg := testConfig(t) // 8 blocks
+	cfg := testConfig() // 8 blocks
 	// 16 sub-layers of 1 block each, MB fast (1 cycle), CB slow (10).
 	// Prefetch races ahead but can hold at most 8 blocks.
 	cn := chainNet("n", cfg, layerSpec{mb: 1, cb: 10, iters: 16, blocks: 1})
@@ -136,7 +131,7 @@ func TestSRAMCapacityBoundsPrefetch(t *testing.T) {
 }
 
 func TestOversizedMBRejected(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 10, iters: 1, blocks: 9})
 	if _, err := Run(cfg, []*compiler.CompiledNetwork{cn}, serial{}, Options{}); err == nil {
 		t.Error("MB larger than the weight buffer accepted")
@@ -144,7 +139,7 @@ func TestOversizedMBRejected(t *testing.T) {
 }
 
 func TestLayerDependencyGatesCB(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// Layer a: 1 sub-layer CB 50; layer b: CB 5. b's CB must not start
 	// before a's finishes even though b's weights arrive early.
 	cn := chainNet("n", cfg,
@@ -167,7 +162,7 @@ func TestLayerDependencyGatesCB(t *testing.T) {
 }
 
 func TestCrossNetworkIndependence(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// Two single-layer nets; the serial scheduler interleaves their
 	// MBs, and both finish without waiting on each other.
 	n1 := chainNet("x", cfg, layerSpec{mb: 10, cb: 30, iters: 1, blocks: 1})
@@ -186,7 +181,7 @@ func TestCrossNetworkIndependence(t *testing.T) {
 }
 
 func TestDiamondDependency(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// a -> {b, c} -> d: d waits for both branches.
 	cn := &compiler.CompiledNetwork{Name: "d", Batch: 1}
 	mk := func(deps []int) compiler.CompiledLayer {
@@ -222,7 +217,7 @@ func TestDiamondDependency(t *testing.T) {
 }
 
 func TestHostTransfersGateAndSerialize(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cfg.HostBandwidth = 1_000_000_000 // 1 B/cycle
 	n1 := chainNet("x", cfg, layerSpec{mb: 1, cb: 10, iters: 1, blocks: 1})
 	n1.HostInBytes = 100
@@ -284,7 +279,7 @@ func (s *splitter) PickCB(v *View) (CBRef, bool) {
 func (s *splitter) OnCBSplit(v *View, r CBRef, remaining arch.Cycles) {}
 
 func TestSplitAndResume(t *testing.T) {
-	cfg := testConfig(t) // fill latency 2
+	cfg := testConfig() // fill latency 2
 	// Net A's long CB (10-110) is split at t=40, when net B's first
 	// fetch completes and gives the scheduler a decision point.
 	a := chainNet("a", cfg, layerSpec{mb: 10, cb: 100, iters: 1, blocks: 4})
@@ -319,7 +314,7 @@ func TestSplitAndResume(t *testing.T) {
 }
 
 func TestSplitOnFreshCBIgnored(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	v := &View{cfg: cfg}
 	if v.RequestSplit() {
 		t.Error("split granted with idle PE")
@@ -334,7 +329,7 @@ func (stubborn) PickMB(*View) (MBRef, bool) { return MBRef{}, false }
 func (stubborn) PickCB(*View) (CBRef, bool) { return CBRef{}, false }
 
 func TestDeadlockDetected(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 10, iters: 1, blocks: 1})
 	_, err := Run(cfg, []*compiler.CompiledNetwork{cn}, stubborn{}, Options{})
 	if !errors.Is(err, ErrDeadlock) {
@@ -348,7 +343,7 @@ type liar struct{ serial }
 func (liar) PickMB(v *View) (MBRef, bool) { return MBRef{Net: 0, Layer: 0, Iter: 99}, true }
 
 func TestBadSchedulerRejected(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 10, iters: 1, blocks: 1})
 	if _, err := Run(cfg, []*compiler.CompiledNetwork{cn}, liar{}, Options{}); err == nil {
 		t.Error("non-issuable MB accepted")
@@ -356,7 +351,7 @@ func TestBadSchedulerRejected(t *testing.T) {
 }
 
 func TestMaxCyclesAborts(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 1000, iters: 5, blocks: 1})
 	_, err := Run(cfg, []*compiler.CompiledNetwork{cn}, serial{}, Options{MaxCycles: 50})
 	if !errors.Is(err, ErrTimeLimit) {
@@ -365,7 +360,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 }
 
 func TestArrivals(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	n1 := chainNet("early", cfg, layerSpec{mb: 10, cb: 10, iters: 1, blocks: 1})
 	n2 := chainNet("late", cfg, layerSpec{mb: 10, cb: 10, iters: 1, blocks: 1})
 	rec := &eventLog{}
@@ -394,7 +389,7 @@ func TestArrivals(t *testing.T) {
 }
 
 func TestArrivalWhileBusy(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	// The late net arrives mid-way through the early net's CB; the
 	// engine must pick it up at the next event without a dedicated
 	// wake-up (its arrival is an event).
@@ -413,7 +408,7 @@ func TestArrivalWhileBusy(t *testing.T) {
 }
 
 func TestSchedulerLatency(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg, layerSpec{mb: 10, cb: 5, iters: 3, blocks: 1})
 	hw, err := Run(cfg, []*compiler.CompiledNetwork{cn}, serial{}, Options{})
 	if err != nil {
@@ -434,35 +429,13 @@ func TestSchedulerLatency(t *testing.T) {
 }
 
 func TestRunRejectsEmptyAndInvalid(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	if _, err := Run(cfg, nil, serial{}, Options{}); err == nil {
 		t.Error("empty workload accepted")
 	}
 	bad := &compiler.CompiledNetwork{Name: "bad", Batch: 1}
 	if _, err := Run(cfg, []*compiler.CompiledNetwork{bad}, serial{}, Options{}); err == nil {
 		t.Error("invalid network accepted")
-	}
-}
-
-// TestRunRejectsUnvalidatedConfig: the bare preset compiles, but Run
-// refuses it (its FillLatency 0 models another machine) and names
-// Validate; the same preset once validated runs.
-func TestRunRejectsUnvalidatedConfig(t *testing.T) {
-	bare := arch.PaperConfig()
-	cn, err := compiler.Compile(nn.Zoo()["MN"], bare, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nets := []*compiler.CompiledNetwork{cn}
-	if _, err := Run(bare, nets, serial{}, Options{}); !errors.Is(err, arch.ErrNotValidated) {
-		t.Errorf("bare preset: Run error %v, want %v", err, arch.ErrNotValidated)
-	}
-	cfg := bare
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(cfg, nets, serial{}, Options{}); err != nil {
-		t.Errorf("validated preset: %v", err)
 	}
 }
 
@@ -495,7 +468,7 @@ func (l *eventLog) find(engine string, net, layer, iter int) *traceEvent {
 // ends; busy cycles equal the block totals; no engine interval
 // overlaps another on the same engine.
 func TestPropertyMachineInvariants(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var nets []*compiler.CompiledNetwork
@@ -563,7 +536,7 @@ func TestPropertyMachineInvariants(t *testing.T) {
 }
 
 func TestViewAccessors(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	cn := chainNet("n", cfg,
 		layerSpec{mb: 10, cb: 20, iters: 2, blocks: 1},
 		layerSpec{mb: 10, cb: 5, iters: 1, blocks: 2},
@@ -684,9 +657,6 @@ func checkInitState(t *testing.T, e *Engine, nets []*compiler.CompiledNetwork) {
 // each occurrence.
 func TestHotRowsMatchCompiledTable(t *testing.T) {
 	cfg := arch.PaperConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	srcs := []*nn.Network{nn.GPT2Prefill(128), nn.GPT2Decode(128)}
 	for _, name := range []string{"RN34", "RN50", "VGG16", "MN", "GNMT"} {
 		srcs = append(srcs, nn.Zoo()[name])
@@ -770,7 +740,7 @@ func TestHotRowsMatchCompiledTable(t *testing.T) {
 // init templates, arena and checker reuse their storage, so init
 // allocates nothing.
 func TestWarmEngineInitAllocFree(t *testing.T) {
-	cfg := testConfig(t)
+	cfg := testConfig()
 	var nets []*compiler.CompiledNetwork
 	for i := 0; i < maxCheckedTables+4; i++ {
 		nets = append(nets, chainNet("n", cfg,

@@ -12,7 +12,7 @@ import (
 // events that a mid-run probe leaves plenty of simulation ahead of it.
 func snapshotWorkload(t *testing.T) (arch.Config, []*compiler.CompiledNetwork) {
 	t.Helper()
-	cfg := testConfig(t)
+	cfg := testConfig()
 	a := chainNet("a", cfg,
 		layerSpec{mb: 10, cb: 14, iters: 8, blocks: 1},
 		layerSpec{mb: 6, cb: 22, iters: 8, blocks: 1},

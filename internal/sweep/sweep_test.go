@@ -14,9 +14,8 @@ import (
 	"aimt/internal/sim"
 )
 
-func testConfig(t testing.TB) arch.Config {
-	t.Helper()
-	cfg := arch.Config{
+func testConfig() arch.Config {
+	return arch.Config{
 		PEDim:        4,
 		NumArrays:    4,
 		FreqHz:       1_000_000_000,
@@ -26,17 +25,13 @@ func testConfig(t testing.TB) arch.Config {
 		WeightBytes:  1,
 		FillLatency:  2,
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg
 }
 
 // testJobs builds a small mix × scheduler cross-product over two tiny
 // networks, mirroring how experiments.go uses the sweep.
 func testJobs(t testing.TB) []Job {
 	t.Helper()
-	cfg := testConfig(t)
+	cfg := testConfig()
 
 	b := nn.NewBuilder("convy", 3, 8, 8)
 	b.Conv("c1", 8, 3, 1, 1)

@@ -7,15 +7,6 @@ import (
 	"aimt/internal/arch"
 )
 
-func cfg(t *testing.T) arch.Config {
-	t.Helper()
-	c := arch.PaperConfig()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestPaperMixesShape(t *testing.T) {
 	mixes := PaperMixes()
 	if len(mixes) != 8 {
@@ -50,7 +41,7 @@ func TestGNMTMixes(t *testing.T) {
 }
 
 func TestBuildBalancesLoads(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	mix, err := Build(c, Spec{Name: "t", Compute: []string{"RN34"}, Memory: []string{"GNMT"}},
 		BuildOptions{Batch: 1})
 	if err != nil {
@@ -77,7 +68,7 @@ func TestBuildBalancesLoads(t *testing.T) {
 }
 
 func TestBuildAnnotatesName(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	mix, err := Build(c, PaperMixes()[0], BuildOptions{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +79,7 @@ func TestBuildAnnotatesName(t *testing.T) {
 }
 
 func TestBuildIterations(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	one, err := Build(c, PaperMixes()[0], BuildOptions{Batch: 1, Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +97,7 @@ func TestBuildIterations(t *testing.T) {
 }
 
 func TestBuildMaxReplicationCap(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	mix, err := Build(c, Spec{Name: "t", Compute: []string{"RN34"}, Memory: []string{"GNMT"}},
 		BuildOptions{Batch: 32, MaxReplication: 3})
 	if err != nil {
@@ -118,7 +109,7 @@ func TestBuildMaxReplicationCap(t *testing.T) {
 }
 
 func TestBuildRejectsUnknownNetwork(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	if _, err := Build(c, Spec{Name: "t", Compute: []string{"nope"}, Memory: []string{"GNMT"}}, BuildOptions{}); err == nil {
 		t.Error("unknown network accepted")
 	}
@@ -143,7 +134,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestMemHeavyFlags(t *testing.T) {
-	c := cfg(t)
+	c := arch.PaperConfig()
 	mix, err := Build(c, PaperMixes()[3], BuildOptions{Batch: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ func serveSpec(t testing.TB, name string) SchedulerSpec {
 }
 
 func TestPropertyPoliciesAgreeOnWork(t *testing.T) {
-	cfg := scenarioConfig(t, 256)
+	cfg := scenarioConfig(256)
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

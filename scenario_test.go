@@ -13,9 +13,8 @@ import (
 // qualitative effects must appear exactly as drawn.
 
 // scenarioConfig is a miniature machine: block = 16 B, 8-block SRAM.
-func scenarioConfig(t *testing.T, sramBlocks int) Config {
-	t.Helper()
-	cfg := Config{
+func scenarioConfig(sramBlocks int) Config {
+	return Config{
 		PEDim:        4,
 		NumArrays:    4,
 		FreqHz:       1_000_000_000,
@@ -25,10 +24,6 @@ func scenarioConfig(t *testing.T, sramBlocks int) Config {
 		WeightBytes:  1,
 		FillLatency:  2,
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg
 }
 
 // block builds a single-layer network of identical sub-layers.
@@ -46,7 +41,7 @@ func block(name string, cfg Config, mb, cb Cycles, iters, blocks int) *Compiled 
 // network-serial execution produces long single-resource phases; the
 // overall utilizations stay low under every static baseline.
 func TestScenarioFig6BaselineIdleness(t *testing.T) {
-	cfg := scenarioConfig(t, 8)
+	cfg := scenarioConfig(8)
 	nets := []*Compiled{
 		block("comp", cfg, 2, 40, 6, 1), // compute-intensive
 		block("mem", cfg, 40, 4, 6, 4),  // memory-intensive
@@ -66,7 +61,7 @@ func TestScenarioFig6BaselineIdleness(t *testing.T) {
 // Fig 12a->12b: MB prefetching fills the memory idleness the RR
 // baseline leaves (Part-1) and pulls compute blocks earlier (Part-2).
 func TestScenarioFig12Prefetching(t *testing.T) {
-	cfg := scenarioConfig(t, 8)
+	cfg := scenarioConfig(8)
 	// The paper's Part-1/Part-2 pattern: during the compute net's long
 	// CBs the conventional pipeline's double buffering (at most two
 	// outstanding fetches) leaves the channel idle, pushing the
@@ -96,7 +91,7 @@ func TestScenarioFig12Prefetching(t *testing.T) {
 // fetches are in flight; PE utilization must not drop versus
 // prefetching alone.
 func TestScenarioFig12Merging(t *testing.T) {
-	cfg := scenarioConfig(t, 8)
+	cfg := scenarioConfig(8)
 	nets := []*Compiled{
 		block("comp", cfg, 2, 40, 8, 1),
 		block("mem", cfg, 60, 4, 8, 4),
@@ -118,8 +113,8 @@ func TestScenarioFig12Merging(t *testing.T) {
 // high overlap with ample SRAM but collapses when the buffer is
 // small — the capacity problem AI-MT's eviction solves.
 func TestScenarioFig9CapacityCollapse(t *testing.T) {
-	small := scenarioConfig(t, 8)
-	big := scenarioConfig(t, 4096)
+	small := scenarioConfig(8)
+	big := scenarioConfig(4096)
 	nets := func(cfg Config) []*Compiled {
 		return []*Compiled{
 			block("comp", cfg, 2, 60, 10, 1),
@@ -155,7 +150,7 @@ func TestScenarioFig9CapacityCollapse(t *testing.T) {
 // mechanisms (priority, smallest-first recovery, split) must recover
 // memory throughput versus merge-only scheduling.
 func TestScenarioFig13Eviction(t *testing.T) {
-	cfg := scenarioConfig(t, 8)
+	cfg := scenarioConfig(8)
 	nets := []*Compiled{
 		block("bigcb", cfg, 2, 500, 8, 1), // large CBs fill the timeline
 		block("crit", cfg, 60, 8, 24, 4),  // capacity-critical fetches

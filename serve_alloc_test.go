@@ -1,6 +1,8 @@
 package aimt
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"aimt/internal/rtrace"
@@ -45,6 +47,28 @@ func TestServeStreamAllocsFlatAt8x(t *testing.T) {
 	if delta := large - small; delta > 64 {
 		t.Errorf("8x the requests grew allocations by %.0f (%.0f -> %.0f); serve path is not allocation-free",
 			delta, small, large)
+	}
+}
+
+// TestCluster8AllocsPinned gates BenchmarkCluster8's allocation
+// count exactly. With one P and the GC off no pooled engine is
+// dropped between runs, so the count is the same on every run (350);
+// with the GC on it spreads over about 1,000-2,900, a band too wide
+// for the benchmark gate to tell a regression from noise.
+func TestCluster8AllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	serveOnce := cluster8Unit(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := serveOnce(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 350 {
+		t.Errorf("cluster8 unit allocates %.0f per run, want at most 350", allocs)
 	}
 }
 
