@@ -233,40 +233,6 @@ func (s *Store) Append(r Run) (Run, error) {
 	return r, nil
 }
 
-// Query filters runs; zero fields match everything.
-type Query struct {
-	// Source, when non-empty, must equal Run.Source.
-	Source string
-	// Labels must all be present with equal values.
-	Labels map[string]string
-}
-
-// Match reports whether the run satisfies the query.
-func (q Query) Match(r Run) bool {
-	if q.Source != "" && r.Source != q.Source {
-		return false
-	}
-	for k, v := range q.Labels {
-		if r.Labels[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Select returns the runs matching q, in append order.
-func (s *Store) Select(q Query) []Run {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Run
-	for _, r := range s.runs {
-		if q.Match(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // CurrentCommit returns the working tree's short git commit, or ""
 // when git (or a repository) is unavailable — runs recorded outside a
 // checkout simply have no commit.

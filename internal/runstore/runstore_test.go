@@ -59,30 +59,6 @@ func TestAppendReopenRoundtrip(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	s := openFixed(t, t.TempDir())
-	seed := []Run{
-		{Source: "serve", Labels: map[string]string{"sched": "AI-MT", "load": "0.80"}},
-		{Source: "serve", Labels: map[string]string{"sched": "FIFO", "load": "0.80"}},
-		{Source: "bench", Labels: map[string]string{"goos": "linux"}},
-	}
-	for _, r := range seed {
-		if _, err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Select(Query{Source: "serve"}); len(got) != 2 {
-		t.Fatalf("Select(serve) = %d runs, want 2", len(got))
-	}
-	got := s.Select(Query{Source: "serve", Labels: map[string]string{"sched": "AI-MT"}})
-	if len(got) != 1 || got[0].Labels["load"] != "0.80" {
-		t.Fatalf("Select(serve, AI-MT) = %+v", got)
-	}
-	if got := s.Select(Query{Labels: map[string]string{"sched": "EDF"}}); len(got) != 0 {
-		t.Fatalf("Select(EDF) = %+v, want none", got)
-	}
-}
-
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openFixed(t, dir)

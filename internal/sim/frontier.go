@@ -95,15 +95,16 @@ func (v *View) cbFrontRemove(net, li int) {
 // unlock independently.)
 func (v *View) unlockCB(net, li int) {
 	s := v.nets[net]
-	n := s.mbDone[li] - s.cbDone[li]
+	row := &s.rows[li]
+	n := row.mbDone - row.cbDone
 	if n <= 0 {
 		return
 	}
 	v.cbFrontAdd(net, li)
 	cb := s.hot[li].cbCycles
 	v.availCB += arch.Cycles(n) * cb
-	if s.remnant[li] > 0 {
-		v.availCB -= cb - (s.remnant[li] + v.cfg.FillLatency)
+	if row.remnant > 0 {
+		v.availCB -= cb - (row.remnant + v.cfg.FillLatency)
 	}
 }
 
@@ -131,8 +132,8 @@ func (v *View) scanMBCandidates(out []MBRef) []MBRef {
 	for _, ni := range v.active {
 		s := v.nets[ni]
 		for li := range s.cn.Layers {
-			if s.mbIndeg[li] == 0 && s.mbIssued[li] < s.cn.Layers[li].Iters {
-				out = append(out, MBRef{Net: ni, Layer: li, Iter: s.mbIssued[li]})
+			if row := &s.rows[li]; row.mbIndeg == 0 && row.mbIssued < s.cn.Layers[li].Iters {
+				out = append(out, MBRef{Net: ni, Layer: li, Iter: row.mbIssued})
 			}
 		}
 	}
@@ -144,8 +145,8 @@ func (v *View) scanReadyCBs(out []CBRef) []CBRef {
 	for _, ni := range v.active {
 		s := v.nets[ni]
 		for li := range s.cn.Layers {
-			r := CBRef{Net: ni, Layer: li, Iter: s.cbDone[li]}
-			if s.cbSelected[li] == s.cbDone[li] && v.IsCBExecutable(r) {
+			r := CBRef{Net: ni, Layer: li, Iter: s.rows[li].cbDone}
+			if s.rows[li].cbSelected == r.Iter && v.isCBExecutable(r) {
 				out = append(out, r)
 			}
 		}
@@ -159,10 +160,11 @@ func (v *View) scanSelectableCBs(out []CBRef) []CBRef {
 	for _, ni := range v.active {
 		s := v.nets[ni]
 		for li := range s.cn.Layers {
-			if s.cbIndeg[li] != 0 {
+			row := &s.rows[li]
+			if row.cbIndeg != 0 {
 				continue
 			}
-			for it := s.cbSelected[li]; it < s.mbDone[li]; it++ {
+			for it := row.cbSelected; it < row.mbDone; it++ {
 				out = append(out, CBRef{Net: ni, Layer: li, Iter: it})
 			}
 		}
@@ -177,19 +179,20 @@ func (v *View) scanAvailableCBCycles() arch.Cycles {
 	for _, ni := range v.active {
 		s := v.nets[ni]
 		for li := range s.cn.Layers {
-			if s.cbIndeg[li] != 0 {
+			row := &s.rows[li]
+			if row.cbIndeg != 0 {
 				continue
 			}
-			n := s.mbDone[li] - s.cbDone[li]
+			n := row.mbDone - row.cbDone
 			if n <= 0 {
 				continue
 			}
 			cb := s.cn.Layers[li].CBCycles
 			sum += arch.Cycles(n) * cb
-			if s.remnant[li] > 0 {
+			if row.remnant > 0 {
 				// The layer's next CB is a halted remainder, shorter
 				// than a full block.
-				sum -= cb - (s.remnant[li] + v.cfg.FillLatency)
+				sum -= cb - (row.remnant + v.cfg.FillLatency)
 			}
 		}
 	}

@@ -311,22 +311,22 @@ func benchView(b *testing.B, nets, layers, resident int) *View {
 			iters := s.cn.Layers[li].Iters
 			switch {
 			case li < prog:
-				s.mbIndeg[li], s.cbIndeg[li] = 0, 0
-				s.mbIssued[li], s.mbDone[li] = iters, iters
-				s.cbSelected[li], s.cbDone[li] = iters, iters
+				s.rows[li].mbIndeg, s.rows[li].cbIndeg = 0, 0
+				s.rows[li].mbIssued, s.rows[li].mbDone = iters, iters
+				s.rows[li].cbSelected, s.rows[li].cbDone = iters, iters
 			case li == prog && n < resident:
-				s.mbIndeg[li], s.cbIndeg[li] = 0, 0
-				s.mbIssued[li], s.mbDone[li] = 3, 2
-				s.cbSelected[li], s.cbDone[li] = 1, 0
+				s.rows[li].mbIndeg, s.rows[li].cbIndeg = 0, 0
+				s.rows[li].mbIssued, s.rows[li].mbDone = 3, 2
+				s.rows[li].cbSelected, s.rows[li].cbDone = 1, 0
 			case li == prog:
-				s.mbIndeg[li], s.cbIndeg[li] = 0, 0
-				s.mbIssued[li] = 1
+				s.rows[li].mbIndeg, s.rows[li].cbIndeg = 0, 0
+				s.rows[li].mbIssued = 1
 			}
 			// Layers beyond prog keep their constructed in-degrees
 			// (locked), except the one directly after prog, whose MB
 			// chain the finished prefix would have unlocked.
 			if li == prog+1 {
-				s.mbIndeg[li] = 0
+				s.rows[li].mbIndeg = 0
 			}
 		}
 		v.nets = append(v.nets, s)
@@ -337,10 +337,10 @@ func benchView(b *testing.B, nets, layers, resident int) *View {
 	for ni, s := range v.nets {
 		s.mbFront, s.cbFront = s.mbFront[:0], s.cbFront[:0]
 		for li := range s.cn.Layers {
-			if s.mbIndeg[li] == 0 && s.mbIssued[li] < s.cn.Layers[li].Iters {
+			if s.rows[li].mbIndeg == 0 && s.rows[li].mbIssued < s.cn.Layers[li].Iters {
 				s.mbFront = frontAdd(s.mbFront, li)
 			}
-			if s.cbIndeg[li] == 0 && s.mbDone[li] > s.cbDone[li] {
+			if s.rows[li].cbIndeg == 0 && s.rows[li].mbDone > s.rows[li].cbDone {
 				v.cbFrontAdd(ni, li)
 			}
 		}
@@ -384,7 +384,7 @@ func BenchmarkCandidateScan(b *testing.B) {
 	})
 
 	sv := benchView(b, 7, 6, 1)
-	sv.nets[0].cbSelected[3] = 0 // nothing claimed: the block is ready too
+	sv.nets[0].rows[3].cbSelected = 0 // nothing claimed: the block is ready too
 	if len(sv.ReadyCBs(nil)) == 0 || len(sv.SelectableCBs(nil)) == 0 {
 		b.Fatal("serve-sized view holds no ready or selectable compute block")
 	}

@@ -51,14 +51,7 @@ type checker struct {
 	v    *View
 	fill arch.Cycles
 
-	now arch.Cycles
-
-	// Engine occupancy shadows: whether a block is in flight and when
-	// the last completed interval ended.
-	memInFlight bool
-	peInFlight  bool
-	memFree     arch.Cycles
-	peFree      arch.Cycles
+	checkClock
 
 	// buf is the weight SRAM's block table, allocated at MB issue and
 	// consumed at CB completion into the layers' chains. The engine
@@ -78,7 +71,8 @@ type checker struct {
 	// is carved from, so a pooled checker resets without reallocating.
 	layerSlab []layerShadow
 
-	mbCount, cbCount, splitCount int
+	// hostInDone records, per net, that its input features arrived.
+	hostInDone []bool
 
 	// Scratch buffers for the frontier-vs-scan comparison (invariant 6).
 	mbGot, mbWant []MBRef
@@ -89,11 +83,25 @@ type checker struct {
 	chainPtrs []*sram.Chain
 }
 
+// checkClock is the checker's mutable scalar state, grouped so a
+// snapshot copies it whole: its clock, the engine occupancy shadows
+// (whether a block is in flight and when the last completed interval
+// ended) and its event counts.
+type checkClock struct {
+	now arch.Cycles
+
+	memInFlight bool
+	peInFlight  bool
+	memFree     arch.Cycles
+	peFree      arch.Cycles
+
+	mbCount, cbCount, splitCount int
+}
+
 // netShadow is the checker's independent progress record for one
 // network instance.
 type netShadow struct {
-	hostInDone bool
-	layers     []layerShadow
+	layers []layerShadow
 
 	// outstanding counts the net's memory blocks issued whose compute
 	// blocks have not completed; the net is in holding while it is
@@ -139,13 +147,14 @@ func (c *checker) reset(v *View) error {
 		totalLayers += len(s.cn.Layers)
 	}
 	*c = checker{
-		v:         v,
-		fill:      v.cfg.FillLatency,
-		buf:       c.buf,
-		nets:      c.nets[:0],
-		holding:   c.holding[:0],
-		layerSlab: c.layerSlab[:0],
-		mbGot:     c.mbGot[:0], mbWant: c.mbWant[:0],
+		v:          v,
+		fill:       v.cfg.FillLatency,
+		buf:        c.buf,
+		nets:       c.nets[:0],
+		holding:    c.holding[:0],
+		layerSlab:  c.layerSlab[:0],
+		hostInDone: c.hostInDone[:0],
+		mbGot:      c.mbGot[:0], mbWant: c.mbWant[:0],
 		cbGot: c.cbGot[:0], cbWant: c.cbWant[:0],
 		chainPtrs: c.chainPtrs[:0],
 	}
@@ -161,6 +170,7 @@ func (c *checker) reset(v *View) error {
 	for _, s := range v.nets {
 		n := len(s.cn.Layers)
 		c.nets = append(c.nets, netShadow{layers: slab[off : off+n : off+n]})
+		c.hostInDone = append(c.hostInDone, false)
 		off += n
 	}
 	c.layerSlab = slab
@@ -182,7 +192,7 @@ func (c *checker) advance(t arch.Cycles) error {
 
 // hostIn records that a network's input features arrived.
 func (c *checker) hostIn(net int) {
-	c.nets[net].hostInDone = true
+	c.hostInDone[net] = true
 }
 
 // mbIssue checks invariants 1 and 2 at memory-block issue: the channel
@@ -255,7 +265,7 @@ func (c *checker) cbStart(r CBRef, work arch.Cycles) error {
 		return c.violate("CB %+v started before its memory block completed (%d fetched)", r, sh.mbDone)
 	}
 	l := &c.v.nets[r.Net].cn.Layers[r.Layer]
-	if len(l.Deps) == 0 && !ns.hostInDone {
+	if len(l.Deps) == 0 && !c.hostInDone[r.Net] {
 		return c.violate("CB %+v started before the network's host input arrived", r)
 	}
 	for _, d := range l.Deps {

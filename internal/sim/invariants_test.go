@@ -43,7 +43,7 @@ func (spoofResidency) PickCB(v *View) (CBRef, bool) {
 
 func (spoofResidency) OnMBDone(v *View, r MBRef) {
 	// The sabotage: pretend every sub-layer of the layer is resident.
-	v.nets[r.Net].mbDone[r.Layer] = v.nets[r.Net].cn.Layers[r.Layer].Iters
+	v.nets[r.Net].rows[r.Layer].mbDone = v.nets[r.Net].cn.Layers[r.Layer].Iters
 }
 
 func TestInvariantCatchesCBBeforeMB(t *testing.T) {
@@ -93,7 +93,7 @@ func (w *workThief) OnMBDone(v *View, r MBRef) {
 
 func (w *workThief) OnCBSplit(v *View, r CBRef, remaining arch.Cycles) {
 	// The sabotage: tamper with the halted remainder.
-	v.nets[r.Net].remnant[r.Layer] = remaining + w.steal
+	v.nets[r.Net].rows[r.Layer].remnant = remaining + w.steal
 }
 
 func TestInvariantCatchesSplitWorkLoss(t *testing.T) {
@@ -152,7 +152,7 @@ func (g *ghostResume) OnCBDone(v *View, r CBRef) {
 	// The sabotage: plant a remnant for the layer's next sub-layer
 	// without any halt having occurred.
 	if !g.planted && r.Iter+1 < v.nets[r.Net].cn.Layers[r.Layer].Iters {
-		v.nets[r.Net].remnant[r.Layer] = 17
+		v.nets[r.Net].rows[r.Layer].remnant = 17
 		g.planted = true
 	}
 }
@@ -209,7 +209,7 @@ func (d *doubleResumer) OnCBDone(v *View, r CBRef) {
 	// The sabotage: resurrect the already-consumed halt remainder so
 	// the next block resumes a halt that was already resumed.
 	if d.saved > 0 && !d.replayed && r.Iter+1 < v.nets[r.Net].cn.Layers[r.Layer].Iters {
-		v.nets[r.Net].remnant[r.Layer] = d.saved
+		v.nets[r.Net].rows[r.Layer].remnant = d.saved
 		d.replayed = true
 	}
 }

@@ -85,22 +85,15 @@ func (NopHooks) OnCBSplit(*View, CBRef, arch.Cycles) {}
 type netState struct {
 	cn *compiler.CompiledNetwork
 
+	netProgress
+
 	// hot is the net's per-layer hot row (see layerHot), shared with
 	// every instance of the same compiled table.
 	hot []layerHot
 
-	mbIndeg []int // unresolved MB-chain predecessors per layer
-	cbIndeg []int // unresolved CB-chain predecessors per layer
-
-	mbIssued   []int // MBs handed to the HBM channel, per layer
-	mbDone     []int // MBs fully fetched, per layer
-	cbSelected []int // CBs claimed by the scheduler (>= cbDone), per layer
-	cbDone     []int // CBs completed, per layer
-
-	// remnant, when positive, is the remaining work of a halted CB: the
-	// layer's next CB (iter == cbDone) resumes with remnant plus the PE
-	// refill penalty instead of its full CBCycles.
-	remnant []arch.Cycles
+	// rows is the net's mutable per-layer state, one row per layer
+	// (see layerState), carved from the arena's row slab.
+	rows []layerState
 
 	// mbFront and cbFront are the net's candidate frontiers: the
 	// ascending layer lists the candidate scans iterate instead of
@@ -108,13 +101,35 @@ type netState struct {
 	// conditions and the maintenance points).
 	mbFront []int
 	cbFront []int
+}
 
+// netProgress is a net's mutable scalar state, grouped so a snapshot
+// copies it whole.
+type netProgress struct {
 	arrival    arch.Cycles
+	finishAt   arch.Cycles
+	layersLeft int
 	arrived    bool
 	hostInDone bool
-	layersLeft int
 	finished   bool
-	finishAt   arch.Cycles
+}
+
+// layerState is one layer's mutable row of the sub-layer scheduling
+// table: the paper's #indegree per chain plus the engine's sub-layer
+// progress counters.
+type layerState struct {
+	mbIndeg int // unresolved MB-chain predecessors
+	cbIndeg int // unresolved CB-chain predecessors
+
+	mbIssued   int // MBs handed to the HBM channel
+	mbDone     int // MBs fully fetched
+	cbSelected int // CBs claimed by the scheduler (>= cbDone)
+	cbDone     int // CBs completed
+
+	// remnant, when positive, is the remaining work of a halted CB: the
+	// layer's next CB (iter == cbDone) resumes with remnant plus the PE
+	// refill penalty instead of its full CBCycles.
+	remnant arch.Cycles
 }
 
 // layerHot is the part of a compiled layer the engine, the frontiers
@@ -133,22 +148,20 @@ type layerHot struct {
 
 // netTemplate is the starting state every instance of one compiled
 // table shares: the table's hot rows, which instances point at
-// read-only, and the initial MB/CB indegrees and root MB frontier,
-// which each instance copies into its own arena carve. The engine
-// builds one per distinct table per run (see Engine.checkTable), so
-// a serving stream of thousands of instances over a handful of
-// tables fills rows once per table rather than once per instance.
+// read-only, and the initial layer rows and root MB frontier, which
+// each instance copies into its own arena carve. The engine builds one
+// per distinct table per run (see Engine.checkTable), so a serving
+// stream of thousands of instances over a handful of tables fills rows
+// once per table rather than once per instance.
 type netTemplate struct {
-	hot              []layerHot
-	mbIndeg, cbIndeg []int
-	mbFront          []int
+	hot     []layerHot
+	rows    []layerState
+	mbFront []int
 }
 
-// build fills t from cn, reusing t's storage. The rows are appended
-// to t.hot[:0], so a caller may point t.hot at a cap-limited carve
-// of other storage to have the rows written there.
+// build fills t from cn, reusing t's storage.
 func (t *netTemplate) build(cn *compiler.CompiledNetwork) {
-	t.hot, t.mbIndeg, t.cbIndeg, t.mbFront = t.hot[:0], t.mbIndeg[:0], t.cbIndeg[:0], t.mbFront[:0]
+	t.hot, t.rows, t.mbFront = t.hot[:0], t.rows[:0], t.mbFront[:0]
 	for i := range cn.Layers {
 		l := &cn.Layers[i]
 		t.hot = append(t.hot, layerHot{
@@ -159,93 +172,68 @@ func (t *netTemplate) build(cn *compiler.CompiledNetwork) {
 			memIntensive: l.MemoryIntensive(),
 		})
 		deps := len(l.Deps)
-		t.mbIndeg = append(t.mbIndeg, deps)
+		row := layerState{mbIndeg: deps, cbIndeg: deps}
 		if deps == 0 {
 			// Root layers additionally wait for the host input transfer
 			// before computing (their weights may be fetched earlier).
-			t.cbIndeg = append(t.cbIndeg, 1)
+			row.cbIndeg = 1
 			if l.Iters > 0 {
 				t.mbFront = append(t.mbFront, i)
 			}
-		} else {
-			t.cbIndeg = append(t.cbIndeg, deps)
 		}
+		t.rows = append(t.rows, row)
 	}
 }
 
-// stateArena carves every net's per-layer bookkeeping out of flat,
-// grow-only slabs — a struct-of-arrays layout. Each netState's
-// slices are fixed-capacity sub-slices of the slabs, so a pooled
-// engine re-running a same-shaped workload allocates nothing, and a
-// snapshot of the whole machine is two bulk copies (plus per-net
-// scalars) instead of a walk over thousands of tiny slices. The
-// frontier sub-slices are carved with capacity equal to the net's
-// layer count — a frontier can never hold more than one entry per
-// layer, so frontAdd's append can never grow past the carve.
+// stateArena carves every net's per-layer bookkeeping out of two flat,
+// grow-only slabs: one layerState row per layer, and two frontier
+// backings per layer. Each netState's slices are fixed-capacity
+// sub-slices of the slabs, so a pooled engine re-running a
+// same-shaped workload allocates nothing, and a snapshot of the whole
+// machine is two bulk copies (plus one netProgress per net) instead of
+// a walk over thousands of tiny slices. A frontier backing has
+// capacity equal to the net's layer count — a frontier can never hold
+// more than one entry per layer, so frontAdd's append can never grow
+// past the carve.
 type stateArena struct {
-	ints   []int         // 8 ints per layer: 6 counters + 2 frontier backings
-	cycles []arch.Cycles // 1 per layer: remnant
-
-	// hot holds the rows of instances whose table has no shared
-	// template (beyond maxCheckedTables); never mutated mid-run, so
-	// it is not captured by snapshots.
-	hot []layerHot
+	rows   []layerState // 1 per layer
+	fronts []int        // 2 per layer: the MB and CB frontier backings
 }
 
-// reset clears and re-carves the arena for a workload with the given
-// total layer count, of which spillLayers belong to instances whose
-// hot rows live in the arena, reusing capacity when possible.
-func (a *stateArena) reset(totalLayers, spillLayers int) {
-	ni, nc := totalLayers*8, totalLayers
-	if cap(a.ints) < ni {
-		a.ints = make([]int, ni)
+// reset sizes the slabs for a workload with the given total layer
+// count, reusing capacity when possible. Nothing needs clearing:
+// initNetState overwrites every row, and a frontier reads only up to
+// its length.
+func (a *stateArena) reset(totalLayers int) {
+	if cap(a.rows) < totalLayers {
+		a.rows = make([]layerState, totalLayers)
+		a.fronts = make([]int, 2*totalLayers)
 	}
-	if cap(a.cycles) < nc {
-		a.cycles = make([]arch.Cycles, nc)
-	}
-	if cap(a.hot) < spillLayers {
-		a.hot = make([]layerHot, spillLayers)
-	}
-	a.ints = a.ints[:ni]
-	a.cycles = a.cycles[:nc]
-	a.hot = a.hot[:spillLayers]
-	clear(a.ints)
-	clear(a.cycles)
+	a.rows = a.rows[:totalLayers]
+	a.fronts = a.fronts[:2*totalLayers]
 }
 
-// carveInts takes the next n ints from the slab.
-func carveInts(slab []int, off *int, n int) []int {
-	s := slab[*off : *off+n : *off+n]
-	*off += n
-	return s
-}
-
-// initNetState wires one net's state into the arena slabs (already
-// zeroed by reset): it points the net at its template's hot rows and
-// copies in the template's dependency counts and root MB frontier.
-func initNetState(s *netState, cn *compiler.CompiledNetwork, t *netTemplate, a *stateArena, intOff, layerOff *int) {
-	n := len(cn.Layers)
+// initNetState wires one net's state into the arena slabs at layer
+// offset *off: it points the net at its template's hot rows and copies
+// in the template's layer rows and root MB frontier.
+func initNetState(s *netState, cn *compiler.CompiledNetwork, t *netTemplate, a *stateArena, off *int) {
+	n, o := len(cn.Layers), *off
 	*s = netState{
-		cn:         cn,
-		hot:        t.hot,
-		mbIndeg:    carveInts(a.ints, intOff, n),
-		cbIndeg:    carveInts(a.ints, intOff, n),
-		mbIssued:   carveInts(a.ints, intOff, n),
-		mbDone:     carveInts(a.ints, intOff, n),
-		cbSelected: carveInts(a.ints, intOff, n),
-		cbDone:     carveInts(a.ints, intOff, n),
-		mbFront:    carveInts(a.ints, intOff, n)[:0],
-		cbFront:    carveInts(a.ints, intOff, n)[:0],
-		remnant:    a.cycles[*layerOff : *layerOff+n : *layerOff+n],
-		layersLeft: n,
-		arrived:    true, // the engine clears this for late arrivals
+		cn:      cn,
+		hot:     t.hot,
+		rows:    a.rows[o : o+n : o+n],
+		mbFront: a.fronts[2*o : 2*o : 2*o+n],
+		// cbFront starts empty: no weights are resident before the
+		// first MB completes, and root CB chains wait on host input.
+		cbFront: a.fronts[2*o+n : 2*o+n : 2*(o+n)],
+		netProgress: netProgress{
+			layersLeft: n,
+			arrived:    true, // the engine clears this for late arrivals
+		},
 	}
-	*layerOff += n
-	copy(s.mbIndeg, t.mbIndeg)
-	copy(s.cbIndeg, t.cbIndeg)
+	*off += n
+	copy(s.rows, t.rows)
 	s.mbFront = append(s.mbFront, t.mbFront...)
-	// cbFront starts empty: no weights are resident before the first
-	// MB completes, and root CB chains wait on host input.
 }
 
 // newNetState builds a standalone net state with its own slabs —
@@ -255,10 +243,10 @@ func newNetState(cn *compiler.CompiledNetwork) *netState {
 	t := &netTemplate{}
 	t.build(cn)
 	a := &stateArena{}
-	a.reset(len(cn.Layers), 0)
+	a.reset(len(cn.Layers))
 	s := &netState{}
-	var intOff, layerOff int
-	initNetState(s, cn, t, a, &intOff, &layerOff)
+	var off int
+	initNetState(s, cn, t, a, &off)
 	return s
 }
 
@@ -268,12 +256,8 @@ type View struct {
 	cfg  arch.Config
 	nets []*netState
 
-	// used is the weight SRAM's occupancy in blocks, out of total: the
-	// sum over layers of (mbIssued - cbDone) * MBBlocks, raised at MB
-	// issue and lowered at CB completion. The paper's block table
-	// (sram.Buffer) is modelled only by the invariant checker, which
-	// proves the two agree.
-	used, total int
+	// total is the weight SRAM's capacity in blocks (see used).
+	total int
 
 	// active holds the indices of arrived, unfinished networks in
 	// ascending order — the only nets candidate scans must visit. With
@@ -291,6 +275,31 @@ type View struct {
 	// Maintained by cbFrontAdd/cbFrontRemove (see frontier.go).
 	cbNets []int
 
+	machineState
+
+	// cbTotal and mbTotal cache MixTotals, which is static for a run
+	// but may be queried per pick by schedulers.
+	cbTotal, mbTotal arch.Cycles
+
+	// log and om are the run's observability hooks: the run-local
+	// decision log folded into Options.Ledger and the metric state
+	// flushed into Options.Metrics at every event-loop return. Both
+	// are nil unless the run opted in, and every emission site guards
+	// on that, so the disabled path costs nothing.
+	log *obs.Log
+	om  *simObs
+}
+
+// machineState is the View's mutable scalar state, grouped so a
+// snapshot copies it whole.
+type machineState struct {
+	// used is the weight SRAM's occupancy in blocks, out of
+	// View.total: the sum over layers of (mbIssued - cbDone) *
+	// MBBlocks, raised at MB issue and lowered at CB completion. The
+	// paper's block table (sram.Buffer) is modelled only by the
+	// invariant checker, which proves the two agree.
+	used int
+
 	// outstanding is the incremental Σ(mbIssued - cbDone) over all
 	// nets; mbRemaining counts memory blocks not yet issued anywhere.
 	outstanding int
@@ -303,19 +312,7 @@ type View struct {
 	// the counter needs no arrival handling.
 	availCB arch.Cycles
 
-	// cbTotal and mbTotal cache MixTotals, which is static for a run
-	// but may be queried per pick by schedulers.
-	cbTotal, mbTotal arch.Cycles
-
 	now arch.Cycles
-
-	// log and om are the run's observability hooks: the run-local
-	// decision log folded into Options.Ledger and the metric state
-	// flushed into Options.Metrics at every event-loop return. Both
-	// are nil unless the run opted in, and every emission site guards
-	// on that, so the disabled path costs nothing.
-	log *obs.Log
-	om  *simObs
 
 	// HBM channel occupancy.
 	memBusy bool
@@ -367,8 +364,8 @@ func (v *View) activeRemove(net int) {
 	}
 }
 
-// NumLayers returns the layer count of network instance net.
-func (v *View) NumLayers(net int) int { return len(v.nets[net].cn.Layers) }
+// numLayers returns the layer count of network instance net.
+func (v *View) numLayers(net int) int { return len(v.nets[net].cn.Layers) }
 
 // LayerIters returns the sub-layer count of (net, layer).
 func (v *View) LayerIters(net, layer int) int { return v.nets[net].hot[layer].iters }
@@ -405,9 +402,6 @@ func (v *View) MixTotals() (cb, mb arch.Cycles) {
 // FreeBlocks returns the number of free weight-SRAM blocks.
 func (v *View) FreeBlocks() int { return v.total - v.used }
 
-// TotalBlocks returns the weight SRAM's capacity in blocks.
-func (v *View) TotalBlocks() int { return v.total }
-
 // MBCycles returns the HBM occupancy of the referenced memory block.
 func (v *View) MBCycles(r MBRef) arch.Cycles { return v.nets[r.Net].hot[r.Layer].mbCycles }
 
@@ -419,8 +413,8 @@ func (v *View) MBBlocks(r MBRef) int { return v.nets[r.Net].hot[r.Layer].mbBlock
 // is a resume.
 func (v *View) CBCycles(r CBRef) arch.Cycles {
 	s := v.nets[r.Net]
-	if r.Iter == s.cbDone[r.Layer] && s.remnant[r.Layer] > 0 {
-		return s.remnant[r.Layer] + v.cfg.FillLatency
+	if row := &s.rows[r.Layer]; r.Iter == row.cbDone && row.remnant > 0 {
+		return row.remnant + v.cfg.FillLatency
 	}
 	return s.hot[r.Layer].cbCycles
 }
@@ -431,24 +425,25 @@ func (v *View) CBCycles(r CBRef) arch.Cycles {
 // for its blocks.
 func (v *View) IsMBIssuable(r MBRef) bool {
 	s := v.nets[r.Net]
-	h := &s.hot[r.Layer]
+	h, row := &s.hot[r.Layer], &s.rows[r.Layer]
 	return s.arrived &&
-		s.mbIndeg[r.Layer] == 0 &&
-		r.Iter == s.mbIssued[r.Layer] &&
+		row.mbIndeg == 0 &&
+		r.Iter == row.mbIssued &&
 		r.Iter < h.iters &&
 		v.total-v.used >= h.mbBlocks
 }
 
-// IsCBExecutable reports whether the referenced CB can start now: its
+// isCBExecutable reports whether the referenced CB can start now: its
 // layer's CB chain is unlocked, it is the layer's next CB, and its
 // weights are resident.
-func (v *View) IsCBExecutable(r CBRef) bool {
+func (v *View) isCBExecutable(r CBRef) bool {
 	s := v.nets[r.Net]
+	row := &s.rows[r.Layer]
 	return s.arrived &&
-		s.cbIndeg[r.Layer] == 0 &&
-		r.Iter == s.cbDone[r.Layer] &&
+		row.cbIndeg == 0 &&
+		r.Iter == row.cbDone &&
 		r.Iter < s.hot[r.Layer].iters &&
-		s.mbDone[r.Layer] > r.Iter
+		row.mbDone > r.Iter
 }
 
 // MBCandidates appends to out one entry per (net, layer) whose next
@@ -508,7 +503,7 @@ func (v *View) appendMBsOf(out []MBRef, list []int, inputDone bool) ([]MBRef, bo
 // frontier; s is network instance net.
 func (s *netState) appendMBs(out []MBRef, net int) []MBRef {
 	for _, li := range s.mbFront {
-		out = append(out, MBRef{Net: net, Layer: li, Iter: s.mbIssued[li]})
+		out = append(out, MBRef{Net: net, Layer: li, Iter: s.rows[li].mbIssued})
 	}
 	return out
 }
@@ -523,8 +518,8 @@ func (v *View) ReadyCBs(out []CBRef) []CBRef {
 			// cbFront membership already implies cbIndeg == 0 and
 			// mbDone > cbDone; ready additionally means no claim is
 			// pending ahead of execution.
-			if s.cbSelected[li] == s.cbDone[li] {
-				out = append(out, CBRef{Net: ni, Layer: li, Iter: s.cbDone[li]})
+			if row := &s.rows[li]; row.cbSelected == row.cbDone {
+				out = append(out, CBRef{Net: ni, Layer: li, Iter: row.cbDone})
 			}
 		}
 	}
@@ -542,11 +537,11 @@ func (v *View) FirstReadyCB(from int) (r CBRef, ok bool) {
 		}
 		s := v.nets[ni]
 		for _, li := range s.cbFront {
-			if s.cbSelected[li] == s.cbDone[li] {
+			if row := &s.rows[li]; row.cbSelected == row.cbDone {
 				if ni >= from {
-					return CBRef{Net: ni, Layer: li, Iter: s.cbDone[li]}, true
+					return CBRef{Net: ni, Layer: li, Iter: row.cbDone}, true
 				}
-				r, ok = CBRef{Net: ni, Layer: li, Iter: s.cbDone[li]}, true
+				r, ok = CBRef{Net: ni, Layer: li, Iter: row.cbDone}, true
 				break
 			}
 		}
@@ -564,7 +559,8 @@ func (v *View) SelectableCBs(out []CBRef) []CBRef {
 	for _, ni := range v.cbNets {
 		s := v.nets[ni]
 		for _, li := range s.cbFront {
-			for it := s.cbSelected[li]; it < s.mbDone[li]; it++ {
+			row := &s.rows[li]
+			for it := row.cbSelected; it < row.mbDone; it++ {
 				out = append(out, CBRef{Net: ni, Layer: li, Iter: it})
 			}
 		}
@@ -582,11 +578,11 @@ func (v *View) FirstSelectableCB(from int) (r CBRef, ok bool) {
 		}
 		s := v.nets[ni]
 		for _, li := range s.cbFront {
-			if s.cbSelected[li] < s.mbDone[li] {
+			if row := &s.rows[li]; row.cbSelected < row.mbDone {
 				if ni >= from {
-					return CBRef{Net: ni, Layer: li, Iter: s.cbSelected[li]}, true
+					return CBRef{Net: ni, Layer: li, Iter: row.cbSelected}, true
 				}
-				r, ok = CBRef{Net: ni, Layer: li, Iter: s.cbSelected[li]}, true
+				r, ok = CBRef{Net: ni, Layer: li, Iter: row.cbSelected}, true
 				break
 			}
 		}
@@ -604,17 +600,17 @@ func (v *View) AvailableCBCycles() arch.Cycles { return v.availCB }
 // SelectCB claims a compute block ahead of execution (AI-MT's CB
 // merging). Claims must be made in iteration order per layer.
 func (v *View) SelectCB(r CBRef) error {
-	s := v.nets[r.Net]
-	if s.cbIndeg[r.Layer] != 0 {
+	row := &v.nets[r.Net].rows[r.Layer]
+	if row.cbIndeg != 0 {
 		return fmt.Errorf("sim: SelectCB %+v: layer locked", r)
 	}
-	if r.Iter != s.cbSelected[r.Layer] {
-		return fmt.Errorf("sim: SelectCB %+v: expected iter %d", r, s.cbSelected[r.Layer])
+	if r.Iter != row.cbSelected {
+		return fmt.Errorf("sim: SelectCB %+v: expected iter %d", r, row.cbSelected)
 	}
-	if r.Iter >= s.mbDone[r.Layer] {
+	if r.Iter >= row.mbDone {
 		return fmt.Errorf("sim: SelectCB %+v: weights not resident", r)
 	}
-	s.cbSelected[r.Layer]++
+	row.cbSelected++
 	if v.om != nil {
 		v.om.counts[cMerges]++
 	}
@@ -638,10 +634,10 @@ func (v *View) ExecutingCB() (CBRef, arch.Cycles, bool) {
 // baseline bounds at two. Maintained incrementally by the engine.
 func (v *View) OutstandingMBs() int { return v.outstanding }
 
-// HasMBWork reports whether any memory block remains to be issued
+// hasMBWork reports whether any memory block remains to be issued
 // (whether or not currently unlocked or fitting in SRAM). Maintained
 // incrementally by the engine.
-func (v *View) HasMBWork() bool { return v.mbRemaining > 0 }
+func (v *View) hasMBWork() bool { return v.mbRemaining > 0 }
 
 // RequestSplit halts the executing compute block (the paper's CB
 // split): the executed portion is kept, the remainder returns to

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -549,7 +550,7 @@ func TestViewAccessors(t *testing.T) {
 	v.activeAdd(0)
 	v.mbRemaining = 3
 
-	if v.NumNets() != 1 || v.NumLayers(0) != 2 {
+	if v.NumNets() != 1 || v.numLayers(0) != 2 {
 		t.Fatalf("dims wrong")
 	}
 	mbs := v.MBCandidates(nil)
@@ -568,11 +569,11 @@ func TestViewAccessors(t *testing.T) {
 	// Simulate a completed fetch and the host-input unlock, adjusting
 	// the engine-maintained counters and frontiers the way issueMB,
 	// completeMB and finishHostIn would.
-	v.nets[0].mbIssued[0] = 1
-	v.nets[0].mbDone[0] = 1
+	v.nets[0].rows[0].mbIssued = 1
+	v.nets[0].rows[0].mbDone = 1
 	v.outstanding++
 	v.mbRemaining--
-	v.nets[0].cbIndeg[0] = 0
+	v.nets[0].rows[0].cbIndeg = 0
 	v.unlockCB(0, 0)
 	if got := v.AvailableCBCycles(); got != 20 {
 		t.Fatalf("available CB cycles = %d, want 20", got)
@@ -594,14 +595,15 @@ func TestViewAccessors(t *testing.T) {
 	if got := v.OutstandingMBs(); got != 1 {
 		t.Fatalf("outstanding = %d", got)
 	}
-	if !v.HasMBWork() {
-		t.Fatal("work remains but HasMBWork is false")
+	if !v.hasMBWork() {
+		t.Fatal("work remains but hasMBWork is false")
 	}
 }
 
 // checkInitState checks that every instance's hot rows, the View
 // accessors that read them, and its initial dependency counts and MB
-// frontier agree field for field with its compiled table. The tables
+// frontier agree field for field with its compiled table, and that
+// instances of one table share its hot rows. The tables
 // must carry host input, so no root CB chain is unlocked yet.
 func checkInitState(t *testing.T, e *Engine, nets []*compiler.CompiledNetwork) {
 	t.Helper()
@@ -633,9 +635,9 @@ func checkInitState(t *testing.T, e *Engine, nets []*compiler.CompiledNetwork) {
 			if cbIn == 0 {
 				cbIn = 1
 			}
-			if s.mbIndeg[li] != len(l.Deps) || s.cbIndeg[li] != cbIn {
+			if s.rows[li].mbIndeg != len(l.Deps) || s.rows[li].cbIndeg != cbIn {
 				t.Errorf("net %d %s layer %d: indegrees MB %d CB %d, want %d and %d",
-					ni, cn.Name, li, s.mbIndeg[li], s.cbIndeg[li], len(l.Deps), cbIn)
+					ni, cn.Name, li, s.rows[li].mbIndeg, s.rows[li].cbIndeg, len(l.Deps), cbIn)
 			}
 			if len(l.Deps) == 0 && l.Iters > 0 {
 				front = append(front, li)
@@ -645,6 +647,16 @@ func checkInitState(t *testing.T, e *Engine, nets []*compiler.CompiledNetwork) {
 			t.Errorf("net %d %s: initial MB frontier %v, want %v", ni, cn.Name, s.mbFront, front)
 		}
 	}
+	// Instances of one table read one row set.
+	first := map[*compiler.CompiledNetwork]*layerHot{}
+	for ni, cn := range nets {
+		row := &v.nets[ni].hot[0]
+		if f, ok := first[cn]; !ok {
+			first[cn] = row
+		} else if f != row {
+			t.Fatalf("net %d (%s) has its own hot rows; want the table's shared rows", ni, cn.Name)
+		}
+	}
 }
 
 // TestHotRowsMatchCompiledTable checks each instance's init state —
@@ -652,9 +664,8 @@ func checkInitState(t *testing.T, e *Engine, nets []*compiler.CompiledNetwork) {
 // its compiled table: every zoo network at batch 1 and 4 plus the
 // transformer prefill and decode tables, with the first table
 // repeated; a stream-like run where many instances share one table
-// (and therefore one row set); and a run with more distinct tables
-// than the engine records, whose spilled templates are rebuilt at
-// each occurrence.
+// (and therefore one row set); and a run over many distinct tables,
+// each of which gets its own recorded template.
 func TestHotRowsMatchCompiledTable(t *testing.T) {
 	cfg := arch.PaperConfig()
 	srcs := []*nn.Network{nn.GPT2Prefill(128), nn.GPT2Decode(128)}
@@ -696,25 +707,15 @@ func TestHotRowsMatchCompiledTable(t *testing.T) {
 				nets = append(nets, gnmt)
 			}
 		}
-		e := engine(t, nets)
-		checkInitState(t, e, nets)
-		// Instances of one table read one row set.
-		first := map[*compiler.CompiledNetwork]*layerHot{}
-		for ni, cn := range nets {
-			row := &e.v.nets[ni].hot[0]
-			if f, ok := first[cn]; !ok {
-				first[cn] = row
-			} else if f != row {
-				t.Fatalf("net %d (%s) has its own hot rows; want the table's shared rows", ni, cn.Name)
-			}
-		}
+		checkInitState(t, engine(t, nets), nets)
 	})
-	t.Run("beyond-recorded-tables", func(t *testing.T) {
+	t.Run("many-distinct-tables", func(t *testing.T) {
 		// Distinct tables that differ in every row, so an instance
-		// reading another table's (or a stale rebuild's) rows fails.
+		// reading another table's rows fails.
+		const distinct = 38
 		base := compile(t, nn.Zoo()["MN"], 1)
 		var nets []*compiler.CompiledNetwork
-		for i := 0; i < maxCheckedTables+6; i++ {
+		for i := 0; i < distinct; i++ {
 			cn := &compiler.CompiledNetwork{
 				Name: base.Name, Batch: base.Batch, Layers: slices.Clone(base.Layers),
 				HostInBytes: base.HostInBytes, HostOutBytes: base.HostOutBytes,
@@ -725,24 +726,24 @@ func TestHotRowsMatchCompiledTable(t *testing.T) {
 			}
 			nets = append(nets, cn)
 		}
-		// Repeat a recorded and a spilled table.
-		nets = append(nets, nets[0], nets[maxCheckedTables+2], nets[maxCheckedTables+2])
+		// Repeat the first, a middle and the last table.
+		nets = append(nets, nets[0], nets[distinct/2], nets[distinct-1], nets[distinct-1])
 		e := engine(t, nets)
 		checkInitState(t, e, nets)
-		if n := len(e.tables); n != maxCheckedTables {
-			t.Errorf("engine recorded %d tables, want the cap %d", n, maxCheckedTables)
+		if n := len(e.tables); n != distinct {
+			t.Errorf("engine recorded %d tables, want one per distinct table (%d)", n, distinct)
 		}
 	})
 }
 
 // TestWarmEngineInitAllocFree re-initializes a pooled-style engine
-// over a workload with shared tables and spilled ones: once warm, the
-// init templates, arena and checker reuse their storage, so init
-// allocates nothing.
+// over a workload of many distinct tables, some shared by several
+// instances: once warm, the table map, init templates, arena and
+// checker reuse their storage, so init allocates nothing.
 func TestWarmEngineInitAllocFree(t *testing.T) {
 	cfg := testConfig()
 	var nets []*compiler.CompiledNetwork
-	for i := 0; i < maxCheckedTables+4; i++ {
+	for i := 0; i < 36; i++ {
 		nets = append(nets, chainNet("n", cfg,
 			layerSpec{mb: arch.Cycles(10 + i), cb: 20, iters: 3, blocks: 1},
 			layerSpec{mb: 10, cb: arch.Cycles(5 + i), iters: 2, blocks: 1}))
@@ -760,5 +761,20 @@ func TestWarmEngineInitAllocFree(t *testing.T) {
 	run()
 	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
 		t.Errorf("warm engine init allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestEnginePoolSurvivesCollections checks that Run's engine pool keeps
+// an idle engine across garbage collections, so the next Run reuses its
+// slabs instead of building a new engine.
+func TestEnginePoolSurvivesCollections(t *testing.T) {
+	e := getEngine()
+	putEngine(e)
+	runtime.GC()
+	runtime.GC()
+	got := getEngine()
+	defer putEngine(got)
+	if got != e {
+		t.Error("the engine pool dropped its idle engine at a garbage collection")
 	}
 }

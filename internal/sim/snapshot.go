@@ -8,10 +8,13 @@ import (
 )
 
 // Snapshot is a point-in-time copy of one engine's mutable machine
-// state. Because the per-layer bookkeeping lives in flat arena slabs
-// (see stateArena), capturing it is two bulk copies plus a handful of
-// per-net scalars — O(state), with no per-slice walking — cheap enough
-// to take at every contested scheduling decision.
+// state. The engine keeps that state as whole values: the per-layer
+// rows and frontier backings live in two arena slabs (see stateArena),
+// and every mutable scalar sits in a group struct (machineState,
+// netProgress, linkState, checkClock) or in Result. Capturing it is
+// bulk slice copies plus one assignment per group — O(state), with no
+// per-field copying, so a field added to a group is captured with it —
+// cheap enough to take at every contested scheduling decision.
 //
 // A snapshot is bound to the engine and run it was taken from:
 // restoring it into another engine, or after the engine was
@@ -22,38 +25,21 @@ type Snapshot struct {
 	owner *Engine
 	runID uint64
 
-	// Arena slabs: counters, frontier backings, remnants. The hot rows
-	// never change during a run and are not captured.
-	ints   []int
-	cycles []arch.Cycles
+	// Arena slabs: layer rows and frontier backings. The hot rows never
+	// change during a run and are not captured.
+	rows   []layerState
+	fronts []int
 
 	nets   []netSnap
 	active []int
 
-	// Host link and pending-arrival state.
-	hostQ        []hostXfer
-	hostHead     int
-	hostBusy     bool
-	hostEnd      arch.Cycles
-	curHost      hostXfer
-	arrivalOrder []int
-	nextArrival  int
+	// View scalars; used is the engine's SRAM occupancy counter.
+	machineState
 
-	// View scalars. used is the engine's SRAM occupancy counter.
-	used           int
-	outstanding    int
-	mbRemaining    int
-	availCB        arch.Cycles
-	now            arch.Cycles
-	memBusy        bool
-	curMB          MBRef
-	memEnd         arch.Cycles
-	peBusy         bool
-	curCB          CBRef
-	cbStart        arch.Cycles
-	peEnd          arch.Cycles
-	curCBWork      arch.Cycles
-	splitRequested bool
+	// Host link and pending-arrival state.
+	link         linkState
+	hostQ        []hostXfer
+	arrivalOrder []int
 
 	// Result scalars plus copies of the mutable per-net columns.
 	// NetNames never changes mid-run and is not captured.
@@ -67,7 +53,7 @@ type Snapshot struct {
 	// checker's block table and free list. Its list of nets holding
 	// blocks is derived from the layers and rebuilt on restore.
 	chkValid         bool
-	chkSnap          checkerSnap
+	chk              checkClock
 	chkLayers        []layerShadow
 	chkHostIn        []bool
 	chkNext, chkFree []int32
@@ -76,22 +62,11 @@ type Snapshot struct {
 	schedState any
 }
 
-// checkerSnap holds the checker's scalar shadow state.
-type checkerSnap struct {
-	now, memFree, peFree         arch.Cycles
-	memInFlight, peInFlight      bool
-	mbCount, cbCount, splitCount int
-}
-
 // netSnap holds one net's scalar state and frontier lengths. The
-// frontier contents live in the ints slab; only the lengths vary.
+// frontier contents live in the fronts slab; only the lengths vary.
 type netSnap struct {
-	arrival, finishAt      arch.Cycles
+	progress               netProgress
 	mbFrontLen, cbFrontLen int
-	layersLeft             int
-	arrived                bool
-	hostInDone             bool
-	finished               bool
 }
 
 // ErrSnapshot wraps every snapshot/restore misuse error.
@@ -109,46 +84,18 @@ func (e *Engine) Snapshot(dst *Snapshot) *Snapshot {
 	dst.owner = e
 	dst.runID = e.runID
 
-	dst.ints = append(dst.ints[:0], e.arena.ints...)
-	dst.cycles = append(dst.cycles[:0], e.arena.cycles...)
-
+	dst.rows = append(dst.rows[:0], e.arena.rows...)
+	dst.fronts = append(dst.fronts[:0], e.arena.fronts...)
 	dst.nets = dst.nets[:0]
 	for _, s := range v.nets {
-		dst.nets = append(dst.nets, netSnap{
-			arrival:    s.arrival,
-			finishAt:   s.finishAt,
-			mbFrontLen: len(s.mbFront),
-			cbFrontLen: len(s.cbFront),
-			layersLeft: s.layersLeft,
-			arrived:    s.arrived,
-			hostInDone: s.hostInDone,
-			finished:   s.finished,
-		})
+		dst.nets = append(dst.nets, netSnap{s.netProgress, len(s.mbFront), len(s.cbFront)})
 	}
 	dst.active = append(dst.active[:0], v.active...)
+	dst.machineState = v.machineState
 
+	dst.link = e.linkState
 	dst.hostQ = append(dst.hostQ[:0], e.hostQ...)
-	dst.hostHead = e.hostHead
-	dst.hostBusy = e.hostBusy
-	dst.hostEnd = e.hostEnd
-	dst.curHost = e.curHost
 	dst.arrivalOrder = append(dst.arrivalOrder[:0], e.arrivalOrder...)
-	dst.nextArrival = e.nextArrival
-
-	dst.used = v.used
-	dst.outstanding = v.outstanding
-	dst.mbRemaining = v.mbRemaining
-	dst.availCB = v.availCB
-	dst.now = v.now
-	dst.memBusy = v.memBusy
-	dst.curMB = v.curMB
-	dst.memEnd = v.memEnd
-	dst.peBusy = v.peBusy
-	dst.curCB = v.curCB
-	dst.cbStart = v.cbStart
-	dst.peEnd = v.peEnd
-	dst.curCBWork = v.curCBWork
-	dst.splitRequested = v.splitRequested
 
 	dst.res = e.res
 	dst.res.NetNames = nil // immutable mid-run; shared, not captured
@@ -158,19 +105,11 @@ func (e *Engine) Snapshot(dst *Snapshot) *Snapshot {
 	dst.resFinish = append(dst.resFinish[:0], e.res.NetFinish...)
 
 	dst.chkValid = e.chk != nil
-	if e.chk != nil {
-		c := e.chk
-		dst.chkSnap = checkerSnap{
-			now: c.now, memFree: c.memFree, peFree: c.peFree,
-			memInFlight: c.memInFlight, peInFlight: c.peInFlight,
-			mbCount: c.mbCount, cbCount: c.cbCount, splitCount: c.splitCount,
-		}
+	if c := e.chk; c != nil {
+		dst.chk = c.checkClock
 		dst.chkLayers = append(dst.chkLayers[:0], c.layerSlab...)
+		dst.chkHostIn = append(dst.chkHostIn[:0], c.hostInDone...)
 		dst.chkNext, dst.chkFree = c.buf.SaveState(dst.chkNext, dst.chkFree)
-		dst.chkHostIn = dst.chkHostIn[:0]
-		for i := range c.nets {
-			dst.chkHostIn = append(dst.chkHostIn, c.nets[i].hostInDone)
-		}
 	}
 
 	if ss, ok := e.sch.(StatefulScheduler); ok {
@@ -188,28 +127,21 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if s == nil || s.owner != e || s.runID != e.runID {
 		return fmt.Errorf("%w: snapshot does not belong to this engine run", ErrSnapshot)
 	}
-	if len(s.ints) != len(e.arena.ints) || len(s.cycles) != len(e.arena.cycles) ||
-		len(s.nets) != len(e.v.nets) {
+	if len(s.rows) != len(e.arena.rows) || len(s.nets) != len(e.v.nets) {
 		return fmt.Errorf("%w: state shape changed since capture", ErrSnapshot)
 	}
 	v := e.v
 
-	copy(e.arena.ints, s.ints)
-	copy(e.arena.cycles, s.cycles)
-
+	copy(e.arena.rows, s.rows)
+	copy(e.arena.fronts, s.fronts)
 	for i, sn := range s.nets {
 		st := v.nets[i]
-		st.arrival = sn.arrival
-		st.finishAt = sn.finishAt
-		// The frontier sub-slices share the ints slab just restored;
+		st.netProgress = sn.progress
+		// The frontier sub-slices share the fronts slab just restored;
 		// only their lengths need rewinding (capacity is fixed at the
 		// net's layer count, so the reslice is always in range).
 		st.mbFront = st.mbFront[:sn.mbFrontLen]
 		st.cbFront = st.cbFront[:sn.cbFrontLen]
-		st.layersLeft = sn.layersLeft
-		st.arrived = sn.arrived
-		st.hostInDone = sn.hostInDone
-		st.finished = sn.finished
 	}
 	v.active = append(v.active[:0], s.active...)
 	// The CB-frontier net index is derived state: rebuild it from the
@@ -220,29 +152,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 			v.cbNets = append(v.cbNets, ni)
 		}
 	}
+	v.machineState = s.machineState
 
+	e.linkState = s.link
 	e.hostQ = append(e.hostQ[:0], s.hostQ...)
-	e.hostHead = s.hostHead
-	e.hostBusy = s.hostBusy
-	e.hostEnd = s.hostEnd
-	e.curHost = s.curHost
 	e.arrivalOrder = append(e.arrivalOrder[:0], s.arrivalOrder...)
-	e.nextArrival = s.nextArrival
-
-	v.used = s.used
-	v.outstanding = s.outstanding
-	v.mbRemaining = s.mbRemaining
-	v.availCB = s.availCB
-	v.now = s.now
-	v.memBusy = s.memBusy
-	v.curMB = s.curMB
-	v.memEnd = s.memEnd
-	v.peBusy = s.peBusy
-	v.curCB = s.curCB
-	v.cbStart = s.cbStart
-	v.peEnd = s.peEnd
-	v.curCBWork = s.curCBWork
-	v.splitRequested = s.splitRequested
 
 	names, arrive, finish := e.res.NetNames, e.res.NetArrive, e.res.NetFinish
 	e.res = s.res
@@ -252,21 +166,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	copy(e.res.NetArrive, s.resArrive)
 	copy(e.res.NetFinish, s.resFinish)
 
-	if e.chk != nil && s.chkValid {
-		c := e.chk
-		c.now = s.chkSnap.now
-		c.memFree = s.chkSnap.memFree
-		c.peFree = s.chkSnap.peFree
-		c.memInFlight = s.chkSnap.memInFlight
-		c.peInFlight = s.chkSnap.peInFlight
-		c.mbCount = s.chkSnap.mbCount
-		c.cbCount = s.chkSnap.cbCount
-		c.splitCount = s.chkSnap.splitCount
+	if c := e.chk; c != nil && s.chkValid {
+		c.checkClock = s.chk
 		copy(c.layerSlab, s.chkLayers)
+		copy(c.hostInDone, s.chkHostIn)
 		c.buf.RestoreState(s.chkNext, s.chkFree)
-		for i := range c.nets {
-			c.nets[i].hostInDone = s.chkHostIn[i]
-		}
 		c.rebuildHolding()
 	}
 
