@@ -697,3 +697,20 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildMix measures building the eight paper mixes at batch
+// 4: every zoo network built and compiled from scratch, one input set
+// of the harness set-up.
+func BenchmarkBuildMix(b *testing.B) {
+	cfg := PaperConfig()
+	specs := PaperMixes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range specs {
+			if _, err := BuildMix(cfg, spec, 4); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

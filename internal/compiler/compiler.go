@@ -156,6 +156,11 @@ var (
 
 // Compile lowers net onto cfg at the given batch size. It returns
 // cfg's Validate error for a configuration that describes no machine.
+//
+// Every list in the table is a cap-limited window of a slab sized for
+// the whole network, so an append to one layer's Deps or Posts
+// reallocates that list and never overwrites a neighbour's. Empty
+// lists are nil.
 func Compile(net *nn.Network, cfg arch.Config, batch int) (*CompiledNetwork, error) {
 	if batch <= 0 {
 		return nil, ErrBadBatch
@@ -167,68 +172,116 @@ func Compile(net *nn.Network, cfg arch.Config, batch int) (*CompiledNetwork, err
 		return nil, err
 	}
 
-	// Map original layer indices to compiled (weight-layer) indices,
-	// fusing non-weight layers: a weight layer depends on the weight
-	// layers reachable backwards through fused layers.
-	weightIdx := make([]int, len(net.Layers)) // -1 for fused layers
-	for i := range weightIdx {
-		weightIdx[i] = -1
+	// First pass: number the weight layers and bound each layer's dep
+	// list. Non-weight layers are fused into their producers: a weight
+	// layer depends on the weight layers reachable backwards through
+	// fused layers. A list holds at most one entry per weight input plus
+	// the entries of each fused input's list, and never more than the
+	// weight layers before it; the bound is exact unless a dep repeats.
+	refs := make([]layerRef, len(net.Layers))
+	weights, bound := 0, 0
+	for i := range net.Layers {
+		l := &net.Layers[i]
+		n := 0
+		for _, in := range l.Inputs {
+			if r := &refs[in]; r.w >= 0 {
+				n++
+			} else {
+				n += r.hi - r.lo
+			}
+		}
+		n = min(n, weights)
+		refs[i] = layerRef{w: -1, hi: n} // hi holds the bound until the second pass
+		bound += n
+		if l.Type.HasWeights() {
+			refs[i].w = weights
+			weights++
+		}
 	}
-	// effDeps[i] = set of compiled indices feeding original layer i.
-	effDeps := make([][]int, len(net.Layers))
+	if weights == 0 {
+		return nil, fmt.Errorf("compiler: %s has no weight layers", net.Name)
+	}
 
 	cn := &CompiledNetwork{
 		Name:         net.Name,
 		Batch:        batch,
+		Layers:       make([]CompiledLayer, 0, weights),
 		HostInBytes:  arch.Bytes(net.InputBytes(cfg.WeightBytes) * int64(batch)),
 		HostOutBytes: arch.Bytes(net.OutputBytes(cfg.WeightBytes) * int64(batch)),
 	}
 
-	for i, l := range net.Layers {
-		var deps []int
-		seen := map[int]bool{}
+	// Second pass: write each layer's deduplicated compiled-index deps
+	// into the slab, in first-seen order, estimate the weight layers and
+	// count each one's successors.
+	slab := make([]int, 0, bound)
+	counts := make([]int, weights)
+	edges := 0
+	for i := range net.Layers {
+		l := &net.Layers[i]
+		lo := len(slab)
 		for _, in := range l.Inputs {
-			if w := weightIdx[in]; w >= 0 {
-				if !seen[w] {
-					seen[w] = true
-					deps = append(deps, w)
-				}
+			if r := &refs[in]; r.w >= 0 {
+				slab = appendNew(slab, lo, r.w)
 			} else {
-				for _, d := range effDeps[in] {
-					if !seen[d] {
-						seen[d] = true
-						deps = append(deps, d)
-					}
+				for _, d := range slab[r.lo:r.hi] {
+					slab = appendNew(slab, lo, d)
 				}
 			}
 		}
-		if !l.Type.HasWeights() {
-			effDeps[i] = deps
+		refs[i].lo, refs[i].hi = lo, len(slab)
+		if refs[i].w < 0 {
 			continue
 		}
 		cl, err := estimate(l, cfg, batch)
 		if err != nil {
 			return nil, fmt.Errorf("compiler: %s/%s: %w", net.Name, l.Name, err)
 		}
-		cl.Deps = deps
-		weightIdx[i] = len(cn.Layers)
-		effDeps[i] = []int{weightIdx[i]}
+		if hi := len(slab); hi > lo {
+			cl.Deps = slab[lo:hi:hi]
+		}
+		for _, d := range cl.Deps {
+			counts[d]++
+		}
+		edges += len(cl.Deps)
 		cn.Layers = append(cn.Layers, cl)
 	}
-	for i, l := range cn.Layers {
-		for _, d := range l.Deps {
-			cn.Layers[d].Posts = append(cn.Layers[d].Posts, i)
+
+	// Posts mirror Deps: each layer gets a window of its successor
+	// count, filled in layer order.
+	posts := make([]int, edges)
+	off := 0
+	for i, n := range counts {
+		if n > 0 {
+			cn.Layers[i].Posts = posts[off : off : off+n]
+			off += n
 		}
 	}
-	if len(cn.Layers) == 0 {
-		return nil, fmt.Errorf("compiler: %s has no weight layers", net.Name)
+	for i := range cn.Layers {
+		for _, d := range cn.Layers[i].Deps {
+			cn.Layers[d].Posts = append(cn.Layers[d].Posts, i)
+		}
 	}
 	return cn, nil
 }
 
+// layerRef locates one source layer's compiled form during Compile:
+// its compiled index w (-1 for a fused layer) and its dep list
+// slab[lo:hi].
+type layerRef struct{ w, lo, hi int }
+
+// appendNew appends d to slab unless slab[lo:] already holds it.
+func appendNew(slab []int, lo, d int) []int {
+	for _, x := range slab[lo:] {
+		if x == d {
+			return slab
+		}
+	}
+	return append(slab, d)
+}
+
 // estimate implements the paper's Algorithm 1, extended with the
 // depthwise-convolution mapping described in DESIGN.md.
-func estimate(l nn.Layer, cfg arch.Config, batch int) (CompiledLayer, error) {
+func estimate(l *nn.Layer, cfg arch.Config, batch int) (CompiledLayer, error) {
 	read := cfg.ReadCyclesPerArray()
 	fill := cfg.FillLatency
 	dim := int64(cfg.PEDim)

@@ -23,13 +23,22 @@ type Builder struct {
 	// pendingJoin holds residual sources registered with Add, consumed
 	// as extra dependency edges by the next layer appended.
 	pendingJoin []int
+
+	// slab is the unused tail of the chunk every layer's Inputs is
+	// carved from.
+	slab []int
 }
 
 // NewBuilder starts a network whose external input has the given
 // channel count and spatial extent.
 func NewBuilder(name string, inC, inH, inW int) *Builder {
+	return newBuilder(name, inC, inH, inW, 16)
+}
+
+// newBuilder is NewBuilder with room for the given number of layers.
+func newBuilder(name string, inC, inH, inW, layers int) *Builder {
 	return &Builder{
-		net:  Network{Name: name},
+		net:  Network{Name: name, Layers: make([]Layer, 0, layers)},
 		curC: inC,
 		curH: inH,
 		curW: inW,
@@ -37,16 +46,33 @@ func NewBuilder(name string, inC, inH, inW int) *Builder {
 	}
 }
 
-func (b *Builder) push(l Layer) int {
+// push appends l reading from the chain tip.
+func (b *Builder) push(l Layer) int { return b.pushFrom(l, b.last) }
+
+// pushFrom appends l reading from layer src (none when negative) and
+// from the pending residual joins. Its Inputs is a cap-limited window
+// of a chunk shared by the network's layers, so an append to one
+// layer's Inputs reallocates and never overwrites a neighbour's.
+func (b *Builder) pushFrom(l Layer, src int) int {
 	if b.err != nil {
 		return -1
 	}
-	if b.last >= 0 && len(l.Inputs) == 0 {
-		l.Inputs = []int{b.last}
+	n := len(b.pendingJoin)
+	if src >= 0 {
+		n++
 	}
-	if len(b.pendingJoin) > 0 {
-		l.Inputs = append(append([]int(nil), l.Inputs...), b.pendingJoin...)
-		b.pendingJoin = nil
+	if n > 0 {
+		if len(b.slab) < n {
+			// Room for a chain edge per layer plus residual joins.
+			b.slab = make([]int, max(n, cap(b.net.Layers)+cap(b.net.Layers)/2))
+		}
+		l.Inputs = b.slab[:0:n]
+		b.slab = b.slab[n:]
+		if src >= 0 {
+			l.Inputs = append(l.Inputs, src)
+		}
+		l.Inputs = append(l.Inputs, b.pendingJoin...)
+		b.pendingJoin = b.pendingJoin[:0]
 	}
 	b.net.Layers = append(b.net.Layers, l)
 	b.last = len(b.net.Layers) - 1
@@ -148,13 +174,12 @@ func (b *Builder) ConvFrom(name string, from, outC, k, stride, pad int) int {
 		b.err = fmt.Errorf("nn: ConvFrom %q: bad source index %d", name, from)
 		return -1
 	}
-	src := b.net.Layers[from]
-	return b.push(Layer{
+	src := &b.net.Layers[from]
+	return b.pushFrom(Layer{
 		Name: name, Type: Conv,
 		InC: src.OutC, InH: src.OutH(), InW: src.OutW(),
 		OutC: outC, Kernel: k, Stride: stride, Pad: pad,
-		Inputs: []int{from},
-	})
+	}, from)
 }
 
 // Add records a residual join: the next layer appended will depend on

@@ -242,9 +242,10 @@ func (n *Network) Validate() error {
 	if len(n.Layers) == 0 {
 		return ErrEmptyNetwork
 	}
-	for i, l := range n.Layers {
+	for i := range n.Layers {
+		l := &n.Layers[i]
 		if l.InC <= 0 || l.OutC <= 0 || l.InH <= 0 || l.InW <= 0 {
-			return fmt.Errorf("%w: layer %d (%s) has non-positive dims %+v", ErrBadShape, i, l.Name, l)
+			return fmt.Errorf("%w: layer %d (%s) has non-positive dims %+v", ErrBadShape, i, l.Name, *l)
 		}
 		if l.Type.HasWeights() && l.WeightCount() <= 0 {
 			return fmt.Errorf("%w: layer %d (%s) has no weights", ErrBadShape, i, l.Name)
@@ -257,7 +258,7 @@ func (n *Network) Validate() error {
 			if in < 0 || in >= i {
 				return fmt.Errorf("%w: layer %d (%s) input %d", ErrBadTopology, i, l.Name, in)
 			}
-			p := n.Layers[in]
+			p := &n.Layers[in]
 			if l.Type == FC || l.Type == Attn {
 				// FC layers flatten and may follow recurrent or concat
 				// topologies (GNMT) whose reshaping the shape model does
@@ -323,8 +324,8 @@ func (n *Network) TotalMACs() int64 {
 // size.
 func (n *Network) InputBytes(elemBytes int) int64 {
 	var sum int64
-	for _, l := range n.Layers {
-		if len(l.Inputs) == 0 {
+	for i := range n.Layers {
+		if l := &n.Layers[i]; len(l.Inputs) == 0 {
 			sum += l.InputCount() * int64(elemBytes)
 		}
 	}
@@ -335,15 +336,15 @@ func (n *Network) InputBytes(elemBytes int) int64 {
 // (feature elements of layers nothing consumes).
 func (n *Network) OutputBytes(elemBytes int) int64 {
 	consumed := make([]bool, len(n.Layers))
-	for _, l := range n.Layers {
-		for _, in := range l.Inputs {
+	for i := range n.Layers {
+		for _, in := range n.Layers[i].Inputs {
 			consumed[in] = true
 		}
 	}
 	var sum int64
-	for i, l := range n.Layers {
+	for i := range n.Layers {
 		if !consumed[i] {
-			sum += l.OutputCount() * int64(elemBytes)
+			sum += n.Layers[i].OutputCount() * int64(elemBytes)
 		}
 	}
 	return sum

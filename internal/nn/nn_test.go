@@ -191,6 +191,20 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestZooBuildersSized checks that every ByName network is built into
+// a layer slice of exactly its size, so no zoo builder regrows it.
+func TestZooBuildersSized(t *testing.T) {
+	for name := range byName {
+		net, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(net.Layers) != cap(net.Layers) {
+			t.Errorf("%s: %d layers in a slice of capacity %d", name, len(net.Layers), cap(net.Layers))
+		}
+	}
+}
+
 func TestBuilderChain(t *testing.T) {
 	b := NewBuilder("tiny", 3, 32, 32)
 	b.Conv("c1", 16, 3, 1, 1)

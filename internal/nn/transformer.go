@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // This file extends the zoo with transformer networks. A transformer
 // pass is modeled per block as the paper models GNMT — weight-bearing
@@ -72,25 +75,28 @@ func Transformer(c TransformerConfig) (*Network, error) {
 			ErrBadShape, c.Name, c.SeqLen, c.Context)
 	}
 
-	b := NewBuilder(c.Name, c.Hidden, 1, 1)
+	layers := 7 * c.Blocks
+	if c.OutProj > 0 {
+		layers++
+	}
+	b := newBuilder(c.Name, c.Hidden, 1, 1, layers)
 	fc := func(name string, inC, outC int) {
 		b.push(Layer{
 			Name: name, Type: FC,
 			InC: inC, InH: 1, InW: 1,
 			OutC: outC, Kernel: 1, Stride: 1,
 			Repeat: c.SeqLen,
-			Inputs: inputsOf(b),
 		})
 	}
 	for i := 1; i <= c.Blocks; i++ {
-		p := func(s string) string { return fmt.Sprintf("blk%d_%s", i, s) }
-		fc(p("qkv"), c.Hidden, 3*c.Hidden)
-		b.Attn(p("score"), c.Hidden, c.Heads, c.Context, c.SeqLen)
-		b.Softmax(p("softmax"))
-		b.Attn(p("context"), c.Hidden, c.Heads, c.Context, c.SeqLen)
-		fc(p("proj"), c.Hidden, c.Hidden)
-		fc(p("mlp_up"), c.Hidden, c.FFN)
-		fc(p("mlp_down"), c.FFN, c.Hidden)
+		p := "blk" + strconv.Itoa(i) + "_"
+		fc(p+"qkv", c.Hidden, 3*c.Hidden)
+		b.Attn(p+"score", c.Hidden, c.Heads, c.Context, c.SeqLen)
+		b.Softmax(p + "softmax")
+		b.Attn(p+"context", c.Hidden, c.Heads, c.Context, c.SeqLen)
+		fc(p+"proj", c.Hidden, c.Hidden)
+		fc(p+"mlp_up", c.Hidden, c.FFN)
+		fc(p+"mlp_down", c.FFN, c.Hidden)
 	}
 	if c.OutProj > 0 {
 		// The output projection computes logits for the last position
@@ -99,7 +105,6 @@ func Transformer(c TransformerConfig) (*Network, error) {
 			Name: "out_proj", Type: FC,
 			InC: c.Hidden, InH: 1, InW: 1,
 			OutC: c.OutProj, Kernel: 1, Stride: 1,
-			Inputs: inputsOf(b),
 		})
 	}
 	return b.Build()

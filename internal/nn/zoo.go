@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // This file defines the evaluation networks of the paper's Table II:
 //
@@ -17,12 +20,12 @@ import "fmt"
 // VGG16 returns the VGG-16 network (Simonyan & Zisserman, 2014) for
 // 224x224x3 inputs: 13 convolutions in five stages and 3 FC layers.
 func VGG16() *Network {
-	b := NewBuilder("VGG16", 3, 224, 224)
+	b := newBuilder("VGG16", 3, 224, 224, 21)
 	stage := func(s int, convs, outC int) {
 		for i := 1; i <= convs; i++ {
-			b.Conv(fmt.Sprintf("conv%d_%d", s, i), outC, 3, 1, 1)
+			b.Conv("conv"+strconv.Itoa(s)+"_"+strconv.Itoa(i), outC, 3, 1, 1)
 		}
-		b.Pool(fmt.Sprintf("pool%d", s), 2, 2, 0)
+		b.Pool("pool"+strconv.Itoa(s), 2, 2, 0)
 	}
 	stage(1, 2, 64)
 	stage(2, 2, 128)
@@ -40,7 +43,7 @@ func VGG16() *Network {
 // two 3x3 convolutions), projection shortcuts at stage transitions,
 // global average pooling, and one FC classifier. 36 CONV + 1 FC.
 func ResNet34() *Network {
-	b := NewBuilder("ResNet34", 3, 224, 224)
+	b := newBuilder("ResNet34", 3, 224, 224, 39)
 	b.Conv("conv1", 64, 7, 2, 3)
 	b.Pool("pool1", 3, 2, 1)
 
@@ -62,7 +65,7 @@ func ResNet34() *Network {
 			if i == 1 {
 				st = stride
 			}
-			basicBlock(fmt.Sprintf("conv%d_%d", s, i), outC, st)
+			basicBlock("conv"+strconv.Itoa(s)+"_"+strconv.Itoa(i), outC, st)
 		}
 	}
 	stage(2, 3, 64, 1)
@@ -79,7 +82,7 @@ func ResNet34() *Network {
 // of 1x1-3x3-1x1 convolutions), projection shortcuts on every stage
 // entry, global average pooling, and one FC classifier. 53 CONV + 1 FC.
 func ResNet50() *Network {
-	b := NewBuilder("ResNet50", 3, 224, 224)
+	b := newBuilder("ResNet50", 3, 224, 224, 56)
 	b.Conv("conv1", 64, 7, 2, 3)
 	b.Pool("pool1", 3, 2, 1)
 
@@ -102,7 +105,7 @@ func ResNet50() *Network {
 			if i == 1 {
 				st = stride
 			}
-			bottleneck(fmt.Sprintf("conv%d_%d", s, i), midC, st)
+			bottleneck("conv"+strconv.Itoa(s)+"_"+strconv.Itoa(i), midC, st)
 		}
 	}
 	stage(2, 3, 64, 1)
@@ -121,11 +124,11 @@ func ResNet50() *Network {
 // depthwise and pointwise convolutions as CONV layers gives the
 // paper's 27 CONV + 1 FC.
 func MobileNet() *Network {
-	b := NewBuilder("MobileNet", 3, 224, 224)
+	b := newBuilder("MobileNet", 3, 224, 224, 29)
 	b.Conv("conv1", 32, 3, 2, 1)
 	sep := func(i, outC, stride int) {
-		b.DWConv(fmt.Sprintf("conv_dw%d", i), 3, stride, 1)
-		b.Conv(fmt.Sprintf("conv_pw%d", i), outC, 1, 1, 0)
+		b.DWConv("conv_dw"+strconv.Itoa(i), 3, stride, 1)
+		b.Conv("conv_pw"+strconv.Itoa(i), outC, 1, 1, 0)
 	}
 	sep(1, 64, 1)
 	sep(2, 128, 2)
@@ -155,13 +158,12 @@ func MobileNet() *Network {
 // co-location studies rely on.
 func GNMT() *Network {
 	const hidden = 1024
-	b := NewBuilder("GNMT", 2*hidden, 1, 1)
+	b := newBuilder("GNMT", 2*hidden, 1, 1, 6)
 	lstm := func(name string) {
 		b.push(Layer{
 			Name: name, Type: FC,
 			InC: 2 * hidden, InH: 1, InW: 1,
 			OutC: 4 * hidden, Kernel: 1, Stride: 1,
-			Inputs: inputsOf(b),
 		})
 	}
 	lstm("enc_bi_lstm")
@@ -172,24 +174,13 @@ func GNMT() *Network {
 		Name: "attention", Type: FC,
 		InC: 2 * hidden, InH: 1, InW: 1,
 		OutC: hidden, Kernel: 1, Stride: 1,
-		Inputs: inputsOf(b),
 	})
 	b.push(Layer{
 		Name: "projection", Type: FC,
 		InC: hidden, InH: 1, InW: 1,
 		OutC: 32768, Kernel: 1, Stride: 1,
-		Inputs: inputsOf(b),
 	})
 	return b.MustBuild()
-}
-
-// inputsOf returns the chain edge for a hand-pushed layer: the current
-// builder tip, or none for the first layer.
-func inputsOf(b *Builder) []int {
-	if b.last < 0 {
-		return nil
-	}
-	return []int{b.last}
 }
 
 // Zoo returns the five evaluation networks of Table II, keyed by the
@@ -204,22 +195,26 @@ func Zoo() map[string]*Network {
 	}
 }
 
+// byName maps every short and long zoo name to its constructor.
+var byName = map[string]func() *Network{
+	"RN34": ResNet34, "ResNet34": ResNet34, "resnet34": ResNet34,
+	"RN50": ResNet50, "ResNet50": ResNet50, "resnet50": ResNet50,
+	"VGG16": VGG16, "vgg16": VGG16,
+	"MN": MobileNet, "MobileNet": MobileNet, "mobilenet": MobileNet,
+	"GNMT": GNMT, "gnmt": GNMT,
+	"BERT": bert, "bert": bert,
+	"GPT2": gpt2Prefill, "gpt2": gpt2Prefill,
+	"GPT2-decode": gpt2Decode, "gpt2-decode": gpt2Decode,
+}
+
+// The transformer zoo entries, at a 128-token prompt or context.
+func bert() *Network        { return BERTBase(128) }
+func gpt2Prefill() *Network { return GPT2Prefill(128) }
+func gpt2Decode() *Network  { return GPT2Decode(128) }
+
 // ByName returns the zoo network with the given short or long name.
 func ByName(name string) (*Network, error) {
-	bert := func() *Network { return BERTBase(128) }
-	gptPrefill := func() *Network { return GPT2Prefill(128) }
-	gptDecode := func() *Network { return GPT2Decode(128) }
-	alias := map[string]func() *Network{
-		"RN34": ResNet34, "ResNet34": ResNet34, "resnet34": ResNet34,
-		"RN50": ResNet50, "ResNet50": ResNet50, "resnet50": ResNet50,
-		"VGG16": VGG16, "vgg16": VGG16,
-		"MN": MobileNet, "MobileNet": MobileNet, "mobilenet": MobileNet,
-		"GNMT": GNMT, "gnmt": GNMT,
-		"BERT": bert, "bert": bert,
-		"GPT2": gptPrefill, "gpt2": gptPrefill,
-		"GPT2-decode": gptDecode, "gpt2-decode": gptDecode,
-	}
-	if f, ok := alias[name]; ok {
+	if f, ok := byName[name]; ok {
 		return f(), nil
 	}
 	return nil, fmt.Errorf("nn: unknown network %q", name)

@@ -146,3 +146,22 @@ func TestMemHeavyFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllocsPinned bounds the allocations of building the eight
+// paper mixes at batch 4: every network is built and compiled from
+// scratch, at a few allocations per network rather than per layer.
+func TestBuildAllocsPinned(t *testing.T) {
+	c := arch.PaperConfig()
+	mixes := PaperMixes()
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, spec := range mixes {
+			if _, err := Build(c, spec, BuildOptions{Batch: 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("building %d paper mixes at batch 4: %.0f allocs", len(mixes), allocs)
+	if allocs > 1200 {
+		t.Errorf("building the paper mixes allocates %.0f times, want <= 1200", allocs)
+	}
+}
