@@ -75,7 +75,7 @@ fuzz-short:
 # noisy sample neither trips nor hides a regression. Bump
 # BENCH_OUT per PR so the BENCH_*.json series accumulates as run
 # history for /runs.
-BENCH_OUT ?= BENCH_31.json
+BENCH_OUT ?= BENCH_37.json
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -count 5 -benchmem . ./internal/sim ./internal/rtrace ./internal/obs ./internal/serve | tee bench.txt
 	$(GO) run ./cmd/aimt-benchjson -in bench.txt -out $(BENCH_OUT)

@@ -48,7 +48,8 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 // giving the headline engine-throughput number directly. Repeated
 // samples of one benchmark (`go test -count N`) fold into one row
 // holding the median of each field, so the gate and the diff judge
-// every sample, not the last one.
+// every sample, not the last one, and the sample count and the
+// fastest and slowest ns/op beside it.
 func parse(r io.Reader) (*runstore.BenchReport, error) {
 	rep := &runstore.BenchReport{}
 	pkg := ""
@@ -117,9 +118,9 @@ func parse(r io.Reader) (*runstore.BenchReport, error) {
 }
 
 // foldSamples folds rows sharing one Key into one row, in first-seen
-// order, holding the median of each field over the samples. The
-// metric units are the first sample's: every sample of one benchmark
-// reports the same ones.
+// order, holding the median of each field over the samples, their
+// count, and their minimum and maximum ns/op. The metric units are the
+// first sample's: every sample of one benchmark reports the same ones.
 func foldSamples(rows []runstore.BenchBenchmark) []runstore.BenchBenchmark {
 	slot := map[string]int{}
 	var groups [][]runstore.BenchBenchmark
@@ -135,6 +136,11 @@ func foldSamples(rows []runstore.BenchBenchmark) []runstore.BenchBenchmark {
 	out := make([]runstore.BenchBenchmark, len(groups))
 	for i, g := range groups {
 		out[i] = g[0]
+		b := &out[i]
+		b.Samples, b.NsMin, b.NsMax = len(g), g[0].NsPerOp, g[0].NsPerOp
+		for _, s := range g[1:] {
+			b.NsMin, b.NsMax = min(b.NsMin, s.NsPerOp), max(b.NsMax, s.NsPerOp)
+		}
 		if len(g) == 1 {
 			continue
 		}
@@ -150,7 +156,6 @@ func foldSamples(rows []runstore.BenchBenchmark) []runstore.BenchBenchmark {
 			}
 			return (vals[n/2-1] + vals[n/2]) / 2
 		}
-		b := &out[i]
 		b.Iterations = int64(med(func(b runstore.BenchBenchmark) float64 { return float64(b.Iterations) }))
 		b.NsPerOp = med(func(b runstore.BenchBenchmark) float64 { return b.NsPerOp })
 		b.BytesPerOp = med(func(b runstore.BenchBenchmark) float64 { return b.BytesPerOp })

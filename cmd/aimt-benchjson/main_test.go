@@ -149,3 +149,45 @@ func TestLoadRunArgStore(t *testing.T) {
 		t.Error("missing run ID did not error")
 	}
 }
+
+// TestFoldKeepsSpread folds a fixed `make bench` transcript and pins
+// every row's median beside the sample count and the fastest and
+// slowest ns/op it came from, including an even sample count (median
+// of the middle two) and a single sample (spread of one).
+func TestFoldKeepsSpread(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "bench.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []runstore.BenchBenchmark{
+		{Pkg: "aimt", Name: "ServeStreamTraced", NsPerOp: 41e6, AllocsPerOp: 340, Samples: 5, NsMin: 39e6, NsMax: 52e6},
+		{Pkg: "aimt/internal/rtrace", Name: "Build", NsPerOp: 1.475e6, AllocsPerOp: 46, Samples: 4, NsMin: 1.4e6, NsMax: 1.7e6},
+		{Pkg: "aimt/internal/obs", Name: "LedgerNote", NsPerOp: 18, Samples: 1, NsMin: 18, NsMax: 18},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("folded %d rows, want %d", len(rep.Benchmarks), len(want))
+	}
+	for i, w := range want {
+		b := rep.Benchmarks[i]
+		if b.Key() != w.Key() || b.NsPerOp != w.NsPerOp || b.AllocsPerOp != w.AllocsPerOp ||
+			b.Samples != w.Samples || b.NsMin != w.NsMin || b.NsMax != w.NsMax {
+			t.Errorf("row %d: %s median %v allocs %v samples %d min %v max %v, want %s median %v allocs %v samples %d min %v max %v",
+				i, b.Key(), b.NsPerOp, b.AllocsPerOp, b.Samples, b.NsMin, b.NsMax,
+				w.Key(), w.NsPerOp, w.AllocsPerOp, w.Samples, w.NsMin, w.NsMax)
+		}
+	}
+	buf, err := json.Marshal(rep.Benchmarks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"samples":5`, `"ns_min":39000000`, `"ns_max":52000000`} {
+		if !strings.Contains(string(buf), field) {
+			t.Errorf("row JSON %s lacks %s", buf, field)
+		}
+	}
+}

@@ -56,13 +56,30 @@ func preemptingStream(t *testing.T, cfg arch.Config) (*serve.Stream, serve.Sched
 	return s, spec
 }
 
+// direct runs the stream again with a collector attached directly, so
+// the engine hands it every interval by kind, and checks that its log
+// replays as the tee'd collector's, which the engine fed by name.
+func direct(t *testing.T, cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, teed *rtrace.Collector) *rtrace.Collector {
+	t.Helper()
+	col := rtrace.NewCollector(len(s.Nets))
+	if _, err := sim.Run(cfg, s.Nets, spec.New(cfg, s), sim.Options{Arrivals: s.Arrivals, ChainAfter: s.ChainAfter, Tracer: col}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(col.Events(s.Nets), teed.Events(s.Nets)) {
+		t.Fatal("the typed path logged other events than the string path")
+	}
+	return col
+}
+
 // TestBuildMatchesReferenceOnEngineLog is the differential test on a
 // real engine log with CB splits, which the shuffled synthetic logs of
 // TestBuildMatchesReference cannot stand in for: there each engine's
 // intervals arrive in time order and Build takes its sort-free path.
-// Every engine event goes to both collectors; on one chip and on a
-// 2-chip cluster (chip logs merged into stream coordinates) Build must
-// produce exactly the reference builder's spans.
+// Every engine event goes by name to both collectors, and a second
+// collector attached directly takes the same run by kind; on one chip
+// and on a 2-chip cluster (chip logs merged into stream coordinates)
+// Build must produce exactly the reference builder's spans from
+// either log.
 func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 	cfg := arch.PaperConfig()
 	s, spec := preemptingStream(t, cfg)
@@ -78,8 +95,12 @@ func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 			t.Fatal("the stream split no compute block")
 		}
 		in := serve.TraceInput(s, res, spec.Name)
-		if got, want := rtrace.Build(in, tr.col), rtrace.RefBuild(in, tr.ref); !reflect.DeepEqual(got, want) {
+		want := rtrace.RefBuild(in, tr.ref)
+		if got := rtrace.Build(in, tr.col); !reflect.DeepEqual(got, want) {
 			t.Error("Build disagrees with the reference builder on the engine's log")
+		}
+		if got := rtrace.Build(in, direct(t, cfg, s, spec, tr.col)); !reflect.DeepEqual(got, want) {
+			t.Error("Build disagrees with the reference builder on the typed log")
 		}
 	})
 
@@ -97,7 +118,7 @@ func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 		for i, c := range assign {
 			perChip[c] = append(perChip[c], i)
 		}
-		col, ref := rtrace.NewCollector(n), rtrace.NewRefCollector(n)
+		col, typed, ref := rtrace.NewCollector(n), rtrace.NewCollector(n), rtrace.NewRefCollector(n)
 		merged := &sim.Result{NetArrive: make([]arch.Cycles, n), NetFinish: make([]arch.Cycles, n)}
 		for c, idx := range perChip {
 			sub, err := s.SubStream(fmt.Sprintf("chip%d", c), idx)
@@ -114,6 +135,7 @@ func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 				merged.NetArrive[gi], merged.NetFinish[gi] = res.NetArrive[li], res.NetFinish[li]
 			}
 			col.Merge(tr.col, idx)
+			typed.Merge(direct(t, cfg, sub, spec, tr.col), idx)
 			ref.Merge(tr.ref, idx)
 		}
 		if merged.Splits == 0 {
@@ -122,8 +144,12 @@ func TestBuildMatchesReferenceOnEngineLog(t *testing.T) {
 		in := serve.TraceInput(s, merged, spec.Name)
 		in.Chip = assign
 		got := rtrace.Build(in, col)
-		if want := rtrace.RefBuild(in, ref); !reflect.DeepEqual(got, want) {
+		want := rtrace.RefBuild(in, ref)
+		if !reflect.DeepEqual(got, want) {
 			t.Error("Build disagrees with the reference builder on the merged chip logs")
+		}
+		if !reflect.DeepEqual(rtrace.Build(in, typed), want) {
+			t.Error("Build disagrees with the reference builder on the merged typed chip logs")
 		}
 
 		// The same spans, dispatcher estimates aside, as the cluster's own

@@ -5,31 +5,33 @@
 //
 // The pipeline has three pieces:
 //
-//   - Collector implements sim.Tracer structurally and appends every
-//     occupancy interval to one flat log of fixed-size typed records
-//     (engine kind, instance, layer, iter, start, end), growing a
-//     chunk at a time. It is attached per run (per chip in a cluster)
-//     and merged into stream coordinates. It is the only occupancy
-//     recorder: Events replays the log, labels resolved at export
-//     time, for the Gantt, utilization and Chrome renderers in
-//     package trace.
+//   - Collector implements sim.OccupancyTracer, so the engine hands it
+//     each occupancy interval by kind (sim.Occupancy) with no names,
+//     and appends every interval to one flat log of fixed-size typed
+//     records (kind, instance, layer, iter, start, end), growing a
+//     chunk at a time and counting each instance's records. It is
+//     attached per run (per chip in a cluster) and merged into stream
+//     coordinates. It is the only occupancy recorder: Events replays
+//     the log, labels resolved at export time, for the Gantt,
+//     utilization and Chrome renderers in package trace.
 //   - Build folds a stream's metadata plus a finished sim.Result and
 //     a Collector into []RequestSpan: one span per request, one entry
 //     span per phase (prefill, each decode step), each partitioned
-//     into segments that sum exactly to finish − arrival. It buckets
-//     the log's positions by instance and groups entries by request
-//     with counting passes, labels each entry window with one pass
-//     over its records and a cursor sweep (no sort on an engine's
-//     log), and carves the spans' slices from a few shared slabs of
-//     pointer-free Segments and Intervals.
+//     into segments that sum exactly to finish − arrival. It places
+//     the log's positions by instance from the collector's counts and
+//     groups entries by request with a counting pass, labels each
+//     entry window with one pass over its records and a cursor sweep
+//     (no sort on an engine's log), and carves the spans' slices from
+//     a few shared slabs of pointer-free Segments and Intervals.
 //   - Store (store.go) retains bounded state across runs: worst-N
 //     tail exemplars per class, a sampled ring of recent spans, and
 //     running attribution aggregates.
 //
 // Tracing allocates O(requests), not O(events): the engine hands over
-// labels resolved once per compiled network, the log never copies
-// what it holds, and Build keeps its per-entry sums in fixed arrays
-// indexed by SegKind and its working buffers in a pool.
+// typed kinds (a plain sim.Tracer gets labels resolved once per
+// compiled network), the log never copies what it holds, and Build
+// keeps its per-entry sums in fixed arrays indexed by SegKind and its
+// working buffers in a pool.
 //
 // Attribution rule: within an entry's [effective arrival, finish)
 // window every cycle gets exactly one label, chosen by priority
@@ -52,6 +54,7 @@ import (
 
 	"aimt/internal/arch"
 	"aimt/internal/compiler"
+	"aimt/internal/sim"
 	"aimt/internal/trace"
 )
 
@@ -208,121 +211,115 @@ type RequestSpan struct {
 	Entries []EntrySpan `json:"entries"`
 }
 
-// Log record kinds: the engine an occupancy interval ran on, with the
-// CB-split identity and the host transfer direction decided once, when
-// the event is logged.
-const (
-	kindPE uint8 = iota
-	kindPESplit
-	kindMem
-	kindHostIn
-	kindHostOut
-)
-
-// kindEngine and kindLabel map a record kind back to the engine name
-// and the compiled layer label the engine emitted it under.
-var (
-	kindEngine = [...]string{kindPE: "pe", kindPESplit: "pe", kindMem: "mem", kindHostIn: "host", kindHostOut: "host"}
-	kindLabel  = [...]compiler.LabelKind{kindPE: compiler.LabelCB, kindPESplit: compiler.LabelCBSplit, kindMem: compiler.LabelMB}
-)
-
-// record is one occupancy interval in the collector's log.
+// record is one occupancy interval in the collector's log. Its kind is
+// the engine's: the resource, with the CB-split identity and the host
+// transfer direction decided when the interval is emitted.
 type record struct {
 	start, end       arch.Cycles
 	net, layer, iter int32
-	kind             uint8
+	kind             sim.Occupancy
 }
 
 // logChunk is the record count of one log chunk. The log grows a
 // chunk at a time, so logging never copies what is already recorded.
-// Every chunk but the last is full, so record p of the log is
-// chunks[p>>logShift][p&(logChunk-1)].
+// Record p of the log is chunks[p>>logShift][p&(logChunk-1)].
 const (
 	logShift = 11
 	logChunk = 1 << logShift
 )
 
 // Collector logs engine occupancy events for a stream of network
-// instances. It implements sim.Tracer structurally; attach it via
+// instances. It implements sim.OccupancyTracer; attach it via
 // sim.Options.Tracer. It is the only occupancy recorder: span
 // attribution (Build) and every timeline export (Events) read its log.
 // The log is one append-only sequence of fixed-size typed records held
 // in fixed-size chunks: recording costs one allocation per logChunk
-// events and none per event. The zero Collector is unusable — size it
-// with NewCollector.
+// events and none per event, and counts each instance's records as
+// they arrive. The zero Collector is unusable — size it with
+// NewCollector.
 type Collector struct {
 	nets   int
-	chunks [][]record // every chunk but the last is full
+	n      int        // records logged
+	tail   []record   // the chunk being filled, chunks' last
+	chunks [][]record // logChunk records each; the log is their first n
+	count  []int32    // records logged per instance
 }
 
 // NewCollector sizes a collector for a stream of nets instances.
 func NewCollector(nets int) *Collector {
-	return &Collector{nets: nets}
+	return &Collector{nets: nets, count: make([]int32, max(nets, 0))}
 }
 
-// Event implements the sim.Tracer contract. Events for out-of-range
-// instances (host warm-up probes, etc.) are dropped.
-func (c *Collector) Event(engine, name string, net, layer, iter int, start, end arch.Cycles) {
+// Occupied implements sim.OccupancyTracer: the engine's typed path,
+// which names nothing. Intervals of out-of-range instances and empty
+// intervals are dropped.
+func (c *Collector) Occupied(kind sim.Occupancy, net, layer, iter int, start, end arch.Cycles) {
 	if net < 0 || net >= c.nets || end <= start {
-		return
-	}
-	var kind uint8
-	switch engine {
-	case "pe":
-		kind = kindPE
-		if strings.HasPrefix(name, "CB(split)") {
-			kind = kindPESplit
-		}
-	case "mem":
-		kind = kindMem
-	case "host":
-		kind = kindHostIn
-		if name == "host-out" {
-			kind = kindHostOut
-		}
-	default:
 		return
 	}
 	c.add(record{start, end, int32(net), int32(layer), int32(iter), kind})
 }
 
-func (c *Collector) add(r record) {
-	k := len(c.chunks) - 1
-	if k < 0 || len(c.chunks[k]) == logChunk {
-		c.chunks = append(c.chunks, make([]record, 0, logChunk))
-		k++
+// Event implements sim.Tracer for callers that name their intervals:
+// it decodes the engine name, and for the PE array and the host link
+// the interval's name too, into the record's kind. Events for
+// out-of-range instances (host warm-up probes, etc.) and unknown
+// engines are dropped.
+func (c *Collector) Event(engine, name string, net, layer, iter int, start, end arch.Cycles) {
+	var kind sim.Occupancy
+	switch engine {
+	case "pe":
+		kind = sim.OccPE
+		if strings.HasPrefix(name, "CB(split)") {
+			kind = sim.OccPESplit
+		}
+	case "mem":
+		kind = sim.OccMem
+	case "host":
+		kind = sim.OccHostIn
+		if name == "host-out" {
+			kind = sim.OccHostOut
+		}
+	default:
+		return
 	}
-	c.chunks[k] = append(c.chunks[k], r)
+	c.Occupied(kind, net, layer, iter, start, end)
+}
+
+// add appends r, whose instance is in range, to the log.
+func (c *Collector) add(r record) {
+	i := c.n & (logChunk - 1)
+	if i == 0 {
+		c.tail = make([]record, logChunk)
+		c.chunks = append(c.chunks, c.tail)
+	}
+	c.tail[i] = r
+	c.n++
+	c.count[r.net]++
+}
+
+// chunk returns the logged records of chunk k.
+func (c *Collector) chunk(k int) []record {
+	return c.chunks[k][:min(logChunk, c.n-k<<logShift)]
 }
 
 // Events rebuilds the logged occupancy intervals in log order, the
 // order the engine emitted them, for the timeline renderers in package
-// trace. Labels are resolved at export time: nets[i] must be the
-// compiled network of instance i, and a block's name is its layer's
-// label ("MB:", "CB:" or "CB(split):" plus the layer name); host
-// transfers are named "host-in" or "host-out".
+// trace. Labels are resolved at export time, as the engine names them
+// for a plain sim.Tracer: nets[i] must be the compiled network of
+// instance i, and a block's name is its layer's label ("MB:", "CB:" or
+// "CB(split):" plus the layer name); host transfers are named
+// "host-in" or "host-out".
 func (c *Collector) Events(nets []*compiler.CompiledNetwork) []trace.Event {
-	n := 0
-	for _, ch := range c.chunks {
-		n += len(ch)
-	}
-	out := make([]trace.Event, 0, n)
-	for _, ch := range c.chunks {
-		for _, r := range ch {
-			e := trace.Event{
-				Engine: kindEngine[r.kind],
+	out := make([]trace.Event, 0, c.n)
+	for k := range c.chunks {
+		for _, r := range c.chunk(k) {
+			out = append(out, trace.Event{
+				Engine: r.kind.Engine(),
+				Name:   r.kind.Name(nets[r.net], int(r.layer)),
 				Net:    int(r.net), Layer: int(r.layer), Iter: int(r.iter),
 				Start: r.start, End: r.end,
-			}
-			switch r.kind {
-			case kindHostIn:
-				e.Name = "host-in"
-			case kindHostOut:
-				e.Name = "host-out"
-			default:
-				e.Name = nets[r.net].Label(kindLabel[r.kind], int(r.layer))
-			}
-			out = append(out, e)
+			})
 		}
 	}
 	return out
@@ -332,8 +329,8 @@ func (c *Collector) Events(nets []*compiler.CompiledNetwork) []trace.Event {
 // into c, translating local instance li to global instance remap[li].
 // Records whose instance has no valid global slot are dropped.
 func (c *Collector) Merge(sub *Collector, remap []int) {
-	for _, ch := range sub.chunks {
-		for _, r := range ch {
+	for k := range sub.chunks {
+		for _, r := range sub.chunk(k) {
 			if int(r.net) >= len(remap) {
 				continue
 			}
@@ -416,16 +413,20 @@ func Build(in Input, c *Collector) []RequestSpan {
 	for g := 0; g+1 < len(sc.bounds); g++ {
 		grp := sc.order[sc.bounds[g]:sc.bounds[g+1]]
 		head, last := grp[0], grp[len(grp)-1]
-		req := head
-		if in.ReqOf != nil {
-			req = in.ReqOf[head]
+		shed := in.Shed != nil && in.Shed[head]
+		if !shed && !finished(in, grp) {
+			continue
 		}
-		sp := RequestSpan{
-			Req:      req,
+		out = append(out, RequestSpan{
+			Req:      head,
 			Run:      in.Run,
 			Class:    in.Classes[in.ClassOf[head]],
 			Arrive:   in.StreamArrive[head],
 			Deadline: in.Deadlines[last],
+		})
+		sp := &out[len(out)-1]
+		if in.ReqOf != nil {
+			sp.Req = in.ReqOf[head]
 		}
 		if in.Chip != nil {
 			sp.Chip = in.Chip[head]
@@ -433,13 +434,9 @@ func Build(in Input, c *Collector) []RequestSpan {
 		if in.ETA != nil {
 			sp.ETA = in.ETA[head]
 		}
-		if in.Shed != nil && in.Shed[head] {
+		if shed {
 			sp.Shed = true
 			sp.Chip = -1
-			out = append(out, sp)
-			continue
-		}
-		if !finished(in, grp) {
 			continue
 		}
 
@@ -449,13 +446,10 @@ func Build(in Input, c *Collector) []RequestSpan {
 			a, f := in.Arrive[i], in.Finish[i]
 			sums, pieces := sc.attribute(a, f, log, sc.pos[sc.off[i]:sc.off[i+1]])
 			es := &sp.Entries[k]
-			*es = EntrySpan{Entry: i, Arrive: a, Finish: f, Segments: carveSegments(&segments, &sums)}
+			*es = EntrySpan{Entry: i, Arrive: a, Finish: f, Segments: carveSegments(&segments, &sums), Intervals: intervals.take(len(pieces))}
+			copy(es.Intervals, pieces)
 			if in.Phases != nil {
 				es.Phase = in.Phases[i]
-			}
-			if len(pieces) > 0 {
-				es.Intervals = intervals.take(len(pieces))
-				copy(es.Intervals, pieces)
 			}
 			for kind, cy := range sums {
 				totals[kind] += cy
@@ -469,7 +463,6 @@ func Build(in Input, c *Collector) []RequestSpan {
 		} else {
 			sp.Totals = carveSegments(&segments, &totals)
 		}
-		out = append(out, sp)
 	}
 	return out
 }
@@ -553,7 +546,12 @@ type scratch struct {
 	streams [nPrio][]span // one entry's clipped intervals per priority
 	splits  []halt        // one entry's split-halted compute blocks
 	open    []int         // indices into splits still awaiting a resumption
-	pieces  []Interval
+
+	// One entry's labelling sweep: a cursor per priority stream, the
+	// per-kind sums and the pieces.
+	cur    [nPrio]int
+	sums   [nSegKinds]arch.Cycles
+	pieces []Interval
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -568,39 +566,36 @@ func ints(buf []int, n int) []int {
 	return buf
 }
 
-// bucket groups the log's positions by instance with one stable
-// counting pass, keeping log order within each instance, and returns
-// the log's chunks. Records of instances at or beyond n are ignored.
+// bucket groups the log's positions by instance, keeping log order
+// within each instance, with one placement pass: the collector counted
+// each instance's records as they arrived. It returns the log's chunks.
+// Records of instances at or beyond n are ignored.
 func (sc *scratch) bucket(c *Collector, n int) [][]record {
 	sc.off = ints(sc.off, n+1)
 	sc.pos = sc.pos[:0]
 	if c == nil {
 		return nil
 	}
+	// off[i+1] starts at instance i's first slot and is its cursor, so
+	// the pass leaves it at instance i's end.
 	total := 0
-	for _, ch := range c.chunks {
-		for i := range ch {
-			if net := int(ch[i].net); net < n {
-				sc.off[net+1]++
-				total++
-			}
+	for i := range sc.off[1:] {
+		sc.off[i+1] = total
+		if i < c.nets {
+			total += int(c.count[i])
 		}
-	}
-	for i := 1; i <= n; i++ {
-		sc.off[i] += sc.off[i-1]
 	}
 	if cap(sc.pos) < total {
 		sc.pos = make([]int32, total)
 	}
 	sc.pos = sc.pos[:total]
-	sc.next = ints(sc.next, n)
-	copy(sc.next, sc.off)
 	var p int32
-	for _, ch := range c.chunks {
+	for k := range c.chunks {
+		ch := c.chunk(k)
 		for i := range ch {
 			if net := int(ch[i].net); net < n {
-				sc.pos[sc.next[net]] = p
-				sc.next[net]++
+				sc.pos[sc.off[net+1]] = p
+				sc.off[net+1]++
 			}
 			p++
 		}
@@ -682,15 +677,17 @@ type halt struct {
 // One pass over the records in log order builds the four per-priority
 // interval streams, clipped to the window. Each engine serializes its
 // resource and logs an interval when it completes, so a stream
-// normally arrives in start order; the pass checks this and sorts only
-// a stream that did not. The same pass pairs each split with its
-// resumption: when the entry's PE records arrive in start order, the
-// first later PE record of the same (layer, iter) that starts at or
-// after the halt is the resumption, and otherwise every split is
-// paired by a rescan. A sweep over the unioned streams with one cursor
-// each then labels every cycle with the lowest covering priority.
+// normally arrives in start order, and the pass merges an interval
+// that touches or overlaps the stream's last one as it pushes it; only
+// a stream that arrived out of order is sorted and unioned afterwards.
+// The same pass pairs each split with its resumption: when the entry's
+// PE records arrive in start order, the first later PE record of the
+// same (layer, iter) that starts at or after the halt is the
+// resumption, and otherwise every split is paired by a rescan. A sweep
+// then labels the window with the pe stream and fills each of its gaps
+// from the priorities below (see fill), so every cycle gets the lowest
+// covering priority.
 func (sc *scratch) attribute(a, f arch.Cycles, log [][]record, pos []int32) (sums [nSegKinds]arch.Cycles, pieces []Interval) {
-	sc.pieces = sc.pieces[:0]
 	if f <= a {
 		return sums, nil
 	}
@@ -705,8 +702,13 @@ func (sc *scratch) attribute(a, f arch.Cycles, log [][]record, pos []int32) (sum
 			return
 		}
 		st := sc.streams[prio]
-		if n := len(st); n > 0 && s < st[n-1].start {
-			unsorted[prio] = true
+		if n := len(st); n > 0 {
+			if last := &st[n-1]; s < last.start {
+				unsorted[prio] = true
+			} else if s <= last.end {
+				last.end = max(last.end, e)
+				return
+			}
 		}
 		sc.streams[prio] = append(st, span{s, e})
 	}
@@ -715,20 +717,20 @@ func (sc *scratch) attribute(a, f arch.Cycles, log [][]record, pos []int32) (sum
 	for _, p := range pos {
 		r := &log[p>>logShift][p&(logChunk-1)]
 		switch r.kind {
-		case kindPE, kindPESplit:
+		case sim.OccPE, sim.OccPESplit:
 			peInOrder = peInOrder && r.start >= lastPE
 			lastPE = r.start
 			if len(sc.open) > 0 {
 				sc.resume(r)
 			}
 			push(prioPE, r.start, r.end)
-			if r.kind == kindPESplit {
+			if r.kind == sim.OccPESplit {
 				sc.open = append(sc.open, len(sc.splits))
 				sc.splits = append(sc.splits, halt{end: r.end, resume: f, layer: r.layer, iter: r.iter, pos: p})
 			}
-		case kindHostIn, kindHostOut:
+		case sim.OccHostIn, sim.OccHostOut:
 			push(prioHost, r.start, r.end)
-		case kindMem:
+		case sim.OccMem:
 			push(prioHBM, r.start, r.end)
 		}
 	}
@@ -744,32 +746,46 @@ func (sc *scratch) attribute(a, f arch.Cycles, log [][]record, pos []int32) (sum
 	for p := range sc.streams {
 		if unsorted[p] {
 			slices.SortFunc(sc.streams[p], func(x, y span) int { return cmp.Compare(x.start, y.start) })
+			sc.streams[p] = union(sc.streams[p])
 		}
-		sc.streams[p] = union(sc.streams[p])
 	}
+	sc.cur, sc.sums = [nPrio]int{}, [nSegKinds]arch.Cycles{}
+	sc.pieces = sc.pieces[:0]
+	sc.fill(0, a, f)
+	return sc.sums, sc.pieces
+}
 
-	var cur [nPrio]int
-	for t := a; t < f; {
-		best, next := prioQueue, f
-		for p := uint8(0); p < nPrio; p++ {
-			st, c := sc.streams[p], cur[p]
-			for c < len(st) && st[c].end <= t {
-				c++
-			}
-			cur[p] = c
-			if c == len(st) {
-				continue
-			}
-			if st[c].start <= t { // covers t: lower priorities cannot show
-				best, next = p, min(next, st[c].end)
-				break
-			}
-			next = min(next, st[c].start)
-		}
-		sc.emit(&sums, t, next, prioKind[best])
-		t = next
+// fill labels [t, end) with priority p's stream and hands each gap in
+// it to the priorities below, so each cycle gets the lowest priority
+// that covers it and uncovered cycles are idle-in-queue. The gaps
+// arrive in time order at every level, so each stream's cursor makes
+// one pass over the entry.
+func (sc *scratch) fill(p uint8, t, end arch.Cycles) {
+	if p == nPrio {
+		sc.emit(t, end, SegQueue)
+		return
 	}
-	return sums, sc.pieces
+	st, c := sc.streams[p], sc.cur[p]
+	for c < len(st) && st[c].end <= t {
+		c++
+	}
+	for t < end {
+		if c == len(st) || st[c].start >= end {
+			sc.fill(p+1, t, end)
+			break
+		}
+		if s := st[c].start; s > t {
+			sc.fill(p+1, t, s)
+			t = s
+		}
+		e := min(st[c].end, end)
+		sc.emit(t, e, prioKind[p])
+		t = e
+		if st[c].end <= end {
+			c++
+		}
+	}
+	sc.cur[p] = c
 }
 
 // resume pairs the open splits with PE record r: a split of the same
@@ -798,7 +814,7 @@ func resumeOf(log [][]record, pos []int32, h *halt, f arch.Cycles) arch.Cycles {
 	resume := f
 	for _, p := range pos {
 		r := &log[p>>logShift][p&(logChunk-1)]
-		if p == h.pos || (r.kind != kindPE && r.kind != kindPESplit) || r.layer != h.layer || r.iter != h.iter {
+		if p == h.pos || (r.kind != sim.OccPE && r.kind != sim.OccPESplit) || r.layer != h.layer || r.iter != h.iter {
 			continue
 		}
 		if r.start >= h.end && r.start < resume {
@@ -826,8 +842,8 @@ func union(st []span) []span {
 	return st[:w+1]
 }
 
-func (sc *scratch) emit(sums *[nSegKinds]arch.Cycles, from, to arch.Cycles, kind SegKind) {
-	sums[kind] += to - from
+func (sc *scratch) emit(from, to arch.Cycles, kind SegKind) {
+	sc.sums[kind] += to - from
 	if n := len(sc.pieces); n > 0 && sc.pieces[n-1].Kind == kind && sc.pieces[n-1].End == from {
 		sc.pieces[n-1].End = to
 		return

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aimt/internal/arch"
+	"aimt/internal/sim"
 )
 
 // ev is one occupancy event as the engine emits it.
@@ -261,14 +262,13 @@ func TestBuildWindowsAreCapLimited(t *testing.T) {
 // refOf replays a collector's log into a reference collector.
 func refOf(c *Collector, nets int) *refCollector {
 	rc := newRefCollector(nets)
-	engines := [...]string{kindPE: "pe", kindPESplit: "pe", kindMem: "mem", kindHostIn: "host", kindHostOut: "host"}
-	for _, ch := range c.chunks {
-		for _, r := range ch {
+	for k := range c.chunks {
+		for _, r := range c.chunk(k) {
 			name := "CB:l"
-			if r.kind == kindPESplit {
+			if r.kind == sim.OccPESplit {
 				name = "CB(split):l"
 			}
-			rc.Event(engines[r.kind], name, int(r.net), int(r.layer), int(r.iter), r.start, r.end)
+			rc.Event(r.kind.Engine(), name, int(r.net), int(r.layer), int(r.iter), r.start, r.end)
 		}
 	}
 	return rc

@@ -10,8 +10,9 @@ import (
 	"strings"
 )
 
-// BenchBenchmark is one parsed `go test -bench` result line; the
-// JSON shape of the checked-in BENCH_*.json artifacts.
+// BenchBenchmark is one parsed `go test -bench` result line, or the
+// median of a benchmark's repeated samples; the JSON shape of the
+// checked-in BENCH_*.json artifacts.
 type BenchBenchmark struct {
 	Pkg          string             `json:"pkg"`
 	Name         string             `json:"name"`
@@ -21,6 +22,14 @@ type BenchBenchmark struct {
 	AllocsPerOp  float64            `json:"allocs_per_op,omitempty"`
 	Metrics      map[string]float64 `json:"metrics,omitempty"`
 	BlocksPerSec float64            `json:"blocks_per_sec,omitempty"`
+
+	// Samples counts the result lines folded into the row; NsMin and
+	// NsMax are the fastest and slowest of their ns/op, the spread
+	// behind the median NsPerOp. All three are zero in reports written
+	// before rows kept their spread.
+	Samples int     `json:"samples,omitempty"`
+	NsMin   float64 `json:"ns_min,omitempty"`
+	NsMax   float64 `json:"ns_max,omitempty"`
 }
 
 // Key is the benchmark's stable identity across reports.

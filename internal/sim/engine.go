@@ -15,14 +15,62 @@ import (
 
 // Tracer receives one call per completed (or halted) occupancy
 // interval on each engine. Engines are "mem" (HBM channel), "pe"
-// (PE-array complex) and "host" (PCIe link).
+// (PE-array complex) and "host" (PCIe link). A Tracer that also
+// implements OccupancyTracer receives each interval by kind instead.
 type Tracer interface {
 	Event(engine, name string, net, layer, iter int, start, end arch.Cycles)
 }
 
+// Occupancy is the kind of one occupancy interval: the resource it
+// held and, for the PE array and the host link, how it ended or which
+// way it moved.
+type Occupancy uint8
+
+// The occupancy kinds, one per emission site of the engine.
+const (
+	OccMem     Occupancy = iota // a memory block's fetch on the HBM channel
+	OccPE                       // a compute block the PE array completed
+	OccPESplit                  // a compute block the PE array halted (CB split)
+	OccHostIn                   // a network's input transfer over the host link
+	OccHostOut                  // a network's output transfer over the host link
+)
+
+var (
+	occEngine = [...]string{OccMem: "mem", OccPE: "pe", OccPESplit: "pe", OccHostIn: "host", OccHostOut: "host"}
+	occLabel  = [...]compiler.LabelKind{OccMem: compiler.LabelMB, OccPE: compiler.LabelCB, OccPESplit: compiler.LabelCBSplit}
+)
+
+// Engine returns the engine name Tracer.Event receives the kind under:
+// "mem", "pe" or "host".
+func (k Occupancy) Engine() string { return occEngine[k] }
+
+// Name returns the name Tracer.Event receives an interval of the kind
+// under: the trace label of cn's layer for a block ("MB:", "CB:" or
+// "CB(split):" plus the layer name), "host-in" or "host-out" for a
+// transfer, which reads neither cn nor layer.
+func (k Occupancy) Name(cn *compiler.CompiledNetwork, layer int) string {
+	switch k {
+	case OccHostIn:
+		return "host-in"
+	case OccHostOut:
+		return "host-out"
+	}
+	return cn.Label(occLabel[k], layer)
+}
+
+// OccupancyTracer is a Tracer that takes each interval by kind, with no
+// names to resolve. When the run's Tracer implements it, the engine
+// calls Occupied in place of Event; layer and iter are -1 for host
+// transfers.
+type OccupancyTracer interface {
+	Tracer
+	Occupied(kind Occupancy, net, layer, iter int, start, end arch.Cycles)
+}
+
 // Options tune a simulation run.
 type Options struct {
-	// Tracer, when non-nil, receives every occupancy interval.
+	// Tracer, when non-nil, receives every occupancy interval, by kind
+	// when it implements OccupancyTracer.
 	Tracer Tracer
 
 	// MaxCycles aborts runs that exceed this simulated time; zero means
@@ -181,6 +229,10 @@ type Engine struct {
 	view View
 	sch  Scheduler
 	opts Options
+
+	// occ is opts.Tracer when it implements OccupancyTracer, resolved
+	// once at init; trace hands it each interval by kind.
+	occ OccupancyTracer
 
 	// arena backs every net's per-layer bookkeeping (see stateArena);
 	// states and netPtrs are the grow-only netState storage the View's
@@ -381,6 +433,7 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 
 	e.sch = sch
 	e.opts = opts
+	e.occ, _ = opts.Tracer.(OccupancyTracer)
 	e.hostQ = e.hostQ[:0]
 	e.arrivalOrder = e.arrivalOrder[:0]
 	e.linkState = linkState{}
@@ -521,6 +574,7 @@ func (e *Engine) release() {
 	}
 	e.sch = nil
 	e.opts = Options{}
+	e.occ = nil
 	e.view.log = nil
 	e.view.om = nil
 	e.obsState.drop()
@@ -618,10 +672,10 @@ func (e *Engine) Progress() arch.Cycles {
 // leave no trace in the run's observability; the machine state the
 // speculation mutates is unwound separately by Snapshot/Restore.
 func (e *Engine) Quiesce() (restore func()) {
-	om, log, tr := e.v.om, e.v.log, e.opts.Tracer
-	e.v.om, e.v.log, e.opts.Tracer = nil, nil, nil
+	om, log, tr, occ := e.v.om, e.v.log, e.opts.Tracer, e.occ
+	e.v.om, e.v.log, e.opts.Tracer, e.occ = nil, nil, nil, nil
 	return func() {
-		e.v.om, e.v.log, e.opts.Tracer = om, log, tr
+		e.v.om, e.v.log, e.opts.Tracer, e.occ = om, log, tr, occ
 	}
 }
 
@@ -832,7 +886,7 @@ func (e *Engine) completeMB() error {
 	e.res.MemBusy += h.mbCycles
 	e.res.MBCount++
 	if e.opts.Tracer != nil {
-		e.trace("mem", compiler.LabelMB, r.Net, r.Layer, r.Iter, start, v.now)
+		e.trace(OccMem, r.Net, r.Layer, r.Iter, start, v.now)
 	}
 	if o := v.om; o != nil {
 		o.counts[cMBDone]++
@@ -910,7 +964,7 @@ func (e *Engine) completeCB() error {
 	e.res.PEBusy += v.curCBWork
 	e.res.CBCount++
 	if e.opts.Tracer != nil {
-		e.trace("pe", compiler.LabelCB, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
+		e.trace(OccPE, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
 	}
 
 	// The completed block releases its weights: the layer's resident
@@ -990,7 +1044,7 @@ func (e *Engine) applySplit() error {
 	e.res.PEBusy += executed
 	e.res.Splits++
 	if e.opts.Tracer != nil {
-		e.trace("pe", compiler.LabelCBSplit, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
+		e.trace(OccPESplit, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
 	}
 
 	if e.chk != nil {
@@ -1044,12 +1098,12 @@ func (e *Engine) completeHost() error {
 	x := e.curHost
 	e.hostBusy = false
 	e.res.HostBusy += x.cycles
-	name := "host-in"
-	if x.output {
-		name = "host-out"
-	}
 	if e.opts.Tracer != nil {
-		e.opts.Tracer.Event("host", name, x.net, -1, -1, e.hostEnd-x.cycles, v.now)
+		kind := OccHostIn
+		if x.output {
+			kind = OccHostOut
+		}
+		e.trace(kind, x.net, -1, -1, e.hostEnd-x.cycles, v.now)
 	}
 	if v.om != nil {
 		v.om.counts[cHostBusy] += int64(x.cycles)
@@ -1137,14 +1191,19 @@ func (e *Engine) allDone() bool {
 	return e.hostHead == len(e.hostQ) && !e.hostBusy
 }
 
-// trace forwards one block's occupancy interval to the Tracer under
-// the layer's label of the given kind. Callers check for a nil Tracer
-// first, so an untraced run pays only that check and passes nothing
-// (see BenchmarkSimulatorThroughput's allocs/op); labels are resolved
-// once per compiled network, so a traced event does not allocate
-// either.
-func (e *Engine) trace(engineName string, kind compiler.LabelKind, net, layer, iter int, start, end arch.Cycles) {
-	e.opts.Tracer.Event(engineName, e.v.nets[net].cn.Label(kind, layer), net, layer, iter, start, end)
+// trace forwards one occupancy interval of the given kind to the
+// Tracer: by kind to an OccupancyTracer, otherwise to Event under the
+// engine name and label the kind derives. Callers check for a nil
+// Tracer first, so an untraced run pays only that check and passes
+// nothing (see BenchmarkSimulatorThroughput's allocs/op); labels are
+// resolved once per compiled network, so a traced event does not
+// allocate either.
+func (e *Engine) trace(kind Occupancy, net, layer, iter int, start, end arch.Cycles) {
+	if e.occ != nil {
+		e.occ.Occupied(kind, net, layer, iter, start, end)
+		return
+	}
+	e.opts.Tracer.Event(kind.Engine(), kind.Name(e.v.nets[net].cn, layer), net, layer, iter, start, end)
 }
 
 // stuckDiagnosis renders a short description of why no engine can make

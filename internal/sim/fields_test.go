@@ -50,6 +50,7 @@ var stateFields = map[reflect.Type]map[string]fieldClass{
 		"view":         captured, // see View
 		"sch":          static,
 		"opts":         static,
+		"occ":          static, // opts.Tracer's typed form, resolved at init; Quiesce mutes it with the Tracer
 		"arena":        captured,
 		"states":       captured, // see netState
 		"netPtrs":      static,

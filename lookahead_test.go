@@ -2,9 +2,11 @@ package aimt
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"aimt/internal/obs"
+	"aimt/internal/rtrace"
 	"aimt/internal/sched"
 	"aimt/internal/serve"
 )
@@ -55,16 +57,20 @@ func TestLookaheadDeterministic(t *testing.T) {
 // TestLookaheadSpeculationLeavesNoTrace runs Lookahead with full
 // observability attached and checks the speculative branches are
 // invisible: every recorded prefetch decision corresponds to a real
-// committed fetch (ledger prefetch count == Result.MBCount), and the
-// lookahead counter matches the ledger's lookahead entries, each of
-// which carries its horizon and a strictly positive predicted delta.
+// committed fetch (ledger prefetch count == Result.MBCount), the
+// request tracer, attached directly so the engine feeds it by kind,
+// logs exactly the committed blocks and splits, and the lookahead
+// counter matches the ledger's lookahead entries, each of which
+// carries its horizon and a strictly positive predicted delta.
 func TestLookaheadSpeculationLeavesNoTrace(t *testing.T) {
 	cfg := PaperConfig()
 	stream, opts := lookaheadStream(t, 50)
 	reg := NewObsRegistry()
 	led := NewObsLedger(1 << 20)
+	col := rtrace.NewCollector(len(stream.Nets))
 	opts.Metrics = reg
 	opts.Ledger = led
+	opts.Tracer = col
 	const horizon = 2048
 	res, err := Run(cfg, stream.Nets, sched.NewLookahead(NewAIMT(cfg, AllMechanisms()), horizon), opts)
 	if err != nil {
@@ -72,6 +78,16 @@ func TestLookaheadSpeculationLeavesNoTrace(t *testing.T) {
 	}
 	if got, want := led.CountKind(obs.KindMBPrefetch), int64(res.MBCount); got != want {
 		t.Errorf("ledger records %d prefetches, result has %d fetched blocks — speculation leaked", got, want)
+	}
+	logged := map[string]int{}
+	for _, e := range col.Events(stream.Nets) {
+		kind, _, _ := strings.Cut(e.Name, ":")
+		logged[kind]++
+	}
+	for kind, want := range map[string]int{"MB": res.MBCount, "CB": res.CBCount, "CB(split)": res.Splits} {
+		if logged[kind] != want {
+			t.Errorf("tracer logged %d %s intervals, result has %d — speculation leaked", logged[kind], kind, want)
+		}
 	}
 	commits := led.CountKind(obs.KindLookahead)
 	if commits == 0 {

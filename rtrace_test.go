@@ -15,6 +15,7 @@ import (
 	"aimt/internal/rtrace"
 	"aimt/internal/sched"
 	"aimt/internal/serve"
+	"aimt/internal/sim"
 	"aimt/internal/trace"
 )
 
@@ -325,7 +326,11 @@ func (t teeTracer) Event(engine, name string, net, layer, iter int, start, end C
 // TestCollectorEventsMatchEngine is the differential test for the one
 // occupancy log: replaying a collector with its labels resolved at
 // export time must give exactly the events the engine emitted, field
-// for field and in order, names included. It covers every registry
+// for field and in order, names included. Each case runs twice: once
+// with the collector behind a tee, so the engine names every interval
+// (the string path), and once with a collector attached directly, so
+// the engine hands it each interval by kind (the typed path); both
+// replays must equal the raw stream. It covers every registry
 // scheduler over the paper's mixes at batch 1 and 4, and a prioritized
 // transformer serving stream under the preemptive and lookahead
 // schedulers, so CB splits, both host directions and chained decode
@@ -333,20 +338,29 @@ func (t teeTracer) Event(engine, name string, net, layer, iter int, start, end C
 func TestCollectorEventsMatchEngine(t *testing.T) {
 	cfg := PaperConfig()
 	seen := map[string]int{}
-	check := func(t *testing.T, nets []*Compiled, run func(teeTracer) error) {
+	check := func(t *testing.T, nets []*Compiled, run func(sim.Tracer) error) {
 		t.Helper()
 		col := rtrace.NewCollector(len(nets))
 		raw := &rawTracer{}
 		if err := run(teeTracer{col, raw}); err != nil {
 			t.Fatal(err)
 		}
-		got := col.Events(nets)
-		if len(got) != len(raw.evs) {
-			t.Fatalf("replayed %d events, engine emitted %d", len(got), len(raw.evs))
+		direct := rtrace.NewCollector(len(nets))
+		if err := run(direct); err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != raw.evs[i] {
-				t.Fatalf("event %d: replayed %+v, engine emitted %+v", i, got[i], raw.evs[i])
+		for _, c := range []struct {
+			path string
+			col  *rtrace.Collector
+		}{{"string", col}, {"typed", direct}} {
+			got := c.col.Events(nets)
+			if len(got) != len(raw.evs) {
+				t.Fatalf("%s path: replayed %d events, engine emitted %d", c.path, len(got), len(raw.evs))
+			}
+			for i := range got {
+				if got[i] != raw.evs[i] {
+					t.Fatalf("%s path: event %d: replayed %+v, engine emitted %+v", c.path, i, got[i], raw.evs[i])
+				}
 			}
 		}
 		for _, e := range raw.evs {
@@ -368,7 +382,7 @@ func TestCollectorEventsMatchEngine(t *testing.T) {
 			in.MemHeavy = mix.MemHeavy
 			for _, e := range sched.Registry() {
 				t.Run(fmt.Sprintf("%s/b%d/%s", spec.Name, batch, e.Name), func(t *testing.T) {
-					check(t, mix.Nets, func(tr teeTracer) error {
+					check(t, mix.Nets, func(tr sim.Tracer) error {
 						_, err := Run(cfg, mix.Nets, e.New(cfg, in), RunOptions{Tracer: tr})
 						return err
 					})
@@ -391,7 +405,7 @@ func TestCollectorEventsMatchEngine(t *testing.T) {
 	for _, name := range []string{"AI-MT+Prio", "Lookahead"} {
 		spec := serveSpec(t, name)
 		t.Run("transformer/"+name, func(t *testing.T) {
-			check(t, s.Nets, func(tr teeTracer) error {
+			check(t, s.Nets, func(tr sim.Tracer) error {
 				_, err := Run(cfg, s.Nets, spec.New(cfg, s), RunOptions{Arrivals: s.Arrivals, ChainAfter: s.ChainAfter, Tracer: tr})
 				return err
 			})
